@@ -33,6 +33,11 @@ DEGREE_HISTORY_CAP = 64
 class FeedbackGhbPrefetcher(GhbPrefetcher):
     """GHB AC/DC with accuracy-driven degree adjustment (GHB+F)."""
 
+    __slots__ = (
+        "accuracy_high", "accuracy_low", "min_degree", "max_degree",
+        "degree_history", "degree_updates", "degree_min", "degree_max",
+    )
+
     def __init__(
         self,
         accuracy_high: float = 0.75,
@@ -70,36 +75,15 @@ class FeedbackGhbPrefetcher(GhbPrefetcher):
         self.degree_min = min(self.degree_min, self.degree)
         self.degree_max = max(self.degree_max, self.degree)
 
-    def state_dict(self) -> Dict:
-        """Serialize GHB state plus the (capped) feedback degree trajectory.
-
-        The cap is serialized alongside the history so a restore into a
-        build with a different ``DEGREE_HISTORY_CAP`` still reconstructs
-        the deque with the bound the history was captured under.
-        """
-        state = super().state_dict()
-        state["degree_history"] = list(self.degree_history)
-        state["degree_history_cap"] = self.degree_history.maxlen
-        state["degree_updates"] = self.degree_updates
-        state["degree_min"] = self.degree_min
-        state["degree_max"] = self.degree_max
-        return state
-
-    def load_state_dict(self, state: Dict) -> None:
-        """Restore from :meth:`state_dict` output."""
-        super().load_state_dict(state)
-        self.degree_history = deque(
-            state["degree_history"],
-            maxlen=state.get("degree_history_cap", DEGREE_HISTORY_CAP),
-        )
-        self.degree_updates = state["degree_updates"]
-        self.degree_min = state["degree_min"]
-        self.degree_max = state["degree_max"]
-
 
 class LatenessThrottledStridePc(StridePcPrefetcher):
     """Warp-id enhanced StridePC with lateness-driven throttling
     (StridePC+T)."""
+
+    __slots__ = (
+        "lateness_high", "lateness_low", "drop_step", "max_drop",
+        "drop_fraction", "_counter", "dropped",
+    )
 
     def __init__(
         self,
@@ -142,18 +126,3 @@ class LatenessThrottledStridePc(StridePcPrefetcher):
             self.dropped += len(targets)
             return []
         return targets
-
-    def state_dict(self) -> Dict:
-        """Serialize stride state plus the lateness-throttle position."""
-        state = super().state_dict()
-        state["drop_fraction"] = self.drop_fraction
-        state["counter"] = self._counter
-        state["dropped"] = self.dropped
-        return state
-
-    def load_state_dict(self, state: Dict) -> None:
-        """Restore from :meth:`state_dict` output."""
-        super().load_state_dict(state)
-        self.drop_fraction = state["drop_fraction"]
-        self._counter = state["counter"]
-        self.dropped = state["dropped"]

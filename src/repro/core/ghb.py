@@ -29,6 +29,10 @@ MAX_CHAIN = 12
 class GhbPrefetcher(HardwarePrefetcher):
     """GHB AC/DC prefetcher, optionally warp-id enhanced."""
 
+    __slots__ = (
+        "warp_aware", "name", "ghb_entries", "czone_bits", "_ghb", "_head", "_index",
+    )
+
     def __init__(
         self,
         ghb_entries: int = 1024,
@@ -129,23 +133,3 @@ class GhbPrefetcher(HardwarePrefetcher):
         self._ghb.clear()
         self._head = 0
         self._index.clear()
-
-    def state_dict(self) -> Dict:
-        """Serialize the GHB FIFO, head position and localization index."""
-        state = super().state_dict()
-        state["ghb"] = [
-            [position, addr, link]
-            for position, (addr, link) in self._ghb.items()
-        ]
-        state["head"] = self._head
-        state["index"] = self._index.state_dict()
-        return state
-
-    def load_state_dict(self, state: Dict) -> None:
-        """Restore from :meth:`state_dict` output."""
-        super().load_state_dict(state)
-        self._ghb = {
-            position: (addr, link) for position, addr, link in state["ghb"]
-        }
-        self._head = state["head"]
-        self._index.load_state_dict(state["index"])

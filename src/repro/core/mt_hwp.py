@@ -93,21 +93,15 @@ class IpEntry:
     def trained(self) -> bool:
         return self.confidence >= IP_TRAIN_THRESHOLD and self.stride != 0
 
-    def state_dict(self) -> List[int]:
-        """Serialize as ``[last_wid, last_addr, stride, confidence]``."""
-        return [self.last_wid, self.last_addr, self.stride, self.confidence]
-
-    @classmethod
-    def from_state(cls, state: List[int]) -> "IpEntry":
-        """Rebuild an entry from :meth:`state_dict` output."""
-        entry = cls(state[0], state[1])
-        entry.stride = state[2]
-        entry.confidence = state[3]
-        return entry
-
 
 class MtHwpPrefetcher(HardwarePrefetcher):
     """The many-thread aware hardware prefetcher (PWS + GS + IP)."""
+
+    __slots__ = (
+        "enable_pws", "enable_gs", "enable_ip", "ip_warp_distance", "pws", "gs",
+        "ip", "name", "pws_accesses", "pws_accesses_saved", "gs_hits", "ip_hits",
+        "promotions",
+    )
 
     def __init__(
         self,
@@ -228,35 +222,6 @@ class MtHwpPrefetcher(HardwarePrefetcher):
         self.gs_hits = 0
         self.ip_hits = 0
         self.promotions = 0
-
-    def state_dict(self) -> Dict:
-        """Serialize all three tables (in LRU order) and the counters."""
-        state = super().state_dict()
-        state["pws"] = self.pws.state_dict(
-            encode_value=lambda entry: entry.state_dict()
-        )
-        state["gs"] = self.gs.state_dict()
-        state["ip"] = self.ip.state_dict(
-            encode_value=lambda entry: entry.state_dict()
-        )
-        state["pws_accesses"] = self.pws_accesses
-        state["pws_accesses_saved"] = self.pws_accesses_saved
-        state["gs_hits"] = self.gs_hits
-        state["ip_hits"] = self.ip_hits
-        state["promotions"] = self.promotions
-        return state
-
-    def load_state_dict(self, state: Dict) -> None:
-        """Restore from :meth:`state_dict` output."""
-        super().load_state_dict(state)
-        self.pws.load_state_dict(state["pws"], decode_value=StrideEntry.from_state)
-        self.gs.load_state_dict(state["gs"])
-        self.ip.load_state_dict(state["ip"], decode_value=IpEntry.from_state)
-        self.pws_accesses = state["pws_accesses"]
-        self.pws_accesses_saved = state["pws_accesses_saved"]
-        self.gs_hits = state["gs_hits"]
-        self.ip_hits = state["ip_hits"]
-        self.promotions = state["promotions"]
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,6 @@ access probes O(1) candidate streams instead of scanning the whole table.
 
 from __future__ import annotations
 
-import itertools
 from collections import OrderedDict
 from typing import Dict, List, Optional
 
@@ -32,59 +31,25 @@ TRAIN_CONFIRMATIONS = 2
 #: Lines around the anchor considered part of the stream window.
 WINDOW_LINES = 16
 
-_ids = itertools.count()
-
-
-def advance_ids(floor: int) -> None:
-    """Ensure future stream ids exceed ``floor`` (checkpoint restore).
-
-    Stream ids key the LRU map and the spatial index, so ids allocated
-    after a restore must never collide with a restored stream's id.
-    """
-    global _ids
-    current = next(_ids)
-    _ids = itertools.count(max(current, floor + 1))
-
 
 class StreamEntry:
     """One stream-tracking entry."""
 
     __slots__ = ("sid", "anchor_line", "direction", "confirmations", "monitoring", "warp_id")
 
-    def __init__(self, line: int, warp_id: int) -> None:
-        self.sid = next(_ids)
+    def __init__(self, sid: int, line: int, warp_id: int) -> None:
+        self.sid = sid
         self.anchor_line = line
         self.direction = 0
         self.confirmations = 0
         self.monitoring = False
         self.warp_id = warp_id
 
-    def state_dict(self) -> List:
-        """Serialize the entry (the sid rides along as identity)."""
-        return [
-            self.sid,
-            self.anchor_line,
-            self.direction,
-            self.confirmations,
-            self.monitoring,
-            self.warp_id,
-        ]
-
-    @classmethod
-    def from_state(cls, state: List) -> "StreamEntry":
-        """Rebuild an entry with its recorded sid (no counter draw)."""
-        entry = cls.__new__(cls)
-        entry.sid = state[0]
-        entry.anchor_line = state[1]
-        entry.direction = state[2]
-        entry.confirmations = state[3]
-        entry.monitoring = state[4]
-        entry.warp_id = state[5]
-        return entry
-
 
 class StreamPrefetcher(HardwarePrefetcher):
     """Direction-detecting stream prefetcher, optionally warp-id enhanced."""
+
+    __slots__ = ("warp_aware", "name", "capacity", "_lru", "_buckets", "_next_sid")
 
     def __init__(
         self,
@@ -105,6 +70,9 @@ class StreamPrefetcher(HardwarePrefetcher):
         # and insertion order (unlike hash order) survives a
         # checkpoint/restore round trip exactly.
         self._buckets: Dict[int, Dict[int, None]] = {}
+        # Stream ids key the LRU map and the spatial index: the next id
+        # to hand out.
+        self._next_sid = 0
 
     def __len__(self) -> int:
         return len(self._lru)
@@ -136,7 +104,8 @@ class StreamPrefetcher(HardwarePrefetcher):
         if len(self._lru) >= self.capacity:
             _, victim = self._lru.popitem(last=False)
             self._index_remove(victim)
-        entry = StreamEntry(line, warp_id)
+        entry = StreamEntry(self._next_sid, line, warp_id)
+        self._next_sid += 1
         self._lru[entry.sid] = entry
         self._index_add(entry)
 
@@ -196,33 +165,3 @@ class StreamPrefetcher(HardwarePrefetcher):
         super().reset()
         self._lru.clear()
         self._buckets.clear()
-
-    def state_dict(self) -> Dict:
-        """Serialize streams in LRU order plus the spatial index order.
-
-        Both the LRU map and each bucket's sid order are preserved
-        verbatim — LRU order decides victims and bucket order decides
-        equal-gap probe ties, so both are behavioral state.
-        """
-        state = super().state_dict()
-        state["streams"] = [entry.state_dict() for entry in self._lru.values()]
-        state["buckets"] = [
-            [bucket, list(sids)] for bucket, sids in self._buckets.items()
-        ]
-        return state
-
-    def load_state_dict(self, state: Dict) -> None:
-        """Restore from :meth:`state_dict`; advances the sid counter."""
-        super().load_state_dict(state)
-        self._lru = OrderedDict()
-        max_sid = -1
-        for entry_state in state["streams"]:
-            entry = StreamEntry.from_state(entry_state)
-            self._lru[entry.sid] = entry
-            if entry.sid > max_sid:
-                max_sid = entry.sid
-        self._buckets = {
-            bucket: {sid: None for sid in sids}
-            for bucket, sids in state["buckets"]
-        }
-        advance_ids(max_sid)

@@ -15,7 +15,7 @@ dividing the effective table size by the number of active warps.
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.core.base import HardwarePrefetcher
 from repro.core.tables import LruTable
@@ -51,21 +51,11 @@ class StrideEntry:
     def trained(self) -> bool:
         return self.confidence >= TRAIN_THRESHOLD and self.stride != 0
 
-    def state_dict(self) -> List[int]:
-        """Serialize as a compact ``[last_addr, stride, confidence]`` list."""
-        return [self.last_addr, self.stride, self.confidence]
-
-    @classmethod
-    def from_state(cls, state: List[int]) -> "StrideEntry":
-        """Rebuild an entry from :meth:`state_dict` output."""
-        entry = cls(state[0])
-        entry.stride = state[1]
-        entry.confidence = state[2]
-        return entry
-
 
 class StridePcPrefetcher(HardwarePrefetcher):
     """PC-indexed stride prefetcher, optionally warp-id enhanced."""
+
+    __slots__ = ("warp_aware", "name", "table")
 
     def __init__(
         self,
@@ -100,18 +90,3 @@ class StridePcPrefetcher(HardwarePrefetcher):
     def reset(self) -> None:
         super().reset()
         self.table.clear()
-
-    def state_dict(self) -> Dict:
-        """Serialize training state (the table rides along in LRU order)."""
-        state = super().state_dict()
-        state["table"] = self.table.state_dict(
-            encode_value=lambda entry: entry.state_dict()
-        )
-        return state
-
-    def load_state_dict(self, state: Dict) -> None:
-        """Restore from :meth:`state_dict` output."""
-        super().load_state_dict(state)
-        self.table.load_state_dict(
-            state["table"], decode_value=StrideEntry.from_state
-        )

@@ -12,7 +12,7 @@ enhanced version adds the warp id to the index (Section VIII-A).
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import List
 
 from repro.core.base import HardwarePrefetcher
 from repro.core.stride_pc import StrideEntry
@@ -21,6 +21,8 @@ from repro.core.tables import LruTable
 
 class StrideRptPrefetcher(HardwarePrefetcher):
     """Region-indexed stride prefetcher, optionally warp-id enhanced."""
+
+    __slots__ = ("region_bits", "warp_aware", "name", "table")
 
     def __init__(
         self,
@@ -60,18 +62,3 @@ class StrideRptPrefetcher(HardwarePrefetcher):
     def reset(self) -> None:
         super().reset()
         self.table.clear()
-
-    def state_dict(self) -> Dict:
-        """Serialize training state (the table rides along in LRU order)."""
-        state = super().state_dict()
-        state["table"] = self.table.state_dict(
-            encode_value=lambda entry: entry.state_dict()
-        )
-        return state
-
-    def load_state_dict(self, state: Dict) -> None:
-        """Restore from :meth:`state_dict` output."""
-        super().load_state_dict(state)
-        self.table.load_state_dict(
-            state["table"], decode_value=StrideEntry.from_state
-        )

@@ -8,24 +8,9 @@ them as an LRU-ordered mapping with bounded capacity.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable, Dict, Generic, Hashable, Iterator, Optional, Tuple, TypeVar
+from typing import Generic, Hashable, Iterator, Optional, Tuple, TypeVar
 
 V = TypeVar("V")
-
-
-def encode_key(key: Hashable):
-    """Encode a table key to a JSON-able value (tuples become lists).
-
-    Prefetcher tables key on ints (PC, region, zone) or int tuples
-    (``(pc, warp_id)``...); JSON has no tuples and no non-string dict
-    keys, so keys ride in pair lists with tuples encoded as lists.
-    """
-    return list(key) if isinstance(key, tuple) else key
-
-
-def decode_key(key) -> Hashable:
-    """Invert :func:`encode_key` (lists become tuples)."""
-    return tuple(key) if isinstance(key, list) else key
 
 
 class LruTable(Generic[V]):
@@ -40,9 +25,8 @@ class LruTable(Generic[V]):
         self._entries: "OrderedDict[Hashable, V]" = OrderedDict()
         self.evictions = 0
         # Diagnostic lookup/hit tallies for the profiler's table-pressure
-        # view (``SimProfiler.counts``).  Deliberately NOT serialized:
-        # they observe the run without being architectural state, so a
-        # checkpoint/resume run may legitimately report lower totals.
+        # view (``SimProfiler.counts``).  Snapshots store them like every
+        # other field, so a resumed run reports the uninterrupted totals.
         self.lookups = 0
         self.hits = 0
 
@@ -82,28 +66,3 @@ class LruTable(Generic[V]):
 
     def clear(self) -> None:
         self._entries.clear()
-
-    def state_dict(self, encode_value: Optional[Callable] = None) -> Dict:
-        """Serialize entries in LRU-to-MRU order (order is the state).
-
-        ``encode_value`` converts entry values to plain-JSON values; the
-        default passes them through (for int-valued tables).
-        """
-        encode = encode_value or (lambda value: value)
-        return {
-            "entries": [
-                [encode_key(key), encode(value)]
-                for key, value in self._entries.items()
-            ],
-            "evictions": self.evictions,
-        }
-
-    def load_state_dict(
-        self, state: Dict, decode_value: Optional[Callable] = None
-    ) -> None:
-        """Restore from :meth:`state_dict`, rebuilding exact LRU order."""
-        decode = decode_value or (lambda value: value)
-        self._entries = OrderedDict(
-            (decode_key(key), decode(value)) for key, value in state["entries"]
-        )
-        self.evictions = state["evictions"]

@@ -36,7 +36,7 @@ directions.  The degree starts at 2 (the paper's default).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional
+from typing import Optional
 
 
 @dataclass(frozen=True)
@@ -127,6 +127,15 @@ class ThrottleWindow:
 
 class ThrottleEngine:
     """Per-core adaptive prefetch throttle (Fig. 9's "Throttle Engine")."""
+
+    __slots__ = (
+        "config", "degree", "merge_ratio", "early_eviction_rate",
+        "next_update_cycle", "_drop_counter", "total_dropped", "total_allowed",
+        "updates",
+    )
+
+    #: The config is rebuilt at construction; a snapshot does not store it.
+    snapshot_static = ("config",)
 
     def __init__(self, config: Optional[ThrottleConfig] = None) -> None:
         self.config = config or ThrottleConfig(enabled=True)
@@ -224,31 +233,3 @@ class ThrottleEngine:
             periods = (cycle - self.next_update_cycle) // cfg.period + 1
             self.next_update_cycle += periods * cfg.period
         return self.degree
-
-    def state_dict(self) -> Dict:
-        """Serialize adaptive state (the config is rebuilt by the caller).
-
-        ``early_eviction_rate`` can legitimately be ``inf`` (Eq. 5 with
-        zero useful prefetches); Python's JSON codec round-trips it.
-        """
-        return {
-            "degree": self.degree,
-            "merge_ratio": self.merge_ratio,
-            "early_eviction_rate": self.early_eviction_rate,
-            "next_update_cycle": self.next_update_cycle,
-            "drop_counter": self._drop_counter,
-            "total_dropped": self.total_dropped,
-            "total_allowed": self.total_allowed,
-            "updates": self.updates,
-        }
-
-    def load_state_dict(self, state: Dict) -> None:
-        """Restore from :meth:`state_dict` output."""
-        self.degree = state["degree"]
-        self.merge_ratio = state["merge_ratio"]
-        self.early_eviction_rate = state["early_eviction_rate"]
-        self.next_update_cycle = state["next_update_cycle"]
-        self._drop_counter = state["drop_counter"]
-        self.total_dropped = state["total_dropped"]
-        self.total_allowed = state["total_allowed"]
-        self.updates = state["updates"]

@@ -97,10 +97,19 @@ class WorkloadMemo:
 
     @staticmethod
     def key(kernel: KernelSpec, swp: SoftwarePrefetchConfig) -> str:
-        """Stable digest over the kernel spec and software-prefetch config."""
+        """Stable digest over the kernel spec and software-prefetch config.
+
+        The software prefetch distance is left out unless stride
+        prefetching is on: trace generation reads it only on that path,
+        so specs that differ only in an unused distance (a hardware
+        prefetcher's distance sweep, say) share one trace.
+        """
+        swp_fields = dataclasses.asdict(swp)
+        if not swp.stride:
+            del swp_fields["distance"]
         payload = {
             "kernel": dataclasses.asdict(kernel),
-            "swp": dataclasses.asdict(swp),
+            "swp": swp_fields,
         }
         canonical = json.dumps(
             payload, sort_keys=True, separators=(",", ":"), default=repr

@@ -15,19 +15,55 @@ The envelope format::
       "fingerprint":    "<caller tag>",      # e.g. the sweep-run fingerprint
       "config_sha256":  "<config hash>",     # machine-description hash
       "cycle":          <int>,               # simulated cycle of the snapshot
-      "payload":        {...},               # GpuSimulator.state_dict()
+      "payload":        {...},               # dump_state(simulator)
       "payload_sha256": "<payload hash>"     # integrity digest
     }
 
+The payload is written by one generic codec (:func:`dump_state` /
+:func:`load_state`) rather than by per-class methods.  Starting from the
+simulator it stores, by default, every field of every reachable object,
+whether the field sits in ``__slots__`` or an instance ``__dict__``, so a
+field added later is stored without anyone having to remember it.  A
+class names only the fields it does *not* store, in two class
+attributes:
+
+* ``snapshot_static`` — rebuilt at construction or by id lookup: configs,
+  instruction streams and blocks, observer and owner references,
+  run-loop hooks;
+* ``snapshot_derived`` — rebuilt after load by the object's
+  ``after_restore()`` method (the DRAM scheduling index, for one).
+
+Restore assigns the stored fields onto a machine built by its normal
+constructors: a stored object lands on the live object at the same place
+when it has the same class.  Objects created at run time (warps, requests,
+buffer entries, table entries) are rebuilt without their constructors,
+their unstored fields set to None until an ``after_restore()`` hook
+rebuilds them.  One identity memo makes an object held in several places
+(a request in an MRQ, the interconnect and a DRAM buffer entry; a warp a
+request waits on) restore as one object.
+
+Payload encoding: scalars are themselves and lists are lists; tuples,
+dicts, ordered dicts, sets and deques are one-key objects (``{"t": [...]}``,
+``{"d": [k, v, ...]}``, ``{"o": [...]}``, ``{"s": [...]}``,
+``{"q": [maxlen, [...]]}``); ``{"r": n}`` refers back to the n-th object
+written.  An object held in a field is written by name, ``{"@": class,
+field: value, ...}``, so the payload reads like the machine
+(``payload["metrics"]["next_sample_cycle"]``); an object held in a
+container is written as a row, ``{class: [values...]}``.  The root also
+records under ``@layout`` every class's module and stored fields, and the
+load path rejects a snapshot whose layout for any class differs from the
+running code's, so a layout change never depends on someone remembering a
+schema bump.
+
 Static state is deliberately *not* stored: the config, the prefetcher
-construction parameters and the instruction streams are all rebuilt
+construction and the instruction streams are all rebuilt
 deterministically from the run spec, and the envelope's
 ``config_sha256`` / ``fingerprint`` fields reject a snapshot loaded
 against the wrong machine or workload.  The payload digest is computed
 over the canonical JSON encoding of the payload, which Python's ``json``
-round-trips exactly (shortest-repr floats; ``Infinity`` allowed), so a
-digest computed after a load matches the one computed before the save —
-any torn or bit-flipped file fails validation with a structured
+round-trips exactly (shortest-repr floats; ``Infinity`` allowed), and
+that canonical text is what the file holds — any torn or bit-flipped
+file fails validation with a structured
 :class:`~repro.sim.errors.CheckpointError` instead of corrupting a run.
 
 Writes are atomic (unique temp file + ``os.replace``), matching the
@@ -53,20 +89,25 @@ from __future__ import annotations
 
 import dataclasses
 import errno
+import gc
 import hashlib
 import json
 import os
+import sys
 import warnings
+from collections import OrderedDict, deque
+from operator import attrgetter
 from pathlib import Path
-from typing import Dict, Optional, Sequence, Union
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 from repro.sim.config import GpuConfig
 from repro.sim.errors import CheckpointError
 
-#: Snapshot format version.  Bump when the envelope shape or any
-#: component's ``state_dict()`` layout changes incompatibly; loaders
-#: reject snapshots from other versions rather than guessing.
-CHECKPOINT_SCHEMA = 1
+#: Snapshot format version.  Bump when the envelope shape or the payload
+#: encoding changes; loaders reject snapshots from other versions rather
+#: than guessing.  A class's field layout needs no bump: the payload
+#: records it and :func:`load_state` checks it.
+CHECKPOINT_SCHEMA = 2
 
 #: Environment variable naming the directory auto-checkpoints are
 #: written into.  Mirrors ``$REPRO_PROFILE_DIR``: the CLI exports it
@@ -109,9 +150,13 @@ def canonical_json(document: object) -> str:
     Digests are computed over this encoding so they are independent of
     formatting and key order.  ``allow_nan`` stays on: the throttle
     engine's early-eviction rate can legitimately be ``inf``, and
-    Python's codec round-trips it (as ``Infinity``).
+    Python's codec round-trips it (as ``Infinity``).  Documents are trees
+    (a payload's shared objects are memo references), so the encoder's
+    cycle check is skipped: it costs a quarter of a snapshot's encode.
     """
-    return json.dumps(document, sort_keys=True, separators=(",", ":"))
+    return json.dumps(
+        document, sort_keys=True, separators=(",", ":"), check_circular=False
+    )
 
 
 def payload_digest(payload: Dict) -> str:
@@ -149,10 +194,11 @@ def scratch_path(path: Union[str, Path]) -> Path:
 
 def atomic_write_json(
     path: Union[str, Path],
-    document: object,
+    document: object = None,
     indent: Optional[int] = None,
     sort_keys: bool = False,
     trailing_newline: bool = False,
+    text: Optional[str] = None,
 ) -> Path:
     """Write ``document`` as JSON to ``path`` atomically; returns the path.
 
@@ -167,12 +213,15 @@ def atomic_write_json(
     profiler (:meth:`repro.sim.profiling.SimProfiler.write`) and the perf
     harness (:func:`repro.harness.perf.write_document`) share this
     helper.  ``sort_keys`` / ``trailing_newline`` exist for committed,
-    diff-friendly documents such as ``BENCH_perf.json``.
+    diff-friendly documents such as ``BENCH_perf.json``.  ``text`` is JSON
+    the caller already encoded, written verbatim instead of encoding
+    ``document`` (a checkpoint writes the canonical text it digested).
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     tmp = scratch_path(path)
-    text = json.dumps(document, indent=indent, sort_keys=sort_keys)
+    if text is None:
+        text = json.dumps(document, indent=indent, sort_keys=sort_keys)
     if trailing_newline:
         text += "\n"
     try:
@@ -187,10 +236,289 @@ def atomic_write_json(
     return path
 
 
+# ----------------------------------------------------------------------
+# The snapshot codec
+# ----------------------------------------------------------------------
+
+#: Types a payload stores as themselves.
+_SCALARS = frozenset((int, float, str, bool, type(None)))
+
+#: Container types the codec writes as tagged one-key objects.
+_CONTAINERS = frozenset((list, tuple, dict, OrderedDict, set, deque))
+
+
+def declared_fields(cls: type) -> FrozenSet[str]:
+    """Fields ``cls`` and its bases declare unstored (static or derived)."""
+    names: set = set()
+    for klass in cls.__mro__:
+        names.update(vars(klass).get("snapshot_static", ()))
+        names.update(vars(klass).get("snapshot_derived", ()))
+    return frozenset(names)
+
+
+def _slot_names(cls: type) -> List[str]:
+    """``__slots__`` of ``cls`` and its bases, bases first."""
+    return [
+        name
+        for klass in reversed(cls.__mro__)
+        for name in vars(klass).get("__slots__", ())
+        if name not in ("__dict__", "__weakref__")
+    ]
+
+
+def stored_fields(obj: object) -> Tuple[str, ...]:
+    """Fields of ``obj`` a snapshot stores: all of them minus the declared.
+
+    "All" is the slots of its classes (bases first) followed by its
+    instance ``__dict__`` keys in assignment order.  A declared name that
+    is no field of ``obj`` raises ``TypeError``, so a rename cannot leave
+    a stale declaration behind.
+    """
+    declared = declared_fields(type(obj))
+    names = _slot_names(type(obj)) + list(getattr(obj, "__dict__", ()))
+    stale = declared.difference(names)
+    if stale:
+        raise TypeError(
+            f"{type(obj).__qualname__} declares unstored fields it does not "
+            f"have: {sorted(stale)}"
+        )
+    return tuple(n for n in names if n not in declared)
+
+
+def dump_state(root: object) -> Dict[str, object]:
+    """Encode every object reachable from ``root`` as a plain-JSON payload.
+
+    See the module docstring for the encoding.  Objects are memoized by
+    identity: the first visit writes the object, later ones write
+    ``{"r": n}``, its index in visiting order.  Values the codec cannot
+    represent (functions, classes, other builtins) raise ``TypeError``
+    naming the type, so an unstorable new field fails loudly.  Fields in
+    an instance ``__dict__`` are read through it, which on CPython 3.11
+    slows that object's attribute access for good: the simulator's own
+    classes use ``__slots__``.
+    """
+    memo: Dict[int, int] = {}
+    layouts: Dict[type, tuple] = {}
+    table: Dict[str, list] = {}
+    scalars = _SCALARS
+    containers = _CONTAINERS
+
+    def layout(obj: object) -> tuple:
+        cls = type(obj)
+        if cls.__module__ == "builtins" or isinstance(obj, type):
+            raise TypeError(f"cannot snapshot a {cls.__qualname__} value")
+        tag = cls.__qualname__
+        if tag in table:
+            raise TypeError(f"two snapshot classes are named {tag!r}")
+        fields = stored_fields(obj)
+        table[tag] = [cls.__module__, list(fields)]
+        # attrgetter returns a tuple only when given two or more names.
+        getter = attrgetter(*fields) if len(fields) > 1 else (
+            lambda o: tuple(getattr(o, name) for name in fields)
+        )
+        # Instances that keep fields in a __dict__ are checked one by one
+        # (nothing forces two of them to carry the same attributes): the
+        # attribute names of this first one are the fast-path reference.
+        keys = tuple(obj.__dict__) if cls.__dictoffset__ != 0 else None
+        entry = layouts[cls] = (tag, fields, getter, keys)
+        return entry
+
+    def field(value: object) -> object:
+        # An object held directly in a field is written by name.
+        if type(value) in containers:
+            return encode(value)
+        return instance(value, True)
+
+    def encode(value: object) -> object:
+        # Callers pass only non-scalars: containers and objects.
+        kind = type(value)
+        if kind not in containers:
+            return instance(value, False)
+        if kind is list:
+            return [x if type(x) in scalars else encode(x) for x in value]
+        if kind is tuple:
+            return {"t": [x if type(x) in scalars else encode(x) for x in value]}
+        if kind is dict or kind is OrderedDict:
+            flat: list = []
+            append = flat.append
+            for key, item in value.items():
+                append(key if type(key) in scalars else encode(key))
+                append(item if type(item) in scalars else encode(item))
+            return {"d" if kind is dict else "o": flat}
+        if kind is set:
+            items = sorted(value)
+            return {"s": [x if type(x) in scalars else encode(x) for x in items]}
+        return {"q": [value.maxlen,
+                      [x if type(x) in scalars else encode(x) for x in value]]}
+
+    def instance(obj: object, named: bool) -> object:
+        key = id(obj)
+        index = memo.get(key)
+        if index is not None:
+            return {"r": index}
+        memo[key] = len(memo)
+        entry = layouts.get(type(obj))
+        if entry is None:
+            entry = layout(obj)
+        tag, fields, getter, keys = entry
+        if keys is not None and tuple(obj.__dict__) != keys:
+            if stored_fields(obj) != fields:
+                raise TypeError(
+                    f"{tag} instances differ in fields: {list(fields)} vs "
+                    f"{list(stored_fields(obj))}"
+                )
+        values = getter(obj)
+        if named:
+            out: Dict[str, object] = {"@": tag}
+            for name, value in zip(fields, values):
+                out[name] = value if type(value) in scalars else field(value)
+            return out
+        return {tag: [v if type(v) in scalars else field(v) for v in values]}
+
+    payload = instance(root, True)
+    payload["@layout"] = table
+    return payload
+
+
+def load_state(payload: Dict[str, object], root: object) -> object:
+    """Assign a :func:`dump_state` payload onto ``root``; returns ``root``.
+
+    ``root`` and every object the constructors built under it receive
+    their stored fields in place; objects with no live counterpart are
+    rebuilt without their constructors.  Afterwards every restored object
+    that defines ``after_restore()`` is called, in restore order, to
+    rebuild what the snapshot does not store.
+
+    Raises :class:`CheckpointError` when the recorded field layout of any
+    class differs from the running code's, or when the payload is not
+    one :func:`dump_state` could have written.  The target is then left
+    partially restored and must be discarded.
+    """
+    try:
+        return _Decoder(payload["@layout"]).restore(payload, root)
+    except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
+        raise CheckpointError(
+            f"snapshot payload cannot be restored: {exc!r}",
+            snapshot={"error": repr(exc)},
+        ) from exc
+
+
+class _Decoder:
+    """One :func:`load_state` pass: the identity memo and resolved classes."""
+
+    def __init__(self, table: Dict[str, list]) -> None:
+        self.table = table
+        self.memo: List[object] = []
+        self.classes: Dict[str, tuple] = {}
+        self.restored: List[object] = []
+
+    def restore(self, payload: Dict[str, object], root: object) -> object:
+        """Assign ``payload`` onto ``root``, then run the restore hooks."""
+        cls = self.resolve(payload["@"])[0]
+        if type(root) is not cls:
+            raise TypeError(f"payload holds a {cls.__qualname__}, not a "
+                            f"{type(root).__qualname__}")
+        self.instance(payload["@"], payload, root, named=True)
+        for obj in self.restored:
+            obj.after_restore()
+        return root
+
+    def resolve(self, tag: str) -> tuple:
+        """``(class, fields, unstored names)`` for a class tag, layout-checked."""
+        entry = self.classes.get(tag)
+        if entry is not None:
+            return entry
+        module, fields = self.table[tag]
+        cls = sys.modules.get(module)
+        for part in tag.split("."):
+            cls = getattr(cls, part, None)
+        if not isinstance(cls, type):
+            raise CheckpointError(
+                f"snapshot class {module}.{tag} does not exist",
+                snapshot={"class": f"{module}.{tag}"},
+            )
+        declared = declared_fields(cls)
+        fields = tuple(fields)
+        if cls.__dictoffset__ == 0:
+            # Fields fixed by __slots__: check against the class now.
+            running = tuple(n for n in _slot_names(cls) if n not in declared)
+            self.check(tag, fields, running)
+        entry = self.classes[tag] = (cls, fields, declared)
+        return entry
+
+    @staticmethod
+    def check(tag: str, recorded: Tuple[str, ...], running: Tuple[str, ...]) -> None:
+        """Reject a class whose stored fields differ from the running code's."""
+        if recorded != running:
+            raise CheckpointError(
+                f"field layout of {tag} changed: snapshot stores "
+                f"{list(recorded)}, the running code has {list(running)}",
+                snapshot={"class": tag, "recorded": list(recorded),
+                          "running": list(running)},
+            )
+
+    def value(self, value: object, live: object = None) -> object:
+        """Decode one payload value; ``live`` is what the machine holds there."""
+        kind = type(value)
+        if kind is list:
+            if type(live) is list:
+                n = len(live)
+                return [
+                    self.value(x, live[i] if i < n else None)
+                    for i, x in enumerate(value)
+                ]
+            return [x if type(x) in _SCALARS else self.value(x) for x in value]
+        if kind is not dict:
+            return value
+        if "@" in value:
+            return self.instance(value["@"], value, live, named=True)
+        ((tag, body),) = value.items()
+        if tag == "r":
+            return self.memo[body]
+        if tag == "t":
+            return tuple(self.value(x) for x in body)
+        if tag == "d" or tag == "o":
+            items = [self.value(x) for x in body]
+            pairs = zip(items[0::2], items[1::2])
+            return dict(pairs) if tag == "d" else OrderedDict(pairs)
+        if tag == "s":
+            return {self.value(x) for x in body}
+        if tag == "q":
+            return deque((self.value(x) for x in body[1]), maxlen=body[0])
+        return self.instance(tag, body, live, named=False)
+
+    def instance(self, tag: str, body, live: object, named: bool) -> object:
+        """Restore one object onto ``live`` if it has the class, else anew."""
+        cls, fields, unstored = self.resolve(tag)
+        if type(live) is cls:
+            obj = live
+            if cls.__dictoffset__ != 0:
+                self.check(tag, fields, stored_fields(obj))
+        else:
+            obj = cls.__new__(cls)
+            for name in unstored:
+                setattr(obj, name, None)
+            live = None
+        self.memo.append(obj)
+        if hasattr(cls, "after_restore"):
+            self.restored.append(obj)
+        values = (body[name] for name in fields) if named else body
+        for name, value in zip(fields, values):
+            if type(value) in _SCALARS:
+                setattr(obj, name, value)
+            else:
+                current = getattr(obj, name, None) if live is not None else None
+                setattr(obj, name, self.value(value, current))
+        return obj
+
+
 def write_checkpoint(
     path: Union[str, Path], sim: "object", fingerprint: str = ""
 ) -> Path:
     """Snapshot a simulator into a versioned envelope at ``path``.
+
+    The payload is encoded once, canonically; that text is both what the
+    digest covers and what the file holds.
 
     Args:
         path: Destination file (parents created; write is atomic).
@@ -204,16 +532,25 @@ def write_checkpoint(
     Returns:
         The path written.
     """
-    payload = sim.state_dict()
-    envelope = {
+    # The payload is a tree of fresh containers that reference counting
+    # frees once encoded; with the cyclic collector off meanwhile, its
+    # build triggers no collections that would only traverse (and age)
+    # it together with every instruction stream in the process.
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        payload = canonical_json(dump_state(sim))
+    finally:
+        if collecting:
+            gc.enable()
+    head = canonical_json({
         "schema": CHECKPOINT_SCHEMA,
         "fingerprint": fingerprint,
         "config_sha256": config_fingerprint(sim.config),
         "cycle": sim.cycle,
-        "payload": payload,
-        "payload_sha256": payload_digest(payload),
-    }
-    return atomic_write_json(path, envelope)
+        "payload_sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
+    })
+    return atomic_write_json(path, text=head[:-1] + ',"payload":' + payload + "}")
 
 
 def _reject(path: Path, message: str, **context: object) -> CheckpointError:
@@ -352,6 +689,10 @@ def restore_simulator(
         A :class:`~repro.sim.gpu.GpuSimulator` positioned at the
         snapshot's cycle; calling ``run()`` continues the interrupted
         simulation bit-identically.
+
+    Raises:
+        CheckpointError: The payload's field layout differs from the
+            running code's (see :func:`load_state`).
     """
     from repro.sim.gpu import GpuSimulator
 
@@ -360,7 +701,12 @@ def restore_simulator(
         metrics=metrics,
     )
     sim.load_workload(blocks, max_blocks_per_core)
-    sim.load_state_dict(envelope["payload"], blocks)
+    attached = (sim.invariants, sim.profiler, sim.metrics)
+    load_state(envelope["payload"], sim)
+    # Observer state restores only into an observer this run attached: a
+    # snapshot's observer with no live counterpart was rebuilt and is
+    # dropped here, and an observer the snapshot lacks starts fresh.
+    sim.invariants, sim.profiler, sim.metrics = attached
     return sim
 
 

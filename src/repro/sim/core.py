@@ -40,6 +40,23 @@ Block = Tuple[int, Sequence[Tuple[int, List[WarpInstruction]]]]
 class Core:
     """One SIMT core (SM) of the simulated GPU."""
 
+    __slots__ = (
+        "core_id", "config", "prefetcher", "throttle", "mrq", "pcache", "warps",
+        "_block_warps", "max_blocks", "port_free_cycle", "_rr_index",
+        "_rr_enabled", "asleep", "wake_cycle", "sleep_credit", "woken",
+        "_unfinished", "profiler", "_issue_cycles", "instructions",
+        "prefetch_instructions", "demand_loads", "demand_line_accesses",
+        "demand_lines_to_memory", "demand_latency_sum", "demand_latency_count",
+        "prefetch_generated", "prefetch_throttled", "prefetch_redundant",
+        "prefetch_issued", "late_prefetches", "stall_cycles", "warps_assigned",
+        "warps_retired", "_window_prefetch_issued", "_window_late",
+    )
+
+    #: Fields a snapshot does not store (see :mod:`repro.sim.checkpoint`):
+    #: the config and the issue-latency table built from it, and the
+    #: simulator's profiler reference.
+    snapshot_static = ("config", "profiler", "_issue_cycles")
+
     def __init__(
         self,
         core_id: int,
@@ -562,110 +579,3 @@ class Core:
                     "early_evictions": float(window.early_evictions),
                 }
             )
-
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
-
-    def state_dict(self) -> Dict:
-        """Serialize all per-core dynamic state to plain-JSON types.
-
-        The warp list is stored in order (round-robin scheduling state);
-        in-flight requests ride in the simulator-level registry and are
-        referenced by rid from the MRQ's containers.
-        """
-        return {
-            "warps": [warp.state_dict() for warp in self.warps],
-            "block_warps": [
-                [block_id, remaining]
-                for block_id, remaining in self._block_warps.items()
-            ],
-            "max_blocks": self.max_blocks,
-            "port_free_cycle": self.port_free_cycle,
-            "rr_index": self._rr_index,
-            "unfinished": self._unfinished,
-            "asleep": self.asleep,
-            "wake_cycle": self.wake_cycle,
-            "sleep_credit": self.sleep_credit,
-            "woken": self.woken,
-            "mrq": self.mrq.state_dict(),
-            "pcache": self.pcache.state_dict(),
-            "prefetcher": (
-                self.prefetcher.state_dict() if self.prefetcher is not None else None
-            ),
-            "throttle": self.throttle.state_dict(),
-            "instructions": self.instructions,
-            "prefetch_instructions": self.prefetch_instructions,
-            "demand_loads": self.demand_loads,
-            "demand_line_accesses": self.demand_line_accesses,
-            "demand_lines_to_memory": self.demand_lines_to_memory,
-            "demand_latency_sum": self.demand_latency_sum,
-            "demand_latency_count": self.demand_latency_count,
-            "prefetch_generated": self.prefetch_generated,
-            "prefetch_throttled": self.prefetch_throttled,
-            "prefetch_redundant": self.prefetch_redundant,
-            "prefetch_issued": self.prefetch_issued,
-            "late_prefetches": self.late_prefetches,
-            "stall_cycles": self.stall_cycles,
-            "warps_assigned": self.warps_assigned,
-            "warps_retired": self.warps_retired,
-            "window_prefetch_issued": self._window_prefetch_issued,
-            "window_late": self._window_late,
-        }
-
-    def load_state_dict(
-        self,
-        state: Dict,
-        requests: Dict[int, MemoryRequest],
-        streams: Dict[int, List[WarpInstruction]],
-    ) -> None:
-        """Restore from :meth:`state_dict` output.
-
-        Args:
-            state: A ``state_dict()`` payload.
-            requests: Simulator-level rid -> request registry (shared
-                objects; the MRQ rewires its containers to them).
-            streams: warp_id -> instruction stream, regenerated
-                deterministically from the kernel spec (streams are
-                static and never serialized).
-        """
-        self.warps = [
-            Warp.from_state(warp_state, streams[warp_state["warp_id"]])
-            for warp_state in state["warps"]
-        ]
-        self._block_warps = {
-            block_id: remaining for block_id, remaining in state["block_warps"]
-        }
-        self.max_blocks = state["max_blocks"]
-        self.port_free_cycle = state["port_free_cycle"]
-        self._rr_index = state["rr_index"]
-        self._unfinished = state["unfinished"]
-        # .get: snapshots written before the sleep/wake scheduler lack
-        # these keys; a core restored from one simply starts awake (the
-        # first poll re-derives the sleep state exactly).
-        self.asleep = state.get("asleep", False)
-        self.wake_cycle = state.get("wake_cycle")
-        self.sleep_credit = state.get("sleep_credit", False)
-        self.woken = state.get("woken", False)
-        self.mrq.load_state_dict(state["mrq"], requests)
-        self.pcache.load_state_dict(state["pcache"])
-        if self.prefetcher is not None and state["prefetcher"] is not None:
-            self.prefetcher.load_state_dict(state["prefetcher"])
-        self.throttle.load_state_dict(state["throttle"])
-        self.instructions = state["instructions"]
-        self.prefetch_instructions = state["prefetch_instructions"]
-        self.demand_loads = state["demand_loads"]
-        self.demand_line_accesses = state["demand_line_accesses"]
-        self.demand_lines_to_memory = state["demand_lines_to_memory"]
-        self.demand_latency_sum = state["demand_latency_sum"]
-        self.demand_latency_count = state["demand_latency_count"]
-        self.prefetch_generated = state["prefetch_generated"]
-        self.prefetch_throttled = state["prefetch_throttled"]
-        self.prefetch_redundant = state["prefetch_redundant"]
-        self.prefetch_issued = state["prefetch_issued"]
-        self.late_prefetches = state["late_prefetches"]
-        self.stall_cycles = state["stall_cycles"]
-        self.warps_assigned = state["warps_assigned"]
-        self.warps_retired = state["warps_retired"]
-        self._window_prefetch_issued = state["window_prefetch_issued"]
-        self._window_late = state["window_late"]

@@ -29,29 +29,14 @@ the old pending-list scan order, so decisions are bit-identical.
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim.config import DramConfig
 from repro.sim.memory_request import MemoryRequest
 
-_seq = itertools.count()
-
 #: Shared immutable "nothing completed" result, so the common idle-channel
 #: step does not allocate a fresh list per channel per eventful cycle.
 _NO_ENTRIES: Tuple[()] = ()
-
-
-def advance_seq(floor: int) -> None:
-    """Ensure future completion-heap sequence numbers exceed ``floor``.
-
-    Restored ``_completing`` tuples keep their recorded tiebreakers, so
-    entries serviced after a resume must draw strictly larger ones to
-    preserve same-cycle completion ordering against restored entries.
-    """
-    global _seq
-    current = next(_seq)
-    _seq = itertools.count(max(current, floor + 1))
 
 
 class BufferEntry:
@@ -65,6 +50,10 @@ class BufferEntry:
         "line_addr", "bank", "row", "requesters", "is_store", "arrival",
         "ready_cycle", "demand", "seq", "queued", "owner",
     )
+
+    #: ``owner`` is derived: a snapshot does not store it, and the owning
+    #: channel re-sets it on restore (:meth:`DramChannel.after_restore`).
+    snapshot_derived = ("owner",)
 
     def __init__(
         self,
@@ -87,10 +76,9 @@ class BufferEntry:
         # the prefetch's pipeline progress — the head start is real.
         self.ready_cycle = ready_cycle
         self.demand = request.is_demand
-        # Index bookkeeping (not serialized; the channel rebuilds it on
-        # restore).  ``seq`` is the per-channel insertion order — the
-        # FR-FCFS tie-breaker, equal to the entry's scan position in the
-        # reference implementation.  ``queued`` is the lazy-deletion
+        # Index bookkeeping.  ``seq`` is the per-channel insertion order —
+        # the FR-FCFS tie-breaker, equal to the entry's scan position in
+        # the reference implementation.  ``queued`` is the lazy-deletion
         # marker for the index heaps; ``owner`` routes promotion hooks
         # back to the owning channel.
         self.seq = -1
@@ -101,38 +89,6 @@ class BufferEntry:
         self.requesters.append(request)
         if request.is_demand:
             self.demand = True
-
-    def state_dict(self) -> Dict:
-        """Serialize the entry; requesters referenced by rid."""
-        return {
-            "line_addr": self.line_addr,
-            "bank": self.bank,
-            "row": self.row,
-            "requesters": [request.rid for request in self.requesters],
-            "is_store": self.is_store,
-            "arrival": self.arrival,
-            "ready_cycle": self.ready_cycle,
-            "demand": self.demand,
-        }
-
-    @classmethod
-    def from_state(
-        cls, state: Dict, requests: Dict[int, MemoryRequest]
-    ) -> "BufferEntry":
-        """Rebuild an entry, rewiring requesters to shared request objects."""
-        entry = cls.__new__(cls)
-        entry.line_addr = state["line_addr"]
-        entry.bank = state["bank"]
-        entry.row = state["row"]
-        entry.requesters = [requests[rid] for rid in state["requesters"]]
-        entry.is_store = state["is_store"]
-        entry.arrival = state["arrival"]
-        entry.ready_cycle = state["ready_cycle"]
-        entry.demand = state["demand"]
-        entry.seq = -1
-        entry.queued = False
-        entry.owner = None
-        return entry
 
     def is_demand_now(self) -> bool:
         """Current priority class of this entry.
@@ -178,6 +134,20 @@ class DramChannel:
     DRAM path and fill the L2 on completion.
     """
 
+    __slots__ = (
+        "channel_id", "config", "banks", "pending", "_by_line", "_completing",
+        "_completion_seq", "_entry_seq", "_demand_all", "_demand_rows",
+        "_other_all", "_other_rows", "_dp", "_reference", "bus_busy_until",
+        "next_pick_cycle", "l2", "row_hits", "row_misses", "lines_transferred",
+        "inter_core_merges", "l2_hits", "l2_misses",
+    )
+
+    #: Fields a snapshot does not store (see :mod:`repro.sim.checkpoint`):
+    #: the config, and the scheduling index, which :meth:`after_restore`
+    #: rebuilds from the restored buffer.
+    snapshot_static = ("config",)
+    snapshot_derived = ("_demand_all", "_demand_rows", "_other_all", "_other_rows")
+
     def __init__(self, channel_id: int, config: DramConfig) -> None:
         self.channel_id = channel_id
         self.config = config
@@ -188,6 +158,9 @@ class DramChannel:
         self.pending: Dict[int, BufferEntry] = {}
         self._by_line: Dict[int, BufferEntry] = {}
         self._completing: List[Tuple[int, int, BufferEntry]] = []
+        # FIFO tiebreaker of the completion heap's tuples: the next
+        # sequence number to hand out.
+        self._completion_seq = 0
         # Indexed-scheduler state.  Each heap holds (seq, entry) with lazy
         # deletion: an entry is live in the demand heaps iff it is still
         # queued, and live in the other heaps iff it is queued and has not
@@ -243,8 +216,9 @@ class DramChannel:
                 )
                 heapq.heappush(
                     self._completing,
-                    (cycle + self.config.l2_latency, next(_seq), entry),
+                    (cycle + self.config.l2_latency, self._completion_seq, entry),
                 )
+                self._completion_seq += 1
                 return
             self.l2_misses += 1
         ready = cycle + self.config.pipeline_latency
@@ -261,9 +235,13 @@ class DramChannel:
         self._entry_seq = seq + 1
         entry.seq = seq
         entry.queued = True
-        entry.owner = self
         self.pending[seq] = entry
-        item = (seq, entry)
+        self._index(entry)
+
+    def _index(self, entry: BufferEntry) -> None:
+        """Push a queued entry into its priority class's heaps."""
+        entry.owner = self
+        item = (entry.seq, entry)
         key = (entry.bank, entry.row)
         if entry.demand and self._dp:
             heapq.heappush(self._demand_all, item)
@@ -450,7 +428,8 @@ class DramChannel:
         self.bus_busy_until = done
         self.next_pick_cycle = burst_start
         self.lines_transferred += 1
-        heapq.heappush(self._completing, (done, next(_seq), entry))
+        heapq.heappush(self._completing, (done, self._completion_seq, entry))
+        self._completion_seq += 1
 
     def next_event_cycle(self, cycle: int) -> Optional[int]:
         """Earliest future cycle at which this channel can make progress."""
@@ -490,90 +469,25 @@ class DramChannel:
     def idle(self) -> bool:
         return not self.pending and not self._completing
 
-    def state_dict(self) -> Dict:
-        """Serialize channel state; buffer entries referenced by local id.
+    def after_restore(self) -> None:
+        """Rebuild the scheduling index from the restored request buffer.
 
-        ``pending`` and ``_completing`` own the entries; ``_by_line``
-        aliases them, so entries are enumerated once (pending first, then
-        the completion heap in list order) and every container stores the
-        entry's index into that enumeration.
+        The class heaps and row buckets are derived from ``pending``
+        (entries keep their ``seq``, so relative age — the FR-FCFS
+        tie-breaker — is exact); stale lazy-deletion items the original
+        heaps carried are simply not rebuilt.  Prefetch riders of a
+        queued entry get their ``dram_entry`` back, so a late demand can
+        still promote it.
         """
-        entries: List[BufferEntry] = list(self.pending.values())
-        entries.extend(item[2] for item in self._completing)
-        eids = {id(entry): eid for eid, entry in enumerate(entries)}
-        return {
-            "banks": [
-                [bank.row_ready_cycle, bank.open_row] for bank in self.banks
-            ],
-            "entries": [entry.state_dict() for entry in entries],
-            "num_pending": len(self.pending),
-            "completing": [
-                [done, seq, eids[id(entry)]]
-                for done, seq, entry in self._completing
-            ],
-            "by_line": [
-                [line, eids[id(entry)]] for line, entry in self._by_line.items()
-            ],
-            "bus_busy_until": self.bus_busy_until,
-            "next_pick_cycle": self.next_pick_cycle,
-            "l2": self.l2.state_dict() if self.l2 is not None else None,
-            "row_hits": self.row_hits,
-            "row_misses": self.row_misses,
-            "lines_transferred": self.lines_transferred,
-            "inter_core_merges": self.inter_core_merges,
-            "l2_hits": self.l2_hits,
-            "l2_misses": self.l2_misses,
-        }
-
-    def load_state_dict(self, state: Dict, requests: Dict[int, MemoryRequest]) -> None:
-        """Restore from :meth:`state_dict`, preserving entry aliasing.
-
-        The scheduling index is not serialized: per-channel ``seq`` values
-        are reassigned from the recorded pending order (which is the
-        original insertion order, so relative age — the FR-FCFS
-        tie-breaker — is preserved exactly) and the class heaps are
-        rebuilt from the entries' current promotion state.
-        """
-        for bank, (row_ready_cycle, open_row) in zip(self.banks, state["banks"]):
-            bank.row_ready_cycle = row_ready_cycle
-            bank.open_row = open_row
-        entries = [
-            BufferEntry.from_state(entry_state, requests)
-            for entry_state in state["entries"]
-        ]
-        self.pending = {}
-        self._entry_seq = 0
         self._demand_all = []
         self._demand_rows = {}
         self._other_all = []
         self._other_rows = {}
-        for entry in entries[: state["num_pending"]]:
-            # Normalize lazily-recorded promotions (a reference-scheduler
-            # checkpoint may not have scanned the flip in yet) so the heap
-            # classification is current from the first pick.
-            if not entry.demand:
-                entry.is_demand_now()
-            self._enqueue(entry)
+        for entry in self.pending.values():
+            self._index(entry)
             for request in entry.requesters:
                 if request.is_prefetch:
                     request.dram_entry = entry
-        self._completing = [
-            (done, seq, entries[eid]) for done, seq, eid in state["completing"]
-        ]
-        for _done, _seq, entry in self._completing:
-            entry.owner = self
-        heapq.heapify(self._completing)
-        self._by_line = {line: entries[eid] for line, eid in state["by_line"]}
-        self.bus_busy_until = state["bus_busy_until"]
-        self.next_pick_cycle = state["next_pick_cycle"]
-        if self.l2 is not None and state["l2"] is not None:
-            self.l2.load_state_dict(state["l2"])
-        self.row_hits = state["row_hits"]
-        self.row_misses = state["row_misses"]
-        self.lines_transferred = state["lines_transferred"]
-        self.inter_core_merges = state["inter_core_merges"]
-        self.l2_hits = state["l2_hits"]
-        self.l2_misses = state["l2_misses"]
 
 
 class Dram:
@@ -583,6 +497,11 @@ class Dram:
     ``row_bytes`` of per-channel lines into rows striped over banks, so a
     contiguous sweep of physical memory produces row hits on every channel.
     """
+
+    __slots__ = ("config", "channels", "_lines_per_row")
+
+    #: The config is rebuilt at construction; a snapshot does not store it.
+    snapshot_static = ("config",)
 
     def __init__(self, config: DramConfig) -> None:
         self.config = config
@@ -658,20 +577,6 @@ class Dram:
     @property
     def idle(self) -> bool:
         return all(channel.idle for channel in self.channels)
-
-    def state_dict(self) -> Dict:
-        """Serialize every channel (geometry is rebuilt from config)."""
-        return {"channels": [channel.state_dict() for channel in self.channels]}
-
-    def load_state_dict(self, state: Dict, requests: Dict[int, MemoryRequest]) -> None:
-        """Restore all channels; advances the completion sequence counter."""
-        max_seq = -1
-        for channel, channel_state in zip(self.channels, state["channels"]):
-            channel.load_state_dict(channel_state, requests)
-            for item in channel_state["completing"]:
-                if item[1] > max_seq:
-                    max_seq = item[1]
-        advance_seq(max_seq)
 
     @property
     def total_lines_transferred(self) -> int:

@@ -12,15 +12,13 @@ from __future__ import annotations
 
 from collections import deque
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 from repro.core.base import HardwarePrefetcher
 from repro.core.throttle import ThrottleEngine
 from repro.sim.config import GpuConfig
 from repro.sim.core import Block, Core
 from repro.sim.dram import Dram
-from repro.sim.memory_request import MemoryRequest, advance_request_ids
-from repro.sim.warp import Warp
 from repro.sim.errors import CycleLimitExceeded, DeadlockError
 from repro.sim.interconnect import Interconnect
 from repro.sim.invariants import (
@@ -78,6 +76,21 @@ class SimulationResult:
 class GpuSimulator:
     """The simulated GPU (paper Fig. 1)."""
 
+    __slots__ = (
+        "config", "cores", "interconnect", "dram", "_blocks", "_block_queues",
+        "cycle", "invariants", "profiler", "metrics", "checkpoint_interval",
+        "checkpoint_write", "supervision_interval", "supervision_hook",
+        "__weakref__",  # callers may key side tables by simulator
+    )
+
+    #: Fields a snapshot does not store (see :mod:`repro.sim.checkpoint`):
+    #: the config, the loaded blocks (rebuilt from the run spec) and the
+    #: run-loop hooks of the process that runs it.
+    snapshot_static = (
+        "config", "_blocks", "checkpoint_interval", "checkpoint_write",
+        "supervision_interval", "supervision_hook",
+    )
+
     def __init__(
         self,
         config: GpuConfig,
@@ -114,6 +127,9 @@ class GpuSimulator:
         ]
         self.interconnect = Interconnect(config.interconnect, config.num_cores)
         self.dram = Dram(config.dram)
+        #: The loaded kernel's blocks; each core's queue holds indices
+        #: into it, in dispatch order.
+        self._blocks: Sequence[Block] = ()
         self._block_queues = [deque() for _ in range(config.num_cores)]
         self.cycle = 0
         if invariants is None:
@@ -150,7 +166,7 @@ class GpuSimulator:
         #: shutdown requests; the hook may raise a structured
         #: :class:`~repro.sim.errors.SimulationError` to end the run.
         #: Like the checkpoint hook, it is runtime plumbing and is never
-        #: serialized into snapshots.
+        #: stored in snapshots.
         self.supervision_interval = 0
         self.supervision_hook: Optional[Callable[["GpuSimulator"], object]] = None
 
@@ -172,6 +188,7 @@ class GpuSimulator:
         for core in self.cores:
             core.max_blocks = max(1, max_blocks_per_core)
         num_cores = self.config.num_cores
+        self._blocks = blocks
         self._block_queues = [deque() for _ in range(num_cores)]
         total = len(blocks)
         base = total // num_cores
@@ -180,15 +197,16 @@ class GpuSimulator:
         for core_id in range(num_cores):
             count = base + (1 if core_id < extra else 0)
             for _ in range(count):
-                self._block_queues[core_id].append(blocks[index])
+                self._block_queues[core_id].append(index)
                 index += 1
         self._dispatch()
 
     def _dispatch(self) -> None:
         """Fill each core's free block slots from its own partition."""
+        blocks = self._blocks
         for core, queue in zip(self.cores, self._block_queues):
             while queue and core.has_free_block_slot():
-                core.assign_block(queue.popleft())
+                core.assign_block(blocks[queue.popleft()])
 
     # ------------------------------------------------------------------
     # Main loop
@@ -479,124 +497,21 @@ class GpuSimulator:
             core.drained for core in self.cores
         )
 
-    # ------------------------------------------------------------------
-    # Checkpointing
-    # ------------------------------------------------------------------
+    def after_restore(self) -> None:
+        """Re-link resident warps to their instruction streams (by warp id).
 
-    def state_dict(self) -> Dict:
-        """Serialize the machine's full dynamic state to plain-JSON types.
-
-        In-flight :class:`~repro.sim.memory_request.MemoryRequest` objects
-        are shared by reference between MRQs, the interconnect's heaps and
-        DRAM buffer entries (merging and late-prefetch promotion depend on
-        that sharing), so they are collected once into a rid-keyed
-        registry here and referenced by rid everywhere else.  Static state
-        — the config, prefetcher construction parameters, instruction
-        streams — is *not* stored; the restore path rebuilds it
-        deterministically from the run spec (see
-        :mod:`repro.sim.checkpoint`).
+        Streams are static and never stored.  A warp no core holds any
+        more (one a request still names as a waiter) is finished, and a
+        finished warp never reads its stream.
         """
-        requests: Dict[int, MemoryRequest] = {}
-        for core in self.cores:
-            for request in core.mrq._entries.values():
-                requests.setdefault(request.rid, request)
-            for request in core.mrq._send_queue:
-                requests.setdefault(request.rid, request)
-        for item in self.interconnect._to_memory:
-            requests.setdefault(item[2].rid, item[2])
-        for item in self.interconnect._to_core:
-            requests.setdefault(item[3].rid, item[3])
-        for channel in self.dram.channels:
-            for entry in channel.pending.values():
-                for request in entry.requesters:
-                    requests.setdefault(request.rid, request)
-            for _done, _seq, entry in channel._completing:
-                for request in entry.requesters:
-                    requests.setdefault(request.rid, request)
-        return {
-            "cycle": self.cycle,
-            "requests": [requests[rid].state_dict() for rid in sorted(requests)],
-            "cores": [core.state_dict() for core in self.cores],
-            "interconnect": self.interconnect.state_dict(),
-            "dram": self.dram.state_dict(),
-            "block_queues": [
-                [block[0] for block in queue] for queue in self._block_queues
-            ],
-            "invariants": (
-                self.invariants.state_dict() if self.invariants is not None else None
-            ),
-            "profiler": (
-                self.profiler.state_dict() if self.profiler is not None else None
-            ),
-            "metrics": (
-                self.metrics.state_dict() if self.metrics is not None else None
-            ),
-        }
-
-    def load_state_dict(self, state: Dict, blocks: Sequence[Block]) -> None:
-        """Restore from :meth:`state_dict` output.
-
-        Args:
-            state: A ``state_dict()`` payload (typically the ``payload``
-                of a validated checkpoint envelope).
-            blocks: The kernel's thread blocks, regenerated
-                deterministically from the same spec that produced the
-                checkpointed run (block and warp ids are globally unique
-                and stable across regenerations).
-
-        The simulator must have been built with the same config and
-        prefetcher factory as the checkpointed one; resuming then
-        replays the remaining loop iterations bit-identically.
-        """
-        blocks_by_id = {block[0]: block for block in blocks}
         streams = {
             warp_id: stream
-            for block in blocks
-            for warp_id, stream in block[1]
+            for _block_id, warp_specs in self._blocks
+            for warp_id, stream in warp_specs
         }
-        requests: Dict[int, MemoryRequest] = {}
-        for request_state in state["requests"]:
-            request = MemoryRequest.from_state(request_state)
-            requests[request.rid] = request
-        advance_request_ids(max(requests, default=-1))
-        warps_by_core: List[Dict[int, Warp]] = []
-        for core, core_state in zip(self.cores, state["cores"]):
-            core.load_state_dict(core_state, requests, streams)
-            warps_by_core.append({warp.warp_id: warp for warp in core.warps})
-        # Resolve request waiters: each serialized [warp_id, token] pair
-        # points at a warp resident on the request's core.  A warp can
-        # retire while a (now-moot) prefetch it once waited on is still in
-        # flight; such waiters get an inert placeholder warp whose
-        # line_complete() has no effect on stats.
-        placeholders: List[Dict[int, Warp]] = [{} for _ in self.cores]
-        for request_state in state["requests"]:
-            request = requests[request_state["rid"]]
-            resident = warps_by_core[request.core_id]
-            orphans = placeholders[request.core_id]
-            for warp_id, token in request_state["waiters"]:
-                warp = resident.get(warp_id)
-                if warp is None:
-                    warp = orphans.get(warp_id)
-                    if warp is None:
-                        warp = Warp(warp_id, -1, [])
-                        orphans[warp_id] = warp
-                request.waiters.append((warp, token))
-        self.interconnect.load_state_dict(state["interconnect"], requests)
-        self.dram.load_state_dict(state["dram"], requests)
-        self._block_queues = [
-            deque(blocks_by_id[block_id] for block_id in queue)
-            for queue in state["block_queues"]
-        ]
-        self.cycle = state["cycle"]
-        if self.invariants is not None and state["invariants"] is not None:
-            self.invariants.load_state_dict(state["invariants"])
-        if self.profiler is not None and state["profiler"] is not None:
-            self.profiler.load_state_dict(state["profiler"])
-        # .get: snapshots written before the telemetry PR lack the key;
-        # a recorder attached to such a resume simply starts fresh.
-        metrics_state = state.get("metrics")
-        if self.metrics is not None and metrics_state is not None:
-            self.metrics.load_state_dict(metrics_state)
+        for core in self.cores:
+            for warp in core.warps:
+                warp.stream = streams[warp.warp_id]
 
     # ------------------------------------------------------------------
     # Statistics

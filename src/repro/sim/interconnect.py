@@ -14,27 +14,11 @@ cycle-skipping fast path conserves bandwidth.
 from __future__ import annotations
 
 import heapq
-import itertools
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from repro.sim.config import InterconnectConfig
 from repro.sim.memory_request import MemoryRequest
 from repro.sim.mrq import MemoryRequestQueue
-
-_seq = itertools.count()
-
-
-def advance_seq(floor: int) -> None:
-    """Ensure future heap sequence numbers exceed ``floor``.
-
-    The sequence number is the FIFO tiebreaker inside the in-flight heap
-    tuples; checkpoint restore preserves stored tuples verbatim, so new
-    allocations must sort after every restored one or arrival ordering
-    between old and new traffic would differ from an uninterrupted run.
-    """
-    global _seq
-    current = next(_seq)
-    _seq = itertools.count(max(current, floor + 1))
 
 #: Shared immutable "nothing arrived" result for the pop fast paths.
 _NO_ARRIVALS: Tuple[()] = ()
@@ -42,6 +26,14 @@ _NO_ARRIVALS: Tuple[()] = ()
 
 class Interconnect:
     """Fixed-latency, injection-limited request/response network."""
+
+    __slots__ = (
+        "config", "num_cores", "slots_per_cycle", "_rr_pointer", "_credit",
+        "_last_step_cycle", "_to_memory", "_to_core", "_seq", "total_injected",
+    )
+
+    #: The config is rebuilt at construction; a snapshot does not store it.
+    snapshot_static = ("config",)
 
     def __init__(self, config: InterconnectConfig, num_cores: int) -> None:
         self.config = config
@@ -52,6 +44,9 @@ class Interconnect:
         self._last_step_cycle = 0
         self._to_memory: List[Tuple[int, int, MemoryRequest]] = []
         self._to_core: List[Tuple[int, int, int, MemoryRequest]] = []
+        # FIFO tiebreaker of both pipes' heap tuples: the next sequence
+        # number to hand out.
+        self._seq = 0
         self.total_injected = 0
 
     def tick_idle(self, cycle: int) -> None:
@@ -95,7 +90,8 @@ class Interconnect:
                 break
             self._credit -= 1.0
             self.total_injected += 1
-            heappush(to_memory, (arrival, next(_seq), request))
+            heappush(to_memory, (arrival, self._seq, request))
+            self._seq += 1
 
     def _pick_next(
         self, cycle: int, mrqs: List[MemoryRequestQueue]
@@ -117,7 +113,8 @@ class Interconnect:
     def send_response(self, cycle: int, core_id: int, request: MemoryRequest) -> None:
         """Schedule a response delivery to a core after the fixed latency."""
         arrival = cycle + self.config.latency
-        heapq.heappush(self._to_core, (arrival, next(_seq), core_id, request))
+        heapq.heappush(self._to_core, (arrival, self._seq, core_id, request))
+        self._seq += 1
 
     def pop_memory_arrivals(self, cycle: int) -> List[MemoryRequest]:
         """Requests reaching the memory controllers at or before ``cycle``."""
@@ -170,47 +167,3 @@ class Interconnect:
     def idle(self) -> bool:
         """True when nothing is in flight in either direction."""
         return not self._to_memory and not self._to_core
-
-    def state_dict(self) -> Dict:
-        """Serialize arbiter and pipe state; requests referenced by rid.
-
-        The heap lists are stored as-is (a valid heap serializes to a
-        valid heap), including each tuple's sequence tiebreaker.
-        """
-        return {
-            "rr_pointer": self._rr_pointer,
-            "credit": self._credit,
-            "last_step_cycle": self._last_step_cycle,
-            "total_injected": self.total_injected,
-            "to_memory": [
-                [arrival, seq, request.rid]
-                for arrival, seq, request in self._to_memory
-            ],
-            "to_core": [
-                [arrival, seq, core_id, request.rid]
-                for arrival, seq, core_id, request in self._to_core
-            ],
-        }
-
-    def load_state_dict(self, state: Dict, requests: Dict[int, MemoryRequest]) -> None:
-        """Restore from :meth:`state_dict`; advances the sequence counter."""
-        self._rr_pointer = state["rr_pointer"]
-        self._credit = state["credit"]
-        self._last_step_cycle = state["last_step_cycle"]
-        self.total_injected = state["total_injected"]
-        self._to_memory = [
-            (arrival, seq, requests[rid])
-            for arrival, seq, rid in state["to_memory"]
-        ]
-        self._to_core = [
-            (arrival, seq, core_id, requests[rid])
-            for arrival, seq, core_id, rid in state["to_core"]
-        ]
-        heapq.heapify(self._to_memory)
-        heapq.heapify(self._to_core)
-        max_seq = max(
-            [item[1] for item in self._to_memory]
-            + [item[1] for item in self._to_core],
-            default=-1,
-        )
-        advance_seq(max_seq)

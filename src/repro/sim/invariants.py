@@ -175,7 +175,19 @@ class InvariantChecker:
         watchdog_window: Simulated cycles without any activity
             (instructions retired, requests completed, DRAM lines
             transferred) after which the run is declared wedged.
+
+    Its scheduling and watchdog state rides in simulator snapshots, so a
+    resumed run checks (and watchdog-trips) at the same simulated cycles
+    an uninterrupted run would; the watched simulator is wired at
+    construction and not stored.
     """
+
+    __slots__ = (
+        "sim", "interval", "watchdog_window", "next_check_cycle", "checks",
+        "violations_found", "_last_activity", "_last_activity_cycle",
+    )
+
+    snapshot_static = ("sim",)
 
     def __init__(
         self,
@@ -202,30 +214,6 @@ class InvariantChecker:
             self.next_check_cycle += self.interval
         self.check(cycle)
         self._watchdog(cycle)
-
-    # -- checkpointing ---------------------------------------------------
-
-    def state_dict(self) -> Dict:
-        """Serialize scheduling and watchdog state.
-
-        Restoring it makes a resumed run check (and watchdog-trip) at the
-        same simulated cycles an uninterrupted run would.
-        """
-        return {
-            "next_check_cycle": self.next_check_cycle,
-            "checks": self.checks,
-            "violations_found": self.violations_found,
-            "last_activity": self._last_activity,
-            "last_activity_cycle": self._last_activity_cycle,
-        }
-
-    def load_state_dict(self, state: Dict) -> None:
-        """Restore from :meth:`state_dict` output."""
-        self.next_check_cycle = state["next_check_cycle"]
-        self.checks = state["checks"]
-        self.violations_found = state["violations_found"]
-        self._last_activity = state["last_activity"]
-        self._last_activity_cycle = state["last_activity_cycle"]
 
     # -- activity watchdog ---------------------------------------------
 

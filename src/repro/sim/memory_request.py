@@ -2,22 +2,7 @@
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, List, Optional, Tuple
-
-_request_ids = itertools.count()
-
-
-def advance_request_ids(floor: int) -> None:
-    """Ensure future request ids are allocated strictly above ``floor``.
-
-    Called by checkpoint restore after rebuilding in-flight requests with
-    their recorded ids, so ids handed to requests created later in the
-    resumed run can never collide with a restored one.
-    """
-    global _request_ids
-    current = next(_request_ids)
-    _request_ids = itertools.count(max(current, floor + 1))
+from typing import List, Optional, Tuple
 
 
 class MemoryRequest:
@@ -44,7 +29,6 @@ class MemoryRequest:
     """
 
     __slots__ = (
-        "rid",
         "line_addr",
         "core_id",
         "warp_id",
@@ -60,6 +44,10 @@ class MemoryRequest:
         "dram_entry",
     )
 
+    #: ``dram_entry`` is derived: a snapshot does not store it, and the
+    #: owning DRAM channel re-sets it on restore (``DramChannel.after_restore``).
+    snapshot_derived = ("dram_entry",)
+
     def __init__(
         self,
         line_addr: int,
@@ -70,7 +58,6 @@ class MemoryRequest:
         create_cycle: int,
         is_store: bool = False,
     ) -> None:
-        self.rid = next(_request_ids)
         self.line_addr = line_addr
         self.core_id = core_id
         self.warp_id = warp_id
@@ -85,8 +72,7 @@ class MemoryRequest:
         self.sent = False
         # Back-reference to the DRAM buffer entry this request rides while
         # that entry is schedulable, so a late-prefetch promotion reaches
-        # the indexed scheduler eagerly (see DramChannel.promote).  Not
-        # serialized; the channel rewires it on checkpoint restore.
+        # the indexed scheduler eagerly (see DramChannel.promote).
         self.dram_entry: Optional[object] = None
 
     @property
@@ -118,55 +104,6 @@ class MemoryRequest:
                 entry.owner.promote(entry)
         if warp is not None and token >= 0:
             self.add_waiter(warp, token)
-
-    def state_dict(self) -> Dict:
-        """Serialize the request to plain-JSON types.
-
-        ``waiters`` is flattened to ``[warp_id, token]`` pairs; the
-        restoring core re-links them to its live warp objects (identity
-        matters: the invariant checker matches in-flight requests by
-        object, so each rid must restore to exactly one object).
-        """
-        return {
-            "rid": self.rid,
-            "line_addr": self.line_addr,
-            "core_id": self.core_id,
-            "warp_id": self.warp_id,
-            "pc": self.pc,
-            "is_prefetch": self.is_prefetch,
-            "was_prefetch": self.was_prefetch,
-            "late_prefetch": self.late_prefetch,
-            "is_store": self.is_store,
-            "create_cycle": self.create_cycle,
-            "send_cycle": self.send_cycle,
-            "sent": self.sent,
-            "waiters": [[warp.warp_id, token] for warp, token in self.waiters],
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict) -> "MemoryRequest":
-        """Rebuild a request from :meth:`state_dict` output.
-
-        The recorded ``rid`` is restored verbatim (no counter draw) and
-        ``waiters`` is left empty — the caller resolves the recorded
-        ``[warp_id, token]`` pairs against live warp objects afterwards.
-        """
-        request = cls.__new__(cls)
-        request.rid = state["rid"]
-        request.line_addr = state["line_addr"]
-        request.core_id = state["core_id"]
-        request.warp_id = state["warp_id"]
-        request.pc = state["pc"]
-        request.is_prefetch = state["is_prefetch"]
-        request.was_prefetch = state["was_prefetch"]
-        request.late_prefetch = state["late_prefetch"]
-        request.is_store = state["is_store"]
-        request.create_cycle = state["create_cycle"]
-        request.send_cycle = state["send_cycle"]
-        request.sent = state["sent"]
-        request.waiters = []
-        request.dram_entry = None
-        return request
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         kind = "store" if self.is_store else ("pref" if self.is_prefetch else "demand")

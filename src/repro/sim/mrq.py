@@ -43,13 +43,17 @@ class MemoryRequestQueue:
         "total_full_rejections",
     )
 
+    #: The owning core is wired by ``Core.__init__``; a snapshot does not
+    #: store it (see :mod:`repro.sim.checkpoint`).
+    snapshot_static = ("owner_core",)
+
     def __init__(self, core_id: int, size: int) -> None:
         self.core_id = core_id
         self.size = size
         self._entries: Dict[int, MemoryRequest] = {}
         self._send_queue: List[MemoryRequest] = []
         # Owning core, for the store-freed wake-up (runtime plumbing, set
-        # by Core.__init__, never serialized): a store entry frees MRQ
+        # by Core.__init__): a store entry frees MRQ
         # space at injection with no response ever arriving, so a core
         # sleeping on an MRQ-full stall must be woken here or it sleeps
         # through the only event that can unblock it.
@@ -220,52 +224,3 @@ class MemoryRequestQueue:
         self.window_merges = 0
         self.window_requests = 0
         return snap
-
-    def state_dict(self) -> Dict:
-        """Serialize MRQ state with requests referenced by rid.
-
-        Both containers alias the same :class:`MemoryRequest` objects, so
-        only rids are stored here; the per-rid object registry lives at
-        the simulator level.  ``_send_queue`` order is scheduling state
-        (demands-first pop scans it in order) and is preserved exactly.
-        """
-        return {
-            "entries": [
-                [line, request.rid] for line, request in self._entries.items()
-            ],
-            "send_queue": [request.rid for request in self._send_queue],
-            "window_merges": self.window_merges,
-            "window_requests": self.window_requests,
-            "total_merges": self.total_merges,
-            "total_requests": self.total_requests,
-            "total_created": self.total_created,
-            "total_completed": self.total_completed,
-            "total_stores_sent": self.total_stores_sent,
-            "total_demand_on_prefetch_merges": self.total_demand_on_prefetch_merges,
-            "total_prefetch_dropped_full": self.total_prefetch_dropped_full,
-            "total_prefetch_merged": self.total_prefetch_merged,
-            "total_full_rejections": self.total_full_rejections,
-        }
-
-    def load_state_dict(self, state: Dict, requests: Dict[int, MemoryRequest]) -> None:
-        """Restore from :meth:`state_dict` output.
-
-        Args:
-            state: A ``state_dict()`` payload.
-            requests: The simulator-level rid -> request registry; entries
-                and the send queue are rewired to those shared objects.
-        """
-        self._entries = {line: requests[rid] for line, rid in state["entries"]}
-        self._send_queue = [requests[rid] for rid in state["send_queue"]]
-        self.window_merges = state["window_merges"]
-        self.window_requests = state["window_requests"]
-        self.total_merges = state["total_merges"]
-        self.total_requests = state["total_requests"]
-        self.total_created = state["total_created"]
-        self.total_completed = state["total_completed"]
-        self.total_stores_sent = state["total_stores_sent"]
-        self.total_demand_on_prefetch_merges = state["total_demand_on_prefetch_merges"]
-        self.total_prefetch_dropped_full = state["total_prefetch_dropped_full"]
-        self.total_prefetch_merged = state["total_prefetch_merged"]
-        # .get: snapshots written before the telemetry PR lack this key.
-        self.total_full_rejections = state.get("total_full_rejections", 0)

@@ -104,6 +104,11 @@ class SimProfiler:
         "_run_t0",
     )
 
+    #: Snapshots carry the accumulated counters, so a resumed run's final
+    #: profile spans both processes; ``_run_t0`` is a host-clock anchor
+    #: :meth:`start` resets, so it is not stored.
+    snapshot_static = ("_run_t0",)
+
     def __init__(self) -> None:
         self.wall: Dict[str, float] = {phase: 0.0 for phase in PHASES}
         self.active_cycles: Dict[str, int] = {c: 0 for c in COMPONENTS}
@@ -181,39 +186,6 @@ class SimProfiler:
         from repro.sim.checkpoint import atomic_write_json
 
         return atomic_write_json(path, self.to_dict(), indent=2)
-
-    def state_dict(self) -> Dict[str, object]:
-        """Serialize accumulated counters for a simulator checkpoint.
-
-        Wall times restored into a resumed run make the final profile
-        cumulative across the interrupted and resuming processes.
-        """
-        return {
-            "wall": dict(self.wall),
-            "active_cycles": dict(self.active_cycles),
-            "counts": dict(self.counts),
-            "loop_iterations": self.loop_iterations,
-            "cycles": self.cycles,
-            "wall_seconds": self.wall_seconds,
-            "benchmark": self.benchmark,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore from :meth:`state_dict` output."""
-        self.wall = {phase: 0.0 for phase in PHASES}
-        self.wall.update(state["wall"])
-        self.active_cycles = {c: 0 for c in COMPONENTS}
-        self.active_cycles.update(state["active_cycles"])
-        # Merge over defaults so snapshots written before a counter was
-        # introduced restore with that counter at zero.
-        self.counts = {
-            "prefetcher_lookups": 0, "table_lookups": 0, "table_hits": 0,
-        }
-        self.counts.update(state["counts"])
-        self.loop_iterations = state["loop_iterations"]
-        self.cycles = state["cycles"]
-        self.wall_seconds = state["wall_seconds"]
-        self.benchmark = state["benchmark"]
 
     def summary(self) -> str:
         """One-paragraph human-readable profile summary (CLI output)."""

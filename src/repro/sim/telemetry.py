@@ -47,12 +47,13 @@ window is dropped and ``windows_dropped`` is incremented.  Running totals
 are cumulative snapshots, so they stay exact no matter how many windows
 age out.
 
-The recorder serializes into simulator checkpoints
-(:meth:`MetricsRecorder.state_dict` rides inside
-``GpuSimulator.state_dict()``), and ``next_sample_cycle`` is part of that
-state — a killed-and-resumed run replays its remaining samples at the
-same cycles with the same deltas, producing a bit-identical window
-series.
+The recorder rides in simulator checkpoints — the snapshot codec
+(:mod:`repro.sim.checkpoint`) stores its window ring, the previous
+cumulative snapshot the next delta is taken against, and the
+already-advanced ``next_sample_cycle`` (recomputing that from the resume
+cycle would re-sample the checkpoint boundary and fork the series) — so
+a killed-and-resumed run replays its remaining samples at the same
+cycles with the same deltas, producing a bit-identical window series.
 
 Typical use::
 
@@ -411,48 +412,6 @@ class MetricsRecorder:
         from repro.sim.checkpoint import atomic_write_json
 
         return atomic_write_json(path, self.to_dict(), indent=2)
-
-    # -- checkpoint integration ----------------------------------------
-
-    def state_dict(self) -> Dict[str, object]:
-        """Serialize recorder state for a simulator checkpoint.
-
-        Everything needed for a bit-identical resumed series rides here:
-        the window ring, the previous cumulative snapshot the next delta
-        is taken against, and the already-advanced
-        :attr:`next_sample_cycle` (recomputing it from the resume cycle
-        would re-sample the checkpoint boundary and fork the series).
-        """
-        return {
-            "interval": self.interval,
-            "max_windows": self.max_windows,
-            "windows": list(self.windows),
-            "windows_dropped": self.windows_dropped,
-            "windows_emitted": self.windows_emitted,
-            "next_sample_cycle": self.next_sample_cycle,
-            "benchmark": self.benchmark,
-            "fingerprint": self.fingerprint,
-            "cycles": self.cycles,
-            "num_cores": self.num_cores,
-            "prev": dict(self._prev),
-            "prev_cycle": self._prev_cycle,
-        }
-
-    def load_state_dict(self, state: Dict[str, object]) -> None:
-        """Restore from :meth:`state_dict` output."""
-        self.interval = state["interval"]
-        self.max_windows = state["max_windows"]
-        self.windows = deque(state["windows"])
-        self.windows_dropped = state["windows_dropped"]
-        self.windows_emitted = state["windows_emitted"]
-        self.next_sample_cycle = state["next_sample_cycle"]
-        self.benchmark = state["benchmark"]
-        self.fingerprint = state["fingerprint"]
-        self.cycles = state["cycles"]
-        self.num_cores = state["num_cores"]
-        self._prev = {name: 0 for name in COUNTERS}
-        self._prev.update(state["prev"])
-        self._prev_cycle = state["prev_cycle"]
 
 
 def validate_metrics_document(doc: object) -> Dict[str, object]:

@@ -30,6 +30,10 @@ class Warp:
         "line_offset",
     )
 
+    #: The instruction stream is static: a snapshot does not store it, and
+    #: restore re-links it by warp id (``GpuSimulator.after_restore``).
+    snapshot_static = ("stream",)
+
     def __init__(self, warp_id: int, block_id: int, stream: List[WarpInstruction]) -> None:
         self.warp_id = warp_id
         self.block_id = block_id
@@ -132,38 +136,3 @@ class Warp:
 
     def outstanding_loads(self) -> int:
         return len(self._pending_lines)
-
-    def state_dict(self) -> Dict:
-        """Serialize the warp's dynamic state (the stream is regenerated).
-
-        ``tokens_done`` is order-insensitive (membership checks only) and
-        is stored sorted so identical states serialize identically.
-        """
-        return {
-            "warp_id": self.warp_id,
-            "block_id": self.block_id,
-            "pc_index": self.pc_index,
-            "ready_cycle": self.ready_cycle,
-            "tokens_done": sorted(self.tokens_done),
-            "pending_lines": [
-                [token, count] for token, count in self._pending_lines.items()
-            ],
-            "finish_cycle": self.finish_cycle,
-            "finished": self.finished,
-            "line_offset": self.line_offset,
-        }
-
-    @classmethod
-    def from_state(cls, state: Dict, stream: List[WarpInstruction]) -> "Warp":
-        """Rebuild a warp from :meth:`state_dict` output and its stream."""
-        warp = cls(state["warp_id"], state["block_id"], stream)
-        warp.pc_index = state["pc_index"]
-        warp.ready_cycle = state["ready_cycle"]
-        warp.tokens_done = set(state["tokens_done"])
-        warp._pending_lines = {
-            token: count for token, count in state["pending_lines"]
-        }
-        warp.finish_cycle = state["finish_cycle"]
-        warp.finished = state["finished"]
-        warp.line_offset = state.get("line_offset", 0)
-        return warp

@@ -2,6 +2,7 @@
 
 from repro.core.feedback import FeedbackGhbPrefetcher, LatenessThrottledStridePc
 from repro.core.tables import LruTable
+from repro.sim.checkpoint import dump_state, load_state
 
 
 class TestLruTable:
@@ -149,19 +150,21 @@ class TestDegreeHistoryCap:
         assert pref.degree_updates == DEGREE_HISTORY_CAP + 13
 
     def test_state_dict_round_trips_history_and_cap(self):
+        """The snapshot codec round-trips the history with its cap."""
         pref = FeedbackGhbPrefetcher()
         for accuracy in (0.9, 0.9, 0.1, 0.9):
             pref.periodic_update({"issued": 100.0, "accuracy": accuracy})
-        state = pref.state_dict()
-        assert state["degree_history_cap"] == pref.degree_history.maxlen
+        state = dump_state(pref)
+        maxlen, _history = state["degree_history"]["q"]
+        assert maxlen == pref.degree_history.maxlen
         clone = FeedbackGhbPrefetcher()
-        clone.load_state_dict(state)
+        load_state(state, clone)
         assert list(clone.degree_history) == list(pref.degree_history)
         assert clone.degree_history.maxlen == pref.degree_history.maxlen
         assert clone.degree_updates == pref.degree_updates
         assert clone.degree_min == pref.degree_min
         assert clone.degree_max == pref.degree_max
-        assert clone.state_dict() == state
+        assert dump_state(clone) == state
 
     def test_restored_history_keeps_enforcing_the_cap(self):
         from repro.core.feedback import DEGREE_HISTORY_CAP
@@ -170,7 +173,7 @@ class TestDegreeHistoryCap:
         for _ in range(5):
             pref.periodic_update({"issued": 100.0, "accuracy": 0.9})
         clone = FeedbackGhbPrefetcher()
-        clone.load_state_dict(pref.state_dict())
+        load_state(dump_state(pref), clone)
         for _ in range(DEGREE_HISTORY_CAP * 2):
             clone.periodic_update({"issued": 100.0, "accuracy": 0.9})
         assert len(clone.degree_history) == DEGREE_HISTORY_CAP

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.throttle import ThrottleConfig, ThrottleEngine, ThrottleWindow
+from repro.sim.checkpoint import dump_state, load_state
 
 
 def make_engine(**overrides):
@@ -206,12 +207,12 @@ class TestStateRoundTrip:
 
         interrupted = make_engine()
         self.drive(interrupted, prefix)
-        state = interrupted.state_dict()
+        state = dump_state(interrupted)
         resumed = make_engine()          # fresh engine, same config
-        resumed.load_state_dict(state)
-        assert resumed.state_dict() == state
+        load_state(state, resumed)
+        assert dump_state(resumed) == state
         assert self.drive(resumed, suffix) == expected
-        assert resumed.state_dict() == straight.state_dict()
+        assert dump_state(resumed) == dump_state(straight)
 
     def test_restore_preserves_infinite_eviction_rate(self):
         """Eq. 5 legitimately yields inf (evictions with zero useful);
@@ -220,7 +221,7 @@ class TestStateRoundTrip:
         engine.update(window(early=3, useful=0))
         assert engine.early_eviction_rate == float("inf")
         resumed = make_engine()
-        resumed.load_state_dict(engine.state_dict())
+        load_state(dump_state(engine), resumed)
         assert resumed.early_eviction_rate == float("inf")
 
     def test_update_fast_forwards_past_stale_boundaries(self):

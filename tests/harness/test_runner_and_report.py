@@ -11,12 +11,44 @@ from repro.harness.report import (
 from repro.harness.runner import (
     HARDWARE_SCHEMES,
     ExperimentRunner,
+    WorkloadMemo,
     arithmetic_mean,
     geometric_mean,
+    make_spec,
     resolve_software,
     run_benchmark,
 )
+from repro.trace.benchmarks import get_benchmark
 from repro.trace.swp import MT_SWP, SoftwarePrefetchConfig
+
+
+class TestWorkloadMemoKey:
+    """Specs share a memoized trace exactly when their traces are equal."""
+
+    def traces(self, software, distances):
+        memo = WorkloadMemo()
+        kernel = get_benchmark("monte", scale=0.1)
+        workloads = [
+            memo.get(kernel, make_spec("monte", software=software,
+                                       hardware="mt-hwp", distance=d).software)
+            for d in distances
+        ]
+        return memo, workloads
+
+    def test_unused_distance_shares_one_entry(self):
+        """Without stride prefetching the distance never reaches the trace
+        (a hardware distance sweep), so it must not split the memo."""
+        memo, workloads = self.traces("none", (1, 3, 5, 7))
+        assert memo.misses == 1
+        assert memo.hits == 3
+        assert all(w.blocks is workloads[0].blocks for w in workloads)
+
+    @pytest.mark.parametrize("software", ["stride", "mt-swp"])
+    def test_used_distance_keeps_separate_entries(self, software):
+        memo, (near, far) = self.traces(software, (1, 3))
+        assert memo.misses == 2
+        assert memo.hits == 0
+        assert near.blocks != far.blocks
 
 
 class TestSchemeRegistry:

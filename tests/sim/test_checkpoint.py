@@ -20,7 +20,9 @@ import dataclasses
 import hashlib
 import json
 import pickle
+import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -48,6 +50,11 @@ from repro.trace.tracegen import generate_workload
 from tests.harness import faults
 
 GOLDEN_PATH = Path(__file__).parent.parent / "data" / "golden_stats.json"
+
+#: Test-side handles (factory, workload, kernel) of each simulator
+#: :func:`build_sim` made, kept off the simulator because a snapshot
+#: stores every attribute the simulator has.
+BUILT = weakref.WeakKeyDictionary()
 
 #: Golden runs exercised for round-trip resume: together they cover the
 #: MT-HWP tables (PWS/GS/IP), a stride prefetcher with the adaptive
@@ -108,9 +115,7 @@ def build_sim(spec, profiler=None, invariants=None) -> GpuSimulator:
     workload = generate_workload(kernel, swp=spec.software)
     sim = GpuSimulator(cfg, factory, invariants=invariants, profiler=profiler)
     sim.load_workload(workload.blocks, workload.max_blocks_per_core)
-    sim._test_factory = factory
-    sim._test_workload = workload
-    sim._test_kernel = kernel
+    BUILT[sim] = SimpleNamespace(factory=factory, workload=workload, kernel=kernel)
     return sim
 
 
@@ -136,7 +141,7 @@ def capture_snapshots(spec, directory, snapshots=3, profiler=None,
     ]
     sim.checkpoint_write = writer
     result = sim.run(strict=True)
-    result.stats.benchmark = sim._test_kernel.name
+    result.stats.benchmark = BUILT[sim].kernel.name
     assert len(paths) >= snapshots, (
         f"expected >= {snapshots} snapshots, got {len(paths)}"
     )
@@ -150,14 +155,14 @@ def resume_from(path, spec, profiler=None, invariants=None):
     restored = restore_simulator(
         envelope,
         sim.config,
-        sim._test_factory,
-        sim._test_workload.blocks,
-        sim._test_workload.max_blocks_per_core,
+        BUILT[sim].factory,
+        BUILT[sim].workload.blocks,
+        BUILT[sim].workload.max_blocks_per_core,
         invariants=invariants,
         profiler=profiler,
     )
     result = restored.run(strict=True)
-    result.stats.benchmark = sim._test_kernel.name
+    result.stats.benchmark = BUILT[sim].kernel.name
     return result
 
 
@@ -222,7 +227,7 @@ def test_resume_mid_sleep_is_bit_identical(tmp_path):
     sim.checkpoint_interval = 401  # dense, off-phase with wake periods
     sim.checkpoint_write = writer
     result = sim.run(strict=True)
-    result.stats.benchmark = sim._test_kernel.name
+    result.stats.benchmark = BUILT[sim].kernel.name
     expected = golden_sha(request_)
     assert stats_sha(result) == expected
     assert paths, "no snapshot ever caught a core asleep"
@@ -284,8 +289,8 @@ def test_resumed_run_does_not_rewrite_resume_cycle(tmp_path):
     envelope = load_checkpoint(paths[0], fingerprint=fingerprint(spec))
     sim = build_sim(spec)
     restored = restore_simulator(
-        envelope, sim.config, sim._test_factory,
-        sim._test_workload.blocks, sim._test_workload.max_blocks_per_core,
+        envelope, sim.config, BUILT[sim].factory,
+        BUILT[sim].workload.blocks, BUILT[sim].workload.max_blocks_per_core,
     )
     cycles_written = []
     restored.checkpoint_interval = 600

@@ -50,9 +50,3 @@ def test_merge_without_waiter():
     req.merge_demand(None, -1, 10)
     assert req.late_prefetch
     assert req.waiters == []
-
-
-def test_request_ids_unique():
-    a = MemoryRequest(0, 0, 0, 0, False, 0)
-    b = MemoryRequest(0, 0, 0, 0, False, 0)
-    assert a.rid != b.rid

@@ -18,6 +18,7 @@ shrank them to:
 
 import dataclasses
 
+from repro.sim.checkpoint import dump_state, load_state
 from repro.sim.config import baseline_config
 from repro.sim.gpu import GpuSimulator
 from repro.sim.mrq import MemoryRequestQueue
@@ -73,16 +74,17 @@ class TestRedundantPrefetchAccounting:
         assert mrq.total_prefetch_dropped_full == 1
 
     def test_state_dict_round_trips_prefetch_merged(self):
+        """The snapshot codec round-trips the redundant-prefetch counter."""
         mrq = MemoryRequestQueue(0, 4)
         warp = make_warp()
-        req = mrq.access_demand(0, warp, 1, 0x10, 0, 0)
+        mrq.access_demand(0, warp, 1, 0x10, 0, 0)
         mrq.access_prefetch(0, 0x20, 0, 1)
-        state = mrq.state_dict()
+        state = dump_state(mrq)
         assert state["total_prefetch_merged"] == 1
         clone = MemoryRequestQueue(0, 4)
-        clone.load_state_dict(state, {req.rid: req})
+        load_state(state, clone)
         assert clone.total_prefetch_merged == 1
-        assert clone.state_dict() == state
+        assert dump_state(clone) == state
 
 
 class TestDemandOnPrefetchSingleCount:
@@ -260,9 +262,10 @@ class TestBeginLoadChunk:
         assert warp.outstanding_loads() == 0
 
     def test_line_offset_round_trips_through_state_dict(self):
+        """The snapshot codec round-trips a chunked issue's line offset."""
         warp = make_warp()
         warp.line_offset = 17
         warp.begin_load_chunk(1, 4, final=False)
-        clone = Warp.from_state(warp.state_dict(), [])
+        clone = load_state(dump_state(warp), Warp(0, 0, []))
         assert clone.line_offset == 17
-        assert clone.state_dict() == warp.state_dict()
+        assert dump_state(clone) == dump_state(warp)

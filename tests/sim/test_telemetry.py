@@ -20,7 +20,9 @@ each pinned here:
 
 import dataclasses
 import json
+import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -55,6 +57,11 @@ REQUEST = dict(benchmark="cell", hardware="mt-hwp", throttle=True, scale=0.1)
 
 INTERVAL = 250
 
+#: Test-side handles (factory, workload) of each simulator
+#: :func:`build_sim` made, kept off the simulator because a snapshot
+#: stores every attribute the simulator has.
+BUILT = weakref.WeakKeyDictionary()
+
 
 def effective_config(spec):
     """The config a run of ``spec`` simulates under (throttle merged in)."""
@@ -78,8 +85,7 @@ def build_sim(spec, metrics=None):
     workload = generate_workload(kernel, swp=spec.software)
     sim = GpuSimulator(cfg, factory, metrics=metrics)
     sim.load_workload(workload.blocks, workload.max_blocks_per_core)
-    sim._test_factory = factory
-    sim._test_workload = workload
+    BUILT[sim] = SimpleNamespace(factory=factory, workload=workload)
     return sim
 
 
@@ -250,9 +256,9 @@ def test_kill_and_resume_reproduces_identical_window_series(tmp_path):
     resumed = restore_simulator(
         envelope,
         effective_config(spec),
-        interrupted._test_factory,
-        interrupted._test_workload.blocks,
-        interrupted._test_workload.max_blocks_per_core,
+        BUILT[interrupted].factory,
+        BUILT[interrupted].workload.blocks,
+        BUILT[interrupted].workload.max_blocks_per_core,
         metrics=resumed_rec,
     )
     assert resumed_rec.next_sample_cycle == envelope["payload"]["metrics"][
@@ -284,9 +290,9 @@ def test_restore_without_recorder_ignores_metrics_state(tmp_path):
     resumed = restore_simulator(
         envelope,
         effective_config(spec),
-        sim._test_factory,
-        sim._test_workload.blocks,
-        sim._test_workload.max_blocks_per_core,
+        BUILT[sim].factory,
+        BUILT[sim].workload.blocks,
+        BUILT[sim].workload.max_blocks_per_core,
     )
     assert canonical_stats(resumed.run()) == expected
 
