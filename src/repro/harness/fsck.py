@@ -25,8 +25,9 @@ Every audited file lands in exactly one status:
   or steal tombstone whose embedded pid no longer runs, a heartbeat
   whose process is gone.  Collected under ``--gc``.
 * ``stale`` — valid but superseded: an expired lease, a checkpoint for
-  a run whose result already sits in the cache.  Collected under
-  ``--gc``.
+  a run whose result already sits in the cache, a checkpoint whose
+  recorded field layout the running code no longer has (a resume would
+  reject it and cold-start).  Collected under ``--gc``.
 
 The auditor never deletes anything it classified ``corrupt`` (repair
 renames, keeping the bytes) and never touches anything ``ok`` — the
@@ -49,7 +50,7 @@ from repro.harness.coordinate import (
     pid_alive,
 )
 from repro.harness.supervise import HEARTBEAT_SCHEMA
-from repro.sim.checkpoint import load_checkpoint
+from repro.sim.checkpoint import check_layout, load_checkpoint
 from repro.sim.errors import CheckpointError
 from repro.sim.stats import SimStats
 from repro.sim.telemetry import validate_metrics_document
@@ -208,7 +209,8 @@ def _classify_heartbeat(path: Path, grace: float) -> Finding:
 
 
 def _classify_checkpoint(path: Path, cache_keys: Set[str]) -> Finding:
-    """Checkpoint envelope: valid, superseded by a cached result, or torn."""
+    """Checkpoint envelope: valid, superseded (by a cached result or by
+    a change to the simulator's field layout), or torn."""
     try:
         envelope = load_checkpoint(path)
     except CheckpointError as exc:
@@ -219,6 +221,17 @@ def _classify_checkpoint(path: Path, cache_keys: Set[str]) -> Finding:
             path, "checkpoint", "stale",
             "run already completed (cached result exists for "
             f"fingerprint {key[:12]}…)",
+        )
+    try:
+        check_layout(envelope["payload"]["@layout"])
+    except CheckpointError as exc:
+        return Finding(
+            path, "checkpoint", "stale",
+            f"a resume would reject it and cold-start: {exc}",
+        )
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        return Finding(
+            path, "checkpoint", "corrupt", f"unusable @layout: {exc!r}"
         )
     return Finding(
         path, "checkpoint", "ok",

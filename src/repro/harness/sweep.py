@@ -809,9 +809,10 @@ class SweepEngine:
       ever) are loaded instead of simulated; with a manifest attached,
       runs journaled by an interrupted sweep are replayed the same way.
     * ``jobs <= 1`` — or a single miss — runs inline in this process (no
-      pool overhead, full :class:`SimulationResult` with live core/DRAM
-      handles); ``jobs >= 2`` uses a process pool and reconstructs
-      stats-only results.
+      pool overhead); ``jobs >= 2`` uses a process pool.  Either way the
+      results are stats-only: a :class:`SimulationResult` whose core/DRAM
+      handles are ``None``, so a finished machine is freed as its run
+      ends rather than held by the result until the process exits.
     * Results are returned in input order, one outcome per input spec,
       each either a :class:`SimulationResult` or a :class:`RunFailure`.
 
@@ -1443,9 +1444,12 @@ class SweepEngine:
             while True:
                 try:
                     if self.worker is _sweep_worker:
-                        # Inline default path: keep the full result object
-                        # (live cores/DRAM handles) instead of stats only.
-                        result = run_spec(spec)
+                        # Inline default path: the worker's stats-only
+                        # result without its signal handlers, which
+                        # belong to pool workers, not this process.
+                        # Dropping the live cores/DRAM frees each
+                        # machine as its run ends.
+                        result = SimulationResult(run_spec(spec).stats)
                     else:
                         result = SimulationResult(self.worker(spec))
                 except Exception as exc:  # noqa: BLE001 - fault isolation

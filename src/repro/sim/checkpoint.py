@@ -91,6 +91,7 @@ import dataclasses
 import errno
 import gc
 import hashlib
+import importlib
 import json
 import os
 import sys
@@ -380,6 +381,54 @@ def dump_state(root: object) -> Dict[str, object]:
     return payload
 
 
+def check_layout(table: Dict[str, list]) -> Dict[str, tuple]:
+    """Resolve a payload's ``@layout`` table against the running code.
+
+    Returns ``{tag: (class, stored fields, unstored names)}``.  Raises
+    :class:`CheckpointError` when a recorded class no longer exists or
+    stores other fields than the running class would: a resume rejects
+    such a snapshot and cold-starts, and ``repro fsck`` rates it stale.
+    The fields of a class that keeps them in an instance ``__dict__``
+    are not fixed by the class, so :func:`load_state` checks them per
+    instance.  Only classes of the ``repro`` package are imported.
+    """
+    classes: Dict[str, tuple] = {}
+    for tag, (module, fields) in table.items():
+        if module.partition(".")[0] == "repro":
+            try:
+                cls = importlib.import_module(module)
+            except ImportError:
+                cls = None
+        else:
+            cls = sys.modules.get(module)
+        for part in tag.split("."):
+            cls = getattr(cls, part, None)
+        if not isinstance(cls, type):
+            raise CheckpointError(
+                f"snapshot class {module}.{tag} does not exist",
+                snapshot={"class": f"{module}.{tag}"},
+            )
+        declared = declared_fields(cls)
+        fields = tuple(fields)
+        if cls.__dictoffset__ == 0:
+            # Fields fixed by __slots__: check against the class now.
+            running = tuple(n for n in _slot_names(cls) if n not in declared)
+            _check_fields(tag, fields, running)
+        classes[tag] = (cls, fields, declared)
+    return classes
+
+
+def _check_fields(tag: str, recorded: Tuple[str, ...], running: Tuple[str, ...]) -> None:
+    """Reject a class whose stored fields differ from the running code's."""
+    if recorded != running:
+        raise CheckpointError(
+            f"field layout of {tag} changed: snapshot stores "
+            f"{list(recorded)}, the running code has {list(running)}",
+            snapshot={"class": tag, "recorded": list(recorded),
+                      "running": list(running)},
+        )
+
+
 def load_state(payload: Dict[str, object], root: object) -> object:
     """Assign a :func:`dump_state` payload onto ``root``; returns ``root``.
 
@@ -390,8 +439,9 @@ def load_state(payload: Dict[str, object], root: object) -> object:
     rebuild what the snapshot does not store.
 
     Raises :class:`CheckpointError` when the recorded field layout of any
-    class differs from the running code's, or when the payload is not
-    one :func:`dump_state` could have written.  The target is then left
+    class differs from the running code's (:func:`check_layout`, before
+    anything is assigned), or when the payload is not one
+    :func:`dump_state` could have written.  The target is then left
     partially restored and must be discarded.
     """
     try:
@@ -407,14 +457,13 @@ class _Decoder:
     """One :func:`load_state` pass: the identity memo and resolved classes."""
 
     def __init__(self, table: Dict[str, list]) -> None:
-        self.table = table
         self.memo: List[object] = []
-        self.classes: Dict[str, tuple] = {}
+        self.classes = check_layout(table)
         self.restored: List[object] = []
 
     def restore(self, payload: Dict[str, object], root: object) -> object:
         """Assign ``payload`` onto ``root``, then run the restore hooks."""
-        cls = self.resolve(payload["@"])[0]
+        cls = self.classes[payload["@"]][0]
         if type(root) is not cls:
             raise TypeError(f"payload holds a {cls.__qualname__}, not a "
                             f"{type(root).__qualname__}")
@@ -422,40 +471,6 @@ class _Decoder:
         for obj in self.restored:
             obj.after_restore()
         return root
-
-    def resolve(self, tag: str) -> tuple:
-        """``(class, fields, unstored names)`` for a class tag, layout-checked."""
-        entry = self.classes.get(tag)
-        if entry is not None:
-            return entry
-        module, fields = self.table[tag]
-        cls = sys.modules.get(module)
-        for part in tag.split("."):
-            cls = getattr(cls, part, None)
-        if not isinstance(cls, type):
-            raise CheckpointError(
-                f"snapshot class {module}.{tag} does not exist",
-                snapshot={"class": f"{module}.{tag}"},
-            )
-        declared = declared_fields(cls)
-        fields = tuple(fields)
-        if cls.__dictoffset__ == 0:
-            # Fields fixed by __slots__: check against the class now.
-            running = tuple(n for n in _slot_names(cls) if n not in declared)
-            self.check(tag, fields, running)
-        entry = self.classes[tag] = (cls, fields, declared)
-        return entry
-
-    @staticmethod
-    def check(tag: str, recorded: Tuple[str, ...], running: Tuple[str, ...]) -> None:
-        """Reject a class whose stored fields differ from the running code's."""
-        if recorded != running:
-            raise CheckpointError(
-                f"field layout of {tag} changed: snapshot stores "
-                f"{list(recorded)}, the running code has {list(running)}",
-                snapshot={"class": tag, "recorded": list(recorded),
-                          "running": list(running)},
-            )
 
     def value(self, value: object, live: object = None) -> object:
         """Decode one payload value; ``live`` is what the machine holds there."""
@@ -489,11 +504,11 @@ class _Decoder:
 
     def instance(self, tag: str, body, live: object, named: bool) -> object:
         """Restore one object onto ``live`` if it has the class, else anew."""
-        cls, fields, unstored = self.resolve(tag)
+        cls, fields, unstored = self.classes[tag]
         if type(live) is cls:
             obj = live
             if cls.__dictoffset__ != 0:
-                self.check(tag, fields, stored_fields(obj))
+                _check_fields(tag, fields, stored_fields(obj))
         else:
             obj = cls.__new__(cls)
             for name in unstored:

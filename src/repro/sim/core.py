@@ -212,7 +212,13 @@ class Core:
         wake event puts the core to sleep.  A failed scan that touched
         :meth:`_issue_chunk` is *not* sleep-eligible — its probe has
         per-poll side effects (prefetch-cache miss and MRQ full-rejection
-        counters) that must keep accruing each polled cycle.
+        counters) that must keep accruing each polled cycle.  An issue
+        puts the core straight into the port-busy sleep its next poll
+        would enter, until ``port_free_cycle``.
+
+        Non-memory instructions, the bulk of every stream, issue inline:
+        the port occupancy and :meth:`Warp.advance` are applied here
+        rather than through :meth:`_issue`.
         """
         if self.port_free_cycle > cycle:
             # The busy port blocks all issue until it frees, whatever else
@@ -252,40 +258,54 @@ class Core:
             wait = inst.wait_tokens
             if wait and not warp.tokens_done.issuperset(wait):
                 continue
-            if warp.line_offset > 0:
+            if not inst.is_memory:
+                # _issue and Warp.advance, inlined for the common case.
+                free = cycle + self._issue_cycles[inst.op]
+                self.port_free_cycle = free
+                self.instructions += 1
+                pc_index = warp.pc_index + 1
+                warp.pc_index = pc_index
+                warp.ready_cycle = free
+                if pc_index >= len(warp.stream):
+                    warp.finished = True
+                    if warp.finish_cycle < 0:
+                        warp.finish_cycle = cycle
+                    self._unfinished -= 1
+                    self._retire_warp(warp)
+            elif warp.line_offset > 0:
                 # A chunked issue is in progress: the all-at-once room
                 # check must not run (completed early chunks would make
                 # the instruction look re-issuable from scratch).
-                if self._issue_chunk(warp, inst, cycle):
-                    if self._rr_enabled:
-                        self._rr_index = index if index < num_warps else 0
-                    return True, None
-                impure = True
-                continue
-            if inst.global_memory and not self._mrq_has_room(inst):
-                if inst.op != Op.PREFETCH:
-                    if self._mrq_new_lines(inst) > self.mrq.size:
-                        # The instruction alone needs more MRQ entries
-                        # than exist: the all-at-once check can never
-                        # pass and stalling here would deadlock.  Issue
-                        # it in chunks instead.
-                        if self._issue_chunk(warp, inst, cycle):
-                            if self._rr_enabled:
-                                self._rr_index = (
-                                    index if index < num_warps else 0
-                                )
-                            return True, None
-                        impure = True
+                if not self._issue_chunk(warp, inst, cycle):
+                    impure = True
+                    continue
+            elif (
+                inst.global_memory
+                and inst.op != Op.PREFETCH
+                and not self._mrq_has_room(inst)
+            ):
+                # A prefetch that does not fit still issues: a
+                # throttle-style structural drop never stalls the warp,
+                # the instruction retires and its requests are dropped.
+                if self._mrq_new_lines(inst) <= self.mrq.size:
                     # Structural stall: MRQ space frees when a response
                     # arrives (an external event), but responses are only
                     # observed on event boundaries anyway.
                     continue
-                # A throttle-style structural drop never stalls the warp:
-                # the prefetch instruction retires, its requests are
-                # dropped.
-            self._issue(warp, inst, cycle)
+                # The instruction alone needs more MRQ entries than
+                # exist: the all-at-once check can never pass and
+                # stalling here would deadlock.  Issue it in chunks.
+                if not self._issue_chunk(warp, inst, cycle):
+                    impure = True
+                    continue
+            else:
+                self._issue(warp, inst, cycle)
             if self._rr_enabled:
                 self._rr_index = index if index < num_warps else 0
+            self.asleep = True
+            self.wake_cycle = self.port_free_cycle
+            self.sleep_credit = False
+            self.woken = False
             return True, None
         self.stall_cycles += 1
         if not impure:

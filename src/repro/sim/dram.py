@@ -24,11 +24,20 @@ original linear scan is retained behind
 diffcheck oracle and the property tests compare against.  Both paths key
 ties by ``BufferEntry.seq`` (per-channel insertion order), which equals
 the old pending-list scan order, so decisions are bit-identical.
+
+Each channel *posts* its next-event cycle in ``due_cycle`` and
+:class:`Dram` keeps the minimum over its channels, so the simulator's run
+loop steps DRAM only on cycles where some channel is due and reads the
+posted minimum as its event candidate instead of polling every channel.
+A channel recomputes its posting after its own :meth:`DramChannel.step`
+and updates it exactly on :meth:`DramChannel.arrive`; :data:`NEVER`
+stands for "nothing scheduled".
 """
 
 from __future__ import annotations
 
 import heapq
+import sys
 from typing import Dict, List, Optional, Tuple
 
 from repro.sim.config import DramConfig
@@ -37,6 +46,10 @@ from repro.sim.memory_request import MemoryRequest
 #: Shared immutable "nothing completed" result, so the common idle-channel
 #: step does not allocate a fresh list per channel per eventful cycle.
 _NO_ENTRIES: Tuple[()] = ()
+
+#: Posted due cycle of a component with nothing scheduled: later than any
+#: cycle a run reaches, so it never wins a minimum over event candidates.
+NEVER = sys.maxsize
 
 
 class BufferEntry:
@@ -138,8 +151,8 @@ class DramChannel:
         "channel_id", "config", "banks", "pending", "_by_line", "_completing",
         "_completion_seq", "_entry_seq", "_demand_all", "_demand_rows",
         "_other_all", "_other_rows", "_dp", "_reference", "bus_busy_until",
-        "next_pick_cycle", "l2", "row_hits", "row_misses", "lines_transferred",
-        "inter_core_merges", "l2_hits", "l2_misses",
+        "next_pick_cycle", "due_cycle", "l2", "row_hits", "row_misses",
+        "lines_transferred", "inter_core_merges", "l2_hits", "l2_misses",
     )
 
     #: Fields a snapshot does not store (see :mod:`repro.sim.checkpoint`):
@@ -175,6 +188,11 @@ class DramChannel:
         self._reference = config.reference_scheduler
         self.bus_busy_until = 0
         self.next_pick_cycle = 0
+        #: Posted next-event cycle: :meth:`step` may act at ``cycle`` only
+        #: when ``due_cycle <= cycle``.  After a step it equals
+        #: :meth:`next_event_cycle`; an arrival lowers it exactly to the
+        #: cycle its new entry becomes schedulable or completes.
+        self.due_cycle = NEVER
         if config.l2_size_bytes > 0:
             from repro.sim.caches import SetAssociativeCache
 
@@ -192,7 +210,14 @@ class DramChannel:
         self.l2_misses = 0
 
     def arrive(self, request: MemoryRequest, bank: int, row: int, cycle: int) -> None:
-        """Accept a request from the interconnect, merging when possible."""
+        """Accept a request from the interconnect, merging when possible.
+
+        Updates the posted ``due_cycle``: a merge leaves it alone, an L2
+        hit lowers it to the hit's completion, and a buffered entry
+        lowers it to the entry's ready cycle only when the buffer was
+        empty -- behind an older entry it becomes ready no earlier than
+        that entry, which the posting already covers.
+        """
         if not request.is_store:
             entry = self._by_line.get(request.line_addr)
             if entry is not None and not entry.is_store:
@@ -210,18 +235,19 @@ class DramChannel:
         if self.l2 is not None and not request.is_store:
             if self.l2.lookup(request.line_addr) is not None:
                 self.l2_hits += 1
+                done = cycle + self.config.l2_latency
                 entry = BufferEntry(
-                    request.line_addr, bank, row, request, cycle,
-                    cycle + self.config.l2_latency,
+                    request.line_addr, bank, row, request, cycle, done
                 )
-                heapq.heappush(
-                    self._completing,
-                    (cycle + self.config.l2_latency, self._completion_seq, entry),
-                )
+                heapq.heappush(self._completing, (done, self._completion_seq, entry))
                 self._completion_seq += 1
+                if done < self.due_cycle:
+                    self.due_cycle = done
                 return
             self.l2_misses += 1
         ready = cycle + self.config.pipeline_latency
+        if not self.pending and ready < self.due_cycle:
+            self.due_cycle = ready
         entry = BufferEntry(request.line_addr, bank, row, request, cycle, ready)
         self._enqueue(entry)
         if request.is_prefetch:
@@ -381,7 +407,10 @@ class DramChannel:
         return self._best_in_class(self._other_all, self._other_rows, cycle, False)
 
     def step(self, cycle: int) -> List[BufferEntry]:
-        """Advance scheduling up to ``cycle``; return completed entries."""
+        """Advance scheduling up to ``cycle``; return completed entries.
+
+        Re-posts ``due_cycle`` as :meth:`next_event_cycle` afterwards.
+        """
         pick = self._pick_reference if self._reference else self._pick_indexed
         while self.pending and self.next_pick_cycle <= cycle:
             entry = pick(cycle)
@@ -394,16 +423,19 @@ class DramChannel:
             self._service(entry, max(self.next_pick_cycle, entry.ready_cycle))
         heap = self._completing
         if not heap or heap[0][0] > cycle:
-            return _NO_ENTRIES
-        completed = []
-        heappop = heapq.heappop
-        while heap and heap[0][0] <= cycle:
-            done_cycle, _, entry = heappop(heap)
-            if not entry.is_store:
-                self._by_line.pop(entry.line_addr, None)
-                if self.l2 is not None:
-                    self.l2.insert(entry.line_addr, True)
-            completed.append(entry)
+            completed = _NO_ENTRIES
+        else:
+            completed = []
+            heappop = heapq.heappop
+            while heap and heap[0][0] <= cycle:
+                done_cycle, _, entry = heappop(heap)
+                if not entry.is_store:
+                    self._by_line.pop(entry.line_addr, None)
+                    if self.l2 is not None:
+                        self.l2.insert(entry.line_addr, True)
+                completed.append(entry)
+        due = self.next_event_cycle(cycle)
+        self.due_cycle = NEVER if due is None else due
         return completed
 
     def _service(self, entry: BufferEntry, pick_cycle: int) -> None:
@@ -498,7 +530,7 @@ class Dram:
     contiguous sweep of physical memory produces row hits on every channel.
     """
 
-    __slots__ = ("config", "channels", "_lines_per_row")
+    __slots__ = ("config", "channels", "_lines_per_row", "due_cycle")
 
     #: The config is rebuilt at construction; a snapshot does not store it.
     snapshot_static = ("config",)
@@ -507,6 +539,9 @@ class Dram:
         self.config = config
         self.channels = [DramChannel(i, config) for i in range(config.num_channels)]
         self._lines_per_row = max(1, config.row_bytes // config.line_bytes)
+        #: Minimum of the channels' posted ``due_cycle``: the run loop
+        #: steps DRAM only when it is due and reads it as its DRAM event.
+        self.due_cycle = NEVER
 
     def map_address(self, line_addr: int) -> Tuple[int, int, int]:
         """Return (channel, bank, row) for a 64B-aligned line address.
@@ -528,29 +563,29 @@ class Dram:
         return channel, bank, row
 
     def arrive(self, request: MemoryRequest, cycle: int) -> None:
-        channel, bank, row = self.map_address(request.line_addr)
-        self.channels[channel].arrive(request, bank, row, cycle)
+        index, bank, row = self.map_address(request.line_addr)
+        channel = self.channels[index]
+        channel.arrive(request, bank, row, cycle)
+        if channel.due_cycle < self.due_cycle:
+            self.due_cycle = channel.due_cycle
 
     def step(self, cycle: int) -> List[BufferEntry]:
-        """Advance every non-idle channel; return all completed entries."""
+        """Advance every due channel; return all completed entries.
+
+        A channel whose posted ``due_cycle`` is later than ``cycle`` would
+        do nothing if stepped, so it is skipped.
+        """
         completed: List[BufferEntry] = []
+        due = NEVER
         for channel in self.channels:
-            if channel.pending or channel._completing:
+            if channel.due_cycle <= cycle:
                 done = channel.step(cycle)
                 if done:
                     completed.extend(done)
+            if channel.due_cycle < due:
+                due = channel.due_cycle
+        self.due_cycle = due
         return completed
-
-    def next_event_cycle(self, cycle: int) -> Optional[int]:
-        """Earliest future cycle at which any channel can make progress."""
-        best: Optional[int] = None
-        for channel in self.channels:
-            if not channel.pending and not channel._completing:
-                continue
-            c = channel.next_event_cycle(cycle)
-            if c is not None and (best is None or c < best):
-                best = c
-        return best
 
     def inflight_requests(self) -> List[MemoryRequest]:
         """Every request buffered or completing in any channel (invariants)."""

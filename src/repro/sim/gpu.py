@@ -1,11 +1,11 @@
 """Top-level GPU simulator: cores + interconnect + DRAM + block dispatch.
 
 Drives the whole machine with an event-accelerated cycle loop: every cycle
-in which any component can make progress is simulated exactly; stretches
-where all warps are blocked on memory are skipped to the next event
-(response arrival, DRAM burst slot, issue-port release), which keeps the
-pure-Python model fast enough for full parameter sweeps while preserving
-cycle-accurate ordering.
+in which any component can make progress is simulated exactly, visiting
+only the components due in it; stretches where all warps are blocked on
+memory are skipped to the next event (response arrival, DRAM burst slot,
+issue-port release), which keeps the pure-Python model fast enough for
+full parameter sweeps while preserving cycle-accurate ordering.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.core.base import HardwarePrefetcher
 from repro.core.throttle import ThrottleEngine
 from repro.sim.config import GpuConfig
 from repro.sim.core import Block, Core
-from repro.sim.dram import Dram
+from repro.sim.dram import NEVER, Dram
 from repro.sim.errors import CycleLimitExceeded, DeadlockError
 from repro.sim.interconnect import Interconnect
 from repro.sim.invariants import (
@@ -37,10 +37,11 @@ PrefetcherFactory = Callable[[int], Optional[HardwarePrefetcher]]
 class SimulationResult:
     """Outcome of one simulation: the stats plus handles for inspection.
 
-    ``cores`` and ``dram`` are live simulator handles when the run
-    executed in this process; results reconstructed from the sweep
-    engine's result cache (or shipped back from a pool worker) are
-    stats-only and carry ``None`` for both.
+    ``cores`` and ``dram`` are live simulator handles when the run was
+    returned by :meth:`GpuSimulator.run` (or ``run_benchmark``); results
+    from the sweep engine — run inline, shipped back from a pool worker
+    or read from its result cache — are stats-only and carry ``None``
+    for both.
     """
 
     def __init__(
@@ -232,16 +233,17 @@ class GpuSimulator:
         icnt = self.interconnect
         dram = self.dram
         mrqs = [core.mrq for core in cores]
-        throttling = config.throttle.enabled
         cycle = self.cycle
         max_cycles = config.max_cycles
         checker = self.invariants
         prof = self.profiler
 
-        # This loop is the simulator's hot path: bound methods are hoisted
-        # into locals, the event-candidate list is reused across
-        # iterations, and every profiler touch sits behind an ``is None``
-        # branch so an uninstrumented run pays (almost) nothing for the
+        # This loop is the simulator's hot path.  It visits only what is
+        # due: DRAM's posted due cycle, one cached throttle boundary and
+        # an exact send-pending flag stand in for polling every DRAM
+        # channel and MRQ.  Bound methods are hoisted into locals, and
+        # every profiler touch sits behind an ``is None`` branch so an
+        # uninstrumented run pays (almost) nothing for the
         # instrumentation points.
         pop_core_arrivals = icnt.pop_core_arrivals
         pop_memory_arrivals = icnt.pop_memory_arrivals
@@ -251,11 +253,17 @@ class GpuSimulator:
         icnt_next_event = icnt.next_event_cycle
         dram_arrive = dram.arrive
         dram_step = dram.step
-        dram_next_event = dram.next_event_cycle
         dispatch = self._dispatch
         block_queues = self._block_queues
         have_blocks = any(block_queues)
-        candidates: List[int] = []
+        # Only issue fills an MRQ's send queue and only injection drains
+        # it, so the flag is set after an issue and re-read from
+        # inject_requests.
+        send_pending = any(mrq._send_queue for mrq in mrqs)
+        if config.throttle.enabled:
+            next_throttle = min(core.throttle.next_update_cycle for core in cores)
+        else:
+            next_throttle = NEVER
 
         if prof is not None:
             prof_wall = prof.wall
@@ -335,25 +343,29 @@ class GpuSimulator:
                 t_phase = t_now
                 if requests_in:
                     prof_active["interconnect_request"] += 1
-            # 3. Advance DRAM; route completed reads back through the network.
-            completed = dram_step(cycle)
-            if completed:
+            # 3. Advance the due DRAM channels; route completed reads back
+            # through the network.
+            if dram.due_cycle <= cycle:
+                completed = dram_step(cycle)
                 for entry in completed:
                     if entry.is_store:
                         continue
                     for request in entry.requesters:
                         send_response(cycle, request.core_id, request)
-            if prof is not None:
-                t_now = timer()
-                prof_wall["dram"] += t_now - t_phase
-                t_phase = t_now
-                if completed:
-                    prof_active["dram"] += 1
+                if prof is not None:
+                    t_now = timer()
+                    prof_wall["dram"] += t_now - t_phase
+                    t_phase = t_now
+                    if completed:
+                        prof_active["dram"] += 1
             # 4. Periodic throttle / feedback updates.
-            if throttling:
+            if cycle >= next_throttle:
                 for core in cores:
                     if cycle >= core.throttle.next_update_cycle:
                         core.periodic_update(cycle)
+                next_throttle = min(
+                    core.throttle.next_update_cycle for core in cores
+                )
                 if prof is not None:
                     t_now = timer()
                     prof_wall["throttle"] += t_now - t_phase
@@ -368,30 +380,44 @@ class GpuSimulator:
                     prof_wall["dispatch"] += t_now - t_phase
                     t_phase = t_now
             # 6. Issue.  Sleeping cores are skipped: their last issue
-            # attempt failed for a reason proven stable until wake_cycle
-            # or an external ``woken`` event, so the skipped poll's only
-            # observable effects — the stall_cycles increment and the
-            # retry candidate — are replayed here verbatim, keeping stats
+            # attempt failed (or issued and left the port busy) for a
+            # reason proven stable until wake_cycle or an external
+            # ``woken`` event, so the skipped poll's only observable
+            # effects — the stall_cycles increment and the retry
+            # candidate — are replayed here verbatim, keeping stats
             # bit-identical to polling every core every eventful cycle.
-            candidates.clear()
+            next_event = NEVER
             issued_any = False
             for core in cores:
                 if core.asleep:
                     wake = core.wake_cycle
-                    if not core.woken and (wake is None or wake > cycle):
-                        if core.sleep_credit:
-                            core.stall_cycles += 1
-                        if wake is not None:
-                            candidates.append(wake)
-                        continue
+                    if wake is None or wake > cycle:
+                        if not core.woken:
+                            if core.sleep_credit:
+                                core.stall_cycles += 1
+                            if wake is not None and wake < next_event:
+                                next_event = wake
+                            continue
+                        if core.port_free_cycle > cycle:
+                            # Woken while its port is busy: the poll
+                            # would only re-enter this same sleep, whose
+                            # wake_cycle is the port's release.
+                            core.woken = False
+                            if wake < next_event:
+                                next_event = wake
+                            continue
                     core.asleep = False
                     core.woken = False
                 issued, retry = core.try_issue(cycle)
                 if issued:
                     issued_any = True
-                    candidates.append(core.port_free_cycle)
-                elif retry is not None:
-                    candidates.append(retry)
+                    wake = core.port_free_cycle
+                    if wake < next_event:
+                        next_event = wake
+                    if core.mrq._send_queue:
+                        send_pending = True
+                elif retry is not None and retry < next_event:
+                    next_event = retry
             if prof is not None:
                 t_now = timer()
                 prof_wall["issue"] += t_now - t_phase
@@ -405,10 +431,8 @@ class GpuSimulator:
             # clock tick: the credit cap binds per *update interval*, so
             # the arbiter clock must advance on idle cycles too or the
             # next real injection would bank the whole gap's bandwidth.
-            for mrq in mrqs:
-                if mrq._send_queue:
-                    inject_requests(cycle, mrqs)
-                    break
+            if send_pending:
+                send_pending = inject_requests(cycle, mrqs)
             else:
                 icnt_tick_idle(cycle)
             if prof is not None:
@@ -435,32 +459,28 @@ class GpuSimulator:
                 else:
                     break
 
-            # 8. Find the next cycle where anything can happen.
-            event = icnt_next_event()
-            if event is not None:
-                candidates.append(event)
-            event = dram_next_event(cycle)
-            if event is not None:
-                candidates.append(event)
-            for mrq in mrqs:
-                if mrq._send_queue:
-                    candidates.append(cycle + 1)
-                    break
-            if throttling:
-                next_update = cores[0].throttle.next_update_cycle
-                for core in cores:
-                    c = core.throttle.next_update_cycle
-                    if c < next_update:
-                        next_update = c
-                candidates.append(next_update)
-            if not candidates:
-                raise DeadlockError(
-                    f"simulator deadlock at cycle {cycle}: "
-                    + diagnose_no_progress(self, cycle),
-                    snapshot=snapshot_simulator(self, cycle),
-                )
-            event = min(candidates)
-            cycle = cycle + 1 if event <= cycle else event
+            # 8. Find the next cycle where anything can happen.  The set
+            # of visited cycles is part of the statistics (stall_cycles
+            # counts eventful iterations), so every candidate must be
+            # exact: an early one adds an iteration, a late one skips an
+            # event.
+            if send_pending:
+                cycle += 1
+            else:
+                event = icnt_next_event()
+                if event is not None and event < next_event:
+                    next_event = event
+                if dram.due_cycle < next_event:
+                    next_event = dram.due_cycle
+                if next_throttle < next_event:
+                    next_event = next_throttle
+                if next_event == NEVER:
+                    raise DeadlockError(
+                        f"simulator deadlock at cycle {cycle}: "
+                        + diagnose_no_progress(self, cycle),
+                        snapshot=snapshot_simulator(self, cycle),
+                    )
+                cycle = cycle + 1 if next_event <= cycle else next_event
             if prof is not None:
                 prof_wall["event_skip"] += timer() - t_phase
 

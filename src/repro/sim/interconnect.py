@@ -65,13 +65,14 @@ class Interconnect:
             float(self.slots_per_cycle) * max(1, elapsed),
         )
 
-    def inject_requests(self, cycle: int, mrqs: List[MemoryRequestQueue]) -> None:
+    def inject_requests(self, cycle: int, mrqs: List[MemoryRequestQueue]) -> bool:
         """Arbiter: pull sendable requests from the MRQs into the pipe.
 
         Grants up to ``slots_per_cycle`` injections per elapsed cycle,
         round-robin over cores, carrying unused credit forward (bounded to
         one cycle's worth so a long idle period cannot bank unbounded
-        bandwidth).
+        bandwidth).  Returns whether any MRQ still holds a sendable
+        request -- the run loop's exact send-pending flag.
         """
         elapsed = cycle - self._last_step_cycle
         self._last_step_cycle = cycle
@@ -87,11 +88,15 @@ class Interconnect:
         while self._credit >= 1.0:
             request = self._pick_next(cycle, mrqs)
             if request is None:
-                break
+                return False
             self._credit -= 1.0
             self.total_injected += 1
             heappush(to_memory, (arrival, self._seq, request))
             self._seq += 1
+        for mrq in mrqs:
+            if mrq._send_queue:
+                return True
+        return False
 
     def _pick_next(
         self, cycle: int, mrqs: List[MemoryRequestQueue]

@@ -16,6 +16,11 @@ run.  It verifies:
 * **Warp/block retirement accounting** — per core,
   ``warps_assigned == warps_retired + active`` and each resident
   block's outstanding-warp count matches the live warp list.
+* **Posted due cycles** — each DRAM channel's posted ``due_cycle``
+  equals the next-event cycle recomputed from its buffers, and the
+  DRAM's posted cycle equals their minimum: the run loop visits DRAM
+  only when it is due, so a stale posting would silently skip or add
+  visited cycles.
 * **Prefetch-statistics cross-checks** — the prefetch request pipeline
   ledger balances (``generated == throttled + redundant + issued +
   dropped``) and ``useful + early-evicted + resident-unused <= fills <=
@@ -37,6 +42,7 @@ from __future__ import annotations
 import os
 from typing import Dict, List, Optional
 
+from repro.sim.dram import NEVER
 from repro.sim.errors import DeadlockError, InvariantViolation
 
 #: Environment variable that opts every simulator in this process into
@@ -246,6 +252,7 @@ class InvariantChecker:
         violations.extend(self._check_request_conservation())
         violations.extend(self._check_retirement_accounting())
         violations.extend(self._check_prefetch_ledgers(final=False))
+        violations.extend(self._check_posted_due_cycles(cycle))
         self._raise_if(violations, cycle)
 
     def check_final(self, cycle: int, truncated: bool = False) -> None:
@@ -342,6 +349,34 @@ class InvariantChecker:
                         f"{outstanding} unretired warp(s) but "
                         f"{live.get(block_id, 0)} are live"
                     )
+        return violations
+
+    def _check_posted_due_cycles(self, cycle: int) -> List[str]:
+        """Posted DRAM due cycles match a recomputation from the buffers.
+
+        Holds after the loop's DRAM phase: a channel due at ``cycle`` has
+        just been stepped and re-posted, and any other posting is still
+        its next event.
+        """
+        dram = self.sim.dram
+        violations = []
+        lowest = NEVER
+        for channel in dram.channels:
+            posted = channel.due_cycle
+            expected = channel.next_event_cycle(cycle)
+            if posted != (NEVER if expected is None else expected):
+                violations.append(
+                    f"DRAM channel {channel.channel_id} posts due cycle "
+                    f"{None if posted == NEVER else posted}, its buffers "
+                    f"say {expected}"
+                )
+            if posted < lowest:
+                lowest = posted
+        if dram.due_cycle != lowest:
+            violations.append(
+                f"DRAM posts due cycle {dram.due_cycle}, the minimum of "
+                f"its channels' postings is {lowest}"
+            )
         return violations
 
     def _check_prefetch_ledgers(self, final: bool) -> List[str]:

@@ -51,8 +51,9 @@ class Warp:
         #: Kept as a plain attribute (not a property over ``pc_index``):
         #: the issue loop and the core's drain check read it once per warp
         #: per eventful cycle, making it the single hottest attribute in
-        #: the simulator.  Only :meth:`advance` moves ``pc_index``, so it
-        #: is updated there.
+        #: the simulator.  Only :meth:`advance` (and its inlined copy on
+        #: ``Core.try_issue``'s compute path) moves ``pc_index``, so it is
+        #: updated there.
         self.finished = not stream
 
     def peek(self) -> Optional[WarpInstruction]:

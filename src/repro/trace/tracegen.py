@@ -35,6 +35,14 @@ _SPACE = {
     "const": MemSpace.CONST,
 }
 
+_COMPUTE_OPS = {"compute": Op.COMPUTE, "imul": Op.IMUL, "fdiv": Op.FDIV}
+
+#: Wait-free compute records shared by the streams of one workload, keyed
+#: by ``(op, pc)``.  Records are never mutated after construction and
+#: streams are never stored in snapshots, so every wait-free compute
+#: instruction at one PC can be the same object.
+ComputeRecords = Dict[Tuple[Op, int], WarpInstruction]
+
 
 @dataclass
 class Workload:
@@ -102,6 +110,7 @@ class _WarpBuilder:
         bases: Dict[str, int],
         swp: SoftwarePrefetchConfig,
         total_warps: int,
+        compute_records: ComputeRecords,
     ) -> None:
         self.spec = spec
         self.warp_id = warp_id
@@ -109,6 +118,7 @@ class _WarpBuilder:
         self.bases = bases
         self.swp = swp
         self.total_warps = total_warps
+        self.compute_records = compute_records
         self.stream: List[WarpInstruction] = []
         self._next_token = 0
         # load name -> token of its most recent emission.
@@ -130,10 +140,18 @@ class _WarpBuilder:
     # -- emission --------------------------------------------------------
 
     def emit_compute(self, pc: int, count: int, op_kind: str, waits: Sequence[int]) -> None:
-        op = {"compute": Op.COMPUTE, "imul": Op.IMUL, "fdiv": Op.FDIV}[op_kind]
-        self.stream.append(WarpInstruction(op, pc=pc, wait_tokens=tuple(waits)))
-        for _ in range(count - 1):
-            self.stream.append(WarpInstruction(op, pc=pc))
+        """Emit ``count`` compute records at ``pc``; the first waits on
+        ``waits``, and every wait-free one is the shared ``(op, pc)``
+        record."""
+        op = _COMPUTE_OPS[op_kind]
+        shared = self.compute_records.get((op, pc))
+        if shared is None:
+            shared = self.compute_records[(op, pc)] = WarpInstruction(op, pc=pc)
+        if waits:
+            self.stream.append(WarpInstruction(op, pc=pc, wait_tokens=tuple(waits)))
+        else:
+            self.stream.append(shared)
+        self.stream.extend([shared] * (count - 1))
 
     def emit_load(self, op: Load, pc: int, iteration: int) -> None:
         token = self._next_token
@@ -187,9 +205,18 @@ def build_warp_stream(
     warp_id: int,
     bases: Dict[str, int],
     swp: SoftwarePrefetchConfig = NO_SWP,
+    compute_records: Optional[ComputeRecords] = None,
 ) -> List[WarpInstruction]:
-    """Generate one warp's full instruction stream."""
-    builder = _WarpBuilder(spec, warp_id, bases, swp, spec.total_warps)
+    """Generate one warp's full instruction stream.
+
+    ``compute_records`` lets the warps of one workload share their
+    wait-free compute records; by default the stream shares them only
+    within itself.
+    """
+    builder = _WarpBuilder(
+        spec, warp_id, bases, swp, spec.total_warps,
+        {} if compute_records is None else compute_records,
+    )
     pcs = _static_pcs(spec)
     iters = spec.effective_iters
     register_loads = (
@@ -316,13 +343,16 @@ def generate_workload(
             max_blocks_per_core = max(1, occ(resources, CoreConfig()))
 
     bases = spec.array_layout()
+    compute_records: ComputeRecords = {}
     blocks = []
     wpb = spec.warps_per_block
     for block_id in range(spec.num_blocks):
         warps = []
         for w in range(wpb):
             warp_id = block_id * wpb + w
-            warps.append((warp_id, build_warp_stream(spec, warp_id, bases, swp)))
+            warps.append((warp_id, build_warp_stream(
+                spec, warp_id, bases, swp, compute_records
+            )))
         blocks.append((block_id, warps))
     mix = spec.instruction_mix()
     return Workload(

@@ -21,6 +21,7 @@ from repro.harness.fsck import FSCK_SCHEMA, audit, classify, format_summary
 from repro.harness.runner import make_spec, run_spec
 from repro.harness.supervise import HEARTBEAT_SCHEMA
 from repro.harness.sweep import ResultCache, fingerprint
+from repro.sim.checkpoint import payload_digest
 from repro.sim.stats import SimStats
 
 from tests.harness import faults
@@ -93,6 +94,22 @@ class TestClassificationMatrix:
         torn.write_bytes(live.read_bytes()[:40])
         report = audit([tmp_path])
         assert _status_of(report, torn) == "corrupt"
+
+        # A valid snapshot written before a class gained a field: its
+        # recorded layout no longer matches, so a resume would reject it.
+        envelope = json.loads(live.read_text(encoding="utf-8"))
+        envelope["fingerprint"] = "0" * 64
+        envelope["payload"]["@layout"]["DramChannel"][1].remove("due_cycle")
+        envelope["payload_sha256"] = payload_digest(envelope["payload"])
+        older = live.with_name(f"bfs-{key[:12]}.ckpt.json")
+        older.write_text(json.dumps(envelope), encoding="utf-8")
+        report = audit([tmp_path])
+        assert _status_of(report, older) == "stale"
+        assert "DramChannel" in next(
+            f.detail for f in report.findings if str(f.path) == str(older)
+        )
+        audit([tmp_path], gc=True)
+        assert not older.exists()
 
     def test_metrics_valid_and_corrupt(self, tmp_path):
         spec = make_spec("monte", scale=SCALE)

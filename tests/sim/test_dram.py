@@ -1,7 +1,7 @@
 """Unit tests for the DRAM model: mapping, scheduling, merging, priority."""
 
 from repro.sim.config import DramConfig
-from repro.sim.dram import Dram, DramChannel
+from repro.sim.dram import NEVER, Dram, DramChannel
 from repro.sim.memory_request import MemoryRequest
 
 
@@ -158,6 +158,62 @@ class TestChannelScheduling:
         assert cycle < 600
 
 
+class TestPostedDueCycles:
+    """Each channel posts its next event; Dram keeps the minimum."""
+
+    def test_arrival_into_empty_channel_posts_ready_cycle(self):
+        dram = Dram(make_config(pipeline_latency=300))
+        assert dram.due_cycle == NEVER
+        dram.arrive(demand(0), 40)
+        channel = next(ch for ch in dram.channels if ch.pending)
+        assert channel.due_cycle == 340 == channel.next_event_cycle(40)
+        assert dram.due_cycle == 340
+
+    def test_arrival_into_busy_channel_keeps_posting(self):
+        ch = DramChannel(0, make_config(pipeline_latency=300))
+        ch.arrive(demand(0), bank=0, row=0, cycle=0)
+        ch.arrive(demand(64), bank=1, row=0, cycle=50)
+        assert ch.due_cycle == 300 == ch.next_event_cycle(50)
+        # Stepping at the due cycle services the oldest entry, whose
+        # burst completes before the second entry is ready (350).
+        ch.step(300)
+        due = ch.due_cycle
+        assert due == ch.next_event_cycle(300)
+        assert 300 < due < 350
+        ch.arrive(demand(128), bank=2, row=0, cycle=301)
+        assert ch.due_cycle == due == ch.next_event_cycle(301)
+
+    def test_l2_hit_completion_lowers_posting(self):
+        cfg = DramConfig(pipeline_latency=100, l2_size_bytes=64 * 1024)
+        ch = DramChannel(0, cfg)
+        ch.arrive(demand(0), bank=0, row=0, cycle=0)
+        drain(ch)
+        assert ch.due_cycle == NEVER
+        # A miss queues behind the pipeline; the L2 hit that follows
+        # completes first, and the posting moves to it.
+        ch.arrive(demand(64), bank=1, row=0, cycle=1000)
+        assert ch.due_cycle == 1100
+        ch.arrive(demand(0, core=1), bank=0, row=0, cycle=1010)
+        assert ch.l2_hits == 1
+        assert ch.due_cycle == 1010 + cfg.l2_latency
+        assert ch.due_cycle == ch.next_event_cycle(1010)
+
+    def test_step_reposts_next_event(self):
+        dram = Dram(make_config(pipeline_latency=10))
+        for i in range(4):
+            dram.arrive(demand(i * 64), 0)
+        while dram.due_cycle != NEVER:
+            cycle = dram.due_cycle
+            dram.step(cycle)
+            assert dram.due_cycle > cycle
+            for ch in dram.channels:
+                expected = ch.next_event_cycle(cycle)
+                assert ch.due_cycle == (NEVER if expected is None else expected)
+            assert dram.due_cycle == min(ch.due_cycle for ch in dram.channels)
+        assert dram.idle
+        assert dram.total_lines_transferred == 4
+
+
 class TestDramFrontend:
     def test_arrive_routes_by_channel(self):
         dram = Dram(make_config())
@@ -173,7 +229,6 @@ class TestDramFrontend:
         remaining = 8
         while remaining and cycle < 10_000:
             remaining -= len(dram.step(cycle))
-            nxt = dram.next_event_cycle(cycle)
-            cycle = max(cycle + 1, nxt if nxt is not None else cycle + 1)
+            cycle = max(cycle + 1, dram.due_cycle)
         assert dram.total_lines_transferred == 8
         assert dram.idle

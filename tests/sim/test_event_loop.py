@@ -3,8 +3,9 @@
 import pytest
 
 from repro.sim.config import baseline_config
+from repro.sim.core import Core
 from repro.sim.gpu import GpuSimulator
-from repro.sim.isa import compute, load
+from repro.sim.isa import compute, fdiv, load
 from repro.sim.warp import Warp
 
 
@@ -93,3 +94,50 @@ def test_rerun_continues_from_clean_state():
     sim.load_workload([(1, [(1, [compute()])])], 1)
     second = sim.run()
     assert second.cycles >= first.cycles
+
+
+def test_response_to_a_busy_core_skips_its_poll(monkeypatch):
+    """A response that reaches a core whose issue port is busy leaves it
+    asleep: polling it could only re-enter the same port-busy sleep.
+
+    The same workload is run twice, once as the loop runs it and once
+    with every response forcing the poll; the forced run must poll a
+    busy port, the loop's own run never, and the stats must agree.
+    """
+    # Warp 0's load returns while warp 1's 32-cycle FDIVs keep the
+    # port busy on all but one cycle in 32.
+    blocks = [(0, [
+        (0, [load(0x10, 0, [0]), compute(0x20, wait_tokens=[0])]),
+        (1, [fdiv(0x30) for _ in range(80)]),
+    ])]
+    try_issue = Core.try_issue
+    on_response = Core.on_response
+
+    def run(force_poll):
+        busy_polls = []
+        busy_responses = []
+
+        def spied_try_issue(core, cycle):
+            if core.port_free_cycle > cycle:
+                busy_polls.append(cycle)
+            return try_issue(core, cycle)
+
+        def spied_on_response(core, request, cycle):
+            if core.port_free_cycle > cycle:
+                busy_responses.append(cycle)
+            on_response(core, request, cycle)
+            if force_poll:
+                core.asleep = False
+
+        monkeypatch.setattr(Core, "try_issue", spied_try_issue)
+        monkeypatch.setattr(Core, "on_response", spied_on_response)
+        sim = GpuSimulator(baseline_config(num_cores=1))
+        sim.load_workload(blocks, 2)
+        return sim.run().stats.to_dict(), busy_polls, busy_responses
+
+    stats, busy_polls, busy_responses = run(force_poll=False)
+    assert busy_responses, "no response reached a busy core"
+    assert busy_polls == []
+    forced_stats, forced_polls, _ = run(force_poll=True)
+    assert forced_polls == busy_responses
+    assert forced_stats == stats

@@ -139,6 +139,17 @@ class TestInjectedCorruption:
         assert any("prefetch pipeline ledger" in v
                    for v in excinfo.value.violations)
 
+    def test_stale_posted_due_cycles_are_caught(self):
+        sim = GpuSimulator(baseline_config(num_cores=2), invariants=True)
+        sim.load_workload([memory_block(0)], 1)
+        sim.invariants.check(0)  # an idle memory system posts nothing
+        sim.dram.channels[3].due_cycle = 42
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.invariants.check(0)
+        violations = excinfo.value.violations
+        assert any("channel 3 posts due cycle 42" in v for v in violations)
+        assert any("minimum of its channels" in v for v in violations)
+
 
 class TestDeadlockDiagnosis:
     def test_unsatisfiable_dependency_names_the_warp(self):

@@ -178,3 +178,49 @@ class TestSoftwarePrefetchTransforms:
         first_load = kinds.index(Op.LOAD)
         assert kinds[0] == Op.PREFETCH
         assert kinds[first_load + 1] == Op.PREFETCH
+
+
+class TestSharedComputeRecords:
+    """One workload's wait-free compute records are shared objects."""
+
+    def spec(self):
+        return tiny_spec(
+            body=(
+                Load("a", "A", lane_stride=4, iter_stride=1024),
+                Compute(3, consumes=("a",)),
+                Compute(2, op="imul"),
+                Store("out", lane_stride=4, iter_stride=1024),
+            ),
+        )
+
+    def test_counts_unchanged_and_repeats_are_one_object(self):
+        spec = self.spec()
+        mix = spec.instruction_mix()
+        shared = {}
+        waiting = []
+        for _, warps in generate_workload(spec).blocks:
+            for _, stream in warps:
+                assert len(stream) == mix["comp_inst"] + mix["mem_inst"]
+                for inst in stream:
+                    if inst.is_memory:
+                        continue
+                    if inst.wait_tokens:
+                        waiting.append(inst)
+                    else:
+                        assert shared.setdefault((inst.op, inst.pc), inst) is inst
+        # Two prologue PCs, the consumer's two wait-free repeats and the
+        # IMUL pair: one record each, across all 8 warps.
+        assert len(shared) == 4
+        assert {op for op, _ in shared} == {Op.COMPUTE, Op.IMUL}
+        # A record that waits on a load carries its own tokens.
+        assert len(waiting) == 8 * 4
+        assert len({id(inst) for inst in waiting}) == len(waiting)
+
+    def test_workloads_do_not_share_records(self):
+        spec = self.spec()
+        first = generate_workload(spec).blocks[0][1][0][1]
+        second = generate_workload(spec).blocks[0][1][0][1]
+        assert first[0] is not second[0]
+        assert [(i.op, i.pc, i.wait_tokens) for i in first] == [
+            (i.op, i.pc, i.wait_tokens) for i in second
+        ]
