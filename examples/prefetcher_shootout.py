@@ -23,12 +23,8 @@ import sys
 from pathlib import Path
 
 from repro import run_benchmark
-from repro.harness.runner import (
-    HARDWARE_SCHEMES,
-    make_spec,
-    metrics_path_for,
-    run_spec,
-)
+from repro.harness.runner import HARDWARE_SCHEMES, make_spec, run_spec
+from repro.harness.sweep import RunOptions
 
 ORDER = [
     "stride_rpt", "stride_rpt_wid",
@@ -43,15 +39,15 @@ ORDER = [
 def run_scheme(name: str, scheme: str, metrics_dir):
     """Run one scheme, recording a metrics document when requested.
 
-    With a metrics directory the run goes through ``run_spec`` with an
-    attached :class:`repro.sim.telemetry.MetricsRecorder`; the recorder
-    is a pure observer, so the returned statistics are identical either
-    way.
+    With a metrics directory the run goes through ``run_spec`` with
+    ``RunOptions(metrics_dir=...)``, which attaches a
+    :class:`repro.sim.telemetry.MetricsRecorder`; the recorder is a pure
+    observer, so the returned statistics are identical either way.
     """
     if metrics_dir is None:
         return run_benchmark(name, hardware=scheme)
-    spec = make_spec(name, hardware=scheme)
-    return run_spec(spec, metrics_path=metrics_path_for(spec, metrics_dir))
+    return run_spec(make_spec(name, hardware=scheme),
+                    RunOptions(metrics_dir=metrics_dir))
 
 
 def main() -> None:

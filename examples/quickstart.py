@@ -5,11 +5,11 @@ winner) on the Table II baseline GPU several ways — no prefetching, the
 many-thread aware hardware prefetcher (MT-HWP), and many-thread aware
 software prefetching (MT-SWP) — and prints the headline statistics.
 It finishes by re-running the best scheme with a windowed-metrics
-recorder attached and writing ``quickstart.metrics.json``, the
-time-series view of the same run (see OBSERVABILITY.md); render it
+recorder attached and writing its document into ``quickstart-metrics/``,
+the time-series view of the same run (see OBSERVABILITY.md); render it
 with::
 
-    python -m repro report quickstart.metrics.json
+    python -m repro report quickstart-metrics/<benchmark>-<fp12>.metrics.json
 
 Usage::
 
@@ -19,7 +19,8 @@ Usage::
 import sys
 
 from repro import run_benchmark
-from repro.harness.runner import make_spec, run_spec
+from repro.harness.runner import make_spec, metrics_path_for, run_spec
+from repro.harness.sweep import RunOptions
 
 
 def describe(label, result, baseline=None):
@@ -39,18 +40,19 @@ def describe(label, result, baseline=None):
 def record_metrics(name: str) -> None:
     """Re-run the throttled MT-HWP scheme with telemetry attached.
 
-    ``run_spec(..., metrics_path=...)`` attaches a
+    ``run_spec(spec, RunOptions(metrics_dir=...))`` attaches a
     :class:`repro.sim.telemetry.MetricsRecorder` to the simulation and
-    writes the windowed time-series document after the run — the same
-    artifact ``--metrics-dir`` produces from the CLI.  Telemetry is a
-    pure observer: this run's statistics are bit-identical to the
-    ``describe``'d one above.
+    writes the windowed time-series document into that directory after
+    the run — the same artifact ``--metrics-dir`` produces from the CLI.
+    Telemetry is a pure observer: this run's statistics are
+    bit-identical to the ``describe``'d one above.
     """
     spec = make_spec(name, hardware="mt-hwp", throttle=True)
-    run_spec(spec, metrics_path="quickstart.metrics.json")
+    run_spec(spec, RunOptions(metrics_dir="quickstart-metrics"))
+    path = metrics_path_for(spec, "quickstart-metrics")
     print(
-        "\nwindowed metrics written to quickstart.metrics.json — render "
-        "with:\n  python -m repro report quickstart.metrics.json"
+        f"\nwindowed metrics written to {path} — render with:\n"
+        f"  python -m repro report {path}"
     )
 
 

@@ -46,33 +46,21 @@ sweep flags:
   one) runs have failed.
 * ``--manifest FILE`` — JSONL checkpoint journal; re-invoking with the
   same manifest resumes an interrupted sweep.
-* ``--checkpoint-dir DIR`` — periodic simulator snapshots into DIR
-  (equivalent to ``REPRO_CHECKPOINT_DIR=DIR``) in this process and all
-  sweep workers; a crashed or interrupted run re-invoked with the same
-  directory resumes mid-simulation, bit-identically.
-* ``--checkpoint-interval N`` — cycles between snapshots (equivalent to
-  ``REPRO_CHECKPOINT_INTERVAL=N``; default 50000).
-* ``--invariants`` — enable the simulation integrity checker
-  (equivalent to ``REPRO_INVARIANTS=1``) in this process and all sweep
-  workers.
-* ``--profile DIR`` — write a per-run performance profile JSON
-  (wall-clock phase timers + per-component activity) into DIR for every
-  run actually executed, in this process and all sweep workers
-  (equivalent to ``REPRO_PROFILE_DIR=DIR``).
-* ``--metrics-dir DIR`` — write a per-run windowed-metrics JSON
-  time-series (IPC, MRQ/DRAM/interconnect occupancy and traffic, the
-  prefetch ledger, throttle state) into DIR for every run actually
-  executed, in this process and all sweep workers (equivalent to
-  ``REPRO_METRICS_DIR=DIR``); render with ``python -m repro report``.
-* ``--metrics-interval N`` — nominal simulated cycles per metrics
-  window (equivalent to ``REPRO_METRICS_INTERVAL=N``; default 1000).
-* ``--heartbeat-interval S`` — worker liveness heartbeats every S
-  seconds; pooled sweeps kill and requeue a heartbeat-silent (wedged)
-  run well before its full ``--timeout`` deadline.
-* ``--memory-budget MB`` — per-run peak-RSS budget, self-enforced by
-  workers (equivalent to ``REPRO_MEMORY_BUDGET_MB=MB``); an over-budget
-  run checkpoints and fails structurally instead of taking the host
-  down.
+* Run options, applied to every run actually executed:
+  ``--invariants`` (the integrity checker), ``--profile DIR`` (a
+  wall-clock profile JSON per run), ``--metrics-dir DIR`` /
+  ``--metrics-interval N`` (a windowed-metrics time-series per run,
+  rendered by ``report``), ``--checkpoint-dir DIR`` /
+  ``--checkpoint-interval N`` (periodic snapshots; re-invoking with the
+  same directory resumes an interrupted run bit-identically),
+  ``--heartbeat-interval S`` (liveness heartbeats; a pooled sweep kills
+  and requeues a heartbeat-silent run well before ``--timeout``) and
+  ``--memory-budget MB`` (an over-budget run checkpoints and fails
+  structurally).  They build one
+  :class:`~repro.harness.sweep.RunOptions` that the sweep engine hands
+  to every run, inline or in a pool worker; nothing is exported into
+  the environment.  A non-positive interval or budget is a usage error
+  (exit status 2).
 * ``--quarantine-dir DIR`` — poison-spec registry: specs that crash or
   wedge workers on every attempt are quarantined into DIR and skipped
   by later sweeps until their report file is deleted.
@@ -109,19 +97,11 @@ from repro.harness.report import (
     format_sweep,
     format_table,
 )
-from repro.harness.runner import (
-    HARDWARE_SCHEMES,
-    ExperimentRunner,
-    make_spec,
-    run_spec,
-)
-from repro.harness.sweep import SweepInterrupted
-from repro.sim.checkpoint import CHECKPOINT_DIR_ENV, CHECKPOINT_INTERVAL_ENV
-from repro.sim.invariants import INVARIANTS_ENV
-from repro.sim.profiling import PROFILE_DIR_ENV
+from repro.harness.runner import HARDWARE_SCHEMES, ExperimentRunner
+from repro.harness.sweep import RunOptions, SweepInterrupted
+from repro.sim.checkpoint import DEFAULT_CHECKPOINT_INTERVAL
 from repro.sim.telemetry import (
-    METRICS_DIR_ENV,
-    METRICS_INTERVAL_ENV,
+    DEFAULT_METRICS_INTERVAL,
     to_chrome_trace,
     validate_metrics_document,
 )
@@ -165,36 +145,33 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
-        help="write periodic simulator snapshots into DIR "
-             "(REPRO_CHECKPOINT_DIR=DIR) in this process and all sweep "
-             "workers; re-invoking with the same DIR resumes interrupted "
-             "runs mid-simulation",
+        help="write periodic simulator snapshots into DIR; re-invoking "
+             "with the same DIR resumes interrupted runs mid-simulation",
     )
     parser.add_argument(
-        "--checkpoint-interval", type=int, default=None, metavar="N",
+        "--checkpoint-interval", type=int, default=DEFAULT_CHECKPOINT_INTERVAL,
+        metavar="N",
         help="cycles between simulator snapshots "
-             "(REPRO_CHECKPOINT_INTERVAL=N; default: 50000)",
+             f"(default: {DEFAULT_CHECKPOINT_INTERVAL})",
     )
     parser.add_argument(
-        "--invariants", action="store_true",
-        help="enable simulation invariant checking (REPRO_INVARIANTS=1) "
-             "in this process and all sweep workers",
+        "--invariants", action="store_const", const=True, default=None,
+        help="enable simulation invariant checking in every run",
     )
     parser.add_argument(
         "--profile", default=None, metavar="DIR",
-        help="write a per-run performance profile JSON into DIR "
-             "(REPRO_PROFILE_DIR=DIR) in this process and all sweep workers",
+        help="write a per-run performance profile JSON into DIR",
     )
     parser.add_argument(
         "--metrics-dir", default=None, metavar="DIR",
-        help="write a per-run windowed-metrics JSON time-series into DIR "
-             "(REPRO_METRICS_DIR=DIR) in this process and all sweep "
-             "workers; render with 'python -m repro report'",
+        help="write a per-run windowed-metrics JSON time-series into DIR; "
+             "render with 'python -m repro report'",
     )
     parser.add_argument(
-        "--metrics-interval", type=int, default=None, metavar="N",
+        "--metrics-interval", type=int, default=DEFAULT_METRICS_INTERVAL,
+        metavar="N",
         help="nominal simulated cycles per metrics window "
-             "(REPRO_METRICS_INTERVAL=N; default: 1000)",
+             f"(default: {DEFAULT_METRICS_INTERVAL})",
     )
     parser.add_argument(
         "--heartbeat-interval", type=float, default=None, metavar="S",
@@ -204,9 +181,8 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--memory-budget", type=float, default=None, metavar="MB",
-        help="per-run peak-RSS budget in MB, self-enforced by workers "
-             "(REPRO_MEMORY_BUDGET_MB=MB); an over-budget run checkpoints "
-             "and fails structurally",
+        help="per-run peak-RSS budget in MB, self-enforced by workers; an "
+             "over-budget run checkpoints and fails structurally",
     )
     parser.add_argument(
         "--quarantine-dir", default=None, metavar="DIR",
@@ -222,21 +198,22 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _run_options(args: argparse.Namespace) -> RunOptions:
+    """The :class:`RunOptions` the run-option flags ask for."""
+    return RunOptions(
+        invariants=args.invariants,
+        profile_dir=args.profile,
+        metrics_dir=args.metrics_dir,
+        metrics_interval=args.metrics_interval,
+        checkpoint_dir=args.checkpoint_dir,
+        checkpoint_interval=args.checkpoint_interval,
+        heartbeat_interval=args.heartbeat_interval,
+        memory_budget_mb=args.memory_budget,
+    )
+
+
 def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
     """Build the :class:`ExperimentRunner` shared by the sweep commands."""
-    if args.invariants:
-        # Exported (not passed) so forked/spawned sweep workers inherit it.
-        os.environ[INVARIANTS_ENV] = "1"
-    if args.profile:
-        os.environ[PROFILE_DIR_ENV] = args.profile
-    if args.metrics_dir:
-        os.environ[METRICS_DIR_ENV] = args.metrics_dir
-    if args.metrics_interval is not None:
-        os.environ[METRICS_INTERVAL_ENV] = str(args.metrics_interval)
-    if args.checkpoint_dir:
-        os.environ[CHECKPOINT_DIR_ENV] = args.checkpoint_dir
-    if args.checkpoint_interval is not None:
-        os.environ[CHECKPOINT_INTERVAL_ENV] = str(args.checkpoint_interval)
     return ExperimentRunner(
         scale=args.scale,
         jobs=args.jobs,
@@ -248,10 +225,9 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
         max_failures=args.max_failures,
         fail_fast=args.fail_fast,
         manifest=args.manifest,
-        heartbeat_interval=args.heartbeat_interval,
         quarantine_dir=args.quarantine_dir,
-        memory_budget_mb=args.memory_budget,
         coordinate=False if args.no_coordinate else None,
+        options=args.options,
     )
 
 
@@ -275,13 +251,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--perfect-memory", action="store_true")
     run_p.add_argument("--scale", type=float, default=1.0)
     run_p.add_argument("--json", action="store_true", help="print stats as JSON")
-    run_p.add_argument(
-        "--resume-from", default=None, metavar="FILE",
-        help="resume the simulation from a checkpoint snapshot written by "
-             "an earlier invocation of the same run (the snapshot's "
-             "fingerprint must match this command's flags); the run keeps "
-             "re-snapshotting to FILE and removes it on completion",
-    )
     _add_sweep_flags(run_p)
 
     cmp_p = sub.add_parser("compare", help="compare schemes on one benchmark")
@@ -479,18 +448,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         degree=args.degree,
         perfect_memory=args.perfect_memory,
     )
-    if args.resume_from:
-        # Explicit mid-simulation resume: execute the variant run directly
-        # (bypassing the result cache, which would short-circuit it) so
-        # the snapshot at --resume-from is actually consumed.
-        spec = make_spec(args.benchmark, scale=args.scale, **variant)
-        result = run_spec(spec, checkpoint_path=args.resume_from)
-        baseline = runner.run(args.benchmark)
-    else:
-        runner.warm([{"benchmark": args.benchmark},
-                     {"benchmark": args.benchmark, **variant}])
-        baseline = runner.run(args.benchmark)
-        result = runner.run(args.benchmark, **variant)
+    runner.warm([{"benchmark": args.benchmark},
+                 {"benchmark": args.benchmark, **variant}])
+    baseline = runner.run(args.benchmark)
+    result = runner.run(args.benchmark, **variant)
     stats = result.stats.as_dict()
     stats["speedup_over_baseline"] = result.speedup_over(baseline)
     # Peak RSS rides along in every harness mode's output (perf totals,
@@ -765,7 +726,13 @@ def main(argv: Optional[List[str]] = None) -> int:
     completed runs, and finalizes the manifest) and a forced exit (second
     signal) both return 130, the conventional fatal-signal code.
     """
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    if args.command in ("run", "compare", "figure"):
+        try:
+            args.options = _run_options(args)
+        except ValueError as exc:
+            parser.error(str(exc))
     handler = {
         "run": _cmd_run,
         "compare": _cmd_compare,

@@ -53,8 +53,7 @@ from typing import Callable, Dict, List, Optional, Union
 from repro.harness import supervise
 from repro.harness.coordinate import LEASE_SCHEMA, pid_alive
 from repro.harness.fsck import FsckReport, audit
-from repro.harness.sweep import ResultCache, fingerprint
-from repro.sim.checkpoint import CHECKPOINT_DIR_ENV, CHECKPOINT_INTERVAL_ENV
+from repro.harness.sweep import ResultCache, RunOptions, fingerprint
 from repro.sim.gpu import SimulationResult
 from repro.sim.stats import SimStats
 
@@ -98,7 +97,7 @@ def campaign_specs(scale: float = 0.05) -> List:
     ]
 
 
-def paced_worker(spec) -> SimStats:
+def paced_worker(spec, options: RunOptions) -> SimStats:
     """Sweep-worker entry that idles :data:`PACE_ENV` seconds, then runs.
 
     The idle is sliced into 20 ms sleeps so SIGTERM still drains
@@ -116,7 +115,7 @@ def paced_worker(spec) -> SimStats:
         if supervise.shutdown_requested():
             break
         time.sleep(0.02)
-    return run_spec(spec).stats
+    return run_spec(spec, options).stats
 
 
 def _install_enospc_shim(flag_path: str) -> None:
@@ -164,11 +163,15 @@ def child_main(config: Dict) -> int:
         worker=paced_worker,
         retries=config.get("retries", 3),
         retry_backoff=0.1,
-        heartbeat_interval=config.get("heartbeat_interval", 0.2),
-        heartbeat_dir=config.get("heartbeat_dir"),
         lease_grace=config.get("lease_grace", 2.0),
         failure_report_dir=config.get("failure_report_dir"),
         manifest=config.get("manifest"),
+        options=RunOptions(
+            checkpoint_dir=config.get("checkpoint_dir"),
+            checkpoint_interval=config.get("checkpoint_interval", 2000),
+            heartbeat_dir=config.get("heartbeat_dir"),
+            heartbeat_interval=config.get("heartbeat_interval", 0.2),
+        ),
     )
     try:
         outcomes = engine.run(specs)
@@ -494,10 +497,6 @@ def run_campaign(
     env["PYTHONPATH"] = src_root + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    env[supervise.HEARTBEAT_DIR_ENV] = str(heartbeat_dir)
-    env[supervise.HEARTBEAT_INTERVAL_ENV] = "0.2"
-    env[CHECKPOINT_DIR_ENV] = str(checkpoint_dir)
-    env[CHECKPOINT_INTERVAL_ENV] = "2000"
     env[PACE_ENV] = str(max(0.0, pace))
     env.pop("REPRO_CACHE_DIR", None)  # children must use the campaign cache
 
@@ -507,6 +506,8 @@ def run_campaign(
         "scale": scale,
         "heartbeat_interval": 0.2,
         "heartbeat_dir": str(heartbeat_dir),
+        "checkpoint_dir": str(checkpoint_dir),
+        "checkpoint_interval": 2000,
         "lease_grace": lease_grace,
         "failure_report_dir": str(report_dir),
         "enospc_flag": str(flag),

@@ -14,7 +14,9 @@ Software schemes (Figs. 10-11): ``none``, ``register``, ``stride``, ``ip``,
 
 :class:`ExperimentRunner` memoizes results by their full configuration so
 figure scripts that share runs (every figure needs the no-prefetch baseline)
-pay for each simulation once.
+pay for each simulation once.  :func:`run_spec` executes one spec under a
+:class:`~repro.harness.sweep.RunOptions` (checking, observers, budget),
+which the runner hands to its sweep engine and the engine to every run.
 """
 
 from __future__ import annotations
@@ -24,7 +26,6 @@ import dataclasses
 import hashlib
 import json
 import math
-import os
 import warnings
 from pathlib import Path
 from typing import Callable, Dict, Iterable, List, Mapping, Optional, Union
@@ -40,6 +41,7 @@ from repro.harness.sweep import (
     Outcome,
     ProgressReporter,
     RunFailure,
+    RunOptions,
     RunSpec,
     SweepEngine,
     build_result_cache,
@@ -47,20 +49,14 @@ from repro.harness.sweep import (
 )
 from repro.sim.checkpoint import (
     attach_checkpointing,
-    checkpoint_dir_from_env,
-    checkpoint_interval_from_env,
     load_checkpoint,
     restore_simulator,
 )
 from repro.sim.config import GpuConfig, ThrottleConfig, baseline_config
 from repro.sim.errors import CheckpointError, write_failure_report
 from repro.sim.gpu import GpuSimulator, SimulationResult
-from repro.sim.profiling import SimProfiler, profile_dir_from_env
-from repro.sim.telemetry import (
-    MetricsRecorder,
-    metrics_dir_from_env,
-    metrics_interval_from_env,
-)
+from repro.sim.profiling import SimProfiler
+from repro.sim.telemetry import MetricsRecorder
 from repro.trace.benchmarks import get_benchmark
 from repro.trace.kernels import KernelSpec
 from repro.trace.swp import SCHEMES, SoftwarePrefetchConfig
@@ -283,14 +279,14 @@ def _simulate(
     snapshot once the run completes (a finished run needs no resume
     point, and a stale snapshot must not shadow a future re-run).
 
-    ``invariants`` overrides the ``$REPRO_INVARIANTS`` default; the
-    differential harness forces it on so every oracle run is also
-    machine-checked.
+    ``invariants`` overrides the ``$REPRO_INVARIANTS`` default, on a
+    cold start and a resume alike; the differential harness forces it
+    on so every oracle run is also machine-checked.
 
     ``sentinel`` attaches a :class:`repro.harness.supervise.RunSentinel`
     to the run loop (heartbeats, memory budget, graceful shutdown); it
-    is armed *after* checkpointing so a sentinel-triggered exit can
-    flush the armed snapshot.
+    is handed the checkpoint hook so a sentinel-triggered exit can
+    flush a snapshot first.
     """
     if perfect_memory:
         cfg = cfg.replace(perfect_memory=True)
@@ -311,7 +307,7 @@ def _simulate(
                 sim = restore_simulator(
                     envelope, cfg, factory,
                     workload.blocks, workload.max_blocks_per_core,
-                    profiler=profiler, metrics=metrics,
+                    invariants=invariants, profiler=profiler, metrics=metrics,
                 )
             except CheckpointError as exc:
                 # Recoverable: leave a structured trace of the rejected
@@ -336,12 +332,13 @@ def _simulate(
             metrics=metrics,
         )
         sim.load_workload(workload.blocks, workload.max_blocks_per_core)
-    if checkpoint_path is not None and checkpoint_interval > 0:
-        attach_checkpointing(
+    checkpoint = None
+    if checkpoint_path is not None:
+        checkpoint = attach_checkpointing(
             sim, checkpoint_path, checkpoint_interval, fingerprint=checkpoint_tag
         )
     if sentinel is not None:
-        sentinel.attach(sim)
+        sentinel.attach(sim, checkpoint)
     result = sim.run(strict=strict)
     if checkpoint_path is not None:
         try:
@@ -374,13 +371,7 @@ def metrics_path_for(spec: RunSpec, directory: Union[str, Path]) -> Path:
 
 
 def run_spec(
-    spec: RunSpec,
-    strict: bool = True,
-    profile_path: Union[str, Path, None] = None,
-    checkpoint_path: Union[str, Path, None] = None,
-    checkpoint_interval: Optional[int] = None,
-    metrics_path: Union[str, Path, None] = None,
-    metrics_interval: Optional[int] = None,
+    spec: RunSpec, options: Optional[RunOptions] = None, strict: bool = True
 ) -> SimulationResult:
     """Execute one fully-normalized :class:`RunSpec`.
 
@@ -391,78 +382,55 @@ def run_spec(
     instead of returning partial statistics, so a truncated simulation
     can never be cached or averaged into a figure as if it completed.
 
-    Args:
-        spec: The normalized run specification.
-        strict: Raise on truncation instead of returning partial stats.
-        profile_path: Write a :class:`~repro.sim.profiling.SimProfiler`
-            JSON document here after the run.  ``None`` (default) defers
-            to ``$REPRO_PROFILE_DIR``: when that names a directory, the
-            profile lands there as ``<benchmark>-<fingerprint[:12]>.json``
-            (the sweep engine's cache key prefix, so profiles and cached
-            results correlate).  Profiling never changes the simulated
-            statistics — the determinism suite asserts this.
-        checkpoint_path: Simulator snapshot location (see
-            :mod:`repro.sim.checkpoint`).  When the file holds a valid
-            snapshot of *this* spec the run resumes from it
-            (bit-identically); either way the run re-snapshots there
-            periodically and removes the file on completion.  ``None``
-            (default) defers to ``$REPRO_CHECKPOINT_DIR`` via
-            :func:`checkpoint_path_for`.  A corrupt or mismatched
-            snapshot is reported (``<path>.failure.json``), discarded,
-            and the run cold-starts.  Checkpointing never changes the
-            simulated statistics — the checkpoint suite asserts this.
-        checkpoint_interval: Cycles between auto-snapshots; ``None``
-            defers to ``$REPRO_CHECKPOINT_INTERVAL`` (default
-            :data:`~repro.sim.checkpoint.DEFAULT_CHECKPOINT_INTERVAL`).
-        metrics_path: Write a
-            :class:`~repro.sim.telemetry.MetricsRecorder` windowed
-            metrics JSON document here after the run.  ``None``
-            (default) defers to ``$REPRO_METRICS_DIR``: when that names
-            a directory, the document lands there via
-            :func:`metrics_path_for`.  Telemetry never changes the
-            simulated statistics — the telemetry suite asserts this.
-        metrics_interval: Nominal cycles per metrics window; ``None``
-            defers to ``$REPRO_METRICS_INTERVAL`` (default
-            :data:`~repro.sim.telemetry.DEFAULT_METRICS_INTERVAL`).
+    ``options`` (:class:`~repro.harness.sweep.RunOptions`; default: no
+    observers) says how to check and observe the run; the run derives
+    its artifact paths from its directories (:func:`metrics_path_for`,
+    :func:`checkpoint_path_for`).  A valid snapshot of *this* spec in
+    the checkpoint directory resumes the run bit-identically; a corrupt
+    or mismatched one is reported (``<path>.failure.json``), discarded,
+    and the run cold-starts.  No option changes the simulated
+    statistics — the determinism, checkpoint and telemetry suites assert
+    so.
     """
+    options = options or RunOptions()
     kernel = get_benchmark(spec.benchmark, scale=spec.scale)
     builder = HARDWARE_SCHEMES[spec.hardware]
     key = fingerprint(spec)
-    if profile_path is None:
-        profile_dir = profile_dir_from_env()
-        if profile_dir is not None:
-            profile_path = profile_dir / f"{spec.benchmark}-{key[:12]}.json"
-    profiler = SimProfiler() if profile_path is not None else None
-    if metrics_path is None:
-        metrics_dir = metrics_dir_from_env()
-        if metrics_dir is not None:
-            metrics_path = metrics_path_for(spec, metrics_dir)
+    profiler = SimProfiler() if options.profile_dir is not None else None
     recorder: Optional[MetricsRecorder] = None
-    if metrics_path is not None:
-        if metrics_interval is None:
-            metrics_interval = metrics_interval_from_env()
-        recorder = MetricsRecorder(interval=metrics_interval)
+    if options.metrics_dir is not None:
+        recorder = MetricsRecorder(interval=options.metrics_interval)
         recorder.benchmark = spec.benchmark
         recorder.fingerprint = key
-    if checkpoint_path is None:
-        checkpoint_dir = checkpoint_dir_from_env()
-        if checkpoint_dir is not None:
-            checkpoint_path = checkpoint_path_for(spec, checkpoint_dir)
-    if checkpoint_interval is None:
-        checkpoint_interval = checkpoint_interval_from_env()
+    checkpoint_path = None
+    if options.checkpoint_dir is not None:
+        checkpoint_path = checkpoint_path_for(spec, options.checkpoint_dir)
     # The sentinel is built before trace generation so its first
     # heartbeat (which records this worker's pid) lands immediately —
     # the supervisor must be able to reclaim a worker that wedges before
-    # its simulation ever starts.
-    sentinel = supervise.sentinel_from_env(spec.benchmark, key)
+    # its simulation ever starts.  Without heartbeats (a directory and
+    # an interval) or a budget it still honors shutdown requests: that
+    # is what lets an inline run checkpoint and bow out on SIGTERM.
+    heartbeat = None
+    if None not in (options.heartbeat_dir, options.heartbeat_interval):
+        heartbeat = supervise.HeartbeatWriter(
+            supervise.heartbeat_path_for(spec.benchmark, key, options.heartbeat_dir),
+            options.heartbeat_interval,
+        )
+    budget = options.memory_budget_mb
+    sentinel = supervise.RunSentinel(
+        heartbeat=heartbeat,
+        memory_budget_kb=int(budget * 1024) if budget is not None else None,
+    )
     result = _simulate(
         kernel, spec.software, builder, spec.distance, spec.degree,
         spec.config, spec.throttle, spec.perfect_memory, strict=strict,
         profiler=profiler,
         metrics=recorder,
         checkpoint_path=checkpoint_path,
-        checkpoint_interval=checkpoint_interval,
+        checkpoint_interval=options.checkpoint_interval,
         checkpoint_tag=key,
+        invariants=options.invariants,
         sentinel=sentinel,
     )
     sentinel.close()
@@ -472,6 +440,7 @@ def run_spec(
         # spec either way.
         recorder.benchmark = spec.benchmark
         recorder.fingerprint = key
+        metrics_path = metrics_path_for(spec, options.metrics_dir)
         try:
             recorder.write(metrics_path)
         except OSError as exc:
@@ -482,6 +451,7 @@ def run_spec(
             )
     if profiler is not None:
         profiler.benchmark = spec.benchmark
+        profile_path = Path(options.profile_dir) / f"{spec.benchmark}-{key[:12]}.json"
         try:
             profiler.write(profile_path)
         except OSError as exc:
@@ -564,26 +534,17 @@ class ExperimentRunner:
         manifest: Path to a JSONL checkpoint journal; an interrupted
             sweep re-invoked with the same manifest resumes from partial
             progress.
-        failure_report_dir: When set, each failed run writes a
-            diagnostic JSON report under this directory.
-        heartbeat_interval: Seconds between worker liveness heartbeats;
-            enables wedge supervision for pooled sweeps (see
-            :class:`~repro.harness.sweep.SweepEngine`).
         quarantine_dir: Poison-spec registry directory: specs that crash
             or wedge workers on every attempt are quarantined there and
             skipped by later sweeps.
-        memory_budget_mb: Per-run peak-RSS budget in MB, enforced by
-            worker self-monitoring (exported as
-            ``$REPRO_MEMORY_BUDGET_MB`` so pooled workers inherit it); a
-            run over budget checkpoints and fails structurally with
-            :class:`~repro.sim.errors.MemoryBudgetExceeded`.
         coordinate: Work-claim lease coordination with concurrent sweeps
             sharing the cache directory (see
             :mod:`repro.harness.coordinate`).  ``None`` (default) turns
             it on whenever a cache is configured; ``False`` disables it.
-        lease_grace: Seconds of renewal silence before another process
-            may steal one of this sweep's leases (``None``: derived from
-            the supervision cadence, or the module default).
+        options: The :class:`~repro.harness.sweep.RunOptions` every run
+            gets: invariant checking, observer directories and intervals,
+            the heartbeat interval that turns on wedge supervision for
+            pooled sweeps, and the per-run memory budget.
     """
 
     def __init__(
@@ -599,21 +560,14 @@ class ExperimentRunner:
         max_failures: Optional[int] = None,
         fail_fast: bool = False,
         manifest: Union[str, Path, None] = None,
-        failure_report_dir: Union[str, Path, None] = None,
-        heartbeat_interval: Optional[float] = None,
         quarantine_dir: Union[str, Path, None] = None,
-        memory_budget_mb: Optional[float] = None,
         coordinate: Optional[bool] = None,
-        lease_grace: Optional[float] = None,
+        options: Optional[RunOptions] = None,
     ) -> None:
         self.config = config or baseline_config()
         self.scale = scale
         if fail_fast:
             max_failures = 1 if max_failures is None else min(1, max_failures)
-        if memory_budget_mb is not None:
-            # Exported (like the checkpoint/profile knobs) so forked and
-            # spawned pool workers inherit the budget.
-            os.environ[supervise.MEMORY_BUDGET_ENV] = str(memory_budget_mb)
         self.engine = SweepEngine(
             cache=build_result_cache(cache_dir, use_cache),
             jobs=jobs,
@@ -622,11 +576,9 @@ class ExperimentRunner:
             retries=retries,
             max_failures=max_failures,
             manifest=manifest,
-            failure_report_dir=failure_report_dir,
-            heartbeat_interval=heartbeat_interval,
             quarantine_dir=quarantine_dir,
             coordinate=coordinate,
-            lease_grace=lease_grace,
+            options=options,
         )
         self._cache: Dict[str, SimulationResult] = {}
 

@@ -6,16 +6,17 @@ the two sides:
 
 * **Liveness heartbeats.**  Each worker periodically writes a tiny
   ``{cycle, wall, peak_rss_kb, pid}`` record to a per-run heartbeat file
-  (:class:`HeartbeatWriter`, driven by the same run-loop hook cadence as
-  checkpoint auto-snapshots).  The engine-side supervisor reads the
-  record's age to distinguish *slow but progressing* (fresh heartbeat,
-  advancing cycle) from *wedged* (silent past the stall threshold), so a
-  stuck run is killed and requeued long before its full ``--timeout``
-  deadline expires.
+  (:class:`HeartbeatWriter`, driven by a run-loop hook like checkpoint
+  auto-snapshots) in the heartbeat directory the engine names in the
+  run's :class:`~repro.harness.sweep.RunOptions`.  The engine-side
+  supervisor reads the record's age to distinguish *slow but
+  progressing* (fresh heartbeat, advancing cycle) from *wedged* (silent
+  past the stall threshold), so a stuck run is killed and requeued long
+  before its full ``--timeout`` deadline expires.
 * **Resource governance.**  :class:`RunSentinel` is the worker-side
   self-monitor: on every supervision tick it emits a heartbeat, enforces
   the per-run memory budget (``resource.getrusage``, stdlib only) by
-  flushing a checkpoint and raising a picklable
+  flushing the run's checkpoint hook and raising a picklable
   :class:`~repro.sim.errors.MemoryBudgetExceeded`, and honors shutdown
   requests by flushing a checkpoint and raising
   :class:`~repro.sim.errors.WorkerInterrupted`.
@@ -54,65 +55,20 @@ from typing import Dict, Optional, Set, Union
 
 from repro.sim.checkpoint import atomic_write_json
 from repro.sim.errors import MemoryBudgetExceeded, WorkerInterrupted
-
-#: Directory the per-run heartbeat files are written into.  Exported by
-#: the engine before it creates the worker pool (the same pattern as
-#: ``$REPRO_CHECKPOINT_DIR``), so forked/spawned workers inherit it.
-HEARTBEAT_DIR_ENV = "REPRO_HEARTBEAT_DIR"
-
-#: Minimum seconds between heartbeat writes (wall-clock gate).
-HEARTBEAT_INTERVAL_ENV = "REPRO_HEARTBEAT_INTERVAL"
-
-#: Per-run peak-RSS budget in megabytes, enforced by worker
-#: self-monitoring (:class:`RunSentinel`).
-MEMORY_BUDGET_ENV = "REPRO_MEMORY_BUDGET_MB"
+from repro.sim.gpu import PeriodicHook
 
 #: Heartbeat record format version.
 HEARTBEAT_SCHEMA = 1
 
-#: Default wall-clock seconds between heartbeat writes.
-DEFAULT_HEARTBEAT_INTERVAL = 5.0
-
 #: Cycle cadence of the run-loop supervision hook (the heartbeat/budget
 #: tick).  Deliberately much finer than the checkpoint interval — the
 #: tick itself is wall-clock-gated, so a fine cycle cadence costs one
-#: integer compare per loop iteration, not one file write.
+#: call per 1000 cycles, not one file write.
 SUPERVISION_HOOK_CYCLES = 1000
 
-#: A run whose heartbeat is older than ``interval * stall_grace`` (with
+#: A run whose heartbeat is older than ``interval * STALL_GRACE`` (with
 #: this floor, covering worker startup and trace generation) is wedged.
 WEDGE_GRACE_FLOOR = 2.0
-
-
-def heartbeat_dir_from_env() -> Optional[Path]:
-    """Directory named by ``$REPRO_HEARTBEAT_DIR``, or None when unset."""
-    value = os.environ.get(HEARTBEAT_DIR_ENV, "").strip()
-    return Path(value) if value else None
-
-
-def heartbeat_interval_from_env() -> float:
-    """Heartbeat write interval from ``$REPRO_HEARTBEAT_INTERVAL``.
-
-    Falls back to :data:`DEFAULT_HEARTBEAT_INTERVAL` when unset or
-    unparsable — a bad value inherited through the environment must not
-    kill a worker.
-    """
-    value = os.environ.get(HEARTBEAT_INTERVAL_ENV, "").strip()
-    try:
-        interval = float(value)
-    except ValueError:
-        return DEFAULT_HEARTBEAT_INTERVAL
-    return interval if interval >= 0 else DEFAULT_HEARTBEAT_INTERVAL
-
-
-def memory_budget_kb_from_env() -> Optional[int]:
-    """Per-run peak-RSS budget in KB from ``$REPRO_MEMORY_BUDGET_MB``."""
-    value = os.environ.get(MEMORY_BUDGET_ENV, "").strip()
-    try:
-        budget_mb = float(value)
-    except ValueError:
-        return None
-    return int(budget_mb * 1024) if budget_mb > 0 else None
 
 
 def heartbeat_path_for(
@@ -303,16 +259,25 @@ class RunSentinel:
     ) -> None:
         self.heartbeat = heartbeat
         self.memory_budget_kb = memory_budget_kb
+        self.checkpoint: Optional[PeriodicHook] = None
         if heartbeat is not None:
             # First beat immediately: it records this worker's pid before
             # trace generation starts, so the engine can relay signals to
             # (or reclaim) the worker even if the run wedges early.
             heartbeat.beat(0, force=True)
 
-    def attach(self, sim: object) -> None:
-        """Arm ``sim``'s run loop to call :meth:`tick` periodically."""
-        sim.supervision_interval = SUPERVISION_HOOK_CYCLES
-        sim.supervision_hook = self.tick
+    def attach(
+        self, sim: object, checkpoint: Optional[PeriodicHook] = None
+    ) -> None:
+        """Append a hook calling :meth:`tick` to ``sim``'s run loop.
+
+        ``checkpoint`` is the run's checkpoint hook, if any; a
+        structured exit flushes it first.
+        """
+        self.checkpoint = checkpoint
+        sim.hooks.append(
+            PeriodicHook(SUPERVISION_HOOK_CYCLES, self.tick, sim.cycle)
+        )
 
     def tick(self, sim: object) -> None:
         """One supervision tick (called by the simulator's run loop)."""
@@ -341,14 +306,12 @@ class RunSentinel:
                     },
                 )
 
-    @staticmethod
-    def _flush_checkpoint(sim: object) -> None:
+    def _flush_checkpoint(self, sim: object) -> None:
         """Best-effort final snapshot before a structured worker exit."""
-        write = getattr(sim, "checkpoint_write", None)
-        if write is None:
+        if self.checkpoint is None:
             return
         try:
-            write(sim)
+            self.checkpoint.fire(sim)
         except OSError:  # pragma: no cover - best-effort by design
             pass
 
@@ -356,27 +319,6 @@ class RunSentinel:
         """Tear down after a successful run (removes the heartbeat)."""
         if self.heartbeat is not None:
             self.heartbeat.close()
-
-
-def sentinel_from_env(benchmark: str, key: str) -> RunSentinel:
-    """Build the worker-side sentinel for one run from the environment.
-
-    Heartbeats are emitted when ``$REPRO_HEARTBEAT_DIR`` names a
-    directory (the engine exports it before creating the pool); the
-    memory budget comes from ``$REPRO_MEMORY_BUDGET_MB``.  With neither
-    set, the sentinel still performs the shutdown check — that is what
-    lets an inline run checkpoint and bow out on SIGTERM.
-    """
-    heartbeat: Optional[HeartbeatWriter] = None
-    directory = heartbeat_dir_from_env()
-    if directory is not None:
-        heartbeat = HeartbeatWriter(
-            heartbeat_path_for(benchmark, key, directory),
-            heartbeat_interval_from_env(),
-        )
-    return RunSentinel(
-        heartbeat=heartbeat, memory_budget_kb=memory_budget_kb_from_env()
-    )
 
 
 # ----------------------------------------------------------------------

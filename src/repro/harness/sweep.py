@@ -36,10 +36,11 @@ Fault-tolerance model (the integrity layer of the harness):
   every completed run is journaled (append-only JSONL); an interrupted
   sweep re-invoked with the same manifest resumes from partial progress
   even without a result cache.
-* **Mid-run crash recovery.**  With ``$REPRO_CHECKPOINT_DIR`` exported
-  (see :mod:`repro.sim.checkpoint`), every worker snapshots its
-  simulator periodically and :func:`repro.harness.runner.run_spec`
-  resumes from the newest valid snapshot, so a crashed or deadline-hit
+* **Mid-run crash recovery.**  With a checkpoint directory in the
+  sweep's :class:`RunOptions` (see :mod:`repro.sim.checkpoint`), every
+  worker snapshots its simulator periodically and
+  :func:`repro.harness.runner.run_spec` resumes from the newest valid
+  snapshot, so a crashed or deadline-hit
   worker's retry continues from the last checkpoint instead of
   restarting at cycle 0 — and deadline hits become retryable, since
   each attempt makes forward progress.
@@ -48,12 +49,12 @@ Fault-tolerance model (the integrity layer of the harness):
   runs are recorded as ``aborted`` failures, so callers always receive
   one outcome per input spec.
 * **Supervised liveness** (see :mod:`repro.harness.supervise`).  With a
-  ``heartbeat_interval`` set, every pooled worker writes periodic
+  heartbeat interval in the options, every pooled worker writes periodic
   liveness heartbeats and the engine kills+requeues a heartbeat-silent
   (*wedged*) run well before its full ``timeout`` deadline, while a slow
   but progressing run is left alone.
 * **Resource governance.**  Workers self-enforce the per-run memory
-  budget (``$REPRO_MEMORY_BUDGET_MB``) with a structured
+  budget (``RunOptions.memory_budget_mb``) with a structured
   :class:`~repro.sim.errors.MemoryBudgetExceeded`; disk pressure on
   cache/manifest/heartbeat writes warns once and disables that sink
   (with dropped-write counts in the sweep summary) instead of crashing.
@@ -76,17 +77,18 @@ Fault-tolerance model (the integrity layer of the harness):
   optimization — correctness still rests on atomic cache writes — and
   can be disabled with ``coordinate=False`` (CLI: ``--no-coordinate``).
 
-Per-run observability artifacts: with ``$REPRO_PROFILE_DIR`` /
-``$REPRO_METRICS_DIR`` / ``$REPRO_CHECKPOINT_DIR`` exported (the CLI's
-``--profile`` / ``--metrics-dir`` / ``--checkpoint-dir`` do this before
-the pool starts, so every worker inherits them), each *executed* run
+Run options: the engine hands one frozen :class:`RunOptions` to every
+worker call beside the spec, ``worker(spec, options)``, pooled or
+inline, so no setting travels through process-wide state.  With a
+profile, metrics or checkpoint directory in it (the CLI's ``--profile``
+/ ``--metrics-dir`` / ``--checkpoint-dir``), each *executed* run
 additionally writes a wall-clock profile, a windowed-metrics time-series
 document, and periodic snapshots, all named
 ``<benchmark>-<fingerprint[:12]>.*`` — the same key prefix as this
 module's result cache, so a run's artifacts join on the fingerprint
 (see OBSERVABILITY.md).  Cache hits execute nothing and therefore emit
-nothing.  None of the observers changes simulated statistics, so none
-participates in the cache fingerprint.
+nothing.  None of the observers changes simulated statistics, so no
+run option participates in the cache fingerprint.
 
 Cache invalidation contract: :data:`SCHEMA_VERSION` must be bumped
 whenever a change alters simulation semantics (timing model, prefetcher
@@ -108,6 +110,7 @@ import errno
 import hashlib
 import json
 import os
+import shutil
 import signal
 import sys
 import tempfile
@@ -144,8 +147,8 @@ from repro.harness.coordinate import (
 )
 from repro.harness.supervise import QuarantineRegistry, is_disk_pressure
 from repro.sim.checkpoint import (
+    DEFAULT_CHECKPOINT_INTERVAL,
     atomic_write_json,
-    checkpoint_dir_from_env,
     free_bytes,
 )
 from repro.sim.config import GpuConfig
@@ -157,6 +160,7 @@ from repro.sim.errors import (
 )
 from repro.sim.gpu import SimulationResult
 from repro.sim.stats import SimStats
+from repro.sim.telemetry import DEFAULT_METRICS_INTERVAL
 from repro.trace.swp import SoftwarePrefetchConfig
 
 #: Bump whenever a code change alters what any cached result would contain:
@@ -176,6 +180,14 @@ SCHEMA_VERSION = 3
 
 #: Environment variable overriding the default machine-wide cache root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+#: Multiples of the heartbeat interval of silence a supervised pool
+#: tolerates before it declares a run wedged.
+STALL_GRACE = 5.0
+
+#: Maximum seconds a shutdown request waits for in-flight pooled runs to
+#: finish, or checkpoint and bow out.
+DRAIN_TIMEOUT = 30.0
 
 #: Exception types treated as transient (retryable) worker failures: the
 #: pool infrastructure died (:class:`BrokenExecutor` covers a killed or
@@ -244,6 +256,54 @@ class RunSpec:
     perfect_memory: bool
     scale: float
     config: GpuConfig
+
+
+@dataclass(frozen=True)
+class RunOptions:
+    """How to check and observe runs; never part of a spec's fingerprint.
+
+    The sweep engine hands one to every worker call beside the spec, so
+    pooled and inline runs see the same options without any process-wide
+    state.  Observers never change simulated statistics, which is why
+    none of these fields enters the cache key.  Each run names its
+    artifacts ``<benchmark>-<fingerprint[:12]>`` in these directories.
+
+    Attributes:
+        invariants: Attach the invariant checker; ``None`` defers to
+            ``$REPRO_INVARIANTS``.
+        profile_dir: Write a wall-clock profile per executed run here.
+        metrics_dir: Write a windowed-metrics document per executed run.
+        metrics_interval: Nominal simulated cycles per metrics window.
+        checkpoint_dir: Snapshot each run here every
+            ``checkpoint_interval`` cycles; a run whose snapshot is
+            already there resumes from it, and a finished run removes it.
+        checkpoint_interval: Simulated cycles between snapshots.
+        heartbeat_interval: Seconds between worker liveness heartbeats.
+            The sweep engine supervises its pools when this is set.
+        heartbeat_dir: Heartbeat files go here (with an interval set);
+            the engine names a private directory for a pool it
+            supervises when unset.
+        memory_budget_mb: Per-run peak-RSS budget; an over-budget run
+            checkpoints and fails with
+            :class:`~repro.sim.errors.MemoryBudgetExceeded`.
+    """
+
+    invariants: Optional[bool] = None
+    profile_dir: Union[str, Path, None] = None
+    metrics_dir: Union[str, Path, None] = None
+    metrics_interval: int = DEFAULT_METRICS_INTERVAL
+    checkpoint_dir: Union[str, Path, None] = None
+    checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL
+    heartbeat_dir: Union[str, Path, None] = None
+    heartbeat_interval: Optional[float] = None
+    memory_budget_mb: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        for name in ("metrics_interval", "checkpoint_interval",
+                     "heartbeat_interval", "memory_budget_mb"):
+            value = getattr(self, name)
+            if value is not None and not value > 0:
+                raise ValueError(f"{name} must be positive, got {value}")
 
 
 @dataclass
@@ -734,7 +794,7 @@ class ProgressReporter:
 # ----------------------------------------------------------------------
 
 
-def _sweep_worker(spec: RunSpec) -> SimStats:
+def _sweep_worker(spec: RunSpec, options: RunOptions) -> SimStats:
     """Pool entry point: execute one spec, return its (picklable) stats.
 
     Imported lazily so ``runner`` -> ``sweep`` stays a one-way module
@@ -750,7 +810,7 @@ def _sweep_worker(spec: RunSpec) -> SimStats:
     from repro.harness.runner import run_spec
 
     supervise.install_worker_signal_handlers()
-    return run_spec(spec).stats
+    return run_spec(spec, options).stats
 
 
 @dataclass
@@ -824,8 +884,8 @@ class SweepEngine:
             failure; other runs are unaffected.  Inline runs cannot be
             preempted and ignore it.
         progress: Progress/ETA reporter.
-        worker: Run-execution callable (overridable for testing and
-            fault injection).
+        worker: Run-execution callable, called as ``worker(spec,
+            options)`` (overridable for testing and fault injection).
         retries: Maximum *additional* attempts for a transiently-failed
             run (crashed worker, ``OSError``).  Deterministic failures
             are never retried.
@@ -838,16 +898,6 @@ class SweepEngine:
             for resumable sweeps.
         failure_report_dir: When set, every failure writes a diagnostic
             JSON report to ``<dir>/<key>.json``.
-        heartbeat_interval: Seconds between worker liveness heartbeats.
-            Setting it turns on supervision for pooled runs: workers
-            write per-run heartbeat files and the engine kills+requeues
-            a heartbeat-silent run after ``heartbeat_interval *
-            stall_grace`` seconds (floor 2 s) instead of waiting out the
-            full ``timeout``.  ``None`` disables supervision.
-        heartbeat_dir: Directory for the heartbeat files (a private temp
-            directory when unset).
-        stall_grace: Multiples of ``heartbeat_interval`` of silence
-            tolerated before a run is declared wedged.
         quarantine_dir: Poison-spec registry directory.  Specs already
             quarantined there are skipped; specs that exhaust their
             retry budget by crashing/wedging on *every* attempt are
@@ -855,8 +905,6 @@ class SweepEngine:
         graceful_shutdown: Install SIGTERM/SIGINT handlers for the
             duration of :meth:`run` — first signal drains and raises
             :class:`SweepInterrupted`, second forces immediate exit.
-        drain_timeout: Maximum seconds to wait for in-flight runs to
-            finish (or checkpoint and bow out) after a shutdown request.
         coordinate: Claim work-claim leases so concurrent sweeps sharing
             the cache directory never duplicate a simulation (see
             :mod:`repro.harness.coordinate`).  ``None`` (default) enables
@@ -866,9 +914,17 @@ class SweepEngine:
         lease_grace: Seconds of renewal silence after which another
             process may steal one of this sweep's leases.  ``None``
             derives it from the supervision stall threshold
-            (``heartbeat_interval * stall_grace``, floored) when
+            (``heartbeat_interval * STALL_GRACE``, floored) when
             supervising, else
             :data:`~repro.harness.coordinate.DEFAULT_LEASE_GRACE`.
+        options: The :class:`RunOptions` handed to every worker call.
+            Its ``heartbeat_interval`` turns on supervision for pooled
+            runs: workers write per-run heartbeat files (into
+            ``heartbeat_dir``, or a private temporary directory removed
+            when :meth:`run` ends) and the engine kills+requeues a run
+            silent for ``heartbeat_interval * STALL_GRACE`` seconds
+            (floor 2 s) instead of waiting out the full ``timeout``.
+            Inline runs write no heartbeats.
     """
 
     def __init__(
@@ -877,20 +933,17 @@ class SweepEngine:
         jobs: int = 1,
         timeout: Optional[float] = None,
         progress: Optional[ProgressReporter] = None,
-        worker: Callable[[RunSpec], SimStats] = _sweep_worker,
+        worker: Callable[[RunSpec, RunOptions], SimStats] = _sweep_worker,
         retries: int = 2,
         retry_backoff: float = 0.5,
         max_failures: Optional[int] = None,
         manifest: Union[SweepManifest, str, Path, None] = None,
         failure_report_dir: Union[str, Path, None] = None,
-        heartbeat_interval: Optional[float] = None,
-        heartbeat_dir: Union[str, Path, None] = None,
-        stall_grace: float = 5.0,
         quarantine_dir: Union[str, Path, None] = None,
         graceful_shutdown: bool = True,
-        drain_timeout: float = 30.0,
         coordinate: Optional[bool] = None,
         lease_grace: Optional[float] = None,
+        options: Optional[RunOptions] = None,
     ) -> None:
         self.cache = cache
         self.jobs = max(1, int(jobs))
@@ -906,37 +959,29 @@ class SweepEngine:
         self.failure_report_dir = (
             Path(failure_report_dir) if failure_report_dir is not None else None
         )
-        self.heartbeat_interval = (
-            max(0.05, float(heartbeat_interval))
-            if heartbeat_interval is not None
-            else None
-        )
-        self.heartbeat_dir = (
-            Path(heartbeat_dir) if heartbeat_dir is not None else None
-        )
-        self.stall_grace = max(1.0, float(stall_grace))
+        self.options = options or RunOptions()
         self.quarantine = (
             QuarantineRegistry(quarantine_dir)
             if quarantine_dir is not None
             else None
         )
         self.graceful_shutdown = graceful_shutdown
-        self.drain_timeout = max(0.0, float(drain_timeout))
         self.leases: Optional[LeaseManager] = None
+        heartbeat_interval = self.options.heartbeat_interval
         if self.cache is not None and coordinate is not False:
             if lease_grace is None:
                 lease_grace = (
                     max(
-                        self.heartbeat_interval * self.stall_grace,
+                        heartbeat_interval * STALL_GRACE,
                         supervise.WEDGE_GRACE_FLOOR,
                     )
-                    if self.heartbeat_interval is not None
+                    if heartbeat_interval is not None
                     else DEFAULT_LEASE_GRACE
                 )
             self.leases = LeaseManager(
                 lease_dir_for(self.cache.root),
                 grace=lease_grace,
-                renew_interval=self.heartbeat_interval,
+                renew_interval=heartbeat_interval,
             )
         # Cumulative counters, exposed so callers (and the acceptance
         # tests) can verify e.g. that a warm re-run simulated nothing.
@@ -1402,6 +1447,8 @@ class SweepEngine:
     ) -> None:
         from repro.harness.runner import run_spec
 
+        # Inline runs are never supervised, so they write no heartbeats.
+        options = dataclasses.replace(self.options, heartbeat_dir=None)
         pending: deque = deque(misses)
         waiting: deque = deque()  # (key, spec, earliest-next-poll monotonic)
         deferred_keys: set = set()  # ever parked behind a sibling's lease
@@ -1449,9 +1496,9 @@ class SweepEngine:
                         # belong to pool workers, not this process.
                         # Dropping the live cores/DRAM frees each
                         # machine as its run ends.
-                        result = SimulationResult(run_spec(spec).stats)
+                        result = SimulationResult(run_spec(spec, options).stats)
                     else:
-                        result = SimulationResult(self.worker(spec))
+                        result = SimulationResult(self.worker(spec, options))
                 except Exception as exc:  # noqa: BLE001 - fault isolation
                     if (
                         isinstance(exc, WorkerInterrupted)
@@ -1481,20 +1528,15 @@ class SweepEngine:
 
     # ------------------------------------------------------------------
 
-    def _heartbeat_path(self, run: _PendingRun) -> Path:
+    @staticmethod
+    def _heartbeat_path(run: _PendingRun, directory: Path) -> Path:
         """Canonical heartbeat file for a pending run."""
-        return supervise.heartbeat_path_for(
-            run.spec.benchmark, run.key, self.heartbeat_dir
-        )
+        return supervise.heartbeat_path_for(run.spec.benchmark, run.key, directory)
 
-    def _last_heartbeat(self, run: _PendingRun) -> Optional[Dict]:
-        """Latest heartbeat record for a run, or None when silent."""
-        return supervise.read_heartbeat(self._heartbeat_path(run))
-
-    def _clear_heartbeat(self, run: _PendingRun) -> None:
+    def _clear_heartbeat(self, run: _PendingRun, directory: Path) -> None:
         """Drop a stale heartbeat so the next attempt starts fresh."""
         try:
-            self._heartbeat_path(run).unlink(missing_ok=True)
+            self._heartbeat_path(run, directory).unlink(missing_ok=True)
         except OSError:
             pass
 
@@ -1507,19 +1549,22 @@ class SweepEngine:
             return False
         return True
 
-    def _relay_shutdown(self, running: Dict[Future, _PendingRun]) -> None:
+    def _relay_shutdown(
+        self, running: Dict[Future, _PendingRun], directory: Optional[Path]
+    ) -> None:
         """Forward the shutdown request to in-flight worker processes.
 
-        Workers whose pid is known (from their heartbeat) get a SIGTERM;
-        their sentinel then checkpoints and raises ``WorkerInterrupted``
-        at the next tick.  Workers without a heartbeat yet simply finish
-        their (short, pre-simulation) work and drain normally.
+        Workers whose pid is known (from their heartbeat in
+        ``directory``, None when unsupervised) get a SIGTERM; their
+        sentinel then checkpoints and raises ``WorkerInterrupted`` at the
+        next tick.  Workers without a heartbeat yet simply finish their
+        (short, pre-simulation) work and drain normally.
         """
-        if self.heartbeat_interval is None or self.heartbeat_dir is None:
+        if directory is None:
             return
         own = os.getpid()
         for run in running.values():
-            beat = self._last_heartbeat(run)
+            beat = supervise.read_heartbeat(self._heartbeat_path(run, directory))
             pid = beat.get("pid") if beat else None
             if isinstance(pid, int) and pid != own:
                 try:
@@ -1539,16 +1584,16 @@ class SweepEngine:
         down without waiting at the end, so orphaned workers die on
         their own without stalling the sweep.
 
-        With ``heartbeat_interval`` set, workers additionally write
-        liveness heartbeats and a heartbeat-silent run is killed (by the
-        pid its own heartbeat recorded) and requeued as ``wedged`` long
-        before the full deadline.  Killing a pool process makes the
+        With ``options.heartbeat_interval`` set, workers additionally
+        write liveness heartbeats and a heartbeat-silent run is killed (by
+        the pid its own heartbeat recorded) and requeued as ``wedged``
+        long before the full deadline.  Killing a pool process makes the
         executor report ``BrokenProcessPool`` for innocent co-resident
         futures; completions inside a short post-kill window are
         requeued without burning their retry budget (``collateral``).
 
         A graceful-shutdown request flips the loop into *drain* mode: no
-        new admissions, in-flight futures are given ``drain_timeout``
+        new admissions, in-flight futures are given :data:`DRAIN_TIMEOUT`
         seconds to finish (results recorded) or bow out with
         ``WorkerInterrupted`` (left unrecorded, hence resumed later).
         """
@@ -1556,31 +1601,26 @@ class SweepEngine:
         executors: List[ProcessPoolExecutor] = []
         executor: Optional[ProcessPoolExecutor] = None
         lost_slots = 0
-        # With $REPRO_CHECKPOINT_DIR exported, every worker checkpoints
-        # its run periodically and run_spec() resumes from the newest
-        # valid snapshot — which makes deadline hits worth retrying.
-        resumable = checkpoint_dir_from_env() is not None
+        # With a checkpoint directory, every worker checkpoints its run
+        # periodically and run_spec() resumes from the newest valid
+        # snapshot — which makes deadline hits worth retrying.
+        resumable = self.options.checkpoint_dir is not None
 
-        supervising = self.heartbeat_interval is not None
-        saved_env: Dict[str, Optional[str]] = {}
+        heartbeat_interval = self.options.heartbeat_interval
+        supervising = heartbeat_interval is not None
+        heartbeat_dir: Optional[Path] = None
+        private_dir: Optional[str] = None
         if supervising:
-            if self.heartbeat_dir is None:
-                self.heartbeat_dir = Path(
-                    tempfile.mkdtemp(prefix="repro-heartbeats-")
-                )
-            self.heartbeat_dir.mkdir(parents=True, exist_ok=True)
-            # Exported (not passed) so pool workers inherit them exactly
-            # like $REPRO_CHECKPOINT_DIR; restored in the finally block.
-            for name, value in (
-                (supervise.HEARTBEAT_DIR_ENV, str(self.heartbeat_dir)),
-                (supervise.HEARTBEAT_INTERVAL_ENV, str(self.heartbeat_interval)),
-            ):
-                saved_env[name] = os.environ.get(name)
-                os.environ[name] = value
+            if self.options.heartbeat_dir is None:
+                private_dir = tempfile.mkdtemp(prefix="repro-heartbeats-")
+                heartbeat_dir = Path(private_dir)
+            else:
+                heartbeat_dir = Path(self.options.heartbeat_dir)
+                heartbeat_dir.mkdir(parents=True, exist_ok=True)
             stall_threshold = max(
-                self.heartbeat_interval * self.stall_grace,
-                supervise.WEDGE_GRACE_FLOOR,
+                heartbeat_interval * STALL_GRACE, supervise.WEDGE_GRACE_FLOOR
             )
+        options = dataclasses.replace(self.options, heartbeat_dir=heartbeat_dir)
         kill_window_until = 0.0
 
         def fresh_executor() -> ProcessPoolExecutor:
@@ -1599,13 +1639,13 @@ class SweepEngine:
         def submit(run: _PendingRun) -> None:
             nonlocal executor
             if supervising:
-                self._clear_heartbeat(run)
+                self._clear_heartbeat(run, heartbeat_dir)
             run.submitted_wall = time.time()
             try:
-                future = executor.submit(self.worker, run.spec)
+                future = executor.submit(self.worker, run.spec, options)
             except (BrokenExecutor, RuntimeError):
                 executor = fresh_executor()
-                future = executor.submit(self.worker, run.spec)
+                future = executor.submit(self.worker, run.spec, options)
             run.deadline = (
                 time.monotonic() + self.timeout if self.timeout else None
             )
@@ -1626,8 +1666,8 @@ class SweepEngine:
                 if self.graceful_shutdown and supervise.shutdown_requested():
                     if not draining:
                         draining = True
-                        drain_deadline = time.monotonic() + self.drain_timeout
-                        self._relay_shutdown(running)
+                        drain_deadline = time.monotonic() + DRAIN_TIMEOUT
+                        self._relay_shutdown(running, heartbeat_dir)
                     if not running or time.monotonic() >= drain_deadline:
                         self.interrupted = True
                         return
@@ -1778,7 +1818,9 @@ class SweepEngine:
                 if supervising and running:
                     now_wall = time.time()
                     for future, run in list(running.items()):
-                        beat = self._last_heartbeat(run)
+                        beat = supervise.read_heartbeat(
+                            self._heartbeat_path(run, heartbeat_dir)
+                        )
                         alive_at = (
                             beat["wall"]
                             if beat and isinstance(beat.get("wall"), (int, float))
@@ -1804,7 +1846,7 @@ class SweepEngine:
                             # No pid to kill: abandon the worker and
                             # write its slot off.
                             lost_slots += 1
-                        self._clear_heartbeat(run)
+                        self._clear_heartbeat(run, heartbeat_dir)
                         if not draining and run.attempt < self.retries:
                             requeue(run, time.monotonic())
                             continue
@@ -1861,12 +1903,9 @@ class SweepEngine:
                     if not running:
                         executor = fresh_executor()
         finally:
-            for name, value in saved_env.items():
-                if value is None:
-                    os.environ.pop(name, None)
-                else:
-                    os.environ[name] = value
             for ex in executors:
                 # Never block on hung workers; orphaned runs finish (or
                 # die) on their own without affecting us.
                 ex.shutdown(wait=False, cancel_futures=True)
+            if private_dir is not None:
+                shutil.rmtree(private_dir, ignore_errors=True)

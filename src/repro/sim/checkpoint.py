@@ -71,16 +71,21 @@ sweep result cache: a crash mid-write leaves either the previous valid
 checkpoint or a stray temp file, never a half-written snapshot at the
 final path.
 
-Typical use (what :mod:`repro.harness.runner` does)::
+Auto-snapshots ride the simulator's run-loop hook list
+(:attr:`~repro.sim.gpu.GpuSimulator.hooks`): :func:`attach_checkpointing`
+appends a periodic hook, and a run's sentinel flushes that same hook
+before a structured exit.  Typical use (what :mod:`repro.harness.runner`
+does from a :class:`~repro.harness.sweep.RunOptions` checkpoint
+directory)::
 
-    fingerprint = spec.fingerprint()
+    tag = fingerprint(spec)
     sim = GpuSimulator(config, factory)
     sim.load_workload(blocks, max_blocks)
-    attach_checkpointing(sim, path, interval=50_000, fingerprint=fingerprint)
+    attach_checkpointing(sim, path, interval=50_000, fingerprint=tag)
     result = sim.run(strict=True)        # snapshots every ~50K cycles
 
     # ... after a crash, in a fresh process:
-    envelope = load_checkpoint(path, fingerprint=fingerprint, config=config)
+    envelope = load_checkpoint(path, fingerprint=tag, config=config)
     sim = restore_simulator(envelope, config, factory, blocks, max_blocks)
     result = sim.run(strict=True)        # picks up where the crash hit
 """
@@ -110,39 +115,9 @@ from repro.sim.errors import CheckpointError
 #: records it and :func:`load_state` checks it.
 CHECKPOINT_SCHEMA = 2
 
-#: Environment variable naming the directory auto-checkpoints are
-#: written into.  Mirrors ``$REPRO_PROFILE_DIR``: the CLI exports it
-#: before the sweep engine forks workers, so pooled runs checkpoint
-#: exactly like inline ones.
-CHECKPOINT_DIR_ENV = "REPRO_CHECKPOINT_DIR"
-
-#: Environment variable carrying the auto-checkpoint interval in cycles.
-CHECKPOINT_INTERVAL_ENV = "REPRO_CHECKPOINT_INTERVAL"
-
 #: Default auto-checkpoint interval (cycles) when a directory is set but
 #: no interval is given.
 DEFAULT_CHECKPOINT_INTERVAL = 50_000
-
-
-def checkpoint_dir_from_env() -> Optional[Path]:
-    """Directory named by ``$REPRO_CHECKPOINT_DIR``, or None when unset."""
-    value = os.environ.get(CHECKPOINT_DIR_ENV, "").strip()
-    return Path(value) if value else None
-
-
-def checkpoint_interval_from_env() -> int:
-    """Auto-checkpoint interval from ``$REPRO_CHECKPOINT_INTERVAL``.
-
-    Falls back to :data:`DEFAULT_CHECKPOINT_INTERVAL` when unset or
-    unparsable (a bad value must not kill a worker that merely inherited
-    the environment).
-    """
-    value = os.environ.get(CHECKPOINT_INTERVAL_ENV, "").strip()
-    try:
-        interval = int(value)
-    except ValueError:
-        return DEFAULT_CHECKPOINT_INTERVAL
-    return interval if interval > 0 else DEFAULT_CHECKPOINT_INTERVAL
 
 
 def canonical_json(document: object) -> str:
@@ -754,12 +729,15 @@ CHECKPOINT_FREE_SPACE_FLOOR = 4 << 20
 
 def attach_checkpointing(
     sim: "object", path: Union[str, Path], interval: int, fingerprint: str = ""
-) -> None:
+) -> Optional["object"]:
     """Arm a simulator to auto-checkpoint every ``interval`` cycles.
 
+    Appends a :class:`~repro.sim.gpu.PeriodicHook` to ``sim.hooks`` whose
+    first boundary is strictly past the simulator's current cycle, and
+    returns it (a run's sentinel flushes it before a structured exit).
     The run loop then calls :func:`write_checkpoint` at the first loop
     iteration at or past each interval boundary.  ``interval <= 0``
-    disables checkpointing.
+    attaches nothing and returns None.
 
     Each snapshot is preflighted against
     :data:`CHECKPOINT_FREE_SPACE_FLOOR`; a failed preflight or a write
@@ -768,10 +746,10 @@ def attach_checkpointing(
     instead of crashing it — crash *recoverability* degrades, the
     simulation itself survives.
     """
+    from repro.sim.gpu import PeriodicHook
+
     if interval <= 0:
-        sim.checkpoint_interval = 0
-        sim.checkpoint_write = None
-        return
+        return None
     destination = Path(path)
     state = {"disabled": False}
 
@@ -797,5 +775,6 @@ def attach_checkpointing(
                 stacklevel=2,
             )
 
-    sim.checkpoint_interval = interval
-    sim.checkpoint_write = _auto_snapshot
+    hook = PeriodicHook(interval, _auto_snapshot, sim.cycle)
+    sim.hooks.append(hook)
+    return hook

@@ -34,6 +34,30 @@ from repro.sim.telemetry import MetricsRecorder
 PrefetcherFactory = Callable[[int], Optional[HardwarePrefetcher]]
 
 
+class PeriodicHook:
+    """Run-loop hook calling ``action(sim)`` every ``interval`` cycles.
+
+    Its first boundary is the first multiple of ``interval`` strictly
+    past ``cycle``, the cycle it is attached at, so a run resumed from a
+    snapshot does not repeat the boundary it resumed from.  Attach it by
+    appending it to :attr:`GpuSimulator.hooks`.
+    """
+
+    __slots__ = ("interval", "action", "due_cycle")
+
+    def __init__(
+        self, interval: int, action: Callable[["GpuSimulator"], object], cycle: int
+    ) -> None:
+        self.interval = interval
+        self.action = action
+        self.due_cycle = (cycle // interval + 1) * interval
+
+    def fire(self, sim: "GpuSimulator") -> None:
+        """Advance to the next boundary past ``sim.cycle``, then act."""
+        self.due_cycle = (sim.cycle // self.interval + 1) * self.interval
+        self.action(sim)
+
+
 class SimulationResult:
     """Outcome of one simulation: the stats plus handles for inspection.
 
@@ -79,18 +103,14 @@ class GpuSimulator:
 
     __slots__ = (
         "config", "cores", "interconnect", "dram", "_blocks", "_block_queues",
-        "cycle", "invariants", "profiler", "metrics", "checkpoint_interval",
-        "checkpoint_write", "supervision_interval", "supervision_hook",
+        "cycle", "invariants", "profiler", "metrics", "hooks",
         "__weakref__",  # callers may key side tables by simulator
     )
 
     #: Fields a snapshot does not store (see :mod:`repro.sim.checkpoint`):
     #: the config, the loaded blocks (rebuilt from the run spec) and the
     #: run-loop hooks of the process that runs it.
-    snapshot_static = (
-        "config", "_blocks", "checkpoint_interval", "checkpoint_write",
-        "supervision_interval", "supervision_hook",
-    )
+    snapshot_static = ("config", "_blocks", "hooks")
 
     def __init__(
         self,
@@ -142,34 +162,19 @@ class GpuSimulator:
         if profiler is not None:
             for core in self.cores:
                 core.profiler = profiler
-        #: Telemetry hook: when set, the main loop calls
-        #: ``metrics.sample(self)`` at the same safe loop-top point as
-        #: the checkpoint hook (and *before* it, so a snapshot taken at
-        #: the same boundary carries the post-sample recorder state), on
-        #: the recorder's own cycle cadence.  Unlike the checkpoint and
-        #: supervision hooks this IS serialized into snapshots — the
-        #: window series of a resumed run must continue bit-identically.
+        #: Telemetry observer, the first run-loop hook.  Unlike the other
+        #: hooks it IS serialized into snapshots, so the window series of
+        #: a resumed run continues bit-identically.
         self.metrics = metrics
-        #: Checkpoint hook: when ``checkpoint_write`` is set and
-        #: ``checkpoint_interval`` > 0, the main loop calls
-        #: ``checkpoint_write(self)`` at the top of the first iteration at
-        #: or past each interval boundary — the one point in the loop
-        #: where the machine state is self-consistent and a resumed run
-        #: replays the remaining iterations identically.
-        self.checkpoint_interval = 0
-        self.checkpoint_write: Optional[Callable[["GpuSimulator"], object]] = None
-        #: Supervision hook: when ``supervision_hook`` is set and
-        #: ``supervision_interval`` > 0, the main loop calls
-        #: ``supervision_hook(self)`` at the same safe loop-top point as
-        #: the checkpoint hook, on a (much finer) cycle cadence.  The
-        #: worker sentinel (:mod:`repro.harness.supervise`) uses it to
-        #: emit liveness heartbeats and enforce memory budgets and
-        #: shutdown requests; the hook may raise a structured
-        #: :class:`~repro.sim.errors.SimulationError` to end the run.
-        #: Like the checkpoint hook, it is runtime plumbing and is never
-        #: stored in snapshots.
-        self.supervision_interval = 0
-        self.supervision_hook: Optional[Callable[["GpuSimulator"], object]] = None
+        #: Periodic run-loop observers (each with a ``due_cycle`` and a
+        #: ``fire(sim)`` that advances it), fired in list order at the
+        #: top of the first loop iteration at or past their due cycle:
+        #: the one point where the machine state is self-consistent, so
+        #: a snapshot taken there resumes identically.  A hook may raise
+        #: a structured :class:`~repro.sim.errors.SimulationError` to end
+        #: the run.  Checkpointing and the worker sentinel append theirs
+        #: after the recorder, so a snapshot holds that loop-top's sample.
+        self.hooks: List = [] if metrics is None else [metrics]
 
     # ------------------------------------------------------------------
     # Workload setup
@@ -271,53 +276,20 @@ class GpuSimulator:
             timer = perf_counter
             prof.start()
 
-        rec = self.metrics
-        if rec is not None:
-            # The recorder owns its next boundary (serialized state):
-            # recomputing it here would re-sample a resumed run's
-            # checkpoint cycle and fork the window series.
-            next_sample = rec.next_sample_cycle
-        else:
-            next_sample = 0
-
-        ckpt_write = self.checkpoint_write
-        ckpt_interval = self.checkpoint_interval
-        if ckpt_write is not None and ckpt_interval > 0:
-            # First boundary strictly past the current cycle, so a run
-            # resumed from a checkpoint does not immediately re-write it.
-            next_checkpoint = (cycle // ckpt_interval + 1) * ckpt_interval
-        else:
-            ckpt_write = None
-            next_checkpoint = 0
-
-        sup_hook = self.supervision_hook
-        sup_interval = self.supervision_interval
-        if sup_hook is not None and sup_interval > 0:
-            next_supervision = (cycle // sup_interval + 1) * sup_interval
-        else:
-            sup_hook = None
-            next_supervision = 0
+        hooks = self.hooks
+        next_hook = min([hook.due_cycle for hook in hooks], default=NEVER)
 
         while cycle < max_cycles:
-            if rec is not None and cycle >= next_sample:
-                # Fires at the first loop-top at or past the boundary
-                # (the event loop may have skipped the boundary cycle
-                # itself); the window records its exact span.  Runs
-                # before the checkpoint hook so a snapshot taken at this
-                # same loop-top already contains this sample.
+            if cycle >= next_hook:
+                # Fires at the first loop-top at or past a hook's due
+                # cycle (the event loop may have skipped the cycle
+                # itself).  self.cycle is synced first so a snapshot
+                # taken by any hook holds the loop-top state exactly.
                 self.cycle = cycle
-                rec.sample(self)
-                next_sample = rec.next_sample_cycle
-            if ckpt_write is not None and cycle >= next_checkpoint:
-                self.cycle = cycle
-                ckpt_write(self)
-                next_checkpoint = (cycle // ckpt_interval + 1) * ckpt_interval
-            if sup_hook is not None and cycle >= next_supervision:
-                # self.cycle is synced first so a checkpoint flushed from
-                # inside the hook snapshots the loop-top state exactly.
-                self.cycle = cycle
-                sup_hook(self)
-                next_supervision = (cycle // sup_interval + 1) * sup_interval
+                for hook in hooks:
+                    if cycle >= hook.due_cycle:
+                        hook.fire(self)
+                next_hook = min(hook.due_cycle for hook in hooks)
             if prof is not None:
                 prof.loop_iterations += 1
                 t_phase = timer()
@@ -486,6 +458,7 @@ class GpuSimulator:
 
         self.cycle = cycle
         truncated = cycle >= max_cycles and not self._finished()
+        rec = self.metrics
         if rec is not None:
             # Close the final (possibly partial) window: counters can
             # advance between the last boundary sample and loop exit

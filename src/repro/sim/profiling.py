@@ -29,32 +29,20 @@ Typical use::
     result = sim.run()
     profiler.write("profile.json")
 
-or, from the CLI, ``python -m repro run monte --profile DIR`` (the sweep
-engine writes one ``<benchmark>-<fingerprint>.json`` per executed run
-into ``DIR``; see :mod:`repro.harness.sweep`).
+or, from the CLI, ``python -m repro run monte --profile DIR`` (the
+directory travels to every run in its
+:class:`~repro.harness.sweep.RunOptions`, and each executed run writes
+one ``<benchmark>-<fingerprint[:12]>.json`` into ``DIR``).
 """
 
 from __future__ import annotations
 
-import os
 import time
 from pathlib import Path
-from typing import Dict, Optional, Union
+from typing import Dict, Union
 
 #: Schema tag embedded in every emitted profile document.
 PROFILE_SCHEMA = 1
-
-#: Environment variable naming the directory run profiles are written
-#: into.  Mirrors ``$REPRO_INVARIANTS``: the CLI exports it before the
-#: sweep engine forks workers, so pooled runs profile exactly like
-#: inline ones.
-PROFILE_DIR_ENV = "REPRO_PROFILE_DIR"
-
-
-def profile_dir_from_env() -> Optional[Path]:
-    """Directory named by ``$REPRO_PROFILE_DIR``, or None when unset/empty."""
-    value = os.environ.get(PROFILE_DIR_ENV, "").strip()
-    return Path(value) if value else None
 
 #: Wall-clock phase names, in main-loop order.  ``SimProfiler.wall`` is
 #: pre-populated with these so downstream consumers see a stable key set

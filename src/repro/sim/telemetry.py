@@ -12,11 +12,12 @@ samples a fixed schema of counters on a nominal cadence of
 ``interval`` simulated cycles (default :data:`DEFAULT_METRICS_INTERVAL`)
 and folds each sample into a bounded ring of *window* records.
 
-Sampling rides the same safe loop-top hook point as checkpointing: the
-recorder fires at the top of the first loop iteration at or past each
-interval boundary.  The event-accelerated loop only iterates on eventful
-cycles, so a window's actual span can exceed the nominal interval; every
-window therefore records its exact ``[start, end)`` cycle range.
+The recorder is the simulator's first run-loop hook (it rides the same
+safe loop-top point as checkpointing, just before it): it fires at the
+top of the first loop iteration at or past each interval boundary.  The
+event-accelerated loop only iterates on eventful cycles, so a window's
+actual span can exceed the nominal interval; every window therefore
+records its exact ``[start, end)`` cycle range.
 Boundaries are deliberately *not* made event candidates — forcing extra
 loop iterations would perturb stall accounting, and the recorder must
 never change simulated behaviour (the telemetry suite asserts a
@@ -63,9 +64,11 @@ Typical use::
     sim.run()
     recorder.write("run.metrics.json")
 
-or, from the CLI, ``python -m repro run monte --metrics-dir DIR`` (every
-executed run writes ``<benchmark>-<fingerprint[:12]>.metrics.json`` into
-DIR, the same key prefix as cached results, profiles and checkpoints),
+or, from the CLI, ``python -m repro run monte --metrics-dir DIR`` (the
+directory travels to every run in its
+:class:`~repro.harness.sweep.RunOptions`, and every executed run writes
+``<benchmark>-<fingerprint[:12]>.metrics.json`` into DIR, the same key
+prefix as cached results, profiles and checkpoints),
 then ``python -m repro report DIR/monte-<fp>.metrics.json`` to render the
 document.  See OBSERVABILITY.md for how the three observer layers fit
 together.
@@ -73,23 +76,12 @@ together.
 
 from __future__ import annotations
 
-import os
 from collections import deque
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Union
 
 #: Schema tag embedded in every emitted metrics document.
 METRICS_SCHEMA = 1
-
-#: Environment variable naming the directory metrics documents are
-#: written into.  Mirrors ``$REPRO_PROFILE_DIR``: the CLI exports it
-#: before the sweep engine forks workers, so pooled runs record exactly
-#: like inline ones.
-METRICS_DIR_ENV = "REPRO_METRICS_DIR"
-
-#: Environment variable overriding the nominal sampling interval
-#: (simulated cycles between window samples).
-METRICS_INTERVAL_ENV = "REPRO_METRICS_INTERVAL"
 
 #: Nominal simulated cycles per window (``--metrics-interval`` default).
 DEFAULT_METRICS_INTERVAL = 1000
@@ -155,35 +147,14 @@ SIMSTATS_EQUIVALENTS = {
 }
 
 
-def metrics_dir_from_env() -> Optional[Path]:
-    """Directory named by ``$REPRO_METRICS_DIR``, or None when unset/empty."""
-    value = os.environ.get(METRICS_DIR_ENV, "").strip()
-    return Path(value) if value else None
-
-
-def metrics_interval_from_env() -> int:
-    """Sampling interval from ``$REPRO_METRICS_INTERVAL``.
-
-    Falls back to :data:`DEFAULT_METRICS_INTERVAL` when unset, empty,
-    non-numeric or non-positive — a misconfigured interval degrades to
-    the default rather than disabling telemetry or crashing a sweep.
-    """
-    value = os.environ.get(METRICS_INTERVAL_ENV, "").strip()
-    try:
-        interval = int(value)
-    except ValueError:
-        return DEFAULT_METRICS_INTERVAL
-    return interval if interval > 0 else DEFAULT_METRICS_INTERVAL
-
-
 class MetricsRecorder:
     """Bounded ring of windowed machine metrics for one simulator run.
 
     One recorder instruments one :class:`~repro.sim.gpu.GpuSimulator`
     run (or one checkpointed run across its interrupted and resumed
-    processes).  The simulator drives it: the main loop calls
-    :meth:`sample` at the top of the first iteration at or past
-    :attr:`next_sample_cycle`, and :meth:`finish` once the run
+    processes).  The simulator drives it as its first run-loop hook: the
+    main loop calls :meth:`sample` at the top of the first iteration at
+    or past :attr:`next_sample_cycle`, and :meth:`finish` once the run
     completes, which closes the final (possibly partial) window so the
     series covers every simulated cycle exactly once.
 
@@ -363,6 +334,18 @@ class MetricsRecorder:
         self.num_cores = sim.config.num_cores
         self._append_window(cycle, self._snapshot(sim), self._gauges(sim))
         self.next_sample_cycle = (cycle // self.interval + 1) * self.interval
+
+    # The run-loop hook protocol (see GpuSimulator.hooks): the recorder
+    # is its own hook, due at its serialized next_sample_cycle.
+
+    @property
+    def due_cycle(self) -> int:
+        """Cycle the next sample is due (:attr:`next_sample_cycle`)."""
+        return self.next_sample_cycle
+
+    def fire(self, sim: object) -> None:
+        """Take the due sample (looks :meth:`sample` up at call time)."""
+        self.sample(sim)
 
     def finish(self, sim: object) -> None:
         """Close the final window at the end of a run.

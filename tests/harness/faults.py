@@ -110,7 +110,7 @@ def _stats_for(spec) -> SimStats:
     return stats
 
 
-def flaky_worker(spec) -> SimStats:
+def flaky_worker(spec, options) -> SimStats:
     """Crash with a transient ``OSError`` on the first attempt per spec,
     succeed on every later attempt — the retry-then-success scenario."""
     attempt = record_attempt(spec)
@@ -119,14 +119,14 @@ def flaky_worker(spec) -> SimStats:
     return _stats_for(spec)
 
 
-def crashing_worker(spec) -> SimStats:
+def crashing_worker(spec, options) -> SimStats:
     """Crash with a transient ``OSError`` on *every* attempt — exercises
     retry exhaustion."""
     attempt = record_attempt(spec)
     raise OSError(f"injected permanent fault (attempt {attempt})")
 
 
-def invariant_worker(spec) -> SimStats:
+def invariant_worker(spec, options) -> SimStats:
     """Raise a deterministic :class:`InvariantViolation` on every attempt.
 
     The engine must record it immediately (kind ``"invariant"``) without
@@ -141,7 +141,7 @@ def invariant_worker(spec) -> SimStats:
     )
 
 
-def selectively_slow_worker(spec) -> SimStats:
+def selectively_slow_worker(spec, options) -> SimStats:
     """Stall (sleep well past any test deadline) for benchmark ``monte``
     only; return instantly for everything else.  Lets tests prove that a
     per-run deadline condemns exactly the stalled run."""
@@ -151,7 +151,7 @@ def selectively_slow_worker(spec) -> SimStats:
     return _stats_for(spec)
 
 
-def truncating_worker(spec) -> SimStats:
+def truncating_worker(spec, options) -> SimStats:
     """Return statistics flagged ``truncated`` — a run that hit its cycle
     limit.  The engine must surface it as a ``truncated`` failure and
     must never cache it."""
@@ -161,7 +161,7 @@ def truncating_worker(spec) -> SimStats:
     return stats
 
 
-def fast_worker(spec) -> SimStats:
+def fast_worker(spec, options) -> SimStats:
     """Always succeed instantly (control runs alongside injected faults)."""
     record_attempt(spec)
     return _stats_for(spec)
@@ -306,6 +306,7 @@ def write_midrun_checkpoint(spec, path) -> int:
     right after its first checkpoint leaves.  Returns the snapshot cycle.
     """
     from repro.sim.checkpoint import write_checkpoint
+    from repro.sim.gpu import PeriodicHook
 
     sim = _build_sim_for(spec)
 
@@ -319,8 +320,7 @@ def write_midrun_checkpoint(spec, path) -> int:
         snapshot_cycle.append(s.cycle)
         raise _Abandon
 
-    sim.checkpoint_interval = 500
-    sim.checkpoint_write = crash_after_snapshot
+    sim.hooks.append(PeriodicHook(500, crash_after_snapshot, sim.cycle))
     try:
         sim.run()
     except _Abandon:
@@ -328,24 +328,22 @@ def write_midrun_checkpoint(spec, path) -> int:
     return snapshot_cycle[0]
 
 
-def sigkill_after_snapshot(spec) -> None:
+def sigkill_after_snapshot(spec, directory) -> None:
     """Auto-checkpoint a run of ``spec`` and SIGKILL right afterwards.
 
     **Subprocess use only** — this kills the calling process dead, with
     no cleanup, exactly like the OOM killer or a pulled plug.  The
-    snapshot lands at the spec's canonical ``$REPRO_CHECKPOINT_DIR``
-    location first, so what the parent test finds on disk is a genuine
-    artifact of a hard-killed process (written, synced via
+    snapshot lands at the spec's canonical location under the checkpoint
+    ``directory`` first, so what the parent test finds on disk is a
+    genuine artifact of a hard-killed process (written, synced via
     ``os.replace``, then orphaned), not a simulated crash.
     """
     import signal
 
     from repro.harness.runner import checkpoint_path_for
-    from repro.sim.checkpoint import checkpoint_dir_from_env, write_checkpoint
+    from repro.sim.checkpoint import write_checkpoint
+    from repro.sim.gpu import PeriodicHook
 
-    directory = checkpoint_dir_from_env()
-    if directory is None:
-        raise RuntimeError("sigkill_after_snapshot needs $REPRO_CHECKPOINT_DIR")
     path = checkpoint_path_for(spec, directory)
     sim = _build_sim_for(spec)
 
@@ -353,39 +351,37 @@ def sigkill_after_snapshot(spec) -> None:
         write_checkpoint(path, s, fingerprint=fingerprint(spec))
         os.kill(os.getpid(), signal.SIGKILL)
 
-    sim.checkpoint_interval = 500
-    sim.checkpoint_write = write_and_die
+    sim.hooks.append(PeriodicHook(500, write_and_die, sim.cycle))
     sim.run(strict=True)
     raise RuntimeError(
         "unreachable: the process should have died at its first snapshot"
     )
 
 
-def checkpointing_crash_worker(spec) -> SimStats:
+def checkpointing_crash_worker(spec, options) -> SimStats:
     """Die transiently after leaving a genuine mid-run snapshot, once.
 
     Attempt 1 writes a real auto-checkpoint to the spec's canonical
-    location under ``$REPRO_CHECKPOINT_DIR`` and raises ``OSError`` —
+    location under ``options.checkpoint_dir`` and raises ``OSError`` —
     the crash-after-first-snapshot scenario.  Every later attempt runs
     the real :func:`~repro.harness.runner.run_spec`, which must find the
     snapshot and resume from it (asserted by the caller via the
     resumed-run profile and bit-identical stats).
     """
     from repro.harness.runner import checkpoint_path_for, run_spec
-    from repro.sim.checkpoint import checkpoint_dir_from_env
 
     attempt = record_attempt(spec)
-    directory = checkpoint_dir_from_env()
+    directory = options.checkpoint_dir
     if directory is None:
         raise RuntimeError(
-            "checkpointing_crash_worker needs $REPRO_CHECKPOINT_DIR"
+            "checkpointing_crash_worker needs a checkpoint directory"
         )
     if attempt == 1:
         cycle = write_midrun_checkpoint(spec, checkpoint_path_for(spec, directory))
         raise OSError(
             f"injected crash right after the cycle-{cycle} snapshot"
         )
-    return run_spec(spec).stats
+    return run_spec(spec, options).stats
 
 
 # ----------------------------------------------------------------------
@@ -404,7 +400,7 @@ WEDGE_SECONDS = 45.0
 PACE_SECONDS = 0.35
 
 
-def _write_one_heartbeat(spec) -> None:
+def _write_one_heartbeat(spec, options) -> None:
     """Emit a single genuine heartbeat for ``spec`` (records our pid).
 
     Wedge workers call this before going silent so the supervisor can
@@ -413,7 +409,7 @@ def _write_one_heartbeat(spec) -> None:
     """
     from repro.harness import supervise
 
-    directory = supervise.heartbeat_dir_from_env()
+    directory = options.heartbeat_dir
     if directory is None:
         return
     writer = supervise.HeartbeatWriter(
@@ -424,37 +420,37 @@ def _write_one_heartbeat(spec) -> None:
     writer.beat(0, force=True)
 
 
-def wedge_worker(spec) -> SimStats:
+def wedge_worker(spec, options) -> SimStats:
     """Heartbeat once, then go silent in a sleep-loop — a wedged run.
 
     Never returns within any test deadline; the supervisor must notice
     the heartbeat silence, SIGKILL the worker, and requeue the run.
     """
     record_attempt(spec)
-    return _wedge_silently(spec)
+    return _wedge_silently(spec, options)
 
 
-def selectively_wedged_worker(spec) -> SimStats:
+def selectively_wedged_worker(spec, options) -> SimStats:
     """Wedge (heartbeat-silent) for benchmark ``monte`` on the first
     attempt only; succeed instantly for everything else and on retries.
     Proves the supervisor condemns exactly the wedged run, strictly
     before the per-run ``timeout``, and that the requeue succeeds."""
     attempt = record_attempt(spec)
     if spec.benchmark == "monte" and attempt == 1:
-        return _wedge_silently(spec)
+        return _wedge_silently(spec, options)
     return _stats_for(spec)
 
 
-def _wedge_silently(spec) -> SimStats:
+def _wedge_silently(spec, options) -> SimStats:
     """Go heartbeat-silent without recording another attempt marker."""
-    _write_one_heartbeat(spec)
+    _write_one_heartbeat(spec, options)
     deadline = time.monotonic() + WEDGE_SECONDS
     while time.monotonic() < deadline:  # pragma: no cover - killed early
         time.sleep(0.05)
     return _stats_for(spec)
 
 
-def selectively_crashing_worker(spec) -> SimStats:
+def selectively_crashing_worker(spec, options) -> SimStats:
     """Crash every attempt for benchmark ``monte`` (a poison spec),
     succeed for everything else.
 
@@ -475,7 +471,7 @@ BALLOON_BYTES = 256 << 20
 _BALLAST = None  # keeps the balloon alive until the sentinel fires
 
 
-def rss_balloon_worker(spec) -> SimStats:
+def rss_balloon_worker(spec, options) -> SimStats:
     """Balloon the worker's RSS past any sane budget, then run for real.
 
     The allocation happens *before* the simulation starts, so the run's
@@ -488,7 +484,7 @@ def rss_balloon_worker(spec) -> SimStats:
     global _BALLAST
     record_attempt(spec)
     _BALLAST = bytearray(b"\xa5" * BALLOON_BYTES)
-    return run_spec(spec).stats
+    return run_spec(spec, options).stats
 
 
 def raise_enospc(*args, **kwargs):
@@ -503,7 +499,7 @@ def raise_enospc(*args, **kwargs):
     raise OSError(_errno.ENOSPC, "No space left on device (injected)")
 
 
-def paced_worker(spec) -> SimStats:
+def paced_worker(spec, options) -> SimStats:
     """Run the real simulation, preceded by a short pace-keeping sleep.
 
     Used by :func:`supervised_sweep_main`: the sleep keeps the sweep
@@ -517,7 +513,7 @@ def paced_worker(spec) -> SimStats:
 
     supervise.install_worker_signal_handlers()
     time.sleep(PACE_SECONDS)
-    return run_spec(spec).stats
+    return run_spec(spec, options).stats
 
 
 def supervised_sweep_main(argv=None) -> None:
@@ -542,7 +538,7 @@ def supervised_sweep_main(argv=None) -> None:
     import sys
 
     from repro.harness.runner import make_spec
-    from repro.harness.sweep import SweepEngine, SweepInterrupted
+    from repro.harness.sweep import RunOptions, SweepEngine, SweepInterrupted
 
     args = list(sys.argv[1:] if argv is None else argv)
     if not args:
@@ -557,7 +553,7 @@ def supervised_sweep_main(argv=None) -> None:
         jobs=2,
         manifest=manifest,
         worker=paced_worker,
-        heartbeat_interval=0.2,
+        options=RunOptions(heartbeat_interval=0.2),
         retries=1,
         retry_backoff=0.1,
         graceful_shutdown=True,
@@ -595,7 +591,7 @@ def coordinated_sweep_main(argv=None) -> None:
     import sys
 
     from repro.harness.runner import make_spec
-    from repro.harness.sweep import SweepEngine, SweepInterrupted
+    from repro.harness.sweep import RunOptions, SweepEngine, SweepInterrupted
 
     args = list(sys.argv[1:] if argv is None else argv)
     if not args:
@@ -609,7 +605,7 @@ def coordinated_sweep_main(argv=None) -> None:
         cache=ResultCache(args[0]),
         jobs=2,
         worker=paced_worker,
-        heartbeat_interval=0.2,
+        options=RunOptions(heartbeat_interval=0.2),
         retries=1,
         retry_backoff=0.1,
         # Generous on purpose: the acceptance test asserts *zero*

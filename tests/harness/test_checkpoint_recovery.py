@@ -22,12 +22,14 @@ from pathlib import Path
 import pytest
 
 from repro.harness.runner import checkpoint_path_for, make_spec, run_spec
-from repro.harness.sweep import RunFailure, SweepEngine, SweepManifest, fingerprint
-from repro.sim.checkpoint import (
-    CHECKPOINT_DIR_ENV,
-    CHECKPOINT_INTERVAL_ENV,
-    load_checkpoint,
+from repro.harness.sweep import (
+    RunFailure,
+    RunOptions,
+    SweepEngine,
+    SweepManifest,
+    fingerprint,
 )
+from repro.sim.checkpoint import load_checkpoint
 from repro.sim.errors import load_failure_report
 from repro.sim.gpu import SimulationResult
 
@@ -52,24 +54,28 @@ def fault_dir(tmp_path, monkeypatch):
 
 
 @pytest.fixture
-def checkpoint_dir(tmp_path, monkeypatch):
-    """A fresh auto-checkpoint directory, exported like the CLI does."""
+def checkpoint_dir(tmp_path):
+    """A fresh auto-checkpoint directory (see :func:`checkpointing`)."""
     directory = tmp_path / "checkpoints"
     directory.mkdir()
-    monkeypatch.setenv(CHECKPOINT_DIR_ENV, str(directory))
-    monkeypatch.setenv(CHECKPOINT_INTERVAL_ENV, "500")
     return directory
 
 
-def profiled_loop_iterations(profile_path) -> int:
-    """Read ``loop_iterations`` out of a written profile document."""
+def checkpointing(directory, **fields) -> RunOptions:
+    """Run options snapshotting into ``directory`` every 500 cycles."""
+    return RunOptions(checkpoint_dir=directory, checkpoint_interval=500, **fields)
+
+
+def profiled_loop_iterations(profile_dir) -> int:
+    """Read ``loop_iterations`` out of the one profile in ``profile_dir``."""
+    (profile_path,) = Path(profile_dir).glob("*.json")
     with open(profile_path, "r", encoding="utf-8") as fh:
         return json.load(fh)["loop_iterations"]
 
 
 class TestSigkillResume:
     def test_sigkilled_run_resumes_bit_identically(
-        self, tmp_path, checkpoint_dir, monkeypatch
+        self, tmp_path, checkpoint_dir
     ):
         """Kill a checkpointing run with SIGKILL; resume; match the golden.
 
@@ -84,14 +90,14 @@ class TestSigkillResume:
         child_env = {
             **os.environ,
             "PYTHONPATH": str(REPO_ROOT / "src"),
-            CHECKPOINT_DIR_ENV: str(checkpoint_dir),
         }
         child = subprocess.run(
             [
                 sys.executable, "-c",
                 "from repro.harness.runner import make_spec\n"
                 "from tests.harness.faults import sigkill_after_snapshot\n"
-                f"sigkill_after_snapshot(make_spec(**{RECOVERY_REQUEST!r}))\n",
+                f"sigkill_after_snapshot(make_spec(**{RECOVERY_REQUEST!r}), "
+                f"{str(checkpoint_dir)!r})\n",
             ],
             cwd=REPO_ROOT, env=child_env, capture_output=True, text=True,
             timeout=120,
@@ -106,16 +112,16 @@ class TestSigkillResume:
         assert envelope["cycle"] > 0
 
         # Reference: an uninterrupted profiled run (no checkpoint dir).
-        monkeypatch.delenv(CHECKPOINT_DIR_ENV)
-        full_profile = tmp_path / "full.json"
+        full_profile = tmp_path / "full"
         full = run_spec(make_spec(**RECOVERY_REQUEST),
-                        profile_path=full_profile)
+                        RunOptions(profile_dir=full_profile))
         assert stats_sha(full) == golden_sha(RECOVERY_REQUEST)
 
         # The resumed run: same worker entry point the sweep pool uses.
-        monkeypatch.setenv(CHECKPOINT_DIR_ENV, str(checkpoint_dir))
-        resumed_profile = tmp_path / "resumed.json"
-        resumed = run_spec(spec, profile_path=resumed_profile)
+        resumed_profile = tmp_path / "resumed"
+        resumed = run_spec(
+            spec, checkpointing(checkpoint_dir, profile_dir=resumed_profile)
+        )
         assert stats_sha(resumed) == golden_sha(RECOVERY_REQUEST), (
             "resumed run diverged from the uninterrupted golden capture"
         )
@@ -143,7 +149,8 @@ class TestSweepWorkerRecovery:
         """
         spec = make_spec(**RECOVERY_REQUEST)
         engine = SweepEngine(jobs=2, worker=faults.checkpointing_crash_worker,
-                             retries=2, retry_backoff=0.0)
+                             retries=2, retry_backoff=0.0,
+                             options=checkpointing(checkpoint_dir))
         [outcome] = engine.run([spec])
         assert isinstance(outcome, SimulationResult)
         assert stats_sha(outcome) == golden_sha(RECOVERY_REQUEST)
@@ -165,7 +172,8 @@ class TestSweepWorkerRecovery:
         healthy = make_spec("cell", scale=0.05)
         engine = SweepEngine(jobs=2, timeout=0.4,
                              worker=faults.selectively_slow_worker,
-                             retries=1, retry_backoff=0.0)
+                             retries=1, retry_backoff=0.0,
+                             options=checkpointing(checkpoint_dir))
         slow, fast = engine.run([stalled, healthy])
         assert isinstance(fast, SimulationResult)
         assert isinstance(slow, RunFailure)
@@ -187,6 +195,37 @@ class TestSweepWorkerRecovery:
         assert engine.retried == 0
 
 
+class TestResumeKeepsItsOptions:
+    def test_resumed_run_keeps_invariant_checking(
+        self, checkpoint_dir, monkeypatch
+    ):
+        """RunOptions(invariants=True) checks a resumed run too, with
+        ``$REPRO_INVARIANTS`` unset."""
+        import repro.harness.runner as runner
+        from repro.sim.invariants import InvariantChecker
+
+        monkeypatch.delenv("REPRO_INVARIANTS", raising=False)
+        checked, restored = [], []
+        check_final = InvariantChecker.check_final
+        monkeypatch.setattr(
+            InvariantChecker, "check_final",
+            lambda self, *a, **k: checked.append(1) or check_final(self, *a, **k),
+        )
+        restore = runner.restore_simulator
+        monkeypatch.setattr(
+            runner, "restore_simulator",
+            lambda *a, **k: restored.append(1) or restore(*a, **k),
+        )
+        spec = make_spec(**RECOVERY_REQUEST)
+        faults.write_midrun_checkpoint(
+            spec, checkpoint_path_for(spec, checkpoint_dir)
+        )
+        result = run_spec(spec, checkpointing(checkpoint_dir, invariants=True))
+        assert restored == [1], "the run did not resume from its snapshot"
+        assert checked == [1]
+        assert stats_sha(result) == golden_sha(RECOVERY_REQUEST)
+
+
 class TestCorruptSnapshotQuarantine:
     @pytest.mark.parametrize("mode", ("truncated-json", "digest-mismatch",
                                       "fingerprint-mismatch"))
@@ -204,7 +243,7 @@ class TestCorruptSnapshotQuarantine:
         faults.corrupt_checkpoint(snapshot, mode)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            result = run_spec(spec)
+            result = run_spec(spec, checkpointing(checkpoint_dir))
         assert any("cold-starting" in str(w.message) for w in caught), (
             "silent fallback: the discarded snapshot was not surfaced"
         )

@@ -188,10 +188,10 @@ class TestEngineCoordination:
             spec_for("cell"),
         ]
 
-        def slow_worker(spec):
+        def slow_worker(spec, options):
             time.sleep(0.3)
             from repro.harness.runner import run_spec
-            return run_spec(spec).stats
+            return run_spec(spec, options).stats
 
         engines = [
             SweepEngine(

@@ -18,9 +18,9 @@ from pathlib import Path
 from repro.cli import main as cli_main
 from repro.harness.coordinate import LEASE_SCHEMA, LeaseManager
 from repro.harness.fsck import FSCK_SCHEMA, audit, classify, format_summary
-from repro.harness.runner import make_spec, run_spec
+from repro.harness.runner import make_spec, metrics_path_for, run_spec
 from repro.harness.supervise import HEARTBEAT_SCHEMA
-from repro.harness.sweep import ResultCache, fingerprint
+from repro.harness.sweep import ResultCache, RunOptions, fingerprint
 from repro.sim.checkpoint import payload_digest
 from repro.sim.stats import SimStats
 
@@ -113,8 +113,8 @@ class TestClassificationMatrix:
 
     def test_metrics_valid_and_corrupt(self, tmp_path):
         spec = make_spec("monte", scale=SCALE)
-        good = tmp_path / "monte-abc.metrics.json"
-        run_spec(spec, metrics_path=good, metrics_interval=500)
+        good = metrics_path_for(spec, tmp_path)
+        run_spec(spec, RunOptions(metrics_dir=tmp_path, metrics_interval=500))
         bad = tmp_path / "cell-def.metrics.json"
         bad.write_text('{"schema": 999}', encoding="utf-8")
         report = audit([tmp_path])

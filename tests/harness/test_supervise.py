@@ -36,11 +36,12 @@ from pathlib import Path
 import pytest
 
 from repro.harness import supervise
-from repro.harness.runner import ExperimentRunner, make_spec
+from repro.harness.runner import ExperimentRunner, make_spec, run_spec
 from repro.harness.sweep import (
     ProgressReporter,
     ResultCache,
     RunFailure,
+    RunOptions,
     SweepEngine,
     SweepInterrupted,
     SweepManifest,
@@ -53,7 +54,7 @@ from repro.sim.errors import (
     SimulationError,
     WorkerInterrupted,
 )
-from repro.sim.gpu import SimulationResult
+from repro.sim.gpu import PeriodicHook, SimulationResult
 
 from tests.harness import faults
 
@@ -89,9 +90,7 @@ class _DummySim:
 
     def __init__(self, cycle=4200):
         self.cycle = cycle
-        self.checkpoint_write = None
-        self.supervision_interval = 0
-        self.supervision_hook = None
+        self.hooks = []
 
 
 # ----------------------------------------------------------------------
@@ -151,33 +150,33 @@ class TestHeartbeat:
         assert record["wall"] == pytest.approx(path.stat().st_mtime)
         assert supervise.read_heartbeat(tmp_path / "absent.json") is None
 
-    def test_sentinel_from_env_wires_heartbeat_and_budget(
+    def test_run_options_wire_heartbeat_and_budget(
         self, tmp_path, monkeypatch
     ):
-        monkeypatch.setenv(supervise.HEARTBEAT_DIR_ENV, str(tmp_path))
-        monkeypatch.setenv(supervise.HEARTBEAT_INTERVAL_ENV, "0.5")
-        monkeypatch.setenv(supervise.MEMORY_BUDGET_ENV, "512")
-        sentinel = supervise.sentinel_from_env("monte", "a" * 64)
-        try:
-            assert sentinel.heartbeat is not None
-            assert sentinel.heartbeat.interval == 0.5
-            assert sentinel.memory_budget_kb == 512 * 1024
-            # The construction-time beat recorded our pid already.
-            record = supervise.read_heartbeat(sentinel.heartbeat.path)
-            assert record["pid"] == os.getpid()
-        finally:
-            sentinel.close()
+        built = []
 
-    def test_env_parsing_is_forgiving(self, monkeypatch):
-        monkeypatch.setenv(supervise.HEARTBEAT_INTERVAL_ENV, "bogus")
-        assert (
-            supervise.heartbeat_interval_from_env()
-            == supervise.DEFAULT_HEARTBEAT_INTERVAL
+        class _Recording(supervise.RunSentinel):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(self)
+                # The construction-time beat recorded our pid already.
+                record = supervise.read_heartbeat(self.heartbeat.path)
+                assert record["pid"] == os.getpid()
+
+        monkeypatch.setattr(supervise, "RunSentinel", _Recording)
+        spec = spec_for("monte")
+        run_spec(spec, RunOptions(
+            heartbeat_dir=tmp_path, heartbeat_interval=0.5,
+            memory_budget_mb=4096,
+        ))
+        (sentinel,) = built
+        assert sentinel.heartbeat.interval == 0.5
+        assert sentinel.heartbeat.path == supervise.heartbeat_path_for(
+            "monte", fingerprint(spec), tmp_path
         )
-        monkeypatch.setenv(supervise.MEMORY_BUDGET_ENV, "-3")
-        assert supervise.memory_budget_kb_from_env() is None
-        monkeypatch.delenv(supervise.MEMORY_BUDGET_ENV)
-        assert supervise.memory_budget_kb_from_env() is None
+        assert sentinel.memory_budget_kb == 4096 * 1024
+        # A completed run removes its heartbeat.
+        assert not sentinel.heartbeat.path.exists()
 
 
 # ----------------------------------------------------------------------
@@ -190,14 +189,16 @@ class TestRunSentinel:
         sim = _DummySim()
         sentinel = supervise.RunSentinel()
         sentinel.attach(sim)
-        assert sim.supervision_interval == supervise.SUPERVISION_HOOK_CYCLES
-        assert sim.supervision_hook == sentinel.tick
+        (hook,) = sim.hooks
+        assert hook.interval == supervise.SUPERVISION_HOOK_CYCLES
+        assert hook.action == sentinel.tick
 
     def test_budget_breach_flushes_checkpoint_then_raises(self):
         sim = _DummySim()
         events = []
-        sim.checkpoint_write = lambda s: events.append(("flush", s.cycle))
         sentinel = supervise.RunSentinel(memory_budget_kb=1)
+        sentinel.attach(sim, PeriodicHook(
+            500, lambda s: events.append(("flush", s.cycle)), sim.cycle))
         with pytest.raises(MemoryBudgetExceeded) as excinfo:
             sentinel.tick(sim)
         assert events == [("flush", 4200)]
@@ -209,8 +210,9 @@ class TestRunSentinel:
     def test_shutdown_request_flushes_checkpoint_then_raises(self):
         sim = _DummySim()
         events = []
-        sim.checkpoint_write = lambda s: events.append("flush")
         sentinel = supervise.RunSentinel(memory_budget_kb=1)
+        sentinel.attach(sim, PeriodicHook(
+            500, lambda s: events.append("flush"), sim.cycle))
         supervise.request_shutdown()
         # Shutdown outranks the (also-breached) budget: one structured
         # WorkerInterrupted, checkpoint flushed first.
@@ -255,18 +257,16 @@ class TestRunSentinel:
 
 
 class TestMemoryBudget:
-    def test_pool_run_trips_the_budget_without_retries(
-        self, fault_dir, monkeypatch
-    ):
+    def test_pool_run_trips_the_budget_without_retries(self, fault_dir):
         # Fork-started workers inherit the parent's peak RSS, so the
         # budget must sit above it; the 256 MB balloon then clears the
         # 64 MB margin by 4x on any platform.
         budget_mb = supervise.peak_rss_kb() // 1024 + 64
-        monkeypatch.setenv(supervise.MEMORY_BUDGET_ENV, str(budget_mb))
         specs = [spec_for("monte"), spec_for("cell")]
         engine = SweepEngine(
             jobs=2, worker=faults.rss_balloon_worker,
             retries=2, retry_backoff=0.0, graceful_shutdown=False,
+            options=RunOptions(memory_budget_mb=budget_mb),
         )
         outcomes = engine.run(specs)
         assert all(isinstance(o, RunFailure) for o in outcomes)
@@ -299,7 +299,7 @@ class TestErrnoClassification:
         assert is_transient_failure(BrokenPipeError(errno.EPIPE, "pipe"))
 
     def test_permanent_oserror_is_not_retried_by_the_engine(self, fault_dir):
-        def denied_worker(spec):
+        def denied_worker(spec, options):
             faults.record_attempt(spec)
             raise PermissionError(errno.EACCES, "injected EACCES")
 
@@ -328,8 +328,9 @@ class TestWedgeSupervision:
             timeout=30.0,
             retries=1,
             retry_backoff=0.0,
-            heartbeat_interval=0.2,
-            heartbeat_dir=tmp_path / "heartbeats",
+            options=RunOptions(
+                heartbeat_interval=0.2, heartbeat_dir=tmp_path / "heartbeats"
+            ),
         )
         t0 = time.monotonic()
         outcomes = engine.run(specs)
@@ -356,8 +357,9 @@ class TestWedgeSupervision:
             worker=faults.selectively_wedged_worker,
             timeout=30.0,
             retries=0,
-            heartbeat_interval=0.2,
-            heartbeat_dir=tmp_path / "heartbeats",
+            options=RunOptions(
+                heartbeat_interval=0.2, heartbeat_dir=tmp_path / "heartbeats"
+            ),
             quarantine_dir=quarantine_dir,
         )
         t0 = time.monotonic()
@@ -371,6 +373,32 @@ class TestWedgeSupervision:
         assert wedged.quarantined
         assert (quarantine_dir / f"{wedged.key}.json").is_file()
         assert isinstance(healthy, SimulationResult)
+
+
+    def test_private_heartbeat_dir_is_removed_after_the_sweep(
+        self, fault_dir, tmp_path, monkeypatch
+    ):
+        import tempfile
+
+        temp_root = tmp_path / "tmp"
+        temp_root.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(temp_root))
+        engine = SweepEngine(
+            jobs=2, worker=faults.fast_worker, retries=0,
+            options=RunOptions(heartbeat_interval=0.2),
+        )
+        outcomes = engine.run([spec_for("monte"), spec_for("cell")])
+        assert all(isinstance(o, SimulationResult) for o in outcomes)
+        assert not list(temp_root.glob("repro-heartbeats-*"))
+
+    def test_given_heartbeat_dir_is_left_alone(self, fault_dir, tmp_path):
+        heartbeats = tmp_path / "heartbeats"
+        engine = SweepEngine(
+            jobs=2, worker=faults.fast_worker, retries=0,
+            options=RunOptions(heartbeat_interval=0.2, heartbeat_dir=heartbeats),
+        )
+        engine.run([spec_for("monte"), spec_for("cell")])
+        assert heartbeats.is_dir()
 
 
 # ----------------------------------------------------------------------
@@ -627,7 +655,7 @@ class TestProgressReporting:
 # ----------------------------------------------------------------------
 
 
-def _shutdown_after_first_worker(spec):
+def _shutdown_after_first_worker(spec, options):
     """Succeed, then request a graceful shutdown (inline-only helper)."""
     faults.record_attempt(spec)
     supervise.request_shutdown()
@@ -808,12 +836,11 @@ class TestSigtermMidSweepSubprocess:
 
 
 class TestRunnerPlumbing:
-    def test_memory_budget_is_exported_for_workers(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(supervise.MEMORY_BUDGET_ENV, "")
+    def test_memory_budget_is_exported_for_workers(self, tmp_path):
+        options = RunOptions(memory_budget_mb=512.0, heartbeat_interval=1.0)
         runner = ExperimentRunner(
-            scale=SCALE, memory_budget_mb=512.0,
-            heartbeat_interval=1.0, quarantine_dir=tmp_path / "q",
+            scale=SCALE, quarantine_dir=tmp_path / "q", options=options,
         )
-        assert os.environ[supervise.MEMORY_BUDGET_ENV] == "512.0"
-        assert runner.engine.heartbeat_interval == 1.0
+        assert runner.engine.options.memory_budget_mb == 512.0
+        assert runner.engine.options.heartbeat_interval == 1.0
         assert runner.engine.quarantine is not None

@@ -303,7 +303,7 @@ class TestFaultIsolation:
         assert engine.failures == 2
 
 
-def _sleepy_worker(spec):
+def _sleepy_worker(spec, options):
     time.sleep(3.0)
     return SimStats(cycles=1)
 

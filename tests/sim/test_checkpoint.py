@@ -42,7 +42,7 @@ from repro.sim.checkpoint import (
 )
 from repro.sim.config import baseline_config
 from repro.sim.errors import CheckpointError
-from repro.sim.gpu import GpuSimulator
+from repro.sim.gpu import GpuSimulator, PeriodicHook
 from repro.sim.profiling import SimProfiler
 from repro.trace.benchmarks import get_benchmark
 from repro.trace.tracegen import generate_workload
@@ -136,10 +136,8 @@ def capture_snapshots(spec, directory, snapshots=3, profiler=None,
 
     # Intervals chosen so each golden run yields >= 3 mid-run snapshots
     # (golden cycle counts: cell 2356, backprop 7152, stream 17160).
-    sim.checkpoint_interval = {"backprop": 1800, "cell": 600, "stream": 4300}[
-        spec.benchmark
-    ]
-    sim.checkpoint_write = writer
+    interval = {"backprop": 1800, "cell": 600, "stream": 4300}[spec.benchmark]
+    sim.hooks.append(PeriodicHook(interval, writer, sim.cycle))
     result = sim.run(strict=True)
     result.stats.benchmark = BUILT[sim].kernel.name
     assert len(paths) >= snapshots, (
@@ -224,8 +222,8 @@ def test_resume_mid_sleep_is_bit_identical(tmp_path):
         write_checkpoint(path, s, fingerprint=fingerprint(spec))
         paths.append(path)
 
-    sim.checkpoint_interval = 401  # dense, off-phase with wake periods
-    sim.checkpoint_write = writer
+    # Dense, off-phase with wake periods.
+    sim.hooks.append(PeriodicHook(401, writer, sim.cycle))
     result = sim.run(strict=True)
     result.stats.benchmark = BUILT[sim].kernel.name
     expected = golden_sha(request_)
@@ -293,8 +291,9 @@ def test_resumed_run_does_not_rewrite_resume_cycle(tmp_path):
         BUILT[sim].workload.blocks, BUILT[sim].workload.max_blocks_per_core,
     )
     cycles_written = []
-    restored.checkpoint_interval = 600
-    restored.checkpoint_write = lambda s: cycles_written.append(s.cycle)
+    restored.hooks.append(
+        PeriodicHook(600, lambda s: cycles_written.append(s.cycle), restored.cycle)
+    )
     restored.run(strict=True)
     assert cycles_written, "resumed run never re-snapshotted"
     assert min(cycles_written) > envelope["cycle"]
@@ -443,7 +442,6 @@ def test_attach_checkpointing_zero_interval_disarms():
     """interval <= 0 must leave the hook disarmed (the off switch)."""
     spec = make_spec(**ROUNDTRIP_REQUESTS[1])
     sim = build_sim(spec)
-    attach_checkpointing(sim, "/nonexistent/never.json", 0)
-    assert sim.checkpoint_interval == 0
-    assert sim.checkpoint_write is None
+    assert attach_checkpointing(sim, "/nonexistent/never.json", 0) is None
+    assert sim.hooks == []
     sim.run(strict=True)  # would crash writing to /nonexistent if armed

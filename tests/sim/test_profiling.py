@@ -5,14 +5,8 @@ import json
 import pytest
 
 from repro.harness.runner import make_spec, run_spec
-from repro.sim.profiling import (
-    COMPONENTS,
-    PHASES,
-    PROFILE_DIR_ENV,
-    PROFILE_SCHEMA,
-    SimProfiler,
-    profile_dir_from_env,
-)
+from repro.harness.sweep import RunOptions
+from repro.sim.profiling import COMPONENTS, PHASES, PROFILE_SCHEMA, SimProfiler
 
 
 class TestSimProfiler:
@@ -70,24 +64,13 @@ class TestSimProfiler:
         assert "issue" in text
 
 
-class TestProfileDirEnv:
-    def test_unset_and_empty(self, monkeypatch):
-        monkeypatch.delenv(PROFILE_DIR_ENV, raising=False)
-        assert profile_dir_from_env() is None
-        monkeypatch.setenv(PROFILE_DIR_ENV, "  ")
-        assert profile_dir_from_env() is None
-
-    def test_set(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(PROFILE_DIR_ENV, str(tmp_path))
-        assert profile_dir_from_env() == tmp_path
-
-
 class TestInstrumentedRun:
     @pytest.fixture(scope="class")
     def profiled(self, tmp_path_factory):
-        path = tmp_path_factory.mktemp("profiles") / "cell.json"
+        directory = tmp_path_factory.mktemp("profiles")
         spec = make_spec("cell", software="stride", throttle=True, scale=0.25)
-        result = run_spec(spec, profile_path=path)
+        result = run_spec(spec, RunOptions(profile_dir=directory))
+        (path,) = directory.glob("cell-*.json")
         return result, json.loads(path.read_text())
 
     def test_profile_written_via_run_spec(self, profiled):
@@ -117,10 +100,9 @@ class TestInstrumentedRun:
         # A response was delivered for every DRAM completion burst.
         assert active["interconnect_response"] > 0
 
-    def test_env_dir_profile(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(PROFILE_DIR_ENV, str(tmp_path))
+    def test_env_dir_profile(self, tmp_path):
         spec = make_spec("cell", scale=0.25)
-        run_spec(spec)
+        run_spec(spec, RunOptions(profile_dir=tmp_path))
         files = list(tmp_path.glob("cell-*.json"))
         assert len(files) == 1
         doc = json.loads(files[0].read_text())

@@ -32,6 +32,7 @@ from repro.harness.runner import (
     make_spec,
     run_spec,
 )
+from repro.harness.sweep import RunOptions
 from repro.sim import mrq as mrq_module
 from repro.sim.checkpoint import (
     canonical_json,
@@ -41,7 +42,7 @@ from repro.sim.checkpoint import (
     restore_simulator,
 )
 from repro.sim.errors import load_failure_report
-from repro.sim.gpu import GpuSimulator
+from repro.sim.gpu import GpuSimulator, PeriodicHook
 from repro.sim.invariants import InvariantChecker
 from repro.sim.memory_request import MemoryRequest
 from repro.sim.profiling import SimProfiler
@@ -185,8 +186,7 @@ def run_with_snapshots(sim):
     def writer(s):
         snapshots[s.cycle] = canonical_json(dump_state(s))
 
-    sim.checkpoint_interval = INTERVAL
-    sim.checkpoint_write = writer
+    sim.hooks.append(PeriodicHook(INTERVAL, writer, sim.cycle))
     return sim.run(strict=True), snapshots
 
 
@@ -294,7 +294,7 @@ def test_layout_change_rejects_the_snapshot_and_cold_starts(
     monkeypatch.setattr(Warp, "snapshot_static", ())
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = run_spec(spec, checkpoint_path=snapshot, checkpoint_interval=0)
+        result = run_spec(spec, RunOptions(checkpoint_dir=tmp_path))
     assert any("cold-starting" in str(w.message) for w in caught)
     assert stats_sha(result) == golden_sha(request)
     report = load_failure_report(snapshot.with_suffix(".failure.json"))

@@ -26,14 +26,19 @@ from types import SimpleNamespace
 
 import pytest
 
-from repro.harness.runner import HARDWARE_SCHEMES, make_spec, run_spec
-from repro.harness.sweep import fingerprint
+from repro.harness.runner import (
+    HARDWARE_SCHEMES,
+    make_spec,
+    metrics_path_for,
+    run_spec,
+)
+from repro.harness.sweep import RunOptions, fingerprint
 from repro.sim.checkpoint import (
     attach_checkpointing,
     load_checkpoint,
     restore_simulator,
 )
-from repro.sim.gpu import GpuSimulator
+from repro.sim.gpu import GpuSimulator, PeriodicHook
 from repro.sim.telemetry import (
     COUNTERS,
     DEFAULT_METRICS_INTERVAL,
@@ -41,7 +46,6 @@ from repro.sim.telemetry import (
     METRICS_SCHEMA,
     SIMSTATS_EQUIVALENTS,
     MetricsRecorder,
-    metrics_interval_from_env,
     to_chrome_trace,
     validate_metrics_document,
 )
@@ -92,9 +96,10 @@ def build_sim(spec, metrics=None):
 def recorded_run(tmp_path, interval=INTERVAL, **overrides):
     """Run REQUEST (with overrides) metrics-enabled; return (result, doc)."""
     request = {**REQUEST, **overrides}
-    path = tmp_path / "run.metrics.json"
+    spec = make_spec(**request)
+    path = metrics_path_for(spec, tmp_path)
     result = run_spec(
-        make_spec(**request), metrics_path=path, metrics_interval=interval
+        spec, RunOptions(metrics_dir=tmp_path, metrics_interval=interval)
     )
     with open(path, "r", encoding="utf-8") as fh:
         return result, json.load(fh)
@@ -199,12 +204,11 @@ def test_recorder_does_not_perturb_stats(tmp_path):
     recorded = canonical_stats(
         run_spec(
             make_spec(**REQUEST),
-            metrics_path=tmp_path / "m.json",
-            metrics_interval=INTERVAL,
+            RunOptions(metrics_dir=tmp_path, metrics_interval=INTERVAL),
         )
     )
     assert plain == recorded
-    assert (tmp_path / "m.json").exists()
+    assert metrics_path_for(make_spec(**REQUEST), tmp_path).exists()
 
 
 def test_recorded_run_matches_pre_telemetry_golden(tmp_path):
@@ -215,8 +219,9 @@ def test_recorded_run_matches_pre_telemetry_golden(tmp_path):
     )
     result = run_spec(
         make_spec(**run["request"]),
-        metrics_path=tmp_path / "m.json",
-        metrics_interval=DEFAULT_METRICS_INTERVAL,
+        RunOptions(
+            metrics_dir=tmp_path, metrics_interval=DEFAULT_METRICS_INTERVAL
+        ),
     )
     assert sha256(result) == run["sha256"]
 
@@ -245,8 +250,9 @@ def test_kill_and_resume_reproduces_identical_window_series(tmp_path):
         if sim.cycle >= 4 * INTERVAL:
             raise _Kill
 
-    interrupted.supervision_interval = INTERVAL
-    interrupted.supervision_hook = _die_mid_run
+    interrupted.hooks.append(
+        PeriodicHook(INTERVAL, _die_mid_run, interrupted.cycle)
+    )
     with pytest.raises(_Kill):
         interrupted.run()
     assert ckpt.exists(), "no snapshot was taken before the injected kill"
@@ -343,16 +349,12 @@ def test_chrome_trace_structure(tmp_path):
     json.dumps(trace)
 
 
-def test_interval_env_fallback(monkeypatch):
-    from repro.sim.telemetry import METRICS_INTERVAL_ENV
-
-    monkeypatch.delenv(METRICS_INTERVAL_ENV, raising=False)
-    assert metrics_interval_from_env() == DEFAULT_METRICS_INTERVAL
-    monkeypatch.setenv(METRICS_INTERVAL_ENV, "250")
-    assert metrics_interval_from_env() == 250
-    for bad in ("", "banana", "0", "-5"):
-        monkeypatch.setenv(METRICS_INTERVAL_ENV, bad)
-        assert metrics_interval_from_env() == DEFAULT_METRICS_INTERVAL
+def test_interval_option_default_and_rejection():
+    assert RunOptions().metrics_interval == DEFAULT_METRICS_INTERVAL
+    assert RunOptions(metrics_interval=250).metrics_interval == 250
+    for bad in (0, -5):
+        with pytest.raises(ValueError, match="metrics_interval"):
+            RunOptions(metrics_interval=bad)
 
 
 def test_recorder_rejects_bad_construction():

@@ -101,18 +101,24 @@ def test_no_cache_flag_disables_persistence(tmp_path, capsys):
 
 
 def test_integrity_flags(tmp_path, monkeypatch, capsys):
-    """--invariants exports REPRO_INVARIANTS and the fault-tolerance flags
+    """--invariants checks every run and the fault-tolerance flags
     thread through to a working run with a checkpoint manifest."""
-    import os
+    from repro.sim.invariants import InvariantChecker
 
     monkeypatch.delenv("REPRO_INVARIANTS", raising=False)
+    checked = []
+    check_final = InvariantChecker.check_final
+    monkeypatch.setattr(
+        InvariantChecker, "check_final",
+        lambda self, *a, **k: checked.append(1) or check_final(self, *a, **k),
+    )
     manifest = tmp_path / "sweep.jsonl"
     assert main([
         "run", "cell", "--scale", "0.1", "--invariants", "--retries", "1",
         "--timeout", "120", "--max-failures", "3",
         "--manifest", str(manifest),
     ]) == 0
-    assert os.environ.get("REPRO_INVARIANTS") == "1"
+    assert checked, "--invariants did not reach the run"
     assert "speedup" in capsys.readouterr().out
     lines = [json.loads(l) for l in manifest.read_text().splitlines()]
     runs = [r for r in lines if r["key"] != "__sweep__"]
@@ -127,41 +133,77 @@ def test_fail_fast_flag_parses(capsys):
     assert "speedup" in capsys.readouterr().out
 
 
-def test_checkpoint_flags_export_env(tmp_path, monkeypatch, capsys):
-    """--checkpoint-dir/--checkpoint-interval export the env vars sweep
-    workers inherit, and the run still completes normally."""
-    import os
+def test_checkpoint_flags_reach_the_runs(tmp_path, monkeypatch, capsys):
+    """--checkpoint-dir/--checkpoint-interval snapshot the executed runs
+    on the given cadence, and the runs still complete normally."""
+    import repro.sim.checkpoint as checkpoint
 
-    monkeypatch.delenv("REPRO_CHECKPOINT_DIR", raising=False)
-    monkeypatch.delenv("REPRO_CHECKPOINT_INTERVAL", raising=False)
+    written = []
+    write = checkpoint.write_checkpoint
+    monkeypatch.setattr(
+        checkpoint, "write_checkpoint",
+        lambda path, sim, **kw: written.append((path, sim.cycle))
+        or write(path, sim, **kw),
+    )
     ckpt = tmp_path / "checkpoints"
     assert main([
         "run", "cell", "--scale", "0.1",
         "--checkpoint-dir", str(ckpt), "--checkpoint-interval", "400",
     ]) == 0
-    assert os.environ.get("REPRO_CHECKPOINT_DIR") == str(ckpt)
-    assert os.environ.get("REPRO_CHECKPOINT_INTERVAL") == "400"
+    assert written and all(path.parent == ckpt for path, _ in written)
+    assert min(cycle for _, cycle in written) >= 400
     assert "speedup" in capsys.readouterr().out
     # Completed runs clean their snapshots up.
     assert not list(ckpt.glob("*.ckpt.json"))
 
 
-def test_resume_from_flag(tmp_path, capsys):
-    """--resume-from consumes a real mid-run snapshot and completes."""
-    from repro.harness.runner import make_spec
+def test_checkpoint_dir_resumes_an_interrupted_run(tmp_path, capsys):
+    """Re-invoking with the --checkpoint-dir of a killed run resumes it
+    from the snapshot it left there and consumes the snapshot."""
+    from repro.harness.runner import checkpoint_path_for, make_spec
 
     from tests.harness import faults
 
-    snapshot = tmp_path / "cell.ckpt.json"
+    ckpt = tmp_path / "checkpoints"
     spec = make_spec("cell", software="stride", throttle=True, scale=0.1)
+    snapshot = checkpoint_path_for(spec, ckpt)
     cycle = faults.write_midrun_checkpoint(spec, snapshot)
     assert cycle > 0
     assert main([
         "run", "cell", "--software", "stride", "--throttle", "--scale", "0.1",
-        "--resume-from", str(snapshot),
+        "--checkpoint-dir", str(ckpt),
     ]) == 0
     assert "speedup" in capsys.readouterr().out
     assert not snapshot.exists(), "consumed snapshot must be removed"
+
+
+@pytest.mark.parametrize("flag", [
+    "--metrics-interval", "--checkpoint-interval", "--heartbeat-interval",
+    "--memory-budget",
+])
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_non_positive_run_option_is_a_usage_error(flag, value, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["run", "cell", "--scale", "0.1", "--no-cache", flag, value])
+    assert excinfo.value.code == 2
+    assert "must be positive" in capsys.readouterr().err
+
+
+def test_run_options_do_not_leak_between_invocations(tmp_path, capsys):
+    """Run options live in one invocation: a second main() without
+    --metrics-dir writes nothing into the first one's directory and
+    leaves no REPRO_* variable behind."""
+    import os
+
+    before = {k for k in os.environ if k.startswith("REPRO_")}
+    metrics = tmp_path / "metrics"
+    assert main(["run", "cell", "--scale", "0.05", "--no-cache",
+                 "--metrics-dir", str(metrics)]) == 0
+    written = sorted(metrics.iterdir())
+    assert len(written) == 1
+    assert main(["run", "monte", "--scale", "0.05", "--no-cache"]) == 0
+    assert sorted(metrics.iterdir()) == written
+    assert {k for k in os.environ if k.startswith("REPRO_")} <= before
 
 
 def test_invalid_benchmark_errors():
@@ -177,23 +219,17 @@ def test_invalid_command_exits():
 SAMPLE_METRICS = Path(__file__).parent / "data" / "sample.metrics.json"
 
 
-def test_metrics_dir_writes_fingerprinted_documents(tmp_path, monkeypatch, capsys):
-    """--metrics-dir exports the env var workers inherit and every
-    executed run lands a validated <benchmark>-<fp12>.metrics.json."""
-    import os
-
+def test_metrics_dir_writes_fingerprinted_documents(tmp_path, capsys):
+    """Under --metrics-dir every executed run lands a validated
+    <benchmark>-<fp12>.metrics.json."""
     from repro.harness.runner import make_spec, metrics_path_for
     from repro.sim.telemetry import validate_metrics_document
 
-    monkeypatch.delenv("REPRO_METRICS_DIR", raising=False)
-    monkeypatch.delenv("REPRO_METRICS_INTERVAL", raising=False)
     metrics = tmp_path / "metrics"
     assert main([
         "run", "cell", "--hardware", "mt-hwp", "--throttle", "--scale", "0.1",
         "--metrics-dir", str(metrics), "--metrics-interval", "250",
     ]) == 0
-    assert os.environ.get("REPRO_METRICS_DIR") == str(metrics)
-    assert os.environ.get("REPRO_METRICS_INTERVAL") == "250"
     assert "speedup" in capsys.readouterr().out
     spec = make_spec("cell", hardware="mt-hwp", throttle=True, scale=0.1)
     expected = metrics_path_for(spec, metrics)

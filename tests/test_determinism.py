@@ -20,6 +20,7 @@ from pathlib import Path
 import pytest
 
 from repro.harness.runner import make_spec, run_spec
+from repro.harness.sweep import RunOptions
 from repro.sim.profiling import SimProfiler
 
 GOLDEN_PATH = Path(__file__).parent / "data" / "golden_stats.json"
@@ -70,7 +71,7 @@ def test_profiler_does_not_perturb_stats(tmp_path):
                    throttle=True, scale=0.25)
     plain = canonical_stats(run_spec(make_spec(**request)))
     profiled = canonical_stats(
-        run_spec(make_spec(**request), profile_path=tmp_path / "p.json")
+        run_spec(make_spec(**request), RunOptions(profile_dir=tmp_path / "p.json"))
     )
     assert plain == profiled
     assert (tmp_path / "p.json").exists()
