@@ -10,8 +10,10 @@ The campaign is a seeded scheduler around genuinely separate OS
 processes:
 
 1. **Disturb.** Launch ``workers`` sweep children (each a coordinated,
-   supervised, checkpointing :class:`~repro.harness.sweep.SweepEngine`
-   sharing one result cache) over a small fixed benchmark grid, then
+   checkpointing :class:`~repro.harness.sweep.SweepEngine` sharing one
+   result cache, whose runs go to a supervised process pool or, with
+   ``jobs=1``, run in the child itself under the engine's signal
+   handlers) over a small fixed benchmark grid, then
    inject ``budget`` faults drawn from a seeded RNG: SIGKILL of a whole
    child process group, graceful SIGTERM, SIGKILL aimed at the current
    holder of a live work-claim lease, torn (truncated) cache entries and
@@ -105,7 +107,6 @@ def paced_worker(spec, options: RunOptions) -> SimStats:
     """
     from repro.harness.runner import run_spec
 
-    supervise.install_worker_signal_handlers()
     try:
         pace = float(os.environ.get(PACE_ENV, "") or 0.0)
     except ValueError:
@@ -143,8 +144,9 @@ def _install_enospc_shim(flag_path: str) -> None:
 def child_main(config: Dict) -> int:
     """Entry point of one chaos sweep child (its own process group).
 
-    Runs the campaign grid through a coordinated, supervised, pooled
-    engine against the shared cache named in ``config``.  Exit status:
+    Runs the campaign grid through a coordinated, checkpointing engine
+    (pooled and supervised, or in process when ``config["jobs"]`` is 1)
+    against the shared cache named in ``config``.  Exit status:
     0 when every grid spec ended in a successful result, 130 on a
     graceful shutdown, 1 otherwise.  Deliberately *no* quarantine
     registry: a spec repeatedly murdered by the campaign must stay
@@ -465,7 +467,8 @@ def run_campaign(
             fresh temporary directory, removed again when the campaign
             passes (kept for inspection when it fails).
         workers: Concurrent sweep children during the disturbance phase.
-        jobs: Pool size inside each child engine.
+        jobs: Pool size inside each child engine; 1 runs each child's
+            specs in the child itself.
         scale: Benchmark scale factor for the campaign grid.
         max_rounds: Recovery relaunches before declaring non-convergence.
         pace: Seconds each worker idles per run during the disturbance

@@ -15,9 +15,10 @@ pointless ``os.replace`` race.  This module adds the missing protocol:
   half-born lease and judge it stale).  The record is ``{schema, pid,
   host, fingerprint, acquired_wall, renewed_wall, token}``.
 * **Defer instead of duplicating.**  A process that finds a live lease
-  moves the spec to a retry queue and polls the cache: when the claimant
-  finishes, the result appears in the cache (the claimant releases its
-  lease only *after* the cache write) and the waiter records a cache hit
+  puts the spec back in its work queue and claims it again after a short
+  poll interval.  The claimant releases its lease only *after* the cache
+  write, so once it finishes the waiter's claim succeeds, the waiter's
+  post-claim cache read finds the result, and it records a cache hit
   instead of a duplicate simulation.
 * **Renew on the heartbeat cadence.**  The claimant renews its leases
   (atomic rewrite bumping ``renewed_wall``) from a small daemon thread
@@ -226,8 +227,8 @@ class LeaseManager:
         The claim is a scratch write plus hard link — atomic on every
         filesystem the cache supports, so exactly one process wins.  On
         losing, the existing record is inspected: a live lease is a
-        denial (the caller defers the spec and polls the cache), a stale
-        one is stolen and the claim retried.  Infrastructure failures
+        denial (the caller defers the spec and claims it again later), a
+        stale one is stolen and the claim retried.  Infrastructure failures
         (unwritable lease directory) degrade to an *unbacked* lease: the
         caller proceeds uncoordinated rather than blocking on an
         optimization.
@@ -422,8 +423,8 @@ class LeaseManager:
         """Release the held lease for ``key`` (no-op when not held).
 
         Callers must release only *after* publishing the result to the
-        cache: a waiter that sees the lease disappear and still misses
-        the cache concludes the claimant died and re-claims the spec.
+        cache: a waiter whose next claim succeeds and still misses the
+        cache concludes the claimant died and simulates the spec.
         The unlink is ownership-checked by token so a release racing a
         steal never deletes the thief's fresh lease.
         """

@@ -26,9 +26,11 @@ the two sides:
   sweeps, so one bad cell can never starve the pool twice.
 * **Graceful shutdown.**  A process-wide flag
   (:func:`request_shutdown` / :func:`shutdown_requested`) set by the
-  engine's first SIGTERM/SIGINT — and by
-  :func:`install_worker_signal_handlers` inside pool workers — stops
-  admission and lets in-flight runs checkpoint and bow out.
+  engine's first SIGTERM/SIGINT stops admission and lets in-flight runs
+  checkpoint and bow out.  In a pool worker the handlers that
+  :func:`install_worker_signal_handlers` installs, as the pool's
+  initializer, raise the worker's own flag on every signal; a run in
+  the engine's process stays under the engine's handlers.
 * **Disk-pressure degradation.**  :func:`is_disk_pressure` classifies
   ``ENOSPC``/``EDQUOT``; heartbeat writes that hit them warn once and
   disable themselves instead of crashing the run.
@@ -160,9 +162,10 @@ def _worker_signal_handler(signum: int, frame: object) -> None:
 def install_worker_signal_handlers() -> None:
     """Install graceful SIGTERM/SIGINT handling in a pool worker.
 
-    Idempotent; silently a no-op off the main thread or on platforms
-    without these signals (a worker must never die because it could not
-    customize signal disposition).
+    The sweep engine's process pools run it as their ``initializer``,
+    once per worker process.  Idempotent; silently a no-op off the main
+    thread or on platforms without these signals (a worker must never
+    die because it could not customize signal disposition).
     """
     for sig in (signal.SIGTERM, signal.SIGINT):
         try:

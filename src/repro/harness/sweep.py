@@ -10,7 +10,9 @@ exploits both:
   (:class:`SweepEngine`), with deterministic result ordering (outputs are
   returned in input order regardless of completion order) and worker-level
   fault isolation (a crashed, truncated, or stalled run records a
-  structured :class:`RunFailure` instead of killing the sweep).
+  structured :class:`RunFailure` instead of killing the sweep).  One
+  dispatch loop schedules every sweep; it runs the specs in this process
+  instead when the pool would have a single worker.
 
 * **Machine-wide memoization.**  A completed run's statistics can be
   persisted on disk (:class:`ResultCache`) keyed by a stable fingerprint
@@ -71,8 +73,10 @@ Fault-tolerance model (the integrity layer of the harness):
   :mod:`repro.harness.coordinate`).  With a cache attached, the engine
   claims a work-claim lease under ``<cache-root>/leases/`` before
   simulating each uncached spec.  A concurrent sweep that finds the
-  lease live defers the spec and polls the cache for the claimant's
-  result instead of re-simulating it; a lease whose renewals stopped
+  lease live puts the spec back behind the gate retry backoff uses and
+  claims it again later; once the claimant has cached its result and
+  released the lease, that claim succeeds and a cache re-check finds the
+  result instead of re-simulating it.  A lease whose renewals stopped
   (SIGKILLed claimant) is atomically stolen.  Coordination is purely an
   optimization — correctness still rests on atomic cache writes — and
   can be disabled with ``coordinate=False`` (CLI: ``--no-coordinate``).
@@ -795,21 +799,20 @@ class ProgressReporter:
 
 
 def _sweep_worker(spec: RunSpec, options: RunOptions) -> SimStats:
-    """Pool entry point: execute one spec, return its (picklable) stats.
+    """Default worker: execute one spec, return its (picklable) stats.
 
-    Imported lazily so ``runner`` -> ``sweep`` stays a one-way module
-    dependency.  Only the stats travel back over the pipe; the simulator
-    object graph (cores, DRAM) stays in the worker.  Structured
-    simulation failures (deadlock, truncation, invariant violations)
-    pickle losslessly, diagnostic snapshot included.
-
-    Graceful SIGTERM/SIGINT handling is (re-)installed explicitly: fork
-    workers inherit the engine's handler, but spawn workers start with
-    the default disposition and would die mid-write without this.
+    ``run_spec`` is imported lazily so ``runner`` -> ``sweep`` stays a
+    one-way module dependency.  Only the stats leave the call, so the
+    simulator object graph (cores, DRAM) is freed as the run ends, in a
+    pool worker or in the engine's own process.  Structured simulation
+    failures (deadlock, truncation, invariant violations) pickle
+    losslessly, diagnostic snapshot included.  The worker leaves signal
+    dispositions alone: the pool's initializer installs the worker
+    handlers in every pool process, and an in-process run keeps the
+    engine's.
     """
     from repro.harness.runner import run_spec
 
-    supervise.install_worker_signal_handlers()
     return run_spec(spec, options).stats
 
 
@@ -821,11 +824,10 @@ class _PendingRun:
     spec: RunSpec
     attempt: int = 0
     deadline: Optional[float] = None
-    not_before: float = 0.0  # backoff gate for retries
+    not_before: float = 0.0  # gate: retry backoff or next lease claim
     submitted_wall: float = 0.0  # wall clock of the last submit (liveness)
     collateral: int = 0  # free requeues granted after a supervised kill
     deferred: bool = False  # parked at least once behind a sibling's lease
-    next_poll: float = 0.0  # earliest next cache/lease poll while parked
 
 
 class SweepInterrupted(RuntimeError):
@@ -868,21 +870,26 @@ class SweepEngine:
     * With a cache attached, previously-completed runs (from any process,
       ever) are loaded instead of simulated; with a manifest attached,
       runs journaled by an interrupted sweep are replayed the same way.
-    * ``jobs <= 1`` — or a single miss — runs inline in this process (no
-      pool overhead); ``jobs >= 2`` uses a process pool.  Either way the
-      results are stats-only: a :class:`SimulationResult` whose core/DRAM
-      handles are ``None``, so a finished machine is freed as its run
-      ends rather than held by the result until the process exits.
+    * One dispatch loop schedules every sweep.  With ``jobs <= 1``, or a
+      single miss, it calls the worker in this process (no pool
+      overhead), one run at a time in input order; otherwise it submits
+      runs to a process pool.  Either way the results are stats-only: a
+      :class:`SimulationResult` whose core/DRAM handles are ``None``, so
+      a finished machine is freed as its run ends rather than held by
+      the result until the process exits.
+    * On the main thread, :meth:`run` drains on the first SIGTERM/SIGINT
+      and raises :class:`SweepInterrupted`; a second signal forces
+      immediate exit.
     * Results are returned in input order, one outcome per input spec,
       each either a :class:`SimulationResult` or a :class:`RunFailure`.
 
     Args:
         cache: Persistent result cache, or ``None``.
-        jobs: Worker processes (1 = inline).
+        jobs: Worker processes (1 = run in this process).
         timeout: **Per-run** wall-clock deadline in seconds for pooled
             runs.  A run exceeding it is recorded as a ``timeout``
-            failure; other runs are unaffected.  Inline runs cannot be
-            preempted and ignore it.
+            failure; other runs are unaffected.  In-process runs cannot
+            be preempted and ignore it.
         progress: Progress/ETA reporter.
         worker: Run-execution callable, called as ``worker(spec,
             options)`` (overridable for testing and fault injection).
@@ -902,9 +909,6 @@ class SweepEngine:
             quarantined there are skipped; specs that exhaust their
             retry budget by crashing/wedging on *every* attempt are
             written into it.  ``None`` disables quarantine.
-        graceful_shutdown: Install SIGTERM/SIGINT handlers for the
-            duration of :meth:`run` — first signal drains and raises
-            :class:`SweepInterrupted`, second forces immediate exit.
         coordinate: Claim work-claim leases so concurrent sweeps sharing
             the cache directory never duplicate a simulation (see
             :mod:`repro.harness.coordinate`).  ``None`` (default) enables
@@ -924,7 +928,7 @@ class SweepEngine:
             when :meth:`run` ends) and the engine kills+requeues a run
             silent for ``heartbeat_interval * STALL_GRACE`` seconds
             (floor 2 s) instead of waiting out the full ``timeout``.
-            Inline runs write no heartbeats.
+            In-process runs write no heartbeats.
     """
 
     def __init__(
@@ -940,7 +944,6 @@ class SweepEngine:
         manifest: Union[SweepManifest, str, Path, None] = None,
         failure_report_dir: Union[str, Path, None] = None,
         quarantine_dir: Union[str, Path, None] = None,
-        graceful_shutdown: bool = True,
         coordinate: Optional[bool] = None,
         lease_grace: Optional[float] = None,
         options: Optional[RunOptions] = None,
@@ -965,7 +968,6 @@ class SweepEngine:
             if quarantine_dir is not None
             else None
         )
-        self.graceful_shutdown = graceful_shutdown
         self.leases: Optional[LeaseManager] = None
         heartbeat_interval = self.options.heartbeat_interval
         if self.cache is not None and coordinate is not False:
@@ -998,7 +1000,7 @@ class SweepEngine:
         self.interrupted = False  # the last run() ended in a shutdown
         self._sweep_failures = 0  # per-run() failure count for max_failures
         # Trace-memo traffic observed by this engine's process during
-        # run() (the inline path; pooled workers keep their own memos).
+        # run() (in-process runs; pool workers keep their own memos).
         self.trace_memo_hits = 0
         self.trace_memo_misses = 0
 
@@ -1008,9 +1010,9 @@ class SweepEngine:
         """Execute a sweep; one outcome per input spec, in input order.
 
         Raises :class:`SweepInterrupted` when a graceful shutdown arrives
-        mid-sweep (``graceful_shutdown=True``): everything completed so
-        far is journaled and the manifest is finalized, so the same call
-        with the same manifest resumes exactly.
+        mid-sweep: everything completed so far is journaled and the
+        manifest is finalized, so the same call with the same manifest
+        resumes exactly.
         """
         keys = [fingerprint(spec) for spec in specs]
         unique: Dict[str, RunSpec] = {}
@@ -1066,12 +1068,7 @@ class SweepEngine:
             misses = [(k, s) for k, s in unique.items() if k not in outcomes]
             if misses:
                 try:
-                    if self.graceful_shutdown and supervise.shutdown_requested():
-                        self.interrupted = True
-                    elif self.jobs <= 1 or len(misses) == 1:
-                        self._run_inline(misses, outcomes)
-                    else:
-                        self._run_pool(misses, outcomes)
+                    self._dispatch(misses, outcomes)
                 finally:
                     if self.leases is not None:
                         # Backstop for abort/shutdown paths: a spec we
@@ -1080,8 +1077,7 @@ class SweepEngine:
                         self.leases.release_all()
             self.trace_memo_hits += WORKLOAD_MEMO.hits - memo_base[0]
             self.trace_memo_misses += WORKLOAD_MEMO.misses - memo_base[1]
-            if self.graceful_shutdown and supervise.shutdown_requested():
-                self.interrupted = True
+            self.interrupted = supervise.shutdown_requested()
             if self.interrupted:
                 self._finalize_interrupted(unique, outcomes)  # raises
             if self.manifest is not None and misses:
@@ -1097,15 +1093,13 @@ class SweepEngine:
     def _signal_guard(self):
         """Install first-signal-drains / second-signal-exits handlers.
 
-        Active only on the main thread with ``graceful_shutdown`` on;
-        original dispositions are restored on exit.  The process-wide
-        shutdown flag is deliberately *not* reset here: a signal that
-        lands between two engine calls must still stop the next one.
+        Active only on the main thread (the only one Python delivers
+        signals to); original dispositions are restored on exit.  The
+        process-wide shutdown flag is deliberately *not* reset here: a
+        signal that lands between two engine calls must still stop the
+        next one.
         """
-        if (
-            not self.graceful_shutdown
-            or threading.current_thread() is not threading.main_thread()
-        ):
+        if threading.current_thread() is not threading.main_thread():
             yield
             return
         previous = {}
@@ -1227,19 +1221,14 @@ class SweepEngine:
     # Work-claim coordination
     # ------------------------------------------------------------------
 
-    def _lease_poll_interval(self) -> float:
-        """Seconds between cache/lease polls for a deferred spec."""
-        if self.leases is None:
-            return 0.25
-        return min(max(self.leases.grace / 5.0, 0.05), 0.5)
-
     def _claim(self, key: str) -> bool:
         """True when this sweep may execute ``key`` now.
 
         Always true with coordination off; with it on, true when the
         work-claim lease was acquired (stolen-from-the-dead included) or
         the lease layer degraded to unbacked claims.  False means a
-        concurrent sweep holds a live claim — defer and poll its result.
+        concurrent sweep holds a live claim — defer the spec and claim it
+        again later.
         """
         if self.leases is None:
             return True
@@ -1255,12 +1244,12 @@ class SweepEngine:
     ) -> bool:
         """Post-claim cache re-check; True when the result already landed.
 
-        Closes the poll/claim race: a deferred waiter reads the cache
-        (miss) and then the lease (gone) as two separate operations, so
-        a sibling finishing *between* those reads — ``cache.put`` then
-        release — makes the spec look reclaimable even though its result
-        exists.  Re-checking after the claim succeeds turns that window
-        into a plain cache hit instead of a duplicate simulation.
+        A claim and the cache read before it are two operations, so a
+        concurrent sweep can ``cache.put`` and release its lease in
+        between.  That is also how a deferred spec resolves: the sibling
+        releases only after caching, so the claim that follows succeeds
+        and this read finds the result — a plain cache hit instead of a
+        duplicate simulation.
         """
         if self.leases is None or self.cache is None:
             return False
@@ -1275,33 +1264,7 @@ class SweepEngine:
         self.progress.step()
         return True
 
-    def _poll_deferred(self, key: str, outcomes: Dict[str, "Outcome"]) -> str:
-        """Poll one lease-deferred spec once.
-
-        Returns ``"hit"`` (the claimant's result landed in the cache and
-        was recorded), ``"reclaim"`` (the claimant's lease is gone or
-        stale with no result — the spec should be re-claimed and
-        executed here), or ``"wait"`` (the claim is still live).
-        """
-        stats = self.cache.get(key) if self.cache is not None else None
-        if stats is not None:
-            outcomes[key] = SimulationResult(stats)
-            self.cache_hits += 1
-            self.lease_deferred_hits += 1
-            self.progress.step()
-            return "hit"
-        record = self.leases.read(key)
-        if record is None or self.leases.is_stale(record):
-            return "reclaim"
-        return "wait"
-
     # ------------------------------------------------------------------
-
-    def _aborted(self) -> bool:
-        return (
-            self.max_failures is not None
-            and self._sweep_failures >= self.max_failures
-        )
 
     def _record_success(
         self, key: str, spec: RunSpec, result: SimulationResult,
@@ -1442,92 +1405,6 @@ class SweepEngine:
 
     # ------------------------------------------------------------------
 
-    def _run_inline(
-        self, misses: Sequence, outcomes: Dict[str, Outcome]
-    ) -> None:
-        from repro.harness.runner import run_spec
-
-        # Inline runs are never supervised, so they write no heartbeats.
-        options = dataclasses.replace(self.options, heartbeat_dir=None)
-        pending: deque = deque(misses)
-        waiting: deque = deque()  # (key, spec, earliest-next-poll monotonic)
-        deferred_keys: set = set()  # ever parked behind a sibling's lease
-        poll = self._lease_poll_interval()
-        while pending or waiting:
-            if self.graceful_shutdown and supervise.shutdown_requested():
-                self.interrupted = True
-                return
-            if self._aborted():
-                self._record_aborted(
-                    list(pending) + [(k, s) for k, s, _ in waiting], outcomes
-                )
-                return
-            if not pending:
-                # Everything left is parked behind a sibling's lease:
-                # poll the cache/lease state on the poll cadence.
-                key, spec, next_poll = waiting.popleft()
-                delay = next_poll - time.monotonic()
-                if delay > 0:
-                    # Capped so shutdown requests stay responsive.
-                    time.sleep(min(0.25, delay))
-                    waiting.appendleft((key, spec, next_poll))
-                    continue
-                state = self._poll_deferred(key, outcomes)
-                if state == "wait":
-                    waiting.append((key, spec, time.monotonic() + poll))
-                elif state == "reclaim":
-                    pending.append((key, spec))
-                continue
-            key, spec = pending.popleft()
-            if not self._claim(key):
-                if key not in deferred_keys:
-                    deferred_keys.add(key)
-                    self.lease_deferred += 1
-                waiting.append((key, spec, time.monotonic() + poll))
-                continue
-            if self._claimed_cache_hit(key, outcomes, key in deferred_keys):
-                continue
-            attempt = 0
-            while True:
-                try:
-                    if self.worker is _sweep_worker:
-                        # Inline default path: the worker's stats-only
-                        # result without its signal handlers, which
-                        # belong to pool workers, not this process.
-                        # Dropping the live cores/DRAM frees each
-                        # machine as its run ends.
-                        result = SimulationResult(run_spec(spec, options).stats)
-                    else:
-                        result = SimulationResult(self.worker(spec, options))
-                except Exception as exc:  # noqa: BLE001 - fault isolation
-                    if (
-                        isinstance(exc, WorkerInterrupted)
-                        and self.graceful_shutdown
-                        and supervise.shutdown_requested()
-                    ):
-                        # The run checkpointed and bowed out; leave it
-                        # unrecorded so a resumed sweep re-executes it.
-                        # (run() releases the claim via release_all.)
-                        self.interrupted = True
-                        return
-                    if is_transient_failure(exc) and attempt < self.retries:
-                        attempt += 1
-                        self.retried += 1
-                        if self.retry_backoff:
-                            time.sleep(self.retry_backoff * 2 ** (attempt - 1))
-                        continue
-                    self._record_failure(
-                        key, spec, "exception", exc, outcomes,
-                        attempts=attempt + 1,
-                    )
-                else:
-                    self._record_success(
-                        key, spec, result, outcomes, attempts=attempt + 1
-                    )
-                break
-
-    # ------------------------------------------------------------------
-
     @staticmethod
     def _heartbeat_path(run: _PendingRun, directory: Path) -> Path:
         """Canonical heartbeat file for a pending run."""
@@ -1572,25 +1449,37 @@ class SweepEngine:
                 except (ProcessLookupError, PermissionError, OSError):
                     pass
 
-    def _run_pool(
+    def _dispatch(
         self, misses: Sequence, outcomes: Dict[str, Outcome]
     ) -> None:
-        """Pooled execution with per-run deadlines, supervision, retries.
+        """Run the missing specs: retries, deadlines, supervision, drain.
 
-        A hung run only costs its own slot: its future is abandoned at
-        the deadline and the slot written off.  When every slot of the
+        The one scheduler of every sweep.  It builds a process pool, whose
+        initializer installs the worker signal handlers, only when
+        ``min(jobs, misses) > 1``; otherwise ``submit`` calls the worker
+        in this process and stores its stats or exception in a finished
+        future, recorded like a pooled completion (with no deadline: an
+        in-process run cannot be preempted).
+
+        A hung pool run only costs its own slot: its future is abandoned
+        at the deadline and the slot written off.  When every slot of the
         current executor is written off (or the pool breaks), a fresh
         executor takes over the remaining work.  All executors are shut
         down without waiting at the end, so orphaned workers die on
         their own without stalling the sweep.
 
-        With ``options.heartbeat_interval`` set, workers additionally
-        write liveness heartbeats and a heartbeat-silent run is killed (by
-        the pid its own heartbeat recorded) and requeued as ``wedged``
-        long before the full deadline.  Killing a pool process makes the
-        executor report ``BrokenProcessPool`` for innocent co-resident
-        futures; completions inside a short post-kill window are
-        requeued without burning their retry budget (``collateral``).
+        With ``options.heartbeat_interval`` set, pool workers
+        additionally write liveness heartbeats and a heartbeat-silent run
+        is killed (by the pid its own heartbeat recorded) and requeued as
+        ``wedged`` long before the full deadline.  Killing a pool process
+        makes the executor report ``BrokenProcessPool`` for innocent
+        co-resident futures; completions inside a short post-kill window
+        are requeued without burning their retry budget (``collateral``).
+
+        Retries and lease deferrals share the ``not_before`` gate: a
+        retried run waits out its backoff, and a spec whose lease a
+        concurrent sweep holds waits one lease poll, behind the queued
+        runs.
 
         A graceful-shutdown request flips the loop into *drain* mode: no
         new admissions, in-flight futures are given :data:`DRAIN_TIMEOUT`
@@ -1598,8 +1487,8 @@ class SweepEngine:
         ``WorkerInterrupted`` (left unrecorded, hence resumed later).
         """
         max_workers = min(self.jobs, len(misses))
+        pooled = max_workers > 1
         executors: List[ProcessPoolExecutor] = []
-        executor: Optional[ProcessPoolExecutor] = None
         lost_slots = 0
         # With a checkpoint directory, every worker checkpoints its run
         # periodically and run_spec() resumes from the newest valid
@@ -1607,7 +1496,7 @@ class SweepEngine:
         resumable = self.options.checkpoint_dir is not None
 
         heartbeat_interval = self.options.heartbeat_interval
-        supervising = heartbeat_interval is not None
+        supervising = pooled and heartbeat_interval is not None
         heartbeat_dir: Optional[Path] = None
         private_dir: Optional[str] = None
         if supervising:
@@ -1625,19 +1514,28 @@ class SweepEngine:
 
         def fresh_executor() -> ProcessPoolExecutor:
             nonlocal lost_slots
-            ex = ProcessPoolExecutor(max_workers=max_workers)
+            ex = ProcessPoolExecutor(
+                max_workers=max_workers,
+                initializer=supervise.install_worker_signal_handlers,
+            )
             executors.append(ex)
             lost_slots = 0
             return ex
 
-        executor = fresh_executor()
+        executor = fresh_executor() if pooled else None
         work: deque = deque(_PendingRun(key, spec) for key, spec in misses)
         running: Dict[Future, _PendingRun] = {}
-        waiting: List[_PendingRun] = []  # parked behind a sibling's lease
-        lease_poll = self._lease_poll_interval()
 
         def submit(run: _PendingRun) -> None:
             nonlocal executor
+            if executor is None:
+                future: Future = Future()
+                try:
+                    future.set_result(self.worker(run.spec, options))
+                except Exception as exc:  # noqa: BLE001 - fault isolation
+                    future.set_exception(exc)
+                running[future] = run
+                return
             if supervising:
                 self._clear_heartbeat(run, heartbeat_dir)
             run.submitted_wall = time.time()
@@ -1662,116 +1560,86 @@ class SweepEngine:
         draining = False
         drain_deadline = 0.0
         try:
-            while work or running or waiting:
-                if self.graceful_shutdown and supervise.shutdown_requested():
+            while work or running:
+                if supervise.shutdown_requested():
                     if not draining:
                         draining = True
                         drain_deadline = time.monotonic() + DRAIN_TIMEOUT
                         self._relay_shutdown(running, heartbeat_dir)
                     if not running or time.monotonic() >= drain_deadline:
-                        self.interrupted = True
                         return
                 if not draining:
-                    if self._aborted():
+                    if (
+                        self.max_failures is not None
+                        and self._sweep_failures >= self.max_failures
+                    ):
                         for future in running:
                             future.cancel()
                         self._record_aborted(
                             [
                                 (r.key, r.spec)
-                                for r in list(running.values())
-                                + list(work)
-                                + waiting
+                                for r in list(running.values()) + list(work)
                             ],
                             outcomes,
                         )
                         break
                     now = time.monotonic()
-                    # Dispatch work whose backoff gate has passed, up to
-                    # the live capacity of the current executor.  A spec
-                    # whose work-claim lease is held by a concurrent
-                    # sweep is parked in ``waiting`` instead of submitted.
+                    # Dispatch work whose gate has passed, up to the live
+                    # capacity of the current executor.  A spec whose
+                    # work-claim lease a concurrent sweep holds goes back
+                    # behind the gate until its next claim.
                     capacity = max(0, max_workers - lost_slots)
-                    deferred: List[_PendingRun] = []
+                    gated: List[_PendingRun] = []
                     while work and len(running) < capacity:
                         run = work.popleft()
                         if run.not_before > now:
-                            deferred.append(run)
+                            gated.append(run)
                             continue
                         if not self._claim(run.key):
                             if not run.deferred:
                                 run.deferred = True
                                 self.lease_deferred += 1
-                            run.next_poll = now + lease_poll
-                            waiting.append(run)
+                            run.not_before = now + min(
+                                max(self.leases.grace / 5.0, 0.05), 0.5
+                            )
+                            gated.append(run)
                             continue
                         if self._claimed_cache_hit(
                             run.key, outcomes, run.deferred
                         ):
                             continue
                         submit(run)
-                    work.extendleft(reversed(deferred))
-                    # Poll parked specs: a sibling's finished result is a
-                    # cache hit; a dead sibling's spec is reclaimed.
-                    if waiting:
-                        still_waiting: List[_PendingRun] = []
-                        for run in waiting:
-                            if run.next_poll > now:
-                                still_waiting.append(run)
-                                continue
-                            state = self._poll_deferred(run.key, outcomes)
-                            if state == "wait":
-                                run.next_poll = now + lease_poll
-                                still_waiting.append(run)
-                            elif state == "reclaim":
-                                work.append(run)
-                        waiting = still_waiting
+                    work.extendleft(reversed(gated))
                     if not running:
                         gates = [
                             r.not_before for r in work if r.not_before > now
                         ]
-                        gates.extend(
-                            r.next_poll for r in waiting if r.next_poll > now
-                        )
                         if gates:
                             # Capped so a shutdown request interrupts the
-                            # idle backoff wait promptly (PEP 475 makes a
+                            # idle gate wait promptly (PEP 475 makes a
                             # plain sleep restart after the signal).
                             time.sleep(
                                 min(0.25, max(0.0, min(gates) - now))
                             )
-                            continue
-                        if work and capacity == 0:
+                        elif work and capacity == 0:
                             executor = fresh_executor()
-                            continue
-                        if not work and not waiting:
-                            break
                         continue
                 # Wait for a completion, the earliest deadline, or the
-                # earliest retry gate — whichever comes first.  With
-                # supervision or graceful shutdown active, the wait is
-                # additionally capped so wedge scans and shutdown
-                # requests are serviced promptly.
+                # earliest gate — whichever comes first, and at most
+                # 0.25 s, so wedge scans and shutdown requests are
+                # serviced promptly.
                 now = time.monotonic()
-                wait_bounds = [
+                wait_bounds = [0.25]
+                wait_bounds.extend(
                     run.deadline - now
                     for run in running.values()
                     if run.deadline is not None
-                ]
+                )
                 wait_bounds.extend(
                     run.not_before - now for run in work if run.not_before > now
                 )
-                wait_bounds.extend(
-                    run.next_poll - now
-                    for run in waiting
-                    if run.next_poll > now
-                )
-                if supervising or self.graceful_shutdown or draining:
-                    wait_bounds.append(0.25)
-                pool_timeout = (
-                    max(0.005, min(wait_bounds)) if wait_bounds else None
-                )
                 done, _ = wait(
-                    set(running), timeout=pool_timeout,
+                    set(running), timeout=max(0.005, min(wait_bounds)),
                     return_when=FIRST_COMPLETED,
                 )
                 now = time.monotonic()
@@ -1780,10 +1648,17 @@ class SweepEngine:
                     try:
                         stats = future.result()
                     except Exception as exc:  # noqa: BLE001 - fault isolation
-                        if isinstance(exc, WorkerInterrupted) and draining:
+                        if (
+                            isinstance(exc, WorkerInterrupted)
+                            and supervise.shutdown_requested()
+                        ):
                             # The worker checkpointed and bowed out; the
                             # run stays unrecorded (pending), so a resume
-                            # with the same manifest re-executes it.
+                            # with the same manifest re-executes it.  The
+                            # process-wide flag, not ``draining``: one
+                            # group signal reaches the workers and the
+                            # engine together, so a worker can bow out
+                            # before this loop has seen the flag.
                             continue
                         if (
                             not draining

@@ -503,15 +503,13 @@ def paced_worker(spec, options) -> SimStats:
     """Run the real simulation, preceded by a short pace-keeping sleep.
 
     Used by :func:`supervised_sweep_main`: the sleep keeps the sweep
-    in flight long enough for the parent test to SIGTERM it mid-run,
-    and re-installing the worker signal handlers mirrors what
-    ``_sweep_worker`` does so a drain SIGTERM is converted into the
-    cooperative shutdown flag instead of killing the worker outright.
+    in flight long enough for the parent test to SIGTERM it mid-run.
+    The pool's initializer has installed the worker signal handlers, so
+    a drain SIGTERM becomes the cooperative shutdown flag instead of
+    killing the worker outright.
     """
-    from repro.harness import supervise
     from repro.harness.runner import run_spec
 
-    supervise.install_worker_signal_handlers()
     time.sleep(PACE_SECONDS)
     return run_spec(spec, options).stats
 
@@ -556,7 +554,6 @@ def supervised_sweep_main(argv=None) -> None:
         options=RunOptions(heartbeat_interval=0.2),
         retries=1,
         retry_backoff=0.1,
-        graceful_shutdown=True,
     )
     try:
         outcomes = engine.run(specs)
@@ -614,7 +611,6 @@ def coordinated_sweep_main(argv=None) -> None:
         # steal, but not what this scenario measures).  Liveness still
         # holds — a killed holder is detected by pid, not by grace.
         lease_grace=60.0,
-        graceful_shutdown=True,
     )
     try:
         outcomes = engine.run(specs)

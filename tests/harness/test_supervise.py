@@ -35,7 +35,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.harness import supervise
+from repro.harness import chaos, supervise
 from repro.harness.runner import ExperimentRunner, make_spec, run_spec
 from repro.harness.sweep import (
     ProgressReporter,
@@ -265,7 +265,7 @@ class TestMemoryBudget:
         specs = [spec_for("monte"), spec_for("cell")]
         engine = SweepEngine(
             jobs=2, worker=faults.rss_balloon_worker,
-            retries=2, retry_backoff=0.0, graceful_shutdown=False,
+            retries=2, retry_backoff=0.0,
             options=RunOptions(memory_budget_mb=budget_mb),
         )
         outcomes = engine.run(specs)
@@ -662,6 +662,35 @@ def _shutdown_after_first_worker(spec, options):
     return faults._stats_for(spec)
 
 
+#: This test process, the engine of every sweep below: fork-started pool
+#: workers inherit the value, so a worker can signal its engine.
+ENGINE_PID = os.getpid()
+
+
+def _handler_recording_worker(spec, options):
+    """Pool worker that records the SIGTERM handler it runs under."""
+    handler = signal.getsignal(signal.SIGTERM)
+    name = f"{handler.__module__}.{handler.__qualname__}"
+    directory = Path(os.environ[faults.FAULT_DIR_ENV])
+    (directory / f"handler-{os.getpid()}").write_text(name)
+    return faults._stats_for(spec)
+
+
+def _group_signal_worker(spec, options):
+    """Pool worker caught by a Ctrl-C that reaches the engine too.
+
+    The monte run signals the engine and then bows out the way a run
+    sentinel does; every other run is still busy then, and succeeds.
+    """
+    if spec.benchmark == "monte":
+        os.kill(ENGINE_PID, signal.SIGINT)
+        raise WorkerInterrupted(
+            "interrupted by a group signal", snapshot={"pid": os.getpid()}
+        )
+    time.sleep(0.5)
+    return faults._stats_for(spec)
+
+
 class TestGracefulShutdown:
     def test_second_signal_forces_immediate_exit(self):
         engine = SweepEngine(jobs=1)
@@ -711,6 +740,47 @@ class TestGracefulShutdown:
         final = SweepManifest(manifest_path).load()["__sweep__"]
         assert final["interrupted"] is False
 
+    def test_every_worker_runs_under_the_right_handler(
+        self, fault_dir, monkeypatch
+    ):
+        # In process: a worker that installs the worker handlers itself
+        # must not displace the engine's for the rest of the sweep.
+        monkeypatch.setenv(chaos.PACE_ENV, "0")
+        seen = []
+
+        def paced_then_probe(spec, options):
+            stats = chaos.paced_worker(spec, options)
+            seen.append(signal.getsignal(signal.SIGTERM))
+            return stats
+
+        engine = SweepEngine(jobs=1, worker=paced_then_probe)
+        [outcome] = engine.run([spec_for("monte")])
+        assert isinstance(outcome, SimulationResult)
+        assert seen == [engine._handle_shutdown_signal]
+
+        # Pooled: every worker function, not only the default one, runs
+        # under the worker handler rather than the engine's inherited one.
+        pooled = SweepEngine(jobs=2, worker=_handler_recording_worker)
+        outcomes = pooled.run([spec_for("monte"), spec_for("cell")])
+        assert all(isinstance(o, SimulationResult) for o in outcomes)
+        recorded = {p.read_text() for p in fault_dir.glob("handler-*")}
+        assert recorded == {"repro.harness.supervise._worker_signal_handler"}
+
+    def test_pooled_run_interrupted_by_a_group_signal_stays_pending(
+        self, fault_dir, tmp_path
+    ):
+        manifest_path = tmp_path / "sweep.jsonl"
+        engine = SweepEngine(
+            jobs=2, worker=_group_signal_worker, manifest=manifest_path,
+        )
+        with pytest.raises(SweepInterrupted) as excinfo:
+            engine.run([spec_for("monte"), spec_for("cell")])
+        assert (excinfo.value.done, excinfo.value.pending) == (1, 1)
+        assert engine.failures == 0
+        journal = SweepManifest(manifest_path).load()
+        statuses = sorted(record["status"] for record in journal.values())
+        assert statuses == ["done", "final"]
+
     def test_pre_raised_flag_stops_admission_before_any_run(
         self, fault_dir, tmp_path
     ):
@@ -723,14 +793,6 @@ class TestGracefulShutdown:
             engine.run([spec_for("monte")])
         assert excinfo.value.done == 0
         assert faults.attempts_made(spec_for("monte")) == 0
-
-    def test_graceful_shutdown_off_ignores_the_flag(self, fault_dir):
-        supervise.request_shutdown()
-        engine = SweepEngine(
-            jobs=1, worker=faults.fast_worker, graceful_shutdown=False,
-        )
-        [outcome] = engine.run([spec_for("monte")])
-        assert isinstance(outcome, SimulationResult)
 
 
 CHILD_CODE = (
