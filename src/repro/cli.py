@@ -17,8 +17,8 @@ Commands:
   ``--metrics-dir``) as a markdown run report, raw JSON, or a Chrome
   trace-event file loadable in ``chrome://tracing``/Perfetto.
 * ``fsck`` — audit every durable artifact under a tree (result cache,
-  manifests, checkpoints, metrics, heartbeats, leases, failure and
-  quarantine reports): classify each file ok/corrupt/orphaned/stale,
+  manifests, checkpoints, metrics, heartbeats, leases, failure
+  reports): classify each file ok/corrupt/orphaned/stale,
   quarantine corruption with ``--repair``, collect litter with
   ``--gc``; exits 1 when corruption remains (see
   :mod:`repro.harness.fsck`).
@@ -39,11 +39,11 @@ sweep flags:
   simulated once per machine, ever.
 * ``--no-cache`` — disable the persistent cache for this invocation.
 * ``--timeout S`` — per-run wall-clock deadline for pooled runs; only
-  the run exceeding its own deadline fails.
+  the run exceeding its own deadline fails.  S must be positive.
 * ``--retries N`` — extra attempts for transiently-failed runs (crashed
   worker, OS error); deterministic failures are never retried.
 * ``--max-failures N`` / ``--fail-fast`` — abort the sweep once N (or
-  one) runs have failed.
+  one) runs have failed; N must be at least 1.
 * ``--manifest FILE`` — JSONL checkpoint journal; re-invoking with the
   same manifest resumes an interrupted sweep.
 * Run options, applied to every run actually executed:
@@ -59,11 +59,7 @@ sweep flags:
   structurally).  They build one
   :class:`~repro.harness.sweep.RunOptions` that the sweep engine hands
   to every run, inline or in a pool worker; nothing is exported into
-  the environment.  A non-positive interval or budget is a usage error
-  (exit status 2).
-* ``--quarantine-dir DIR`` — poison-spec registry: specs that crash or
-  wedge workers on every attempt are quarantined into DIR and skipped
-  by later sweeps until their report file is deleted.
+  the environment.
 * ``--no-coordinate`` — disable work-claim leases.  By default,
   cache-backed sweeps claim each uncached spec via an exclusive lease
   file before simulating it, so concurrent sweeps sharing one cache
@@ -71,6 +67,10 @@ sweep flags:
   denied a claim polls the cache for the other process's result, and
   orphaned leases (SIGKILLed claimant) are stolen after a grace
   period.
+
+A flag value the sweep engine rejects — a non-positive ``--timeout``,
+interval or budget, or ``--max-failures`` below 1 — is a usage error
+(exit status 2).
 
 A sweep interrupted by SIGTERM/SIGINT drains in-flight runs, finalizes
 the ``--manifest`` journal, and exits with status 130; re-invoking the
@@ -185,12 +185,6 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
              "over-budget run checkpoints and fails structurally",
     )
     parser.add_argument(
-        "--quarantine-dir", default=None, metavar="DIR",
-        help="poison-spec registry: specs that crash or wedge workers on "
-             "every attempt are quarantined into DIR and skipped by later "
-             "sweeps",
-    )
-    parser.add_argument(
         "--no-coordinate", action="store_true",
         help="disable work-claim leases (by default, concurrent sweeps "
              "sharing one cache directory partition uncached specs via "
@@ -198,9 +192,13 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _run_options(args: argparse.Namespace) -> RunOptions:
-    """The :class:`RunOptions` the run-option flags ask for."""
-    return RunOptions(
+def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
+    """Build the :class:`ExperimentRunner` shared by the sweep commands.
+
+    Raises ``ValueError`` for a flag value the sweep engine or
+    :class:`RunOptions` rejects; ``main`` reports it as a usage error.
+    """
+    options = RunOptions(
         invariants=args.invariants,
         profile_dir=args.profile,
         metrics_dir=args.metrics_dir,
@@ -210,10 +208,6 @@ def _run_options(args: argparse.Namespace) -> RunOptions:
         heartbeat_interval=args.heartbeat_interval,
         memory_budget_mb=args.memory_budget,
     )
-
-
-def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
-    """Build the :class:`ExperimentRunner` shared by the sweep commands."""
     return ExperimentRunner(
         scale=args.scale,
         jobs=args.jobs,
@@ -225,9 +219,8 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
         max_failures=args.max_failures,
         fail_fast=args.fail_fast,
         manifest=args.manifest,
-        quarantine_dir=args.quarantine_dir,
         coordinate=False if args.no_coordinate else None,
-        options=args.options,
+        options=options,
     )
 
 
@@ -439,7 +432,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    runner = _make_runner(args)
+    runner = args.runner
     variant = dict(
         software=args.software,
         hardware=args.hardware,
@@ -473,7 +466,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    runner = _make_runner(args)
+    runner = args.runner
     resolved = []
     for scheme in args.schemes:
         software = scheme if scheme in SOFTWARE_SCHEMES else "none"
@@ -515,7 +508,7 @@ def _cmd_list(_args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    runner = _make_runner(args)
+    runner = args.runner
     subset = args.subset or None
     name = args.name
     if name == "table3":
@@ -730,7 +723,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     args = parser.parse_args(argv)
     if args.command in ("run", "compare", "figure"):
         try:
-            args.options = _run_options(args)
+            args.runner = _make_runner(args)
         except ValueError as exc:
             parser.error(str(exc))
     handler = {

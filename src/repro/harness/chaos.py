@@ -41,7 +41,6 @@ from __future__ import annotations
 import json
 import os
 import random
-import re
 import shutil
 import signal
 import subprocess
@@ -53,9 +52,20 @@ from pathlib import Path
 from typing import Callable, Dict, List, Optional, Union
 
 from repro.harness import supervise
-from repro.harness.coordinate import LEASE_SCHEMA, pid_alive
+from repro.harness.coordinate import (
+    LEASE_SCHEMA,
+    LEASE_SUFFIX,
+    LeaseManager,
+    lease_dir_for,
+    pid_alive,
+)
 from repro.harness.fsck import FsckReport, audit
-from repro.harness.sweep import ResultCache, RunOptions, fingerprint
+from repro.harness.sweep import (
+    ResultCache,
+    RunOptions,
+    cache_entry_version,
+    fingerprint,
+)
 from repro.sim.gpu import SimulationResult
 from repro.sim.stats import SimStats
 
@@ -76,8 +86,6 @@ FAULT_KINDS = (
     "sigkill", "sigterm", "lease_kill", "torn_cache",
     "torn_checkpoint", "enospc",
 )
-
-_HEX64_JSON = re.compile(r"^[0-9a-f]{64}\.json$")
 
 
 def campaign_specs(scale: float = 0.05) -> List:
@@ -148,9 +156,7 @@ def child_main(config: Dict) -> int:
     (pooled and supervised, or in process when ``config["jobs"]`` is 1)
     against the shared cache named in ``config``.  Exit status:
     0 when every grid spec ended in a successful result, 130 on a
-    graceful shutdown, 1 otherwise.  Deliberately *no* quarantine
-    registry: a spec repeatedly murdered by the campaign must stay
-    eligible, or the fleet could never converge.
+    graceful shutdown, 1 otherwise.
     """
     from repro.harness.sweep import SweepEngine, SweepInterrupted
 
@@ -351,7 +357,7 @@ def _cache_entry_files(cache: ResultCache) -> List[Path]:
     return sorted(
         path
         for path in cache.root.rglob("*.json")
-        if _HEX64_JSON.match(path.name) and path.parent.name == path.stem[:2]
+        if cache_entry_version(path) is not None
     )
 
 
@@ -392,7 +398,7 @@ def _plant_corruptions(
     checkpoint.write_text("{\"schema\": 1, \"fingerprint\": ", encoding="utf-8")
     planted.append({"path": str(checkpoint), "status": "corrupt"})
 
-    lease_dir = cache.root / "leases"
+    lease_dir = lease_dir_for(cache.root)
     lease_dir.mkdir(parents=True, exist_ok=True)
     expired = lease_dir / ("f" * 64 + ".lease")
     now = time.time()
@@ -641,13 +647,10 @@ def _inject(
             victim.wait()
         return f"pid {victim.pid}"
     if kind == "lease_kill":
-        lease_dir = cache.root / "leases"
+        leases = LeaseManager(lease_dir_for(cache.root))
         holders = {child.pid: child for child in fleet.alive()}
-        for lease in sorted(lease_dir.glob("*.lease")):
-            try:
-                record = json.loads(lease.read_text(encoding="utf-8"))
-            except (OSError, ValueError):
-                continue
+        for lease in sorted(leases.directory.glob(f"*{LEASE_SUFFIX}")):
+            record = leases.read(lease.stem) or {}
             child = holders.get(record.get("pid"))
             if child is not None:
                 fleet.kill(child, signal.SIGKILL)

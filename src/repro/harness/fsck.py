@@ -2,20 +2,25 @@
 
 The harness accumulates a zoo of on-disk artifacts — result-cache
 entries, sweep manifests, simulator checkpoints, metrics documents,
-quarantine and failure reports, heartbeats, work-claim leases, and the
-scratch temps of interrupted atomic writes.  Each sink already has a
-validator (cache schema + :class:`~repro.sim.stats.SimStats` shape,
-checkpoint envelope digests, metrics-document contiguity, lease/heartbeat
-records); what was missing is one pass that walks a tree, applies the
-right validator to each file, and says what is trustworthy, what is
-garbage, and what is litter.  That is ``repro fsck``.
+failure reports, heartbeats, work-claim leases, and the scratch temps of
+interrupted atomic writes.  Each format is read by one parser that lives
+with the module that writes it: :func:`~repro.harness.sweep.read_cache_entry`,
+:func:`~repro.harness.sweep.parse_manifest_line`,
+:func:`~repro.sim.checkpoint.load_checkpoint`,
+:func:`~repro.harness.supervise.load_heartbeat`,
+:meth:`~repro.harness.coordinate.LeaseManager.read` with
+:meth:`~repro.harness.coordinate.LeaseManager.is_stale`, and
+:func:`~repro.sim.errors.load_failure_report`.  ``repro fsck`` walks a
+tree, routes each file to its parser, and maps the answer to a verdict,
+so the auditor calls a file bad exactly when the harness would refuse
+it.
 
 Every audited file lands in exactly one status:
 
 * ``ok`` — validates against its sink's rules (or is a non-artifact the
   auditor does not judge).
 * ``corrupt`` — fails validation: torn JSON, digest mismatch, schema
-  from nowhere, a cache entry whose stats do not deserialize.  Under
+  from nowhere, a cache entry the result cache would not serve.  Under
   ``--repair`` these are quarantined by an atomic rename to
   ``<name>.corrupt`` — the same convention
   :meth:`~repro.harness.sweep.ResultCache.get` uses for its own
@@ -24,10 +29,10 @@ Every audited file lands in exactly one status:
 * ``orphaned`` — litter attributable to a dead writer: a scratch temp
   or steal tombstone whose embedded pid no longer runs, a heartbeat
   whose process is gone.  Collected under ``--gc``.
-* ``stale`` — valid but superseded: an expired lease, a checkpoint for
-  a run whose result already sits in the cache, a checkpoint whose
-  recorded field layout the running code no longer has (a resume would
-  reject it and cold-start).  Collected under ``--gc``.
+* ``stale`` — valid but superseded: a lease a sweep would steal, a
+  checkpoint for a run whose result already sits in the cache, a
+  checkpoint whose recorded field layout the running code no longer has
+  (a resume would reject it and cold-start).  Collected under ``--gc``.
 
 The auditor never deletes anything it classified ``corrupt`` (repair
 renames, keeping the bytes) and never touches anything ``ok`` — the
@@ -46,13 +51,18 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Union
 
 from repro.harness.coordinate import (
     DEFAULT_LEASE_GRACE,
-    LEASE_SCHEMA,
+    LEASE_SUFFIX,
+    LeaseManager,
     pid_alive,
 )
-from repro.harness.supervise import HEARTBEAT_SCHEMA
+from repro.harness.supervise import load_heartbeat
+from repro.harness.sweep import (
+    cache_entry_version,
+    parse_manifest_line,
+    read_cache_entry,
+)
 from repro.sim.checkpoint import check_layout, load_checkpoint
-from repro.sim.errors import CheckpointError
-from repro.sim.stats import SimStats
+from repro.sim.errors import CheckpointError, load_failure_report
 from repro.sim.telemetry import validate_metrics_document
 
 #: Format version of the ``repro fsck --json`` report document.
@@ -65,7 +75,6 @@ _HEX64 = re.compile(r"^[0-9a-f]{64}$")
 _SCRATCH = re.compile(r"^\.tmp-(\d+)-")
 _LEGACY_SCRATCH = re.compile(r"\.tmp\.(\d+)$")
 _STEAL_TOMBSTONE = re.compile(r"\.lease\.steal\.(\d+)$")
-_CACHE_VERSION_DIR = re.compile(r"^v(\d+)$")
 
 
 @dataclass
@@ -145,33 +154,20 @@ def _dead_writer(pid_text: str) -> Optional[bool]:
 
 
 def _classify_lease(path: Path, grace: float) -> Finding:
-    """Lease file: live, expired, or garbage."""
-    try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(record, dict):
-            raise ValueError("record is not an object")
-    except OSError as exc:
-        return Finding(path, "lease", "corrupt", f"unreadable: {exc}")
-    except (ValueError, UnicodeDecodeError) as exc:
-        return Finding(path, "lease", "corrupt", f"unparsable: {exc}")
-    if record.get("schema") != LEASE_SCHEMA:
+    """Lease file, judged by the rules a sweep steals leases by."""
+    leases = LeaseManager(path.parent, grace=grace)
+    record = leases.read(path.stem)
+    if record is None:
+        return Finding(path, "lease", "ok", "released during the audit")
+    if not record:
         return Finding(
-            path, "lease", "corrupt",
-            f"schema {record.get('schema')!r} != {LEASE_SCHEMA}",
+            path, "lease", "corrupt", "unreadable or not a JSON object"
         )
-    renewed = record.get("renewed_wall", record.get("acquired_wall"))
-    if not isinstance(renewed, (int, float)):
-        return Finding(path, "lease", "corrupt", "no renewal timestamp")
-    age = time.time() - float(renewed)
     pid = record.get("pid")
-    if isinstance(pid, int) and pid_alive(pid) is False:
-        return Finding(
-            path, "lease", "stale", f"claimant pid {pid} is dead"
-        )
-    if age > grace:
+    if leases.is_stale(record):
         return Finding(
             path, "lease", "stale",
-            f"renewal age {age:.1f}s exceeds the {grace:.1f}s grace",
+            f"claim by pid {pid} is orphaned; a sweep would steal it",
         )
     return Finding(path, "lease", "ok", f"live claim by pid {pid}")
 
@@ -179,32 +175,22 @@ def _classify_lease(path: Path, grace: float) -> Finding:
 def _classify_heartbeat(path: Path, grace: float) -> Finding:
     """Heartbeat file: a live worker's, a dead worker's, or garbage."""
     try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(record, dict):
-            raise ValueError("record is not an object")
+        record = load_heartbeat(path)
     except OSError as exc:
         return Finding(path, "heartbeat", "corrupt", f"unreadable: {exc}")
-    except (ValueError, UnicodeDecodeError) as exc:
-        return Finding(path, "heartbeat", "corrupt", f"unparsable: {exc}")
-    if record.get("schema") != HEARTBEAT_SCHEMA or "wall" not in record:
-        return Finding(
-            path, "heartbeat", "corrupt",
-            f"schema {record.get('schema')!r} != {HEARTBEAT_SCHEMA} "
-            "or missing wall timestamp",
-        )
+    except ValueError as exc:
+        return Finding(path, "heartbeat", "corrupt", str(exc))
     pid = record.get("pid")
     if isinstance(pid, int) and pid_alive(pid) is False:
         return Finding(
             path, "heartbeat", "orphaned", f"writer pid {pid} is dead"
         )
-    wall = record.get("wall")
-    if isinstance(wall, (int, float)):
-        age = time.time() - float(wall)
-        if age > max(grace, 60.0):
-            return Finding(
-                path, "heartbeat", "orphaned",
-                f"last beat {age:.0f}s ago (pid liveness unknown)",
-            )
+    age = time.time() - float(record["wall"])
+    if age > max(grace, 60.0):
+        return Finding(
+            path, "heartbeat", "orphaned",
+            f"last beat {age:.0f}s ago (pid liveness unknown)",
+        )
     return Finding(path, "heartbeat", "ok", f"live worker pid {pid}")
 
 
@@ -253,39 +239,14 @@ def _classify_metrics(path: Path) -> Finding:
     )
 
 
-def _classify_cache_entry(path: Path, version: int) -> Finding:
-    """Result-cache entry: full payload validation against its version."""
+def _classify_cache_entry(path: Path) -> Finding:
+    """Result-cache entry: ok exactly when the cache would serve it."""
     try:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(payload, dict):
-            raise ValueError("payload is not an object")
+        stats = read_cache_entry(path)
     except OSError as exc:
         return Finding(path, "cache", "corrupt", f"unreadable: {exc}")
-    except (ValueError, UnicodeDecodeError) as exc:
-        return Finding(path, "cache", "corrupt", f"unparsable: {exc}")
-    if payload.get("schema") != version:
-        return Finding(
-            path, "cache", "corrupt",
-            f"schema tag {payload.get('schema')!r} disagrees with the "
-            f"v{version} directory",
-        )
-    if payload.get("key") != path.stem:
-        return Finding(
-            path, "cache", "corrupt",
-            "embedded key does not match the filename",
-        )
-    try:
-        stats = SimStats.from_dict(payload["stats"])
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        return Finding(
-            path, "cache", "corrupt", f"stats do not deserialize: {exc}"
-        )
-    if stats.truncated:
-        return Finding(
-            path, "cache", "corrupt",
-            "cached stats are flagged truncated (never stored by the "
-            "engine; the entry was planted or tampered with)",
-        )
+    except ValueError as exc:
+        return Finding(path, "cache", "corrupt", str(exc))
     return Finding(path, "cache", "ok", f"{stats.cycles} cycles")
 
 
@@ -296,17 +257,8 @@ def _classify_manifest(path: Path) -> Finding:
     except OSError as exc:
         return Finding(path, "manifest", "corrupt", f"unreadable: {exc}")
     lines = [line for line in raw.splitlines() if line.strip()]
-    valid = torn = 0
-    for line in lines:
-        try:
-            record = json.loads(line.decode("utf-8"))
-        except (ValueError, UnicodeDecodeError):
-            torn += 1
-            continue
-        if isinstance(record, dict) and "schema" in record:
-            valid += 1
-        else:
-            torn += 1
+    valid = sum(1 for line in lines if parse_manifest_line(line) is not None)
+    torn = len(lines) - valid
     if lines and not valid:
         return Finding(
             path, "manifest", "corrupt",
@@ -320,32 +272,18 @@ def _classify_manifest(path: Path) -> Finding:
     return Finding(path, "manifest", "ok", detail)
 
 
-def _classify_report(path: Path, sink: str) -> Finding:
-    """Failure/quarantine report: must at least be a JSON object."""
+def _classify_report(path: Path) -> Finding:
+    """Failure report: must at least be a JSON object."""
     try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-        if not isinstance(record, dict):
-            raise ValueError("report is not an object")
+        record = load_failure_report(path)
     except OSError as exc:
-        return Finding(path, sink, "corrupt", f"unreadable: {exc}")
-    except (ValueError, UnicodeDecodeError) as exc:
-        return Finding(path, sink, "corrupt", f"unparsable: {exc}")
+        return Finding(path, "failure-report", "corrupt", f"unreadable: {exc}")
+    except ValueError as exc:
+        return Finding(path, "failure-report", "corrupt", f"unparsable: {exc}")
     kind = record.get("kind", record.get("error", ""))
-    return Finding(path, sink, "ok", f"report ({kind})" if kind else "report")
-
-
-def _cache_entry_version(path: Path) -> Optional[int]:
-    """Schema version when ``path`` sits in cache layout, else ``None``.
-
-    Layout: ``.../v<N>/<2 hex>/<64 hex>.json``.
-    """
-    if path.suffix != ".json" or not _HEX64.match(path.stem):
-        return None
-    fan_out = path.parent.name
-    if len(fan_out) != 2 or path.stem[:2] != fan_out:
-        return None
-    version = _CACHE_VERSION_DIR.match(path.parent.parent.name)
-    return int(version.group(1)) if version else None
+    return Finding(
+        path, "failure-report", "ok", f"report ({kind})" if kind else "report"
+    )
 
 
 def classify(
@@ -385,7 +323,7 @@ def classify(
             if alive is False
             else f"writer pid {match.group(1)} unverifiable; treated as dead",
         )
-    if name.endswith(".lease"):
+    if name.endswith(LEASE_SUFFIX):
         return _classify_lease(path, grace)
     if name.endswith(".hb.json"):
         return _classify_heartbeat(path, grace)
@@ -394,14 +332,13 @@ def classify(
     if name.endswith(".metrics.json"):
         return _classify_metrics(path)
     if name.endswith(".failure.json"):
-        return _classify_report(path, "failure-report")
-    version = _cache_entry_version(path)
-    if version is not None:
-        return _classify_cache_entry(path, version)
+        return _classify_report(path)
+    if cache_entry_version(path) is not None:
+        return _classify_cache_entry(path)
     if _HEX64.match(path.stem) and path.suffix == ".json":
-        # 64-hex-stem reports outside cache layout: quarantine registry
-        # entries and failure_report_dir files share this shape.
-        return _classify_report(path, "quarantine-report")
+        # 64-hex-stem JSON outside cache layout: the engine's
+        # ``failure_report_dir`` files (``<key>.json``).
+        return _classify_report(path)
     if path.suffix in (".jsonl", ".manifest") or "manifest" in name:
         return _classify_manifest(path)
     if path.suffix == ".json":
@@ -438,18 +375,6 @@ def _iter_files(roots: Sequence[Path]) -> Iterable[Path]:
                 continue
             seen.add(resolved)
             yield path
-
-
-def _collect_cache_keys(files: Sequence[Path]) -> Set[str]:
-    """Fingerprints with a structurally valid cache entry among ``files``."""
-    keys: Set[str] = set()
-    for path in files:
-        version = _cache_entry_version(path)
-        if version is None:
-            continue
-        if _classify_cache_entry(path, version).status == "ok":
-            keys.add(path.stem)
-    return keys
 
 
 def _repair(finding: Finding) -> None:
@@ -498,9 +423,18 @@ def audit(
     root_paths = [Path(root) for root in roots]
     report = FsckReport(roots=root_paths, grace=max(0.0, float(grace)))
     files = list(_iter_files(root_paths))
-    cache_keys = _collect_cache_keys(files)
+    cache_findings = {
+        path: _classify_cache_entry(path)
+        for path in files
+        if cache_entry_version(path) is not None
+    }
+    cache_keys = {
+        path.stem for path, f in cache_findings.items() if f.status == "ok"
+    }
     for path in files:
-        finding = classify(path, report.grace, cache_keys)
+        finding = cache_findings.get(path) or classify(
+            path, report.grace, cache_keys
+        )
         report.findings.append(finding)
         if repair and finding.status == "corrupt":
             _repair(finding)

@@ -534,9 +534,6 @@ class ExperimentRunner:
         manifest: Path to a JSONL checkpoint journal; an interrupted
             sweep re-invoked with the same manifest resumes from partial
             progress.
-        quarantine_dir: Poison-spec registry directory: specs that crash
-            or wedge workers on every attempt are quarantined there and
-            skipped by later sweeps.
         coordinate: Work-claim lease coordination with concurrent sweeps
             sharing the cache directory (see
             :mod:`repro.harness.coordinate`).  ``None`` (default) turns
@@ -560,7 +557,6 @@ class ExperimentRunner:
         max_failures: Optional[int] = None,
         fail_fast: bool = False,
         manifest: Union[str, Path, None] = None,
-        quarantine_dir: Union[str, Path, None] = None,
         coordinate: Optional[bool] = None,
         options: Optional[RunOptions] = None,
     ) -> None:
@@ -576,7 +572,6 @@ class ExperimentRunner:
             retries=retries,
             max_failures=max_failures,
             manifest=manifest,
-            quarantine_dir=quarantine_dir,
             coordinate=coordinate,
             options=options,
         )

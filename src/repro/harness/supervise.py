@@ -1,4 +1,4 @@
-"""Supervised worker runtime: heartbeats, budgets, quarantine, shutdown.
+"""Supervised worker runtime: heartbeats, budgets, shutdown.
 
 The sweep engine (:mod:`repro.harness.sweep`) runs simulations in worker
 processes it cannot look inside.  This module is the protocol between
@@ -20,10 +20,6 @@ the two sides:
   :class:`~repro.sim.errors.MemoryBudgetExceeded`, and honors shutdown
   requests by flushing a checkpoint and raising
   :class:`~repro.sim.errors.WorkerInterrupted`.
-* **Poison-spec quarantine.**  :class:`QuarantineRegistry` is a
-  directory of ``<key>.json`` failure reports; a spec that crashes or
-  wedges workers on every attempt is written there and skipped by later
-  sweeps, so one bad cell can never starve the pool twice.
 * **Graceful shutdown.**  A process-wide flag
   (:func:`request_shutdown` / :func:`shutdown_requested`) set by the
   engine's first SIGTERM/SIGINT stops admission and lets in-flight runs
@@ -53,7 +49,7 @@ import threading
 import time
 import warnings
 from pathlib import Path
-from typing import Dict, Optional, Set, Union
+from typing import Dict, Optional, Union
 
 from repro.sim.checkpoint import atomic_write_json
 from repro.sim.errors import MemoryBudgetExceeded, WorkerInterrupted
@@ -105,21 +101,48 @@ def is_disk_pressure(exc: BaseException) -> bool:
     return exc.errno in (errno.ENOSPC, getattr(errno, "EDQUOT", -1))
 
 
+def load_heartbeat(path: Union[str, Path]) -> Dict:
+    """The record at ``path``: the one parser of heartbeat files.
+
+    A heartbeat is a JSON object with this module's
+    :data:`HEARTBEAT_SCHEMA` and a numeric ``wall`` timestamp, as
+    :class:`HeartbeatWriter` writes it.  ``repro fsck`` judges heartbeat
+    files with this parser.
+
+    Raises:
+        OSError: The file cannot be read (``FileNotFoundError`` when
+            absent).
+        ValueError: The file is not a heartbeat record; the message says
+            why.
+    """
+    try:
+        record = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as exc:  # torn JSON or bytes that are not UTF-8
+        raise ValueError(f"unparsable: {exc}") from None
+    if not isinstance(record, dict):
+        raise ValueError("record is not an object")
+    if record.get("schema") != HEARTBEAT_SCHEMA:
+        raise ValueError(
+            f"schema {record.get('schema')!r} != {HEARTBEAT_SCHEMA}"
+        )
+    if not isinstance(record.get("wall"), (int, float)):
+        raise ValueError("no numeric wall timestamp")
+    return record
+
+
 def read_heartbeat(path: Union[str, Path]) -> Optional[Dict]:
     """Latest heartbeat record at ``path``, or None when absent.
 
-    A torn or unreadable record degrades to ``{"wall": <mtime>}`` —
-    enough for staleness checks even when the payload is unusable
-    (heartbeat writes are atomic, so this is rare).
+    A record :func:`load_heartbeat` rejects degrades to
+    ``{"wall": <mtime>}`` — enough for staleness checks even when the
+    payload is unusable (heartbeat writes are atomic, so this is rare).
     """
     path = Path(path)
     try:
-        record = json.loads(path.read_text(encoding="utf-8"))
-        if isinstance(record, dict) and "wall" in record:
-            return record
+        return load_heartbeat(path)
     except FileNotFoundError:
         return None
-    except (OSError, ValueError, UnicodeDecodeError):
+    except (OSError, ValueError):
         pass
     try:
         return {"wall": path.stat().st_mtime}
@@ -322,56 +345,3 @@ class RunSentinel:
         """Tear down after a successful run (removes the heartbeat)."""
         if self.heartbeat is not None:
             self.heartbeat.close()
-
-
-# ----------------------------------------------------------------------
-# Poison-spec quarantine
-# ----------------------------------------------------------------------
-
-
-class QuarantineRegistry:
-    """Directory of ``<key>.json`` failure reports for poisonous specs.
-
-    A spec lands here when it exhausted its retry budget by crashing or
-    wedging workers on *every* attempt — the signature of a run that
-    will never succeed and only starves the pool.  Sweeps consult the
-    registry up front and skip quarantined keys with an immediate
-    ``quarantined`` failure instead of burning retries again; deleting a
-    report file (or pointing at a fresh directory) lifts the quarantine.
-    """
-
-    def __init__(self, directory: Union[str, Path]) -> None:
-        self.directory = Path(directory)
-
-    def path_for(self, key: str) -> Path:
-        """Report location for a fingerprint key."""
-        return self.directory / f"{key}.json"
-
-    def load(self) -> Set[str]:
-        """The set of quarantined fingerprint keys on disk."""
-        try:
-            return {
-                path.stem
-                for path in self.directory.glob("*.json")
-                if len(path.stem) == 64
-            }
-        except OSError:  # pragma: no cover - unreadable registry dir
-            return set()
-
-    def quarantine(self, failure: object) -> Optional[Path]:
-        """Write a failure's report into the registry (best-effort).
-
-        ``failure`` is a :class:`~repro.harness.sweep.RunFailure` (duck
-        typed via its ``write_report``/``key`` members to keep this
-        module free of sweep imports).  Returns the report path, or None
-        when the write failed — quarantine is a protection mechanism and
-        must never crash the sweep it protects.
-        """
-        try:
-            return failure.write_report(self.path_for(failure.key))
-        except OSError:
-            return None
-
-    def is_quarantined(self, key: str) -> bool:
-        """True when ``key`` has a quarantine report on disk."""
-        return self.path_for(key).is_file()

@@ -60,10 +60,6 @@ Fault-tolerance model (the integrity layer of the harness):
   :class:`~repro.sim.errors.MemoryBudgetExceeded`; disk pressure on
   cache/manifest/heartbeat writes warns once and disables that sink
   (with dropped-write counts in the sweep summary) instead of crashing.
-* **Poison-spec quarantine.**  With a ``quarantine_dir`` attached, a
-  spec that crashes or wedges workers on every attempt is quarantined
-  with a failure report and skipped by later sweeps instead of burning
-  their retry budgets again.
 * **Graceful shutdown.**  The first SIGTERM/SIGINT during a sweep stops
   admission, drains in-flight runs (which flush checkpoints), journals a
   final manifest record, and raises :class:`SweepInterrupted`; the CLI
@@ -114,6 +110,7 @@ import errno
 import hashlib
 import json
 import os
+import re
 import shutil
 import signal
 import sys
@@ -149,7 +146,7 @@ from repro.harness.coordinate import (
     LeaseManager,
     lease_dir_for,
 )
-from repro.harness.supervise import QuarantineRegistry, is_disk_pressure
+from repro.harness.supervise import is_disk_pressure
 from repro.sim.checkpoint import (
     DEFAULT_CHECKPOINT_INTERVAL,
     atomic_write_json,
@@ -321,12 +318,10 @@ class RunFailure:
     re-raise it.  ``kind`` is the failure taxonomy tag: ``"exception"``,
     ``"timeout"``, ``"truncated"``, ``"invariant"``, ``"deadlock"``,
     ``"wedged"`` (heartbeat-silent worker killed by the supervisor),
-    ``"memory-budget"``, ``"interrupted"``, ``"quarantined"`` (skipped —
-    the spec was poisoned by a previous sweep), ``"shutdown"`` (not
-    executed before a graceful shutdown), or ``"aborted"``.  ``report``
-    holds the diagnostic snapshot payload when the failure was a
-    :class:`~repro.sim.errors.SimulationError`, and ``quarantined`` is
-    set once the failure has been written into a quarantine registry.
+    ``"memory-budget"``, ``"interrupted"``, ``"checkpoint"``, or
+    ``"aborted"`` (not executed after the ``max_failures`` budget ran
+    out).  ``report`` holds the diagnostic snapshot payload when the
+    failure was a :class:`~repro.sim.errors.SimulationError`.
     """
 
     spec: RunSpec
@@ -337,7 +332,6 @@ class RunFailure:
     exception: Optional[BaseException] = None
     attempts: int = 1
     report: Optional[Dict] = None
-    quarantined: bool = False
 
     def to_report(self) -> Dict:
         """Serialize into a failure-report payload (plain JSON types)."""
@@ -354,8 +348,6 @@ class RunFailure:
             payload["traceback"] = self.traceback
         if self.report is not None:
             payload["diagnostic"] = self.report
-        if self.quarantined:
-            payload["quarantined"] = True
         return payload
 
     def write_report(self, path: Union[str, Path]) -> Path:
@@ -400,6 +392,63 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro-mtap"
 
 
+_CACHE_ENTRY_NAME = re.compile(r"^[0-9a-f]{64}\.json$")
+_CACHE_VERSION_DIR = re.compile(r"^v(\d+)$")
+
+
+def cache_entry_version(path: Path) -> Optional[int]:
+    """Schema version when ``path`` sits in cache layout, else ``None``.
+
+    Layout: ``.../v<N>/<key[:2]>/<key>.json`` with a 64-hex key.
+    """
+    if not _CACHE_ENTRY_NAME.match(path.name):
+        return None
+    if path.parent.name != path.name[:2]:
+        return None
+    version = _CACHE_VERSION_DIR.match(path.parent.parent.name)
+    return int(version.group(1)) if version else None
+
+
+def read_cache_entry(path: Path) -> SimStats:
+    """The stats a result-cache entry holds: the one reader of entries.
+
+    An entry is a finished result :meth:`ResultCache.put` stored: a JSON
+    object whose schema tag names its ``v<N>`` directory, whose embedded
+    key is its filename, and whose stats deserialize and are not flagged
+    truncated.  ``repro fsck`` judges entries with this reader too, so
+    the auditor calls corrupt exactly what the cache refuses to serve.
+
+    Raises:
+        FileNotFoundError: No entry at ``path``.
+        OSError: The entry cannot be read.
+        ValueError: The entry is not a stored result; the message says
+            which rule it breaks.
+    """
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # torn JSON or bytes that are not UTF-8
+        raise ValueError(f"unparsable: {exc}") from None
+    if not isinstance(payload, dict):
+        raise ValueError("payload is not an object")
+    if f"v{payload.get('schema')}" != path.parent.parent.name:
+        raise ValueError(
+            f"schema tag {payload.get('schema')!r} disagrees with the "
+            f"{path.parent.parent.name} directory"
+        )
+    if payload.get("key") != path.stem:
+        raise ValueError("embedded key does not match the filename")
+    try:
+        stats = SimStats.from_dict(payload["stats"])
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        raise ValueError(f"stats do not deserialize: {exc!r}") from None
+    if stats.truncated:
+        raise ValueError(
+            "stats are flagged truncated (never stored by the engine; "
+            "the entry was planted or tampered with)"
+        )
+    return stats
+
+
 class ResultCache:
     """Persistent key -> :class:`SimStats` store shared across processes.
 
@@ -407,18 +456,19 @@ class ResultCache:
     per result holding the spec (for auditability) and the raw stats
     counters.  Writes are atomic (temp file + ``os.replace``) so
     concurrent sweep workers and concurrent sweeps can share a directory;
-    corrupt or unreadable entries — truncated JSON, schema mismatches,
-    torn files from a crashed writer — are treated as misses *and
-    evicted*: the bad file is atomically renamed to ``<key>.json.corrupt``
-    (best-effort) so the re-parse tax is paid once, not on every future
-    lookup, and the quarantined artifact stays on disk for ``repro fsck``
-    to report.  Evictions are counted in ``corrupt_evicted`` and surfaced
-    in the sweep summary.  I/O errors degrade gracefully but *audibly*:
-    the first failed write emits a ``RuntimeWarning``, every dropped
-    write is counted (``dropped``, and surfaced in the sweep summary),
-    and disk pressure (ENOSPC/EDQUOT) disables the sink for the rest of
-    the process instead of shredding the remaining free blocks with
-    doomed temp files.  Truncated results are never stored.
+    an entry :func:`read_cache_entry` rejects — torn JSON, a schema or
+    key that does not match its path, stats that do not deserialize or
+    are flagged truncated — is treated as a miss *and evicted*: the bad
+    file is atomically renamed to ``<key>.json.corrupt`` (best-effort)
+    so the re-parse tax is paid once, not on every future lookup, and
+    the renamed file stays on disk for ``repro fsck`` to report.
+    Evictions are counted in ``corrupt_evicted`` and surfaced in the
+    sweep summary.  I/O errors degrade gracefully but *audibly*: the
+    first failed write emits a ``RuntimeWarning``, every dropped write is
+    counted (``dropped``, and surfaced in the sweep summary), and disk
+    pressure (ENOSPC/EDQUOT) disables the sink for the rest of the
+    process instead of shredding the remaining free blocks with doomed
+    temp files.  Truncated results are never stored.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -440,15 +490,11 @@ class ResultCache:
         """Load cached stats for ``key``, or None on miss/corruption."""
         path = self.path_for(key)
         try:
-            with open(path, "r", encoding="utf-8") as fh:
-                payload = json.load(fh)
-            if payload.get("schema") != SCHEMA_VERSION:
-                raise ValueError("schema mismatch")
-            stats = SimStats.from_dict(payload["stats"])
+            stats = read_cache_entry(path)
         except FileNotFoundError:
             self.misses += 1
             return None
-        except (OSError, ValueError, KeyError, TypeError, AttributeError):
+        except (OSError, ValueError):
             self.errors += 1
             self.misses += 1
             self._evict_corrupt(path)
@@ -553,6 +599,33 @@ def build_result_cache(
 MANIFEST_FREE_SPACE_FLOOR = 1 << 20
 
 
+def parse_manifest_line(line: bytes) -> Optional[Dict]:
+    """One journal line as a record: the one parser of manifest lines.
+
+    A record is a JSON object with a ``schema`` tag.  A ``done`` record
+    is replayed as a finished run, so its ``stats`` must deserialize and
+    not be flagged truncated; they come back as a :class:`SimStats`.
+    Anything else — a line torn by an interrupted write (even mid-way
+    through a multi-byte UTF-8 character), a foreign line, a ``done``
+    record without usable stats — returns ``None``.
+    :meth:`SweepManifest.load` and ``repro fsck`` both use it.
+    """
+    try:
+        record = json.loads(line.decode("utf-8"))
+    except ValueError:  # UnicodeDecodeError included
+        return None
+    if not isinstance(record, dict) or "schema" not in record:
+        return None
+    if record.get("status") == "done":
+        try:
+            record["stats"] = SimStats.from_dict(record["stats"])
+        except (KeyError, TypeError, ValueError, AttributeError):
+            return None
+        if record["stats"].truncated:
+            return None
+    return record
+
+
 class SweepManifest:
     """Append-only JSONL journal of per-spec sweep outcomes.
 
@@ -561,8 +634,9 @@ class SweepManifest:
     makes the journal crash-safe — a torn final line (the interrupted
     write) is skipped on load, and everything before it is intact.  On
     resume, ``done`` entries are replayed as instant results; ``failed``
-    entries are re-attempted (which gives cross-invocation retry
-    semantics for transient infrastructure failures).
+    entries, and ``done`` entries whose stats do not deserialize, are
+    re-attempted (which gives cross-invocation retry semantics for
+    transient infrastructure failures).
 
     Records from a different :data:`SCHEMA_VERSION` are ignored: a
     simulator-semantics change makes old results unusable, exactly as
@@ -584,30 +658,18 @@ class SweepManifest:
     def load(self) -> Dict[str, Dict]:
         """Latest valid record per key; empty when the journal is absent.
 
-        The journal is read as bytes and decoded per line: a write torn
-        mid-way through a multi-byte UTF-8 sequence must only cost the
-        torn line, not (via a file-level ``UnicodeDecodeError``) the
-        whole journal.
+        The journal is read as bytes and parsed per line
+        (:func:`parse_manifest_line`), so a torn line costs only itself.
+        A ``done`` record's ``stats`` is a :class:`SimStats`.
         """
         entries: Dict[str, Dict] = {}
         try:
             raw = self.path.read_bytes()
-        except (FileNotFoundError, OSError):
+        except OSError:
             return entries
-        for line_bytes in raw.splitlines():
-            try:
-                line = line_bytes.decode("utf-8").strip()
-            except UnicodeDecodeError:
-                continue  # torn mid-character by an interrupted write
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except ValueError:
-                continue  # torn/corrupt line from an interrupted write
-            if not isinstance(record, dict):
-                continue
-            if record.get("schema") != SCHEMA_VERSION:
+        for line in raw.splitlines():
+            record = parse_manifest_line(line)
+            if record is None or record["schema"] != SCHEMA_VERSION:
                 continue
             key = record.get("key")
             if isinstance(key, str):
@@ -695,11 +757,10 @@ class ProgressReporter:
     written, ``\\r``-free.  Disabled reporters are no-ops, so the engine
     can call them unconditionally.
 
-    Beyond done/cached/failed, the line breaks out ``quarantined``
-    (skipped poisoned specs) and ``aborted`` (unexecuted after the
-    ``max_failures`` budget) counts when nonzero, and ``finish`` can
-    append a one-line sweep summary (dropped cache/manifest writes,
-    interruption status).
+    Beyond done/cached/failed, the line breaks out the ``aborted``
+    count (unexecuted after the ``max_failures`` budget) when nonzero,
+    and ``finish`` can append a one-line sweep summary (dropped
+    cache/manifest writes, interruption status).
     """
 
     def __init__(self, enabled: bool = True, stream: Optional[TextIO] = None,
@@ -711,7 +772,6 @@ class ProgressReporter:
         self.done = 0
         self.cached = 0
         self.failed = 0
-        self.quarantined = 0
         self.aborted = 0
         self._t0 = 0.0
         self._tty = self._stream_is_tty()
@@ -732,29 +792,21 @@ class ProgressReporter:
         self.done = cached
         self.cached = cached
         self.failed = 0
-        self.quarantined = 0
         self.aborted = 0
         self._t0 = time.monotonic()
         self._tty = self._stream_is_tty()
         self._emit()
 
-    def step(
-        self,
-        failed: bool = False,
-        quarantined: bool = False,
-        aborted: bool = False,
-    ) -> None:
+    def step(self, failed: bool = False, aborted: bool = False) -> None:
         """Record one finished run and refresh the progress line.
 
-        ``quarantined`` and ``aborted`` runs are failures too (they
-        produced no stats) and are counted under both tallies.
+        ``aborted`` runs are failures too (they produced no stats) and
+        are counted under both tallies.
         """
         self.done += 1
-        if quarantined:
-            self.quarantined += 1
         if aborted:
             self.aborted += 1
-        if failed or quarantined or aborted:
+        if failed or aborted:
             self.failed += 1
         self._emit()
 
@@ -779,11 +831,7 @@ class ProgressReporter:
             eta_text = f" eta {eta:6.1f}s"
         else:
             eta_text = ""
-        extras = ""
-        if self.quarantined:
-            extras += f", {self.quarantined} quarantined"
-        if self.aborted:
-            extras += f", {self.aborted} aborted"
+        extras = f", {self.aborted} aborted" if self.aborted else ""
         line = (
             f"[{self.label}] {self.done}/{self.total} done"
             f" ({self.cached} cached, {self.failed} failed{extras})"
@@ -889,7 +937,8 @@ class SweepEngine:
         timeout: **Per-run** wall-clock deadline in seconds for pooled
             runs.  A run exceeding it is recorded as a ``timeout``
             failure; other runs are unaffected.  In-process runs cannot
-            be preempted and ignore it.
+            be preempted and ignore it.  Must be positive; ``None``
+            means no deadline.
         progress: Progress/ETA reporter.
         worker: Run-execution callable, called as ``worker(spec,
             options)`` (overridable for testing and fault injection).
@@ -900,15 +949,11 @@ class SweepEngine:
             ``retry_backoff * 2**(n-1)`` before re-dispatch.
         max_failures: Abort the sweep once this many runs have failed;
             remaining runs are recorded as ``aborted``.  ``None`` means
-            never abort.
+            never abort.  Must be at least 1.
         manifest: Checkpoint journal (path or :class:`SweepManifest`)
             for resumable sweeps.
         failure_report_dir: When set, every failure writes a diagnostic
             JSON report to ``<dir>/<key>.json``.
-        quarantine_dir: Poison-spec registry directory.  Specs already
-            quarantined there are skipped; specs that exhaust their
-            retry budget by crashing/wedging on *every* attempt are
-            written into it.  ``None`` disables quarantine.
         coordinate: Claim work-claim leases so concurrent sweeps sharing
             the cache directory never duplicate a simulation (see
             :mod:`repro.harness.coordinate`).  ``None`` (default) enables
@@ -943,11 +988,14 @@ class SweepEngine:
         max_failures: Optional[int] = None,
         manifest: Union[SweepManifest, str, Path, None] = None,
         failure_report_dir: Union[str, Path, None] = None,
-        quarantine_dir: Union[str, Path, None] = None,
         coordinate: Optional[bool] = None,
         lease_grace: Optional[float] = None,
         options: Optional[RunOptions] = None,
     ) -> None:
+        if timeout is not None and not timeout > 0:
+            raise ValueError(f"timeout must be positive, got {timeout}")
+        if max_failures is not None and max_failures < 1:
+            raise ValueError(f"max_failures must be >= 1, got {max_failures}")
         self.cache = cache
         self.jobs = max(1, int(jobs))
         self.timeout = timeout
@@ -963,11 +1011,6 @@ class SweepEngine:
             Path(failure_report_dir) if failure_report_dir is not None else None
         )
         self.options = options or RunOptions()
-        self.quarantine = (
-            QuarantineRegistry(quarantine_dir)
-            if quarantine_dir is not None
-            else None
-        )
         self.leases: Optional[LeaseManager] = None
         heartbeat_interval = self.options.heartbeat_interval
         if self.cache is not None and coordinate is not False:
@@ -993,8 +1036,6 @@ class SweepEngine:
         self.failures = 0
         self.retried = 0
         self.wedged = 0  # heartbeat-silent runs killed by the supervisor
-        self.quarantined = 0  # newly-poisoned specs written to the registry
-        self.quarantine_skips = 0  # runs skipped because already poisoned
         self.lease_deferred = 0  # specs parked behind a sibling's lease
         self.lease_deferred_hits = 0  # parked specs resolved from its results
         self.interrupted = False  # the last run() ended in a shutdown
@@ -1041,30 +1082,14 @@ class SweepEngine:
                     record = journal.get(key)
                     if record is None or record.get("status") != "done":
                         continue
-                    try:
-                        stats = SimStats.from_dict(record["stats"])
-                    except (KeyError, TypeError):
-                        continue
+                    stats = record["stats"]
                     outcomes[key] = SimulationResult(stats)
                     self.manifest_hits += 1
                     if self.cache is not None:
                         self.cache.put(key, spec, stats)
 
-            replayed = len(outcomes)
-            poisoned: List[Tuple[str, RunSpec]] = []
-            if self.quarantine is not None:
-                registry = self.quarantine.load()
-                poisoned = [
-                    (k, s)
-                    for k, s in unique.items()
-                    if k not in outcomes and k in registry
-                ]
-
             self._sweep_failures = 0
-            self.progress.start(len(unique), cached=replayed)
-            for key, spec in poisoned:
-                self._record_quarantine_skip(key, spec, outcomes)
-
+            self.progress.start(len(unique), cached=len(outcomes))
             misses = [(k, s) for k, s in unique.items() if k not in outcomes]
             if misses:
                 try:
@@ -1162,8 +1187,6 @@ class SweepEngine:
             "total": total,
             "failed": self.progress.failed,
         }
-        if self.progress.quarantined:
-            summary["quarantined"] = self.progress.quarantined
         if self.progress.aborted:
             summary["aborted"] = self.progress.aborted
         dropped = self._dropped_writes()
@@ -1195,8 +1218,6 @@ class SweepEngine:
                 f"trace memo {self.trace_memo_hits} hit(s), "
                 f"{self.trace_memo_misses} miss(es)"
             )
-        if self.progress.quarantined:
-            parts.append(f"{self.progress.quarantined} quarantined")
         if self.progress.aborted:
             parts.append(f"{self.progress.aborted} aborted")
         if self.cache is not None and self.cache.dropped:
@@ -1316,7 +1337,6 @@ class SweepEngine:
             attempts=attempts,
             report=report,
         )
-        self._maybe_quarantine(failure)
         outcomes[key] = failure
         self.failures += 1
         self._sweep_failures += 1
@@ -1330,60 +1350,7 @@ class SweepEngine:
         # A failed spec's claim is released so a concurrent sweep can
         # attempt it with its own retry budget.
         self._release_claim(key)
-        self.progress.step(failed=True, quarantined=failure.quarantined)
-
-    def _maybe_quarantine(self, failure: RunFailure) -> None:
-        """Poison-spec detection: register repeat offenders.
-
-        A spec lands in quarantine when it exhausted its whole retry
-        budget (``attempts > retries``) with failures that *consumed*
-        retries — transient crashes or supervised kills (``wedged`` /
-        ``timeout``).  Deterministic one-shot failures (invariant
-        violations, truncation) are not poison: they never starved the
-        pool, and their reports already live in ``failure_report_dir``.
-        """
-        if self.quarantine is None:
-            return
-        if failure.attempts <= self.retries:
-            return
-        retry_burning = failure.kind in ("wedged", "timeout") or (
-            failure.exception is not None
-            and is_transient_failure(failure.exception)
-        )
-        if not retry_burning:
-            return
-        # Flag first so the registry report itself records the decision;
-        # reverted if the report cannot be written (no report, no ban).
-        failure.quarantined = True
-        if self.quarantine.quarantine(failure) is None:
-            failure.quarantined = False
-        else:
-            self.quarantined += 1
-
-    def _record_quarantine_skip(
-        self, key: str, spec: RunSpec, outcomes: Dict[str, Outcome]
-    ) -> None:
-        """Skip a spec poisoned by a previous sweep (no execution).
-
-        Deliberately does **not** count toward the ``max_failures``
-        abort budget (the spec was never attempted here) and is not
-        journaled as a failure — the quarantine registry itself is the
-        durable record, and deleting its report file lifts the ban.
-        """
-        outcomes[key] = RunFailure(
-            spec=spec,
-            key=key,
-            kind="quarantined",
-            error=(
-                "spec is quarantined as poisonous "
-                f"({self.quarantine.path_for(key)}); run not executed — "
-                "delete the report file to lift the quarantine"
-            ),
-            quarantined=True,
-        )
-        self.failures += 1
-        self.quarantine_skips += 1
-        self.progress.step(quarantined=True)
+        self.progress.step(failed=True)
 
     def _record_aborted(
         self, items: Sequence[Tuple[str, RunSpec]], outcomes: Dict[str, Outcome]
@@ -1696,11 +1663,7 @@ class SweepEngine:
                         beat = supervise.read_heartbeat(
                             self._heartbeat_path(run, heartbeat_dir)
                         )
-                        alive_at = (
-                            beat["wall"]
-                            if beat and isinstance(beat.get("wall"), (int, float))
-                            else run.submitted_wall
-                        )
+                        alive_at = beat["wall"] if beat else run.submitted_wall
                         silence = now_wall - alive_at
                         if silence <= stall_threshold:
                             continue

@@ -55,10 +55,6 @@ class CoreConfig:
     issue_cycles_imul: int = 16
     issue_cycles_fdiv: int = 32
     decode_cycles: int = 5
-    #: Warp scheduling policy: "rr" (loose round-robin, the default) or
-    #: "oldest" (always prefer the lowest-indexed ready warp — a
-    #: greedy-then-oldest flavour that lets old warps run ahead).
-    scheduler: str = "rr"
     mrq_size: int = 512
     max_blocks_limit: int = 8
     max_threads_per_core: int = 768
@@ -76,10 +72,6 @@ class CoreConfig:
         _require(
             self.decode_cycles >= 0,
             f"decode_cycles must be >= 0, got {self.decode_cycles}",
-        )
-        _require(
-            self.scheduler in ("rr", "oldest"),
-            f"scheduler must be 'rr' or 'oldest', got {self.scheduler!r}",
         )
         _require(self.mrq_size >= 1, f"mrq_size must be >= 1, got {self.mrq_size}")
         _require(
@@ -188,13 +180,6 @@ class DramConfig:
     #: tests); the reference exists purely as a differential baseline and
     #: for debugging, so the default stays on the fast path.
     reference_scheduler: bool = False
-    #: Optional shared L2 at the memory controllers (per channel), the
-    #: "more complex hierarchies" extension the paper's conclusion names
-    #: as future work.  0 disables it — the faithful Table II baseline has
-    #: no L2.  Sized per channel: total L2 = num_channels * l2_size_bytes.
-    l2_size_bytes: int = 0
-    l2_associativity: int = 8
-    l2_latency: int = 40
 
     def __post_init__(self) -> None:
         _require(
@@ -226,19 +211,6 @@ class DramConfig:
             self.request_buffer_size >= 1,
             f"DRAM request_buffer_size must be >= 1, got {self.request_buffer_size}",
         )
-        _require(
-            self.l2_size_bytes >= 0,
-            f"l2_size_bytes must be >= 0 (0 disables the L2), "
-            f"got {self.l2_size_bytes}",
-        )
-        if self.l2_size_bytes:
-            _require(
-                self.l2_associativity >= 1,
-                f"l2_associativity must be >= 1, got {self.l2_associativity}",
-            )
-            _require(
-                self.l2_latency >= 0, f"l2_latency must be >= 0, got {self.l2_latency}"
-            )
 
     @staticmethod
     def from_memory_clock(

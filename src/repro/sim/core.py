@@ -43,7 +43,7 @@ class Core:
     __slots__ = (
         "core_id", "config", "prefetcher", "throttle", "mrq", "pcache", "warps",
         "_block_warps", "max_blocks", "port_free_cycle", "_rr_index",
-        "_rr_enabled", "asleep", "wake_cycle", "sleep_credit", "woken",
+        "asleep", "wake_cycle", "sleep_credit", "woken",
         "_unfinished", "profiler", "_issue_cycles", "instructions",
         "prefetch_instructions", "demand_loads", "demand_line_accesses",
         "demand_lines_to_memory", "demand_latency_sum", "demand_latency_count",
@@ -75,10 +75,6 @@ class Core:
         self.max_blocks = 1
         self.port_free_cycle = 0
         self._rr_index = 0
-        # Round-robin advances the scan start; "oldest" pins it.  The
-        # scheduler choice is fixed at construction, so the issue path
-        # tests a cached flag instead of chasing config attributes.
-        self._rr_enabled = config.core.scheduler != "oldest"
         # Sleep/wake scheduling state, driven by try_issue and consumed by
         # the GPU main loop: a core whose issue attempt fails for a reason
         # that cannot resolve by itself goes to sleep, and the loop skips
@@ -300,8 +296,7 @@ class Core:
                     continue
             else:
                 self._issue(warp, inst, cycle)
-            if self._rr_enabled:
-                self._rr_index = index if index < num_warps else 0
+            self._rr_index = index if index < num_warps else 0
             self.asleep = True
             self.wake_cycle = self.port_free_cycle
             self.sleep_credit = False

@@ -138,21 +138,14 @@ class _Bank:
 
 
 class DramChannel:
-    """One DRAM channel: banks, a request buffer, and a shared data bus.
-
-    When the optional memory-side L2 is configured (the "more complex
-    hierarchies" extension of the paper's conclusion), read requests probe
-    the channel's L2 slice on arrival: a hit completes after ``l2_latency``
-    without touching the banks or the data bus; misses follow the normal
-    DRAM path and fill the L2 on completion.
-    """
+    """One DRAM channel: banks, a request buffer, and a shared data bus."""
 
     __slots__ = (
         "channel_id", "config", "banks", "pending", "_by_line", "_completing",
         "_completion_seq", "_entry_seq", "_demand_all", "_demand_rows",
         "_other_all", "_other_rows", "_dp", "_reference", "bus_busy_until",
-        "next_pick_cycle", "due_cycle", "l2", "row_hits", "row_misses",
-        "lines_transferred", "inter_core_merges", "l2_hits", "l2_misses",
+        "next_pick_cycle", "due_cycle", "row_hits", "row_misses",
+        "lines_transferred", "inter_core_merges",
     )
 
     #: Fields a snapshot does not store (see :mod:`repro.sim.checkpoint`):
@@ -193,30 +186,19 @@ class DramChannel:
         #: :meth:`next_event_cycle`; an arrival lowers it exactly to the
         #: cycle its new entry becomes schedulable or completes.
         self.due_cycle = NEVER
-        if config.l2_size_bytes > 0:
-            from repro.sim.caches import SetAssociativeCache
-
-            self.l2: Optional[object] = SetAssociativeCache(
-                config.l2_size_bytes, config.l2_associativity, config.line_bytes
-            )
-        else:
-            self.l2 = None
         # Statistics.
         self.row_hits = 0
         self.row_misses = 0
         self.lines_transferred = 0
         self.inter_core_merges = 0
-        self.l2_hits = 0
-        self.l2_misses = 0
 
     def arrive(self, request: MemoryRequest, bank: int, row: int, cycle: int) -> None:
         """Accept a request from the interconnect, merging when possible.
 
-        Updates the posted ``due_cycle``: a merge leaves it alone, an L2
-        hit lowers it to the hit's completion, and a buffered entry
-        lowers it to the entry's ready cycle only when the buffer was
-        empty -- behind an older entry it becomes ready no earlier than
-        that entry, which the posting already covers.
+        Updates the posted ``due_cycle``: a merge leaves it alone, and a
+        buffered entry lowers it to the entry's ready cycle only when the
+        buffer was empty -- behind an older entry it becomes ready no
+        earlier than that entry, which the posting already covers.
         """
         if not request.is_store:
             entry = self._by_line.get(request.line_addr)
@@ -232,19 +214,6 @@ class DramChannel:
                     elif not was_demand:
                         self.promote(entry)
                 return
-        if self.l2 is not None and not request.is_store:
-            if self.l2.lookup(request.line_addr) is not None:
-                self.l2_hits += 1
-                done = cycle + self.config.l2_latency
-                entry = BufferEntry(
-                    request.line_addr, bank, row, request, cycle, done
-                )
-                heapq.heappush(self._completing, (done, self._completion_seq, entry))
-                self._completion_seq += 1
-                if done < self.due_cycle:
-                    self.due_cycle = done
-                return
-            self.l2_misses += 1
         ready = cycle + self.config.pipeline_latency
         if not self.pending and ready < self.due_cycle:
             self.due_cycle = ready
@@ -431,8 +400,6 @@ class DramChannel:
                 done_cycle, _, entry = heappop(heap)
                 if not entry.is_store:
                     self._by_line.pop(entry.line_addr, None)
-                    if self.l2 is not None:
-                        self.l2.insert(entry.line_addr, True)
                 completed.append(entry)
         due = self.next_event_cycle(cycle)
         self.due_cycle = NEVER if due is None else due
@@ -629,10 +596,3 @@ class Dram:
     def total_inter_core_merges(self) -> int:
         return sum(channel.inter_core_merges for channel in self.channels)
 
-    @property
-    def total_l2_hits(self) -> int:
-        return sum(channel.l2_hits for channel in self.channels)
-
-    @property
-    def total_l2_misses(self) -> int:
-        return sum(channel.l2_misses for channel in self.channels)

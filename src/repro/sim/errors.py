@@ -188,5 +188,13 @@ def write_failure_report(path: Union[str, Path], report: Dict) -> Path:
 
 
 def load_failure_report(path: Union[str, Path]) -> Dict:
-    """Read back a report written by :func:`write_failure_report`."""
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    """Read back a report written by :func:`write_failure_report`.
+
+    The one reader of failure reports (``repro fsck`` uses it too).
+    Raises ``OSError`` when the file cannot be read and ``ValueError``
+    when it is not a JSON object.
+    """
+    report = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(report, dict):
+        raise ValueError("failure report is not a JSON object")
+    return report

@@ -35,15 +35,16 @@ leaves on disk), and later attempts run the real
 own process right after the snapshot lands, so it must only ever run in
 a dedicated subprocess.
 
-The supervised-runtime additions cover the four mechanisms of
+The supervised-runtime additions cover the mechanisms of
 ``repro.harness.supervise``: :func:`wedge_worker` and
 :func:`selectively_wedged_worker` go heartbeat-silent (busy-wedge) so
 the supervisor must kill and requeue them; :func:`rss_balloon_worker`
 allocates a large ballast so a ``--memory-budget`` run trips the
 sentinel; :func:`raise_enospc` is a monkeypatch shim standing in for a
-full disk; :func:`selectively_crashing_worker` is the poison spec the
-quarantine registry must catch; and :func:`supervised_sweep_main` is a
-subprocess driver for the SIGTERM-mid-sweep acceptance test.
+full disk; :func:`selectively_crashing_worker` crashes one spec on
+every attempt so it burns its whole retry budget; and
+:func:`supervised_sweep_main` is a subprocess driver for the
+SIGTERM-mid-sweep acceptance test.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ import os
 import time
 from pathlib import Path
 
-from repro.harness.sweep import ResultCache, fingerprint
+from repro.harness.sweep import SCHEMA_VERSION, ResultCache, fingerprint
 from repro.sim.errors import InvariantViolation
 from repro.sim.stats import SimStats
 
@@ -187,6 +188,12 @@ def corrupt_cache_entry(cache: ResultCache, key: str, mode: str) -> Path:
     * ``torn-binary`` — non-UTF-8 garbage, as from a torn page or a
       foreign file landing in the cache directory.
     * ``wrong-shape`` — valid JSON of the wrong type entirely.
+    * ``key-mismatch`` — a valid entry of another spec copied under
+      ``key``'s name.
+    * ``bad-stats`` — a well-formed entry whose stats do not
+      deserialize.
+    * ``truncated-stats`` — a well-formed entry whose stats are flagged
+      truncated, which :meth:`ResultCache.put` never stores.
 
     Returns the path that was written.
     """
@@ -206,6 +213,16 @@ def corrupt_cache_entry(cache: ResultCache, key: str, mode: str) -> Path:
     elif mode == "wrong-shape":
         path.write_text(json.dumps(["not", "a", "cache", "entry"]),
                         encoding="utf-8")
+    elif mode in ("key-mismatch", "bad-stats", "truncated-stats"):
+        entry = {"schema": SCHEMA_VERSION, "key": key,
+                 "stats": SimStats(cycles=7).to_dict()}
+        if mode == "key-mismatch":
+            entry["key"] = "0" * 64
+        elif mode == "bad-stats":
+            entry["stats"] = "x"
+        else:
+            entry["stats"]["truncated"] = True
+        path.write_text(json.dumps(entry), encoding="utf-8")
     else:  # pragma: no cover - guard against typo'd parametrization
         raise ValueError(f"unknown corruption mode {mode!r}")
     return path
@@ -455,8 +472,8 @@ def selectively_crashing_worker(spec, options) -> SimStats:
     succeed for everything else.
 
     The crash is an errno-less ``OSError`` — transient by the engine's
-    classifier — so the spec burns its whole retry budget and must then
-    be quarantined without aborting the healthy cells.
+    classifier — so the spec burns its whole retry budget without
+    aborting the healthy cells.
     """
     attempt = record_attempt(spec)
     if spec.benchmark == "monte":

@@ -261,7 +261,9 @@ class TestManifestDurability:
         not take the journal down with a decode or parse error.
         """
         manifest = SweepManifest(tmp_path / "sweep.jsonl")
-        manifest._append({"key": "run-a", "status": "done", "cycles": 1})
+        manifest._append(
+            {"key": "run-a", "status": "done", "stats": {"cycles": 1}}
+        )
         manifest._append({"key": "run-b", "status": "failed", "kind": "timeout"})
         # Tear 1: a record cut mid-way through a multi-byte UTF-8
         # character (U+00E9 is 0xC3 0xA9; keep only the lead byte).
@@ -278,7 +280,9 @@ class TestManifestDurability:
 
     def test_torn_plain_ascii_line_is_skipped(self, tmp_path):
         manifest = SweepManifest(tmp_path / "sweep.jsonl")
-        manifest._append({"key": "run-a", "status": "done"})
+        manifest._append(
+            {"key": "run-a", "status": "done", "stats": {"cycles": 1}}
+        )
         with open(manifest.path, "ab") as fh:
             fh.write(b'{"key": "run-b", "sta')
         assert set(manifest.load()) == {"run-a"}

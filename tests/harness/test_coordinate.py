@@ -260,15 +260,17 @@ class TestEngineCoordination:
         assert not list(directory.glob(".tmp-*"))
 
     def test_post_claim_cache_recheck_closes_poll_claim_race(self, tmp_path):
-        """A result that lands between a waiter's cache poll and its
-        lease re-claim must become a cache hit, not a re-simulation.
+        """A result that lands between a sweep's cache read and its
+        lease claim must become a cache hit, not a re-simulation.
 
-        The race is two non-atomic reads: ``_poll_deferred`` checks the
-        cache (miss), then the lease (gone) — but a sibling can
-        ``cache.put`` *and* release in between.  The engine closes it by
-        re-checking the cache after every successful claim, so here a
-        claimed key whose result is already cached records a hit and
-        releases the lease without simulating.
+        The race is two non-atomic steps: the sweep reads the cache
+        (miss) before it dispatches, and a spec deferred behind a
+        sibling's lease claims again later — but the sibling can
+        ``cache.put`` *and* release in between.  The dispatch loop closes
+        it with ``_claimed_cache_hit``, which re-checks the cache after
+        every successful claim, so here a claimed key whose result is
+        already cached records a hit and releases the lease without
+        simulating.
         """
         cache = ResultCache(tmp_path)
         spec = spec_for("monte")

@@ -172,6 +172,17 @@ class TestFailureBudget:
         runner = ExperimentRunner(scale=SCALE, fail_fast=True)
         assert runner.engine.max_failures == 1
 
+    def test_budget_below_one_is_rejected(self):
+        # A zero budget would abort every sweep before its first run.
+        with pytest.raises(ValueError, match="max_failures must be >= 1"):
+            ExperimentRunner(scale=SCALE, max_failures=0)
+
+    @pytest.mark.parametrize("timeout", [0, -1])
+    def test_non_positive_deadline_is_rejected(self, timeout):
+        # A past deadline would fail every pooled run as a timeout.
+        with pytest.raises(ValueError, match="timeout must be positive"):
+            SweepEngine(jobs=2, timeout=timeout)
+
 
 class TestManifestResume:
     def test_interrupted_sweep_resumes_from_manifest(self, fault_dir, tmp_path):
@@ -226,7 +237,23 @@ class TestManifestResume:
             )  # torn write
         records = manifest.load()
         assert set(records) == {"k1"}
-        assert records["k1"]["stats"]["cycles"] == 7
+        assert records["k1"]["stats"].cycles == 7
+
+    def test_done_record_with_unusable_stats_is_rerun(
+        self, fault_dir, tmp_path
+    ):
+        path = tmp_path / "sweep.jsonl"
+        spec = spec_for("monte")
+        path.write_text(json.dumps({
+            "schema": SCHEMA_VERSION, "key": fingerprint(spec),
+            "status": "done", "stats": "x",
+        }) + "\n", encoding="utf-8")
+        engine = SweepEngine(jobs=1, worker=faults.fast_worker,
+                             manifest=path)
+        [outcome] = engine.run([spec])
+        assert isinstance(outcome, SimulationResult)
+        assert engine.manifest_hits == 0
+        assert faults.attempts_made(spec) == 1
 
     def test_last_record_per_key_wins(self, tmp_path):
         manifest = SweepManifest(tmp_path / "sweep.jsonl")

@@ -15,6 +15,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from repro.cli import main as cli_main
 from repro.harness.coordinate import LEASE_SCHEMA, LeaseManager
 from repro.harness.fsck import FSCK_SCHEMA, audit, classify, format_summary
@@ -178,7 +180,8 @@ class TestClassificationMatrix:
     def test_manifest_tolerates_torn_tail_but_not_garbage(self, tmp_path):
         journal = tmp_path / "sweep.manifest"
         journal.write_text(
-            json.dumps({"schema": 1, "key": "x", "status": "done"})
+            json.dumps({"schema": 1, "key": "x", "status": "done",
+                        "stats": SimStats(cycles=4).to_dict()})
             + "\n" + '{"schema": 1, "ke',  # torn final line
             encoding="utf-8",
         )
@@ -202,6 +205,60 @@ class TestClassificationMatrix:
         path.write_text("{}", encoding="utf-8")
         finding = classify(path, 30.0, set())
         assert finding.sink == "json" and finding.status == "ok"
+
+
+#: Cache-entry corruptions: torn JSON, a schema tag that is not its
+#: directory's, a key that is not its filename, stats that do not
+#: deserialize, and stats flagged truncated.
+CACHE_CORRUPTIONS = (
+    "truncated-json", "schema-mismatch", "key-mismatch", "bad-stats",
+    "truncated-stats",
+)
+
+
+class TestOneReaderContract:
+    """The harness and the auditor read each format through one parser,
+    so they cannot disagree about a file."""
+
+    @pytest.mark.parametrize("mode", CACHE_CORRUPTIONS)
+    def test_cache_refuses_exactly_what_fsck_calls_corrupt(
+        self, tmp_path, mode
+    ):
+        cache = ResultCache(tmp_path)
+        key = fingerprint(make_spec("monte", scale=SCALE))
+        path = faults.corrupt_cache_entry(cache, key, mode)
+        assert _status_of(audit([tmp_path]), path) == "corrupt"
+        assert cache.get(key) is None
+        assert cache.corrupt_evicted == 1
+        assert not path.exists()
+        assert path.with_name(path.name + ".corrupt").exists()
+
+    def test_fsck_judges_leases_like_the_engine(self, tmp_path):
+        manager = LeaseManager(tmp_path, grace=30.0)
+        now = time.time()
+        base = {
+            "schema": LEASE_SCHEMA, "host": manager.host, "pid": os.getpid(),
+            "acquired_wall": now, "renewed_wall": now, "token": "t",
+        }
+        dead = _dead_pid()
+        records = {
+            "a": base,
+            "b": {**base, "pid": dead},  # dead claimant on this host
+            # A pid number says nothing about a process on another host.
+            "c": {**base, "pid": dead, "host": "elsewhere"},
+            "d": {**base, "renewed_wall": now - 3600},
+            "e": {**base, "schema": 999},
+        }
+        for letter, record in records.items():
+            (tmp_path / (letter * 64 + ".lease")).write_text(
+                json.dumps(record), encoding="utf-8"
+            )
+        report = audit([tmp_path], grace=30.0)
+        for letter, record in records.items():
+            expected = "stale" if manager.is_stale(record) else "ok"
+            path = tmp_path / (letter * 64 + ".lease")
+            assert _status_of(report, path) == expected, letter
+        assert _status_of(report, tmp_path / ("c" * 64 + ".lease")) == "ok"
 
 
 class TestRepairAndGc:

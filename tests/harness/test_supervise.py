@@ -1,6 +1,6 @@
 """Tests for the supervised sweep runtime (:mod:`repro.harness.supervise`).
 
-Covers the four mechanisms end to end:
+Covers the supervised runtime end to end:
 
 * **Liveness heartbeats** — writer gating and atomicity, torn-record
   degradation, and the acceptance scenario: a heartbeat-silent (wedged)
@@ -11,9 +11,9 @@ Covers the four mechanisms end to end:
   RSS crosses the budget; disk pressure (injected ENOSPC) degrades the
   result cache, manifest journal, heartbeat sink, and auto-checkpoint
   closure loudly-but-safely (one warning, counted drops, run survives).
-* **Poison-spec quarantine** — a spec that burns its whole retry budget
-  is quarantined without aborting the healthy cells, skipped with zero
-  new attempts by later sweeps, and un-poisoned by deleting its report.
+* **Retry budgets** — a transiently crashing spec uses exactly
+  ``retries + 1`` attempts without aborting the healthy cells beside it,
+  and a deterministic failure is attempted once.
 * **Graceful shutdown** — first signal drains (inline and pooled),
   finalizes the manifest, and raises ``SweepInterrupted``; the second
   forces exit.  The acceptance test SIGTERMs a *real subprocess sweep*
@@ -23,7 +23,6 @@ Covers the four mechanisms end to end:
 
 import errno
 import io
-import json
 import os
 import pickle
 import signal
@@ -347,11 +346,8 @@ class TestWedgeSupervision:
         assert faults.attempts_made(specs[0]) >= 2
         assert engine.failures == 0
 
-    def test_wedge_with_no_retries_fails_structured_and_quarantines(
-        self, fault_dir, tmp_path
-    ):
+    def test_wedge_with_no_retries_fails_structured(self, fault_dir, tmp_path):
         specs = [spec_for("monte"), spec_for("cell")]
-        quarantine_dir = tmp_path / "quarantine"
         engine = SweepEngine(
             jobs=2,
             worker=faults.selectively_wedged_worker,
@@ -360,7 +356,6 @@ class TestWedgeSupervision:
             options=RunOptions(
                 heartbeat_interval=0.2, heartbeat_dir=tmp_path / "heartbeats"
             ),
-            quarantine_dir=quarantine_dir,
         )
         t0 = time.monotonic()
         outcomes = engine.run(specs)
@@ -370,8 +365,7 @@ class TestWedgeSupervision:
         assert isinstance(wedged, RunFailure)
         assert wedged.kind == "wedged"
         assert "no heartbeat" in wedged.error
-        assert wedged.quarantined
-        assert (quarantine_dir / f"{wedged.key}.json").is_file()
+        assert wedged.attempts == 1
         assert isinstance(healthy, SimulationResult)
 
 
@@ -402,100 +396,36 @@ class TestWedgeSupervision:
 
 
 # ----------------------------------------------------------------------
-# Poison-spec quarantine
+# Retry budgets
 # ----------------------------------------------------------------------
 
 
-class TestQuarantine:
-    def test_poison_spec_is_quarantined_without_aborting_the_sweep(
-        self, fault_dir, tmp_path
-    ):
-        quarantine_dir = tmp_path / "quarantine"
-        poison, healthy = spec_for("monte"), spec_for("cell")
+class TestRetryBudget:
+    def test_transient_crash_uses_retries_plus_one_attempts(self, fault_dir):
+        crashing, healthy = spec_for("monte"), spec_for("cell")
         engine = SweepEngine(
             jobs=1, worker=faults.selectively_crashing_worker,
-            retries=1, retry_backoff=0.0, quarantine_dir=quarantine_dir,
+            retries=1, retry_backoff=0.0,
         )
-        bad, good = engine.run([poison, healthy])
+        bad, good = engine.run([crashing, healthy])
         assert isinstance(bad, RunFailure)
         assert bad.kind == "exception"
         assert bad.attempts == 2  # the whole retry budget
-        assert bad.quarantined
-        assert engine.quarantined == 1
+        assert faults.attempts_made(crashing) == 2
         # The healthy cell ran to completion — no abort.
         assert isinstance(good, SimulationResult)
-        report_path = quarantine_dir / f"{bad.key}.json"
-        assert report_path.is_file()
-        report = json.loads(report_path.read_text())
-        assert report["quarantined"] is True
-        assert report["kind"] == "exception"
 
-    def test_quarantined_spec_is_skipped_with_zero_new_attempts(
-        self, fault_dir, tmp_path
-    ):
-        quarantine_dir = tmp_path / "quarantine"
-        poison, healthy = spec_for("monte"), spec_for("cell")
-        first = SweepEngine(
-            jobs=1, worker=faults.selectively_crashing_worker,
-            retries=1, retry_backoff=0.0, quarantine_dir=quarantine_dir,
-        )
-        first.run([poison, healthy])
-        assert faults.attempts_made(poison) == 2
-
-        second = SweepEngine(
-            jobs=1, worker=faults.fast_worker,
-            quarantine_dir=quarantine_dir,
-        )
-        skipped, rerun = second.run([poison, healthy])
-        assert isinstance(skipped, RunFailure)
-        assert skipped.kind == "quarantined"
-        assert "delete the report file" in skipped.error
-        assert second.quarantine_skips == 1
-        assert second.quarantined == 0  # nothing newly poisoned
-        assert faults.attempts_made(poison) == 2  # zero new attempts
-        assert isinstance(rerun, SimulationResult)
-
-        # Deleting the report lifts the quarantine.
-        (quarantine_dir / f"{skipped.key}.json").unlink()
-        third = SweepEngine(
-            jobs=1, worker=faults.fast_worker,
-            quarantine_dir=quarantine_dir,
-        )
-        [revived, _] = third.run([poison, healthy])
-        assert isinstance(revived, SimulationResult)
-        assert third.quarantine_skips == 0
-
-    def test_quarantine_skips_do_not_count_toward_max_failures(
-        self, fault_dir, tmp_path
-    ):
-        quarantine_dir = tmp_path / "quarantine"
-        poison, healthy = spec_for("monte"), spec_for("cell")
-        first = SweepEngine(
-            jobs=1, worker=faults.selectively_crashing_worker,
-            retries=0, retry_backoff=0.0, quarantine_dir=quarantine_dir,
-        )
-        first.run([poison])
-        second = SweepEngine(
-            jobs=1, worker=faults.fast_worker,
-            quarantine_dir=quarantine_dir, max_failures=1,
-        )
-        skipped, good = second.run([poison, healthy])
-        assert skipped.kind == "quarantined"
-        # The skip did not consume the abort budget: the sweep went on.
-        assert isinstance(good, SimulationResult)
-
-    def test_deterministic_failures_are_not_poison(self, fault_dir, tmp_path):
-        quarantine_dir = tmp_path / "quarantine"
+    def test_invariant_failure_is_attempted_once(self, fault_dir):
         spec = spec_for("monte")
         engine = SweepEngine(
             jobs=1, worker=faults.invariant_worker,
-            retries=2, retry_backoff=0.0, quarantine_dir=quarantine_dir,
+            retries=2, retry_backoff=0.0,
         )
         [outcome] = engine.run([spec])
         assert outcome.kind == "invariant"
-        assert not outcome.quarantined
-        assert engine.quarantined == 0
-        assert not any(quarantine_dir.glob("*.json"))
+        assert outcome.attempts == 1
+        assert faults.attempts_made(spec) == 1
+        assert engine.retried == 0
 
 
 # ----------------------------------------------------------------------
@@ -579,7 +509,7 @@ class TestDiskPressure:
 
 
 # ----------------------------------------------------------------------
-# Progress reporting (non-TTY, quarantined/aborted, summary line)
+# Progress reporting (non-TTY, aborted, summary line)
 # ----------------------------------------------------------------------
 
 
@@ -615,39 +545,30 @@ class TestProgressReporting:
         assert "\r" in text
         assert "1/2 done" in text and "2/2 done" in text
 
-    def test_quarantined_and_aborted_runs_break_out_in_the_line(self):
+    def test_aborted_runs_break_out_in_the_line(self):
         stream = io.StringIO()
         reporter = ProgressReporter(enabled=True, stream=stream)
         reporter.start(total=3)
-        reporter.step(quarantined=True)
+        reporter.step(failed=True)
         reporter.step(aborted=True)
         reporter.step()
-        reporter.finish(summary="1 quarantined; 1 aborted")
+        reporter.finish(summary="1 aborted")
         text = stream.getvalue()
-        assert "1 quarantined" in text
         assert "1 aborted" in text
-        assert "2 failed" in text  # both count as failures
-        assert "[sweep] 1 quarantined; 1 aborted" in text
+        assert "2 failed" in text  # an aborted run counts as failed
+        assert "[sweep] 1 aborted" in text
 
-    def test_engine_summary_reports_quarantine_on_the_stream(
-        self, fault_dir, tmp_path
-    ):
-        quarantine_dir = tmp_path / "quarantine"
-        poison = spec_for("monte")
-        SweepEngine(
-            jobs=1, worker=faults.selectively_crashing_worker,
-            retries=0, quarantine_dir=quarantine_dir,
-        ).run([poison])
+    def test_engine_summary_reports_aborted_runs(self, fault_dir):
         stream = io.StringIO()
         engine = SweepEngine(
-            jobs=1, worker=faults.fast_worker,
-            quarantine_dir=quarantine_dir,
+            jobs=1, worker=faults.selectively_crashing_worker,
+            retries=0, max_failures=1,
             progress=ProgressReporter(enabled=True, stream=stream),
         )
-        engine.run([poison, spec_for("cell")])
+        engine.run([spec_for("monte"), spec_for("cell")])
         text = stream.getvalue()
-        assert "1 quarantined" in text
-        assert "[sweep] 1 quarantined" in text
+        assert "1 aborted" in text
+        assert "[sweep] 1 aborted" in text
 
 
 # ----------------------------------------------------------------------
@@ -898,11 +819,8 @@ class TestSigtermMidSweepSubprocess:
 
 
 class TestRunnerPlumbing:
-    def test_memory_budget_is_exported_for_workers(self, tmp_path):
+    def test_memory_budget_is_exported_for_workers(self):
         options = RunOptions(memory_budget_mb=512.0, heartbeat_interval=1.0)
-        runner = ExperimentRunner(
-            scale=SCALE, quarantine_dir=tmp_path / "q", options=options,
-        )
+        runner = ExperimentRunner(scale=SCALE, options=options)
         assert runner.engine.options.memory_budget_mb == 512.0
         assert runner.engine.options.heartbeat_interval == 1.0
-        assert runner.engine.quarantine is not None

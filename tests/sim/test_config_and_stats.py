@@ -86,7 +86,7 @@ class TestConfigValidation:
             ({"mrq_size": 0}, "mrq_size"),
             ({"max_blocks_limit": 0}, "max_blocks_limit"),
             ({"max_threads_per_core": 8}, "max_threads_per_core"),
-            ({"scheduler": "lottery"}, "scheduler"),
+            ({"decode_cycles": -1}, "decode_cycles"),
             ({"issue_cycles_default": 0}, "issue_cycles_default"),
         ],
     )

@@ -183,21 +183,6 @@ class TestPostedDueCycles:
         ch.arrive(demand(128), bank=2, row=0, cycle=301)
         assert ch.due_cycle == due == ch.next_event_cycle(301)
 
-    def test_l2_hit_completion_lowers_posting(self):
-        cfg = DramConfig(pipeline_latency=100, l2_size_bytes=64 * 1024)
-        ch = DramChannel(0, cfg)
-        ch.arrive(demand(0), bank=0, row=0, cycle=0)
-        drain(ch)
-        assert ch.due_cycle == NEVER
-        # A miss queues behind the pipeline; the L2 hit that follows
-        # completes first, and the posting moves to it.
-        ch.arrive(demand(64), bank=1, row=0, cycle=1000)
-        assert ch.due_cycle == 1100
-        ch.arrive(demand(0, core=1), bank=0, row=0, cycle=1010)
-        assert ch.l2_hits == 1
-        assert ch.due_cycle == 1010 + cfg.l2_latency
-        assert ch.due_cycle == ch.next_event_cycle(1010)
-
     def test_step_reposts_next_event(self):
         dram = Dram(make_config(pipeline_latency=10))
         for i in range(4):

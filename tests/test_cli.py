@@ -189,6 +189,20 @@ def test_non_positive_run_option_is_a_usage_error(flag, value, capsys):
     assert "must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--max-failures", "0", "max_failures must be >= 1"),
+    ("--timeout", "-1", "timeout must be positive"),
+])
+def test_bad_failure_budget_or_deadline_is_a_usage_error(
+    flag, value, message, capsys
+):
+    with pytest.raises(SystemExit) as excinfo:
+        main(["figure", "fig15", "--scale", "0.1", "--no-cache",
+              "--subset", "monte", flag, value])
+    assert excinfo.value.code == 2
+    assert message in capsys.readouterr().err
+
+
 def test_run_options_do_not_leak_between_invocations(tmp_path, capsys):
     """Run options live in one invocation: a second main() without
     --metrics-dir writes nothing into the first one's directory and
