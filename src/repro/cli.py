@@ -42,8 +42,8 @@ sweep flags:
   the run exceeding its own deadline fails.  S must be positive.
 * ``--retries N`` — extra attempts for transiently-failed runs (crashed
   worker, OS error); deterministic failures are never retried.
-* ``--max-failures N`` / ``--fail-fast`` — abort the sweep once N (or
-  one) runs have failed; N must be at least 1.
+* ``--max-failures N`` — abort the sweep once N runs have failed; N
+  must be at least 1 (1 stops at the first failure).
 * ``--manifest FILE`` — JSONL checkpoint journal; re-invoking with the
   same manifest resumes an interrupted sweep.
 * Run options, applied to every run actually executed:
@@ -53,24 +53,21 @@ sweep flags:
   rendered by ``report``), ``--checkpoint-dir DIR`` /
   ``--checkpoint-interval N`` (periodic snapshots; re-invoking with the
   same directory resumes an interrupted run bit-identically),
-  ``--heartbeat-interval S`` (liveness heartbeats; a pooled sweep kills
-  and requeues a heartbeat-silent run well before ``--timeout``) and
-  ``--memory-budget MB`` (an over-budget run checkpoints and fails
-  structurally).  They build one
-  :class:`~repro.harness.sweep.RunOptions` that the sweep engine hands
-  to every run, inline or in a pool worker; nothing is exported into
-  the environment.
-* ``--no-coordinate`` — disable work-claim leases.  By default,
-  cache-backed sweeps claim each uncached spec via an exclusive lease
-  file before simulating it, so concurrent sweeps sharing one cache
-  directory partition the work instead of duplicating it; a sweep
-  denied a claim polls the cache for the other process's result, and
-  orphaned leases (SIGKILLed claimant) are stolen after a grace
-  period.
+  and ``--heartbeat-interval S`` (liveness heartbeats; a pooled sweep
+  kills and requeues a heartbeat-silent run well before ``--timeout``).
+  They build one :class:`~repro.harness.sweep.RunOptions` that the
+  sweep engine hands to every run, inline or in a pool worker; nothing
+  is exported into the environment.
 
-A flag value the sweep engine rejects — a non-positive ``--timeout``,
-interval or budget, or ``--max-failures`` below 1 — is a usage error
-(exit status 2).
+Cache-backed sweeps claim each uncached spec via an exclusive lease
+file before simulating it, so concurrent sweeps sharing one cache
+directory partition the work instead of duplicating it; a sweep denied
+a claim polls the cache for the other process's result, and orphaned
+leases (SIGKILLed claimant) are stolen after a grace period.
+
+A flag value the sweep engine rejects — a non-positive ``--timeout`` or
+interval, or ``--max-failures`` below 1 — is a usage error (exit
+status 2).
 
 A sweep interrupted by SIGTERM/SIGINT drains in-flight runs, finalizes
 the ``--manifest`` journal, and exits with status 130; re-invoking the
@@ -136,10 +133,6 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
         help="abort the sweep after N failed runs (default: never)",
     )
     parser.add_argument(
-        "--fail-fast", action="store_true",
-        help="abort the sweep at the first failed run",
-    )
-    parser.add_argument(
         "--manifest", default=None, metavar="FILE",
         help="JSONL checkpoint journal for resumable sweeps",
     )
@@ -179,17 +172,6 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
              "kill+requeue a heartbeat-silent (wedged) run well before "
              "its full --timeout deadline",
     )
-    parser.add_argument(
-        "--memory-budget", type=float, default=None, metavar="MB",
-        help="per-run peak-RSS budget in MB, self-enforced by workers; an "
-             "over-budget run checkpoints and fails structurally",
-    )
-    parser.add_argument(
-        "--no-coordinate", action="store_true",
-        help="disable work-claim leases (by default, concurrent sweeps "
-             "sharing one cache directory partition uncached specs via "
-             "exclusive lease files instead of simulating them twice)",
-    )
 
 
 def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
@@ -206,7 +188,6 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
         checkpoint_dir=args.checkpoint_dir,
         checkpoint_interval=args.checkpoint_interval,
         heartbeat_interval=args.heartbeat_interval,
-        memory_budget_mb=args.memory_budget,
     )
     return ExperimentRunner(
         scale=args.scale,
@@ -217,9 +198,7 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
         timeout=args.timeout,
         retries=args.retries,
         max_failures=args.max_failures,
-        fail_fast=args.fail_fast,
         manifest=args.manifest,
-        coordinate=False if args.no_coordinate else None,
         options=options,
     )
 

@@ -78,9 +78,6 @@ DEFAULT_PACE = 0.35
 #: Environment variable carrying the per-run pacing delay to children.
 PACE_ENV = "REPRO_CHAOS_PACE"
 
-#: Environment variable carrying the ENOSPC flag-file path to children.
-ENOSPC_ENV = "REPRO_CHAOS_ENOSPC_FILE"
-
 #: The fault kinds the campaign scheduler draws from.
 FAULT_KINDS = (
     "sigkill", "sigterm", "lease_kill", "torn_cache",
@@ -172,7 +169,6 @@ def child_main(config: Dict) -> int:
         retries=config.get("retries", 3),
         retry_backoff=0.1,
         lease_grace=config.get("lease_grace", 2.0),
-        failure_report_dir=config.get("failure_report_dir"),
         manifest=config.get("manifest"),
         options=RunOptions(
             checkpoint_dir=config.get("checkpoint_dir"),
@@ -493,9 +489,8 @@ def run_campaign(
     cache_dir = root / "cache"
     heartbeat_dir = root / "heartbeats"
     checkpoint_dir = root / "checkpoints"
-    report_dir = root / "failures"
     flag = root / "enospc.flag"
-    for directory in (cache_dir, heartbeat_dir, checkpoint_dir, report_dir):
+    for directory in (cache_dir, heartbeat_dir, checkpoint_dir):
         directory.mkdir(parents=True, exist_ok=True)
     cache = ResultCache(cache_dir)
 
@@ -518,7 +513,6 @@ def run_campaign(
         "checkpoint_dir": str(checkpoint_dir),
         "checkpoint_interval": 2000,
         "lease_grace": lease_grace,
-        "failure_report_dir": str(report_dir),
         "enospc_flag": str(flag),
     }
     fleet = _Fleet(config, env, root / "logs")

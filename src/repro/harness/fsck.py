@@ -2,8 +2,9 @@
 
 The harness accumulates a zoo of on-disk artifacts — result-cache
 entries, sweep manifests, simulator checkpoints, metrics documents,
-failure reports, heartbeats, work-claim leases, and the scratch temps of
-interrupted atomic writes.  Each format is read by one parser that lives
+failure reports (``*.failure.json``, left by rejected checkpoints),
+heartbeats, work-claim leases, and the scratch temps of interrupted
+atomic writes.  Each format is read by one parser that lives
 with the module that writes it: :func:`~repro.harness.sweep.read_cache_entry`,
 :func:`~repro.harness.sweep.parse_manifest_line`,
 :func:`~repro.sim.checkpoint.load_checkpoint`,
@@ -71,7 +72,6 @@ FSCK_SCHEMA = 1
 #: The four verdicts; see the module docstring for their semantics.
 STATUSES = ("ok", "corrupt", "orphaned", "stale")
 
-_HEX64 = re.compile(r"^[0-9a-f]{64}$")
 _SCRATCH = re.compile(r"^\.tmp-(\d+)-")
 _LEGACY_SCRATCH = re.compile(r"\.tmp\.(\d+)$")
 _STEAL_TOMBSTONE = re.compile(r"\.lease\.steal\.(\d+)$")
@@ -335,10 +335,6 @@ def classify(
         return _classify_report(path)
     if cache_entry_version(path) is not None:
         return _classify_cache_entry(path)
-    if _HEX64.match(path.stem) and path.suffix == ".json":
-        # 64-hex-stem JSON outside cache layout: the engine's
-        # ``failure_report_dir`` files (``<key>.json``).
-        return _classify_report(path)
     if path.suffix in (".jsonl", ".manifest") or "manifest" in name:
         return _classify_manifest(path)
     if path.suffix == ".json":

@@ -46,12 +46,12 @@ from __future__ import annotations
 import json
 import os
 import platform
-import resource
 import sys
 import time
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from repro.harness import supervise
 from repro.harness.runner import HARDWARE_SCHEMES, _simulate, make_spec
 from repro.sim.profiling import SimProfiler
 from repro.trace.benchmarks import get_benchmark
@@ -89,13 +89,6 @@ def machine_info() -> Dict[str, object]:
         "implementation": platform.python_implementation(),
         "cpu_count": os.cpu_count(),
     }
-
-
-def peak_rss_kb() -> int:
-    """Peak resident-set size of this process in kilobytes."""
-    usage = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-    # ru_maxrss is KB on Linux, bytes on macOS.
-    return usage // 1024 if sys.platform == "darwin" else usage
 
 
 def _measure_one(request: Dict[str, object], repeats: int) -> Dict[str, object]:
@@ -160,7 +153,7 @@ def run_perf(
             "wall_seconds": round(total_wall, 6),
             "sim_cycles_per_sec": round(total_cycles / total_wall, 1)
             if total_wall > 0 else 0.0,
-            "peak_rss_kb": peak_rss_kb(),
+            "peak_rss_kb": supervise.peak_rss_kb(),
         },
         "history": [],
     }

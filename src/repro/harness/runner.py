@@ -15,8 +15,9 @@ Software schemes (Figs. 10-11): ``none``, ``register``, ``stride``, ``ip``,
 :class:`ExperimentRunner` memoizes results by their full configuration so
 figure scripts that share runs (every figure needs the no-prefetch baseline)
 pay for each simulation once.  :func:`run_spec` executes one spec under a
-:class:`~repro.harness.sweep.RunOptions` (checking, observers, budget),
-which the runner hands to its sweep engine and the engine to every run.
+:class:`~repro.harness.sweep.RunOptions` (checking, observers,
+heartbeats), which the runner hands to its sweep engine and the engine to
+every run.
 """
 
 from __future__ import annotations
@@ -284,9 +285,9 @@ def _simulate(
     on so every oracle run is also machine-checked.
 
     ``sentinel`` attaches a :class:`repro.harness.supervise.RunSentinel`
-    to the run loop (heartbeats, memory budget, graceful shutdown); it
-    is handed the checkpoint hook so a sentinel-triggered exit can
-    flush a snapshot first.
+    to the run loop (heartbeats, graceful shutdown); it is handed the
+    checkpoint hook so a sentinel-triggered exit can flush a snapshot
+    first.
     """
     if perfect_memory:
         cfg = cfg.replace(perfect_memory=True)
@@ -409,19 +410,15 @@ def run_spec(
     # heartbeat (which records this worker's pid) lands immediately —
     # the supervisor must be able to reclaim a worker that wedges before
     # its simulation ever starts.  Without heartbeats (a directory and
-    # an interval) or a budget it still honors shutdown requests: that
-    # is what lets an inline run checkpoint and bow out on SIGTERM.
+    # an interval) it still honors shutdown requests: that is what lets
+    # an inline run checkpoint and bow out on SIGTERM.
     heartbeat = None
     if None not in (options.heartbeat_dir, options.heartbeat_interval):
         heartbeat = supervise.HeartbeatWriter(
             supervise.heartbeat_path_for(spec.benchmark, key, options.heartbeat_dir),
             options.heartbeat_interval,
         )
-    budget = options.memory_budget_mb
-    sentinel = supervise.RunSentinel(
-        heartbeat=heartbeat,
-        memory_budget_kb=int(budget * 1024) if budget is not None else None,
-    )
+    sentinel = supervise.RunSentinel(heartbeat=heartbeat)
     result = _simulate(
         kernel, spec.software, builder, spec.distance, spec.degree,
         spec.config, spec.throttle, spec.perfect_memory, strict=strict,
@@ -530,18 +527,17 @@ class ExperimentRunner:
             never retried.
         max_failures: Abort a sweep once this many runs have failed;
             remaining runs are recorded as ``aborted`` failures.
-        fail_fast: Shorthand for ``max_failures=1``.
         manifest: Path to a JSONL checkpoint journal; an interrupted
             sweep re-invoked with the same manifest resumes from partial
             progress.
-        coordinate: Work-claim lease coordination with concurrent sweeps
-            sharing the cache directory (see
-            :mod:`repro.harness.coordinate`).  ``None`` (default) turns
-            it on whenever a cache is configured; ``False`` disables it.
         options: The :class:`~repro.harness.sweep.RunOptions` every run
             gets: invariant checking, observer directories and intervals,
-            the heartbeat interval that turns on wedge supervision for
-            pooled sweeps, and the per-run memory budget.
+            and the heartbeat interval that turns on wedge supervision
+            for pooled sweeps.
+
+    With a cache configured, the engine claims work-claim leases so
+    concurrent sweeps sharing the cache directory do not duplicate a
+    simulation (see :mod:`repro.harness.coordinate`).
     """
 
     def __init__(
@@ -555,15 +551,11 @@ class ExperimentRunner:
         timeout: Optional[float] = None,
         retries: int = 2,
         max_failures: Optional[int] = None,
-        fail_fast: bool = False,
         manifest: Union[str, Path, None] = None,
-        coordinate: Optional[bool] = None,
         options: Optional[RunOptions] = None,
     ) -> None:
         self.config = config or baseline_config()
         self.scale = scale
-        if fail_fast:
-            max_failures = 1 if max_failures is None else min(1, max_failures)
         self.engine = SweepEngine(
             cache=build_result_cache(cache_dir, use_cache),
             jobs=jobs,
@@ -572,7 +564,6 @@ class ExperimentRunner:
             retries=retries,
             max_failures=max_failures,
             manifest=manifest,
-            coordinate=coordinate,
             options=options,
         )
         self._cache: Dict[str, SimulationResult] = {}

@@ -1,4 +1,4 @@
-"""Supervised worker runtime: heartbeats, budgets, shutdown.
+"""Supervised worker runtime: heartbeats and shutdown.
 
 The sweep engine (:mod:`repro.harness.sweep`) runs simulations in worker
 processes it cannot look inside.  This module is the protocol between
@@ -13,13 +13,10 @@ the two sides:
   progressing* (fresh heartbeat, advancing cycle) from *wedged* (silent
   past the stall threshold), so a stuck run is killed and requeued long
   before its full ``--timeout`` deadline expires.
-* **Resource governance.**  :class:`RunSentinel` is the worker-side
-  self-monitor: on every supervision tick it emits a heartbeat, enforces
-  the per-run memory budget (``resource.getrusage``, stdlib only) by
-  flushing the run's checkpoint hook and raising a picklable
-  :class:`~repro.sim.errors.MemoryBudgetExceeded`, and honors shutdown
-  requests by flushing a checkpoint and raising
-  :class:`~repro.sim.errors.WorkerInterrupted`.
+* **The run sentinel.**  :class:`RunSentinel` is the worker-side
+  self-monitor: on every supervision tick it emits a heartbeat and
+  honors shutdown requests by flushing the run's checkpoint hook and
+  raising a picklable :class:`~repro.sim.errors.WorkerInterrupted`.
 * **Graceful shutdown.**  A process-wide flag
   (:func:`request_shutdown` / :func:`shutdown_requested`) set by the
   engine's first SIGTERM/SIGINT stops admission and lets in-flight runs
@@ -52,16 +49,16 @@ from pathlib import Path
 from typing import Dict, Optional, Union
 
 from repro.sim.checkpoint import atomic_write_json
-from repro.sim.errors import MemoryBudgetExceeded, WorkerInterrupted
+from repro.sim.errors import WorkerInterrupted
 from repro.sim.gpu import PeriodicHook
 
 #: Heartbeat record format version.
 HEARTBEAT_SCHEMA = 1
 
-#: Cycle cadence of the run-loop supervision hook (the heartbeat/budget
-#: tick).  Deliberately much finer than the checkpoint interval — the
-#: tick itself is wall-clock-gated, so a fine cycle cadence costs one
-#: call per 1000 cycles, not one file write.
+#: Cycle cadence of the run-loop supervision hook (the heartbeat and
+#: shutdown tick).  Deliberately much finer than the checkpoint
+#: interval — the tick itself is wall-clock-gated, so a fine cycle
+#: cadence costs one call per 1000 cycles, not one file write.
 SUPERVISION_HOOK_CYCLES = 1000
 
 #: A run whose heartbeat is older than ``interval * STALL_GRACE`` (with
@@ -85,8 +82,10 @@ def heartbeat_path_for(
 def peak_rss_kb() -> int:
     """Peak resident set size of this process in kilobytes.
 
-    ``ru_maxrss`` is kilobytes on Linux and bytes on macOS (matching
-    :func:`repro.harness.perf` conventions).
+    The peak over the process's whole life (``ru_maxrss``), not over
+    one run: a pool worker reused across runs reports the largest any
+    of them reached, and a forked worker starts from its parent's peak.
+    ``ru_maxrss`` is kilobytes on Linux and bytes on macOS.
     """
     peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
     if sys.platform == "darwin":  # pragma: no cover - platform-specific
@@ -269,22 +268,15 @@ class RunSentinel:
     1. emits a liveness heartbeat (wall-clock gated),
     2. honors a pending graceful-shutdown request — flush a checkpoint
        if one is armed, then raise
-       :class:`~repro.sim.errors.WorkerInterrupted`,
-    3. enforces the peak-RSS budget — flush a checkpoint, then raise
-       :class:`~repro.sim.errors.MemoryBudgetExceeded`.
+       :class:`~repro.sim.errors.WorkerInterrupted`.
 
-    Both exceptions are picklable :class:`~repro.sim.errors.SimulationError`
-    subclasses, so they cross the pool pipe losslessly and are never
-    treated as retryable infrastructure faults.
+    The exception is a picklable :class:`~repro.sim.errors.SimulationError`
+    subclass, so it crosses the pool pipe losslessly and is never
+    treated as a retryable infrastructure fault.
     """
 
-    def __init__(
-        self,
-        heartbeat: Optional[HeartbeatWriter] = None,
-        memory_budget_kb: Optional[int] = None,
-    ) -> None:
+    def __init__(self, heartbeat: Optional[HeartbeatWriter] = None) -> None:
         self.heartbeat = heartbeat
-        self.memory_budget_kb = memory_budget_kb
         self.checkpoint: Optional[PeriodicHook] = None
         if heartbeat is not None:
             # First beat immediately: it records this worker's pid before
@@ -316,21 +308,6 @@ class RunSentinel:
                 f"{sim.cycle} (checkpoint flushed if armed)",
                 snapshot={"cycle": sim.cycle, "pid": os.getpid()},
             )
-        budget = self.memory_budget_kb
-        if budget is not None:
-            rss = peak_rss_kb()
-            if rss > budget:
-                self._flush_checkpoint(sim)
-                raise MemoryBudgetExceeded(
-                    f"peak RSS {rss} KB exceeded the {budget} KB budget at "
-                    f"cycle {sim.cycle} (checkpoint flushed if armed)",
-                    snapshot={
-                        "cycle": sim.cycle,
-                        "peak_rss_kb": rss,
-                        "budget_kb": budget,
-                        "pid": os.getpid(),
-                    },
-                )
 
     def _flush_checkpoint(self, sim: object) -> None:
         """Best-effort final snapshot before a structured worker exit."""

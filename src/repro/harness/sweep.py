@@ -47,19 +47,16 @@ Fault-tolerance model (the integrity layer of the harness):
   restarting at cycle 0 — and deadline hits become retryable, since
   each attempt makes forward progress.
 * **Failure budgets.**  ``max_failures`` aborts the sweep once too many
-  runs fail (``fail_fast`` is the 1-failure special case); unexecuted
-  runs are recorded as ``aborted`` failures, so callers always receive
-  one outcome per input spec.
+  runs fail; unexecuted runs are recorded as ``aborted`` failures, so
+  callers always receive one outcome per input spec.
 * **Supervised liveness** (see :mod:`repro.harness.supervise`).  With a
   heartbeat interval in the options, every pooled worker writes periodic
   liveness heartbeats and the engine kills+requeues a heartbeat-silent
   (*wedged*) run well before its full ``timeout`` deadline, while a slow
   but progressing run is left alone.
-* **Resource governance.**  Workers self-enforce the per-run memory
-  budget (``RunOptions.memory_budget_mb``) with a structured
-  :class:`~repro.sim.errors.MemoryBudgetExceeded`; disk pressure on
-  cache/manifest/heartbeat writes warns once and disables that sink
-  (with dropped-write counts in the sweep summary) instead of crashing.
+* **Disk pressure.**  Out-of-space errors on cache/manifest/heartbeat
+  writes warn once and disable that sink (with dropped-write counts in
+  the sweep summary) instead of crashing.
 * **Graceful shutdown.**  The first SIGTERM/SIGINT during a sweep stops
   admission, drains in-flight runs (which flush checkpoints), journals a
   final manifest record, and raises :class:`SweepInterrupted`; the CLI
@@ -75,7 +72,7 @@ Fault-tolerance model (the integrity layer of the harness):
   result instead of re-simulating it.  A lease whose renewals stopped
   (SIGKILLed claimant) is atomically stolen.  Coordination is purely an
   optimization — correctness still rests on atomic cache writes — and
-  can be disabled with ``coordinate=False`` (CLI: ``--no-coordinate``).
+  an unusable lease directory degrades to uncoordinated runs.
 
 Run options: the engine hands one frozen :class:`RunOptions` to every
 worker call beside the spec, ``worker(spec, options)``, pooled or
@@ -153,12 +150,7 @@ from repro.sim.checkpoint import (
     free_bytes,
 )
 from repro.sim.config import GpuConfig
-from repro.sim.errors import (
-    FAILURE_REPORT_SCHEMA,
-    SimulationError,
-    WorkerInterrupted,
-    write_failure_report,
-)
+from repro.sim.errors import SimulationError, WorkerInterrupted
 from repro.sim.gpu import SimulationResult
 from repro.sim.stats import SimStats
 from repro.sim.telemetry import DEFAULT_METRICS_INTERVAL
@@ -284,9 +276,6 @@ class RunOptions:
         heartbeat_dir: Heartbeat files go here (with an interval set);
             the engine names a private directory for a pool it
             supervises when unset.
-        memory_budget_mb: Per-run peak-RSS budget; an over-budget run
-            checkpoints and fails with
-            :class:`~repro.sim.errors.MemoryBudgetExceeded`.
     """
 
     invariants: Optional[bool] = None
@@ -297,11 +286,10 @@ class RunOptions:
     checkpoint_interval: int = DEFAULT_CHECKPOINT_INTERVAL
     heartbeat_dir: Union[str, Path, None] = None
     heartbeat_interval: Optional[float] = None
-    memory_budget_mb: Optional[float] = None
 
     def __post_init__(self) -> None:
         for name in ("metrics_interval", "checkpoint_interval",
-                     "heartbeat_interval", "memory_budget_mb"):
+                     "heartbeat_interval"):
             value = getattr(self, name)
             if value is not None and not value > 0:
                 raise ValueError(f"{name} must be positive, got {value}")
@@ -318,9 +306,8 @@ class RunFailure:
     re-raise it.  ``kind`` is the failure taxonomy tag: ``"exception"``,
     ``"timeout"``, ``"truncated"``, ``"invariant"``, ``"deadlock"``,
     ``"wedged"`` (heartbeat-silent worker killed by the supervisor),
-    ``"memory-budget"``, ``"interrupted"``, ``"checkpoint"``, or
-    ``"aborted"`` (not executed after the ``max_failures`` budget ran
-    out).  ``report`` holds the diagnostic snapshot payload when the
+    ``"interrupted"``, ``"checkpoint"``, or ``"aborted"`` (not executed
+    after the ``max_failures`` budget ran out).  ``report`` holds the diagnostic snapshot payload when the
     failure was a :class:`~repro.sim.errors.SimulationError`.
     """
 
@@ -332,27 +319,6 @@ class RunFailure:
     exception: Optional[BaseException] = None
     attempts: int = 1
     report: Optional[Dict] = None
-
-    def to_report(self) -> Dict:
-        """Serialize into a failure-report payload (plain JSON types)."""
-        payload: Dict = {
-            "schema": FAILURE_REPORT_SCHEMA,
-            "kind": self.kind,
-            "error": self.error,
-            "key": self.key,
-            "benchmark": self.spec.benchmark,
-            "attempts": self.attempts,
-            "spec": dataclasses.asdict(self.spec),
-        }
-        if self.traceback:
-            payload["traceback"] = self.traceback
-        if self.report is not None:
-            payload["diagnostic"] = self.report
-        return payload
-
-    def write_report(self, path: Union[str, Path]) -> Path:
-        """Write this failure as a JSON report file; returns the path."""
-        return write_failure_report(path, self.to_report())
 
     def __str__(self) -> str:  # pragma: no cover - debugging aid
         return f"RunFailure({self.spec.benchmark}, {self.kind}: {self.error})"
@@ -952,14 +918,6 @@ class SweepEngine:
             never abort.  Must be at least 1.
         manifest: Checkpoint journal (path or :class:`SweepManifest`)
             for resumable sweeps.
-        failure_report_dir: When set, every failure writes a diagnostic
-            JSON report to ``<dir>/<key>.json``.
-        coordinate: Claim work-claim leases so concurrent sweeps sharing
-            the cache directory never duplicate a simulation (see
-            :mod:`repro.harness.coordinate`).  ``None`` (default) enables
-            coordination whenever a cache is attached; ``False`` disables
-            it.  Without a cache there is nothing to coordinate through
-            and the knob is ignored.
         lease_grace: Seconds of renewal silence after which another
             process may steal one of this sweep's leases.  ``None``
             derives it from the supervision stall threshold
@@ -987,8 +945,6 @@ class SweepEngine:
         retry_backoff: float = 0.5,
         max_failures: Optional[int] = None,
         manifest: Union[SweepManifest, str, Path, None] = None,
-        failure_report_dir: Union[str, Path, None] = None,
-        coordinate: Optional[bool] = None,
         lease_grace: Optional[float] = None,
         options: Optional[RunOptions] = None,
     ) -> None:
@@ -1007,13 +963,10 @@ class SweepEngine:
         if manifest is not None and not isinstance(manifest, SweepManifest):
             manifest = SweepManifest(manifest)
         self.manifest = manifest
-        self.failure_report_dir = (
-            Path(failure_report_dir) if failure_report_dir is not None else None
-        )
         self.options = options or RunOptions()
         self.leases: Optional[LeaseManager] = None
         heartbeat_interval = self.options.heartbeat_interval
-        if self.cache is not None and coordinate is not False:
+        if self.cache is not None:
             if lease_grace is None:
                 lease_grace = (
                     max(
@@ -1245,7 +1198,7 @@ class SweepEngine:
     def _claim(self, key: str) -> bool:
         """True when this sweep may execute ``key`` now.
 
-        Always true with coordination off; with it on, true when the
+        Always true without a cache; with one, true when the
         work-claim lease was acquired (stolen-from-the-dead included) or
         the lease layer degraded to unbacked claims.  False means a
         concurrent sweep holds a live claim — defer the spec and claim it
@@ -1256,7 +1209,7 @@ class SweepEngine:
         return self.leases.try_acquire(key) is not None
 
     def _release_claim(self, key: str) -> None:
-        """Release a held work claim (no-op when coordination is off)."""
+        """Release a held work claim (no-op without a cache)."""
         if self.leases is not None:
             self.leases.release(key)
 
@@ -1342,11 +1295,6 @@ class SweepEngine:
         self._sweep_failures += 1
         if self.manifest is not None:
             self.manifest.record_failure(failure)
-        if self.failure_report_dir is not None:
-            try:
-                failure.write_report(self.failure_report_dir / f"{key}.json")
-            except OSError:
-                pass
         # A failed spec's claim is released so a concurrent sweep can
         # attempt it with its own retry budget.
         self._release_claim(key)

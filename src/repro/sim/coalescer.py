@@ -18,6 +18,10 @@ from typing import Iterable, List, Sequence, Tuple
 
 LINE_BYTES = 64
 
+#: Threads per warp (CUDA).  The trace generator, the coalescer and the
+#: core's resident-thread limit all assume it; no config field sets it.
+WARP_SIZE = 32
+
 
 def line_of(addr: int, line_bytes: int = LINE_BYTES) -> int:
     """64B-align a byte address."""
@@ -43,7 +47,7 @@ def coalesce(addresses: Iterable[int], line_bytes: int = LINE_BYTES) -> Tuple[in
 def warp_addresses(
     base: int,
     lane_stride: int,
-    warp_size: int = 32,
+    warp_size: int = WARP_SIZE,
     elem_bytes: int = 4,
 ) -> List[int]:
     """Per-lane byte addresses for a warp access.
@@ -59,7 +63,7 @@ def warp_addresses(
 def coalesce_warp_access(
     base: int,
     lane_stride: int,
-    warp_size: int = 32,
+    warp_size: int = WARP_SIZE,
     line_bytes: int = LINE_BYTES,
 ) -> Tuple[int, ...]:
     """Convenience: coalesced line set of a strided warp access."""

@@ -15,6 +15,8 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
+from repro.sim.coalescer import WARP_SIZE
+
 
 def _require(condition: bool, message: str) -> None:
     """Config-validation assertion with an actionable error message.
@@ -34,14 +36,16 @@ def _require(condition: bool, message: str) -> None:
 class CoreConfig:
     """Per-core (SM) parameters.
 
+    Warps are 32 threads wide, fixed by the trace generator and the
+    coalescer (:data:`WARP_SIZE`); the 8-wide SIMD datapath shows up only
+    as the 4-cycle issue occupancy of a 32-thread warp-instruction, and
+    there is no separate decode stage.
+
     Attributes:
-        simd_width: Number of SIMD lanes (8 for the 8800GT baseline).
-        warp_size: Threads per warp (32 in CUDA).
         issue_cycles_default: Cycles the issue port is occupied per
             warp-instruction for ordinary operations ("Others: 4-cycle/warp").
         issue_cycles_imul: Issue occupancy of an integer multiply warp-inst.
         issue_cycles_fdiv: Issue occupancy of an FP divide warp-inst.
-        decode_cycles: Front-end decode depth (adds fixed start-up latency).
         mrq_size: Entries in the per-core memory request queue.
         max_blocks_limit: Hardware cap on concurrently resident thread blocks.
         max_threads_per_core: Hardware cap on resident threads.
@@ -49,12 +53,9 @@ class CoreConfig:
         shared_memory_bytes: Software-managed shared memory capacity.
     """
 
-    simd_width: int = 8
-    warp_size: int = 32
     issue_cycles_default: int = 4
     issue_cycles_imul: int = 16
     issue_cycles_fdiv: int = 32
-    decode_cycles: int = 5
     mrq_size: int = 512
     max_blocks_limit: int = 8
     max_threads_per_core: int = 768
@@ -62,26 +63,20 @@ class CoreConfig:
     shared_memory_bytes: int = 16 * 1024
 
     def __post_init__(self) -> None:
-        _require(self.simd_width >= 1, f"simd_width must be >= 1, got {self.simd_width}")
-        _require(self.warp_size >= 1, f"warp_size must be >= 1, got {self.warp_size}")
         for name in ("issue_cycles_default", "issue_cycles_imul", "issue_cycles_fdiv"):
             _require(
                 getattr(self, name) >= 1,
                 f"{name} must be >= 1, got {getattr(self, name)}",
             )
-        _require(
-            self.decode_cycles >= 0,
-            f"decode_cycles must be >= 0, got {self.decode_cycles}",
-        )
         _require(self.mrq_size >= 1, f"mrq_size must be >= 1, got {self.mrq_size}")
         _require(
             self.max_blocks_limit >= 1,
             f"max_blocks_limit must be >= 1, got {self.max_blocks_limit}",
         )
         _require(
-            self.max_threads_per_core >= self.warp_size,
+            self.max_threads_per_core >= WARP_SIZE,
             f"max_threads_per_core must fit at least one warp "
-            f"({self.warp_size} threads), got {self.max_threads_per_core}",
+            f"({WARP_SIZE} threads), got {self.max_threads_per_core}",
         )
         _require(
             self.registers_per_core >= 1,
@@ -172,7 +167,6 @@ class DramConfig:
     #: the regime where multithreading alone cannot hide latency and
     #: prefetching matters (paper Section IV).
     pipeline_latency: int = 1200
-    request_buffer_size: int = 64
     demand_priority: bool = True
     #: Use the original O(buffer) linear-scan FR-FCFS pick instead of the
     #: indexed scheduler.  The two are decision-identical (enforced by the
@@ -206,10 +200,6 @@ class DramConfig:
         _require(
             self.burst_cycles >= 1,
             f"DRAM burst_cycles must be >= 1, got {self.burst_cycles}",
-        )
-        _require(
-            self.request_buffer_size >= 1,
-            f"DRAM request_buffer_size must be >= 1, got {self.request_buffer_size}",
         )
 
     @staticmethod
@@ -249,7 +239,6 @@ class GpuConfig:
     dram: DramConfig = field(default_factory=DramConfig)
     throttle: ThrottleConfig = field(default_factory=ThrottleConfig)
     perfect_memory: bool = False
-    perfect_memory_latency: int = 1
     max_cycles: int = 20_000_000
 
     def __post_init__(self) -> None:
@@ -265,10 +254,6 @@ class GpuConfig:
         """
         _require(self.num_cores >= 1, f"num_cores must be >= 1, got {self.num_cores}")
         _require(self.max_cycles >= 1, f"max_cycles must be >= 1, got {self.max_cycles}")
-        _require(
-            self.perfect_memory_latency >= 0,
-            f"perfect_memory_latency must be >= 0, got {self.perfect_memory_latency}",
-        )
         for nested in (self.core, self.prefetch_cache, self.interconnect,
                        self.dram, self.throttle):
             post_init = getattr(nested, "__post_init__", None)

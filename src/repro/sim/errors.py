@@ -17,10 +17,6 @@ Every abnormal simulation outcome is a subclass of
 * :class:`CheckpointError` — a simulator snapshot failed validation on
   load (see :mod:`repro.sim.checkpoint`); the run falls back to a cold
   start and the error is recorded so the bad snapshot leaves a trace.
-* :class:`MemoryBudgetExceeded` — the worker's self-monitor (see
-  :mod:`repro.harness.supervise`) observed peak RSS above the per-run
-  ``--memory-budget``; a checkpoint is flushed first, so the run can be
-  resumed on a roomier host.
 * :class:`WorkerInterrupted` — a graceful-shutdown request reached the
   worker mid-run; the run checkpointed and bowed out, and a follow-up
   sweep with the same manifest re-executes (or resumes) it.
@@ -29,10 +25,11 @@ Each exception carries a *diagnostic snapshot*: a plain-JSON dict of the
 machine state at failure time (cycle, per-core warp states, queue
 depths, partial stats) built by
 :func:`repro.sim.invariants.snapshot_simulator`.  Snapshots serialize
-into failure-report JSON files via :func:`write_failure_report` so a
-crashed sweep leaves an artifact that can be inspected long after the
-worker process is gone.  All three classes pickle losslessly, which is
-what lets a worker in a process pool raise them across the pipe.
+into failure-report JSON files via :func:`write_failure_report` (a
+rejected checkpoint, a differential-check mismatch) so the failure
+leaves an artifact that can be inspected long after the process is
+gone.  Every class pickles losslessly, which is what lets a worker in
+a process pool raise them across the pipe.
 """
 
 from __future__ import annotations
@@ -110,23 +107,6 @@ class CheckpointError(SimulationError):
     kind = "checkpoint"
 
 
-class MemoryBudgetExceeded(SimulationError):
-    """A run's peak RSS crossed its ``--memory-budget``.
-
-    Raised by the worker-side :class:`repro.harness.supervise.RunSentinel`
-    *after* flushing a checkpoint (when one is armed), so the partial
-    work survives the structured exit.  Deliberately not a transient
-    failure: re-running the same spec in the same pool would balloon the
-    same way, so the sweep records it instead of burning retries.
-
-    Args:
-        message: Human-readable description with observed/budgeted RSS.
-        snapshot: ``{cycle, peak_rss_kb, budget_kb, pid}`` at the check.
-    """
-
-    kind = "memory-budget"
-
-
 class WorkerInterrupted(SimulationError):
     """A graceful-shutdown request interrupted this run mid-flight.
 
@@ -177,14 +157,14 @@ class InvariantViolation(SimulationError):
 def write_failure_report(path: Union[str, Path], report: Dict) -> Path:
     """Write a failure-report dict as pretty JSON; returns the path.
 
-    Parent directories are created.  The write is atomic-enough for a
-    diagnostic artifact (temp name + rename is overkill here: reports are
-    keyed by unique run fingerprints and never read concurrently).
+    Parent directories are created.  The write goes through the one
+    atomic-write helper, so a crash mid-write leaves no torn report for
+    ``repro fsck`` to call corrupt.
     """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(report, indent=2, sort_keys=True), encoding="utf-8")
-    return path
+    # Imported here because repro.sim.checkpoint imports this module.
+    from repro.sim.checkpoint import atomic_write_json
+
+    return atomic_write_json(path, report, indent=2, sort_keys=True)
 
 
 def load_failure_report(path: Union[str, Path]) -> Dict:

@@ -537,21 +537,3 @@ class GpuSimulator:
         stats.dram_row_misses = self.dram.total_row_misses
         return stats
 
-
-def run_workload(
-    config: GpuConfig,
-    blocks: Sequence[Block],
-    max_blocks_per_core: int,
-    prefetcher_factory: Optional[PrefetcherFactory] = None,
-    invariants: Optional[bool] = None,
-    strict: bool = False,
-    profiler: Optional[SimProfiler] = None,
-    metrics: Optional[MetricsRecorder] = None,
-) -> SimulationResult:
-    """Convenience wrapper: build a simulator, load a workload, run it."""
-    sim = GpuSimulator(
-        config, prefetcher_factory, invariants=invariants, profiler=profiler,
-        metrics=metrics,
-    )
-    sim.load_workload(blocks, max_blocks_per_core)
-    return sim.run(strict=strict)

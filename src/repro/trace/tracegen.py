@@ -14,14 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.coalescer import coalesce, warp_addresses
+from repro.sim.coalescer import WARP_SIZE, coalesce, warp_addresses
 from repro.sim.isa import MemSpace, Op, WarpInstruction
 from repro.sim.occupancy import KernelResources
 from repro.trace.kernels import Compute, KernelSpec, Load, Store
 from repro.trace.swp import NO_SWP, SoftwarePrefetchConfig
 
 LINE_BYTES = 64
-WARP_SIZE = 32
 
 #: PC layout: prologue computes, then 16 bytes per static body op, with
 #: software prefetches placed in a disjoint high range.

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from repro.harness.chaos import (
     DEFAULT_PACE,
-    ENOSPC_ENV,
     FAULT_KINDS,
     PACE_ENV,
     ChaosReport,
@@ -25,7 +24,6 @@ from repro.harness.chaos import (
 
 __all__ = [
     "DEFAULT_PACE",
-    "ENOSPC_ENV",
     "FAULT_KINDS",
     "PACE_ENV",
     "ChaosReport",

@@ -38,13 +38,11 @@ a dedicated subprocess.
 The supervised-runtime additions cover the mechanisms of
 ``repro.harness.supervise``: :func:`wedge_worker` and
 :func:`selectively_wedged_worker` go heartbeat-silent (busy-wedge) so
-the supervisor must kill and requeue them; :func:`rss_balloon_worker`
-allocates a large ballast so a ``--memory-budget`` run trips the
-sentinel; :func:`raise_enospc` is a monkeypatch shim standing in for a
-full disk; :func:`selectively_crashing_worker` crashes one spec on
-every attempt so it burns its whole retry budget; and
-:func:`supervised_sweep_main` is a subprocess driver for the
-SIGTERM-mid-sweep acceptance test.
+the supervisor must kill and requeue them; :func:`raise_enospc` is a
+monkeypatch shim standing in for a full disk;
+:func:`selectively_crashing_worker` crashes one spec on every attempt so
+it burns its whole retry budget; and :func:`supervised_sweep_main` is a
+subprocess driver for the SIGTERM-mid-sweep acceptance test.
 """
 
 from __future__ import annotations
@@ -479,29 +477,6 @@ def selectively_crashing_worker(spec, options) -> SimStats:
     if spec.benchmark == "monte":
         raise OSError(f"injected poison-spec fault (attempt {attempt})")
     return _stats_for(spec)
-
-
-#: Ballast size for :func:`rss_balloon_worker` — big enough to clear any
-#: realistic parent-peak-plus-margin budget, small enough for CI.
-BALLOON_BYTES = 256 << 20
-
-_BALLAST = None  # keeps the balloon alive until the sentinel fires
-
-
-def rss_balloon_worker(spec, options) -> SimStats:
-    """Balloon the worker's RSS past any sane budget, then run for real.
-
-    The allocation happens *before* the simulation starts, so the run's
-    first supervision tick observes the inflated peak RSS and the
-    sentinel raises :class:`~repro.sim.errors.MemoryBudgetExceeded`
-    (after flushing a checkpoint, when checkpointing is attached).
-    """
-    from repro.harness.runner import run_spec
-
-    global _BALLAST
-    record_attempt(spec)
-    _BALLAST = bytearray(b"\xa5" * BALLOON_BYTES)
-    return run_spec(spec, options).stats
 
 
 def raise_enospc(*args, **kwargs):

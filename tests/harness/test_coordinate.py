@@ -289,10 +289,6 @@ class TestEngineCoordination:
         assert key not in engine.leases.held_keys()
         assert not list(lease_dir_for(cache.root).glob("*.lease"))
 
-    def test_coordination_off_means_no_lease_manager(self, tmp_path):
-        engine = SweepEngine(cache=ResultCache(tmp_path), coordinate=False)
-        assert engine.leases is None
-
     def test_no_cache_means_nothing_to_coordinate(self):
         engine = SweepEngine(cache=None)
         assert engine.leases is None

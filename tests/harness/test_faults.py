@@ -29,6 +29,7 @@ from repro.sim.errors import (
     InvariantViolation,
     SimulationError,
     load_failure_report,
+    write_failure_report,
 )
 from repro.sim.gpu import SimulationResult
 
@@ -168,10 +169,6 @@ class TestFailureBudget:
         assert faults.attempts_made(specs[1]) == 0  # never executed
         assert faults.attempts_made(specs[2]) == 0
 
-    def test_fail_fast_maps_to_max_failures_one(self):
-        runner = ExperimentRunner(scale=SCALE, fail_fast=True)
-        assert runner.engine.max_failures == 1
-
     def test_budget_below_one_is_rejected(self):
         # A zero budget would abort every sweep before its first run.
         with pytest.raises(ValueError, match="max_failures must be >= 1"):
@@ -266,18 +263,18 @@ class TestManifestResume:
 
 class TestFailureReports:
     def test_failure_report_written_and_round_trips(self, fault_dir, tmp_path):
-        report_dir = tmp_path / "reports"
         spec = spec_for("monte")
         engine = SweepEngine(jobs=1, worker=faults.invariant_worker,
-                             retries=0, failure_report_dir=report_dir)
+                             retries=0)
         [outcome] = engine.run([spec])
-        path = report_dir / f"{outcome.key}.json"
-        assert path.exists()
-        loaded = load_failure_report(path)
-        assert loaded["kind"] == "invariant"
-        assert loaded["benchmark"] == "monte"
-        assert loaded["attempts"] == 1
-        assert loaded["spec"]["benchmark"] == "monte"
-        assert loaded["diagnostic"]["violations"] == [
+        assert isinstance(outcome, RunFailure)
+        assert outcome.kind == "invariant"
+        assert outcome.attempts == 1
+        assert outcome.spec.benchmark == "monte"
+        assert outcome.report["violations"] == [
             "cycle 42: injected ledger imbalance"
         ]
+        # The returned diagnostic is plain JSON: it writes as a report
+        # and reads back unchanged.
+        path = write_failure_report(tmp_path / "run.failure.json", outcome.report)
+        assert load_failure_report(path) == outcome.report

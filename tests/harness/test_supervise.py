@@ -6,11 +6,9 @@ Covers the supervised runtime end to end:
   degradation, and the acceptance scenario: a heartbeat-silent (wedged)
   pool worker is killed and requeued *strictly before* the per-run
   ``timeout`` deadline.
-* **Resource governance** — the worker-side sentinel flushes a
-  checkpoint and raises a picklable ``MemoryBudgetExceeded`` when peak
-  RSS crosses the budget; disk pressure (injected ENOSPC) degrades the
-  result cache, manifest journal, heartbeat sink, and auto-checkpoint
-  closure loudly-but-safely (one warning, counted drops, run survives).
+* **Disk pressure** — injected ENOSPC degrades the result cache,
+  manifest journal, heartbeat sink, and auto-checkpoint closure
+  loudly-but-safely (one warning, counted drops, run survives).
 * **Retry budgets** — a transiently crashing spec uses exactly
   ``retries + 1`` attempts without aborting the healthy cells beside it,
   and a deterministic failure is attempted once.
@@ -48,11 +46,7 @@ from repro.harness.sweep import (
     is_transient_failure,
 )
 from repro.sim.checkpoint import attach_checkpointing
-from repro.sim.errors import (
-    MemoryBudgetExceeded,
-    SimulationError,
-    WorkerInterrupted,
-)
+from repro.sim.errors import SimulationError, WorkerInterrupted
 from repro.sim.gpu import PeriodicHook, SimulationResult
 
 from tests.harness import faults
@@ -149,9 +143,7 @@ class TestHeartbeat:
         assert record["wall"] == pytest.approx(path.stat().st_mtime)
         assert supervise.read_heartbeat(tmp_path / "absent.json") is None
 
-    def test_run_options_wire_heartbeat_and_budget(
-        self, tmp_path, monkeypatch
-    ):
+    def test_run_options_wire_heartbeat(self, tmp_path, monkeypatch):
         built = []
 
         class _Recording(supervise.RunSentinel):
@@ -164,16 +156,12 @@ class TestHeartbeat:
 
         monkeypatch.setattr(supervise, "RunSentinel", _Recording)
         spec = spec_for("monte")
-        run_spec(spec, RunOptions(
-            heartbeat_dir=tmp_path, heartbeat_interval=0.5,
-            memory_budget_mb=4096,
-        ))
+        run_spec(spec, RunOptions(heartbeat_dir=tmp_path, heartbeat_interval=0.5))
         (sentinel,) = built
         assert sentinel.heartbeat.interval == 0.5
         assert sentinel.heartbeat.path == supervise.heartbeat_path_for(
             "monte", fingerprint(spec), tmp_path
         )
-        assert sentinel.memory_budget_kb == 4096 * 1024
         # A completed run removes its heartbeat.
         assert not sentinel.heartbeat.path.exists()
 
@@ -192,33 +180,20 @@ class TestRunSentinel:
         assert hook.interval == supervise.SUPERVISION_HOOK_CYCLES
         assert hook.action == sentinel.tick
 
-    def test_budget_breach_flushes_checkpoint_then_raises(self):
-        sim = _DummySim()
-        events = []
-        sentinel = supervise.RunSentinel(memory_budget_kb=1)
-        sentinel.attach(sim, PeriodicHook(
-            500, lambda s: events.append(("flush", s.cycle)), sim.cycle))
-        with pytest.raises(MemoryBudgetExceeded) as excinfo:
-            sentinel.tick(sim)
-        assert events == [("flush", 4200)]
-        exc = excinfo.value
-        assert exc.kind == "memory-budget"
-        assert exc.snapshot["cycle"] == 4200
-        assert exc.snapshot["peak_rss_kb"] > exc.snapshot["budget_kb"]
-
     def test_shutdown_request_flushes_checkpoint_then_raises(self):
         sim = _DummySim()
         events = []
-        sentinel = supervise.RunSentinel(memory_budget_kb=1)
+        sentinel = supervise.RunSentinel()
         sentinel.attach(sim, PeriodicHook(
-            500, lambda s: events.append("flush"), sim.cycle))
+            500, lambda s: events.append(("flush", s.cycle)), sim.cycle))
         supervise.request_shutdown()
-        # Shutdown outranks the (also-breached) budget: one structured
-        # WorkerInterrupted, checkpoint flushed first.
+        # One structured WorkerInterrupted, checkpoint flushed first.
         with pytest.raises(WorkerInterrupted) as excinfo:
             sentinel.tick(sim)
-        assert events == ["flush"]
-        assert excinfo.value.kind == "interrupted"
+        assert events == [("flush", 4200)]
+        exc = excinfo.value
+        assert exc.kind == "interrupted"
+        assert exc.snapshot["cycle"] == 4200
 
     def test_tick_emits_heartbeats(self, tmp_path):
         sim = _DummySim(cycle=777)
@@ -228,17 +203,13 @@ class TestRunSentinel:
         assert supervise.read_heartbeat(writer.path)["cycle"] == 777
 
     def test_sentinel_exceptions_pickle_losslessly(self):
-        for cls, kind in (
-            (MemoryBudgetExceeded, "memory-budget"),
-            (WorkerInterrupted, "interrupted"),
-        ):
-            original = cls("boom", snapshot={"cycle": 9})
-            clone = pickle.loads(pickle.dumps(original))
-            assert type(clone) is cls
-            assert clone.kind == kind
-            assert clone.snapshot == {"cycle": 9}
-            assert isinstance(clone, SimulationError)
-            assert not is_transient_failure(clone)
+        original = WorkerInterrupted("boom", snapshot={"cycle": 9})
+        clone = pickle.loads(pickle.dumps(original))
+        assert type(clone) is WorkerInterrupted
+        assert clone.kind == "interrupted"
+        assert clone.snapshot == {"cycle": 9}
+        assert isinstance(clone, SimulationError)
+        assert not is_transient_failure(clone)
 
     def test_worker_signal_handler_raises_the_flag(self):
         previous = {
@@ -253,27 +224,6 @@ class TestRunSentinel:
         finally:
             for sig, old in previous.items():
                 signal.signal(sig, old)
-
-
-class TestMemoryBudget:
-    def test_pool_run_trips_the_budget_without_retries(self, fault_dir):
-        # Fork-started workers inherit the parent's peak RSS, so the
-        # budget must sit above it; the 256 MB balloon then clears the
-        # 64 MB margin by 4x on any platform.
-        budget_mb = supervise.peak_rss_kb() // 1024 + 64
-        specs = [spec_for("monte"), spec_for("cell")]
-        engine = SweepEngine(
-            jobs=2, worker=faults.rss_balloon_worker,
-            retries=2, retry_backoff=0.0,
-            options=RunOptions(memory_budget_mb=budget_mb),
-        )
-        outcomes = engine.run(specs)
-        assert all(isinstance(o, RunFailure) for o in outcomes)
-        assert {o.kind for o in outcomes} == {"memory-budget"}
-        # Deterministic resource failures must never burn retries.
-        assert engine.retried == 0
-        assert all(o.attempts == 1 for o in outcomes)
-        assert all(faults.attempts_made(s) == 1 for s in specs)
 
 
 # ----------------------------------------------------------------------
@@ -819,8 +769,7 @@ class TestSigtermMidSweepSubprocess:
 
 
 class TestRunnerPlumbing:
-    def test_memory_budget_is_exported_for_workers(self):
-        options = RunOptions(memory_budget_mb=512.0, heartbeat_interval=1.0)
+    def test_run_options_reach_the_engine(self):
+        options = RunOptions(heartbeat_interval=1.0)
         runner = ExperimentRunner(scale=SCALE, options=options)
-        assert runner.engine.options.memory_budget_mb == 512.0
         assert runner.engine.options.heartbeat_interval == 1.0

@@ -1,5 +1,8 @@
 """Tests for configuration handling and the statistics object."""
 
+import ast
+from pathlib import Path
+
 import pytest
 
 from repro.sim.config import (
@@ -12,13 +15,13 @@ from repro.sim.config import (
 )
 from repro.sim.stats import SimStats
 
+SRC = Path(__file__).resolve().parents[2] / "src"
+
 
 class TestConfig:
     def test_baseline_matches_table2(self):
         cfg = baseline_config()
         assert cfg.num_cores == 14
-        assert cfg.core.simd_width == 8
-        assert cfg.core.warp_size == 32
         assert cfg.core.issue_cycles_default == 4
         assert cfg.core.issue_cycles_imul == 16
         assert cfg.core.issue_cycles_fdiv == 32
@@ -71,7 +74,6 @@ class TestConfigValidation:
             ({"num_cores": 0}, "num_cores"),
             ({"num_cores": -3}, "num_cores"),
             ({"max_cycles": 0}, "max_cycles"),
-            ({"perfect_memory_latency": -1}, "perfect_memory_latency"),
         ],
     )
     def test_top_level_rejections(self, kwargs, needle):
@@ -81,12 +83,12 @@ class TestConfigValidation:
     @pytest.mark.parametrize(
         "kwargs, needle",
         [
-            ({"warp_size": 0}, "warp_size"),
-            ({"simd_width": -1}, "simd_width"),
+            ({"registers_per_core": 0}, "registers_per_core"),
+            ({"shared_memory_bytes": -1}, "shared_memory_bytes"),
             ({"mrq_size": 0}, "mrq_size"),
             ({"max_blocks_limit": 0}, "max_blocks_limit"),
             ({"max_threads_per_core": 8}, "max_threads_per_core"),
-            ({"decode_cycles": -1}, "decode_cycles"),
+            ({"issue_cycles_fdiv": 0}, "issue_cycles_fdiv"),
             ({"issue_cycles_default": 0}, "issue_cycles_default"),
         ],
     )
@@ -113,7 +115,7 @@ class TestConfigValidation:
             ({"banks_per_channel": 0}, "banks_per_channel"),
             ({"row_bytes": 32, "line_bytes": 64}, "row_bytes"),
             ({"burst_cycles": 0}, "burst_cycles"),
-            ({"request_buffer_size": 0}, "request_buffer_size"),
+            ({"pipeline_latency": -1}, "pipeline_latency"),
             ({"t_cl": -1}, "t_cl"),
         ],
     )
@@ -148,9 +150,43 @@ class TestConfigValidation:
 
     def test_valid_edge_values_accepted(self):
         baseline_config(num_cores=1, max_cycles=1)
-        CoreConfig(warp_size=1, max_threads_per_core=1)
+        CoreConfig(max_threads_per_core=32)
         ThrottleConfig(initial_degree=0)
         ThrottleConfig(initial_degree=5)
+
+
+MACHINE_CONFIGS = ("CoreConfig", "PrefetchCacheConfig", "InterconnectConfig",
+                   "DramConfig", "ThrottleConfig", "GpuConfig")
+
+
+def _config_fields_never_read():
+    """``Class.field`` for every machine-config field that no code under
+    ``src/repro`` loads as an attribute outside the config classes' own
+    bodies (their validation does not count as a use)."""
+    fields, loaded = {}, set()
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        stack = [ast.parse(path.read_text(encoding="utf-8"))]
+        while stack:
+            node = stack.pop()
+            if isinstance(node, ast.ClassDef) and node.name in MACHINE_CONFIGS:
+                fields.update(
+                    (f"{node.name}.{stmt.target.id}", stmt.target.id)
+                    for stmt in node.body
+                    if isinstance(stmt, ast.AnnAssign)
+                    and isinstance(stmt.target, ast.Name)
+                )
+                continue
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                loaded.add(node.attr)
+            stack.extend(ast.iter_child_nodes(node))
+    assert {name.split(".")[0] for name in fields} == set(MACHINE_CONFIGS)
+    return sorted(key for key, attr in fields.items() if attr not in loaded)
+
+
+def test_every_machine_config_field_is_read():
+    """A Table II knob the simulator never reads misstates the model:
+    changing it changes only the spec fingerprint."""
+    assert _config_fields_never_read() == []
 
 
 class TestSimStats:

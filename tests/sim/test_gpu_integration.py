@@ -6,7 +6,7 @@ from repro.core.mt_hwp import MtHwpPrefetcher
 from repro.core.stride_pc import StridePcPrefetcher
 from repro.core.throttle import ThrottleConfig
 from repro.sim.config import CoreConfig, baseline_config
-from repro.sim.gpu import GpuSimulator, run_workload
+from repro.sim.gpu import GpuSimulator
 from repro.trace.benchmarks import get_benchmark
 from repro.trace.kernels import Compute, KernelSpec, Load, Store
 from repro.trace.swp import MT_SWP
@@ -131,11 +131,6 @@ class TestPrefetchingEndToEnd:
         sim.load_workload(wl.blocks, wl.max_blocks_per_core)
         sim.run()
         assert all(core.throttle.updates > 0 for core in sim.cores)
-
-    def test_run_workload_helper(self):
-        wl = generate_workload(small_spec())
-        result = run_workload(baseline_config(), wl.blocks, wl.max_blocks_per_core)
-        assert result.cycles > 0
 
 
 class TestScalingKnobs:

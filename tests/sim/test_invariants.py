@@ -249,6 +249,20 @@ class TestErrorTaxonomy:
         path = write_failure_report(tmp_path / "failure.json", report)
         assert load_failure_report(path) == report
 
+    def test_report_write_is_atomic(self, tmp_path, monkeypatch):
+        """A write that fails before it is published leaves no torn
+        report for fsck to call corrupt, and no scratch temp either."""
+        import os
+
+        def refuse(*_args, **_kwargs):
+            raise OSError(28, "No space left on device (injected)")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError):
+            write_failure_report(tmp_path / "x.failure.json", {"kind": "x"})
+        monkeypatch.undo()
+        assert list(tmp_path.iterdir()) == []
+
     def test_simulation_errors_are_runtime_errors(self):
         # Callers that predate the taxonomy catch RuntimeError; the new
         # hierarchy must stay inside it.

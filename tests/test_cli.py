@@ -128,11 +128,6 @@ def test_integrity_flags(tmp_path, monkeypatch, capsys):
     assert finals and finals[-1]["interrupted"] is False
 
 
-def test_fail_fast_flag_parses(capsys):
-    assert main(["run", "cell", "--scale", "0.1", "--fail-fast"]) == 0
-    assert "speedup" in capsys.readouterr().out
-
-
 def test_checkpoint_flags_reach_the_runs(tmp_path, monkeypatch, capsys):
     """--checkpoint-dir/--checkpoint-interval snapshot the executed runs
     on the given cadence, and the runs still complete normally."""
@@ -179,7 +174,6 @@ def test_checkpoint_dir_resumes_an_interrupted_run(tmp_path, capsys):
 
 @pytest.mark.parametrize("flag", [
     "--metrics-interval", "--checkpoint-interval", "--heartbeat-interval",
-    "--memory-budget",
 ])
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_non_positive_run_option_is_a_usage_error(flag, value, capsys):
