@@ -74,6 +74,13 @@ the ``--manifest`` journal, and exits with status 130; re-invoking the
 same command with the same manifest resumes exactly.  A second signal
 forces immediate exit.
 
+A grid point the sweep recorded as failed is never simulated again to
+finish an exhibit.  A run that exceeded ``--timeout``, went
+heartbeat-silent or was skipped after ``--max-failures`` exits with
+status 1 and one line naming the run and its failure kind; a run that
+raised (a deadlock, an invariant violation, an unknown benchmark)
+re-raises that exception.
+
 ``perf`` runs the fixed performance benchmark subset and writes a
 ``BENCH_perf.json`` throughput document (see :mod:`repro.harness.perf`).
 """
@@ -95,7 +102,7 @@ from repro.harness.report import (
     format_table,
 )
 from repro.harness.runner import HARDWARE_SCHEMES, ExperimentRunner
-from repro.harness.sweep import RunOptions, SweepInterrupted
+from repro.harness.sweep import RunFailedError, RunOptions, SweepInterrupted
 from repro.sim.checkpoint import DEFAULT_CHECKPOINT_INTERVAL
 from repro.sim.telemetry import (
     DEFAULT_METRICS_INTERVAL,
@@ -696,7 +703,9 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     A graceful shutdown (first SIGTERM/SIGINT: the sweep drains, journals
     completed runs, and finalizes the manifest) and a forced exit (second
-    signal) both return 130, the conventional fatal-signal code.
+    signal) both return 130, the conventional fatal-signal code.  A run
+    that failed without raising (timed out, heartbeat-silent, aborted)
+    returns 1 with one line naming it.
     """
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -718,6 +727,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     }[args.command]
     try:
         return handler(args)
+    except RunFailedError as exc:
+        print(f"repro: {exc}", file=sys.stderr)
+        return 1
     except SweepInterrupted as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 130

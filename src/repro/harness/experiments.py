@@ -51,7 +51,12 @@ def _warm(runner: ExperimentRunner, requests: List[Dict]) -> None:
     serial figure code below each call then reads every run from the
     runner's memory cache, so result values and ordering are identical to
     the pure-serial path.  Failures are deliberately not raised here —
-    the strict per-run ``runner.run`` call that follows re-raises them.
+    the runner keeps each one, and the ``runner.run`` call that needs the
+    point raises it without simulating it again.
+
+    Every grid lists the runs of one trace (benchmark × software scheme)
+    back to back: the trace memo holds only the last workload, so an
+    interleaved grid would regenerate traces.
     """
     warm = getattr(runner, "warm", None)
     if warm is not None:
@@ -369,20 +374,22 @@ def figure16(
     )
     names = _benchmarks(subset)
     result: Dict[str, Dict[int, float]] = {label: {} for *_, label in schemes}
+    configs = {
+        size: baseline_config(
+            prefetch_cache=PrefetchCacheConfig(size_bytes=size * 1024)
+        )
+        for size in sizes_kb
+    }
     _warm(runner, [
         {"benchmark": name, "software": sw, "hardware": hw, "throttle": t,
-         "config": baseline_config(
-             prefetch_cache=PrefetchCacheConfig(size_bytes=size * 1024))}
-        for size in sizes_kb
+         "config": configs[size]}
         for name in names
         for sw, hw, t in (
             ("none", "none", False),
         ) + tuple(s[:3] for s in schemes)
+        for size in sizes_kb
     ])
-    for size in sizes_kb:
-        cfg = baseline_config(
-            prefetch_cache=PrefetchCacheConfig(size_bytes=size * 1024)
-        )
+    for size, cfg in configs.items():
         for software, hardware, throttle, label in schemes:
             speedups = [
                 runner.speedup(
@@ -403,10 +410,12 @@ def figure17(
     """Fig. 17: sensitivity of MT-HWP to prefetch distance."""
     names = _benchmarks(subset)
     rows = []
-    _warm(runner, [{"benchmark": name} for name in names] + [
-        {"benchmark": name, "hardware": "mt-hwp", "distance": d}
+    _warm(runner, [
+        {"benchmark": name, **kwargs}
         for name in names
-        for d in distances
+        for kwargs in [{}] + [
+            {"hardware": "mt-hwp", "distance": d} for d in distances
+        ]
     ])
     for name in names:
         entry = {"benchmark": name}
@@ -431,17 +440,17 @@ def figure18(
     )
     names = _benchmarks(subset)
     result: Dict[str, Dict[int, float]] = {label: {} for *_, label in schemes}
+    configs = {cores: baseline_config(num_cores=cores) for cores in core_counts}
     _warm(runner, [
         {"benchmark": name, "software": sw, "hardware": hw, "throttle": t,
-         "config": baseline_config(num_cores=cores)}
-        for cores in core_counts
+         "config": configs[cores]}
         for name in names
         for sw, hw, t in (
             ("none", "none", False),
         ) + tuple(s[:3] for s in schemes)
+        for cores in core_counts
     ])
-    for cores in core_counts:
-        cfg = baseline_config(num_cores=cores)
+    for cores, cfg in configs.items():
         for software, hardware, throttle, label in schemes:
             speedups = [
                 runner.speedup(

@@ -14,7 +14,11 @@ Software schemes (Figs. 10-11): ``none``, ``register``, ``stride``, ``ip``,
 
 :class:`ExperimentRunner` memoizes results by their full configuration so
 figure scripts that share runs (every figure needs the no-prefetch baseline)
-pay for each simulation once.  :func:`run_spec` executes one spec under a
+pay for each simulation once; it keeps failures too, so a point its sweep
+failed raises instead of being simulated again.  Sweep results are
+stats-only, and a finished machine holds no reference cycle, so it is
+freed as its run ends; :class:`WorkloadMemo` keeps only the trace the
+sweep is working on.  :func:`run_spec` executes one spec under a
 :class:`~repro.harness.sweep.RunOptions` (checking, observers,
 heartbeats), which the runner hands to its sweep engine and the engine to
 every run.
@@ -22,7 +26,6 @@ every run.
 
 from __future__ import annotations
 
-import collections
 import dataclasses
 import hashlib
 import json
@@ -41,6 +44,7 @@ from repro.harness import supervise
 from repro.harness.sweep import (
     Outcome,
     ProgressReporter,
+    RunFailedError,
     RunFailure,
     RunOptions,
     RunSpec,
@@ -65,7 +69,7 @@ from repro.trace.tracegen import generate_workload
 
 
 class WorkloadMemo:
-    """In-process LRU memo for :func:`generate_workload` results.
+    """In-process memo of the last :func:`generate_workload` result.
 
     A sweep's specs draw from a handful of kernel × software-prefetch
     combinations (six benchmarks, a few schemes), yet every run used to
@@ -77,6 +81,14 @@ class WorkloadMemo:
     :class:`~repro.trace.tracegen.Workload` can safely back any number
     of (even concurrent) simulations in this process.
 
+    The memo holds one workload, the last one generated.  Every
+    exhibit's grid requests all runs of one trace back to back, so the
+    last trace is the only one a serial sweep ever reuses (the exhibit
+    tests replay each grid's request order to keep it so); a second
+    entry would only keep a finished trace resident.  The old trace is
+    dropped before the next is generated, so two are never held at
+    once.
+
     Entries are keyed by a digest of the full kernel spec plus the
     software-prefetch config, so any change to either regenerates.  The
     memo is per-process by construction; pooled sweep workers each keep
@@ -84,11 +96,9 @@ class WorkloadMemo:
     (the inline path's) in its summary line.
     """
 
-    def __init__(self, capacity: int = 8) -> None:
-        if capacity <= 0:
-            raise ValueError("workload memo capacity must be positive")
-        self.capacity = capacity
-        self._entries: "collections.OrderedDict" = collections.OrderedDict()
+    def __init__(self) -> None:
+        self._key: Optional[str] = None
+        self._workload = None
         self.hits = 0
         self.misses = 0
 
@@ -116,21 +126,18 @@ class WorkloadMemo:
     def get(self, kernel: KernelSpec, swp: SoftwarePrefetchConfig):
         """Return the (possibly shared) workload for ``kernel`` under ``swp``."""
         key = self.key(kernel, swp)
-        workload = self._entries.get(key)
-        if workload is not None:
+        if key == self._key:
             self.hits += 1
-            self._entries.move_to_end(key)
-            return workload
+            return self._workload
         self.misses += 1
+        self._key = self._workload = None
         workload = generate_workload(kernel, swp=swp)
-        if len(self._entries) >= self.capacity:
-            self._entries.popitem(last=False)
-        self._entries[key] = workload
+        self._key, self._workload = key, workload
         return workload
 
     def clear(self) -> None:
-        """Drop all entries and reset the counters (test isolation)."""
-        self._entries.clear()
+        """Drop the held workload and reset the counters (test isolation)."""
+        self._key = self._workload = None
         self.hits = 0
         self.misses = 0
 
@@ -567,6 +574,10 @@ class ExperimentRunner:
             options=options,
         )
         self._cache: Dict[str, SimulationResult] = {}
+        # Points a sweep of this runner failed, by fingerprint.  run()
+        # raises the failure instead of simulating the point again in
+        # this process, where no deadline or failure budget applies.
+        self._failed: Dict[str, RunFailure] = {}
 
     def _spec(
         self,
@@ -596,8 +607,16 @@ class ExperimentRunner:
         perfect_memory: bool = False,
         config: Optional[GpuConfig] = None,
     ) -> SimulationResult:
-        """Run (or recall) one combination.  Failures re-raise the original
-        exception — single runs are strict; only sweeps isolate faults."""
+        """Run (or recall) one combination.
+
+        A failed point raises its failure: the original exception when
+        the run raised one, else :class:`~repro.harness.sweep.RunFailedError`
+        (a timeout, an aborted or heartbeat-silent run).  Single runs
+        are strict; only sweeps isolate faults.  A point that failed
+        once, here or in :meth:`warm`, raises again without running, so
+        finishing an exhibit never re-simulates a failed grid point
+        outside its sweep's deadline and failure budget.
+        """
         spec = self._spec(
             benchmark, software, hardware, throttle, distance, degree,
             perfect_memory, config,
@@ -606,13 +625,16 @@ class ExperimentRunner:
         hit = self._cache.get(key)
         if hit is not None:
             return hit
-        outcome = self.engine.run([spec])[0]
-        if isinstance(outcome, RunFailure):
-            if outcome.exception is not None:
-                raise outcome.exception
-            raise RuntimeError(f"run failed: {outcome.error}")
-        self._cache[key] = outcome
-        return outcome
+        failure = self._failed.get(key)
+        if failure is None:
+            outcome = self.engine.run([spec])[0]
+            if not isinstance(outcome, RunFailure):
+                self._cache[key] = outcome
+                return outcome
+            failure = self._failed[key] = outcome
+        if failure.exception is not None:
+            raise failure.exception
+        raise RunFailedError(failure)
 
     def warm(self, requests: Iterable[Mapping[str, object]]) -> List[Outcome]:
         """Fan a grid of run requests out over the worker pool.
@@ -621,24 +643,25 @@ class ExperimentRunner:
         land in the runner's memory (and disk) cache, so the figure code
         that follows reads them back instantly and in deterministic
         order.  Failed runs are returned as :class:`RunFailure` entries
-        in the corresponding slots; they are not cached, so a later
-        :meth:`run` of the same point re-executes (and re-raises).
+        in the corresponding slots and kept under their keys: neither a
+        later :meth:`warm` nor :meth:`run` attempts the point again, and
+        :meth:`run` raises its failure.
         """
         pairs = []
         for request in requests:
             spec = self._spec(**request)
             pairs.append((fingerprint(spec), spec))
-        missing = [(k, s) for k, s in pairs if k not in self._cache]
-        outcomes = dict(
-            zip((k for k, _ in missing),
-                self.engine.run([s for _, s in missing]))
-        )
-        for key, _ in missing:
-            outcome = outcomes[key]
-            if not isinstance(outcome, RunFailure):
+        missing = [
+            (k, s) for k, s in pairs if k not in self._cache and k not in self._failed
+        ]
+        outcomes = self.engine.run([s for _, s in missing])
+        for (key, _), outcome in zip(missing, outcomes):
+            if isinstance(outcome, RunFailure):
+                self._failed[key] = outcome
+            else:
                 self._cache.setdefault(key, outcome)
         return [
-            outcomes[key] if key in outcomes else self._cache[key]
+            self._cache[key] if key in self._cache else self._failed[key]
             for key, _ in pairs
         ]
 

@@ -324,6 +324,28 @@ class RunFailure:
         return f"RunFailure({self.spec.benchmark}, {self.kind}: {self.error})"
 
 
+class RunFailedError(RuntimeError):
+    """A failed run that raised nothing itself, raised where it is needed.
+
+    :meth:`~repro.harness.runner.ExperimentRunner.run` raises it for a
+    failure that carries no exception (a timeout, an aborted or a
+    heartbeat-silent run); a failure that does re-raises that exception.
+    ``failure`` is the :class:`RunFailure`; the message names the run and
+    its failure kind on one line, which is what the CLI prints before
+    exiting 1.
+    """
+
+    def __init__(self, failure: RunFailure) -> None:
+        spec = failure.spec
+        error = failure.error.splitlines()[0] if failure.error else ""
+        super().__init__(
+            f"run {spec.benchmark} (software {spec.software.describe()}, "
+            f"hardware {spec.hardware}{'+T' if spec.throttle else ''}, "
+            f"key {failure.key[:12]}) failed [{failure.kind}]: {error}"
+        )
+        self.failure = failure
+
+
 Outcome = Union[SimulationResult, RunFailure]
 
 

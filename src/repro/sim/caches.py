@@ -12,6 +12,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, Optional
 
+from repro.sim.coalescer import LINE_BYTES
 from repro.sim.config import PrefetchCacheConfig
 
 
@@ -24,7 +25,9 @@ class SetAssociativeCache:
 
     __slots__ = ("line_bytes", "associativity", "num_sets", "_sets")
 
-    def __init__(self, size_bytes: int, associativity: int, line_bytes: int = 64) -> None:
+    def __init__(
+        self, size_bytes: int, associativity: int, line_bytes: int = LINE_BYTES
+    ) -> None:
         if size_bytes <= 0 or associativity <= 0 or line_bytes <= 0:
             raise ValueError("cache geometry must be positive")
         self.line_bytes = line_bytes
@@ -107,9 +110,7 @@ class PrefetchCache:
 
     def __init__(self, config: PrefetchCacheConfig) -> None:
         self.config = config
-        self._cache = SetAssociativeCache(
-            config.size_bytes, config.associativity, config.line_bytes
-        )
+        self._cache = SetAssociativeCache(config.size_bytes, config.associativity)
         # Window counters (throttle period scope).
         self.window_useful = 0
         self.window_early_evictions = 0

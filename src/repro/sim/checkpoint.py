@@ -40,7 +40,10 @@ buffer entries, table entries) are rebuilt without their constructors,
 their unstored fields set to None until an ``after_restore()`` hook
 rebuilds them.  One identity memo makes an object held in several places
 (a request in an MRQ, the interconnect and a DRAM buffer entry; a warp a
-request waits on) restore as one object.
+request waits on) restore as one object.  The encoder (:class:`_Encoder`),
+like the decoder (:class:`_Decoder`), is a one-pass object whose methods
+reach each other through ``self``, so a snapshot write leaves no
+reference cycle for the garbage collector.
 
 Payload encoding: scalars are themselves and lists are lists; tuples,
 dicts, ordered dicts, sets and deques are one-key objects (``{"t": [...]}``,
@@ -273,17 +276,36 @@ def dump_state(root: object) -> Dict[str, object]:
     slows that object's attribute access for good: the simulator's own
     classes use ``__slots__``.
     """
-    memo: Dict[int, int] = {}
-    layouts: Dict[type, tuple] = {}
-    table: Dict[str, list] = {}
-    scalars = _SCALARS
-    containers = _CONTAINERS
+    encoder = _Encoder()
+    payload = encoder.instance(root, True)
+    payload["@layout"] = encoder.table
+    return payload
 
-    def layout(obj: object) -> tuple:
+
+class _Encoder:
+    """One :func:`dump_state` pass: the identity memo and class layouts.
+
+    The mirror of :class:`_Decoder`.  Its methods reach one another
+    through ``self``, not as closures over each other, so a pass leaves
+    no reference cycle: the encoder and its memo are freed by reference
+    counting when the pass returns, and a checkpoint write hands the
+    cyclic collector nothing to trace.
+    """
+
+    __slots__ = ("memo", "layouts", "table")
+
+    def __init__(self) -> None:
+        self.memo: Dict[int, int] = {}
+        self.layouts: Dict[type, tuple] = {}
+        self.table: Dict[str, list] = {}
+
+    def layout(self, obj: object) -> tuple:
+        """Record ``obj``'s class under ``@layout``; return its field reader."""
         cls = type(obj)
         if cls.__module__ == "builtins" or isinstance(obj, type):
             raise TypeError(f"cannot snapshot a {cls.__qualname__} value")
         tag = cls.__qualname__
+        table = self.table
         if tag in table:
             raise TypeError(f"two snapshot classes are named {tag!r}")
         fields = stored_fields(obj)
@@ -296,46 +318,43 @@ def dump_state(root: object) -> Dict[str, object]:
         # (nothing forces two of them to carry the same attributes): the
         # attribute names of this first one are the fast-path reference.
         keys = tuple(obj.__dict__) if cls.__dictoffset__ != 0 else None
-        entry = layouts[cls] = (tag, fields, getter, keys)
+        entry = self.layouts[cls] = (tag, fields, getter, keys)
         return entry
 
-    def field(value: object) -> object:
-        # An object held directly in a field is written by name.
-        if type(value) in containers:
-            return encode(value)
-        return instance(value, True)
-
-    def encode(value: object) -> object:
-        # Callers pass only non-scalars: containers and objects.
+    def encode(self, value: object) -> object:
+        """Encode a non-scalar: a container, or an object written as a row."""
         kind = type(value)
-        if kind not in containers:
-            return instance(value, False)
+        if kind not in _CONTAINERS:
+            return self.instance(value, False)
+        scalars = _SCALARS
         if kind is list:
-            return [x if type(x) in scalars else encode(x) for x in value]
+            return [x if type(x) in scalars else self.encode(x) for x in value]
         if kind is tuple:
-            return {"t": [x if type(x) in scalars else encode(x) for x in value]}
+            return {"t": [x if type(x) in scalars else self.encode(x) for x in value]}
         if kind is dict or kind is OrderedDict:
             flat: list = []
             append = flat.append
             for key, item in value.items():
-                append(key if type(key) in scalars else encode(key))
-                append(item if type(item) in scalars else encode(item))
+                append(key if type(key) in scalars else self.encode(key))
+                append(item if type(item) in scalars else self.encode(item))
             return {"d" if kind is dict else "o": flat}
         if kind is set:
             items = sorted(value)
-            return {"s": [x if type(x) in scalars else encode(x) for x in items]}
+            return {"s": [x if type(x) in scalars else self.encode(x) for x in items]}
         return {"q": [value.maxlen,
-                      [x if type(x) in scalars else encode(x) for x in value]]}
+                      [x if type(x) in scalars else self.encode(x) for x in value]]}
 
-    def instance(obj: object, named: bool) -> object:
+    def instance(self, obj: object, named: bool) -> object:
+        """Encode one object, or a reference to its first encoding."""
+        memo = self.memo
         key = id(obj)
         index = memo.get(key)
         if index is not None:
             return {"r": index}
         memo[key] = len(memo)
-        entry = layouts.get(type(obj))
+        entry = self.layouts.get(type(obj))
         if entry is None:
-            entry = layout(obj)
+            entry = self.layout(obj)
         tag, fields, getter, keys = entry
         if keys is not None and tuple(obj.__dict__) != keys:
             if stored_fields(obj) != fields:
@@ -343,17 +362,25 @@ def dump_state(root: object) -> Dict[str, object]:
                     f"{tag} instances differ in fields: {list(fields)} vs "
                     f"{list(stored_fields(obj))}"
                 )
-        values = getter(obj)
+        # Field values are dispatched inline, not through a helper: this
+        # loop runs once per stored object.  An object held directly in a
+        # field is written by name.
+        scalars = _SCALARS
+        containers = _CONTAINERS
+        values = []
+        for value in getter(obj):
+            kind = type(value)
+            if kind in scalars:
+                values.append(value)
+            elif kind in containers:
+                values.append(self.encode(value))
+            else:
+                values.append(self.instance(value, True))
         if named:
             out: Dict[str, object] = {"@": tag}
-            for name, value in zip(fields, values):
-                out[name] = value if type(value) in scalars else field(value)
+            out.update(zip(fields, values))
             return out
-        return {tag: [v if type(v) in scalars else field(v) for v in values]}
-
-    payload = instance(root, True)
-    payload["@layout"] = table
-    return payload
+        return {tag: values}
 
 
 def check_layout(table: Dict[str, list]) -> Dict[str, tuple]:

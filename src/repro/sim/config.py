@@ -15,7 +15,7 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass, field
 
-from repro.sim.coalescer import WARP_SIZE
+from repro.sim.coalescer import LINE_BYTES, WARP_SIZE
 
 
 def _require(condition: bool, message: str) -> None:
@@ -90,11 +90,14 @@ class CoreConfig:
 
 @dataclass(frozen=True)
 class PrefetchCacheConfig:
-    """Per-core prefetch cache parameters (16KB, 8-way in the paper)."""
+    """Per-core prefetch cache parameters (16KB, 8-way in the paper).
+
+    Lines are :data:`LINE_BYTES` (64) bytes, the transaction size the
+    trace generator coalesces to; no config field sets it.
+    """
 
     size_bytes: int = 16 * 1024
     associativity: int = 8
-    line_bytes: int = 64
 
     def __post_init__(self) -> None:
         _require(
@@ -104,14 +107,11 @@ class PrefetchCacheConfig:
             self.associativity >= 1,
             f"cache associativity must be >= 1, got {self.associativity}",
         )
-        _require(
-            self.line_bytes >= 1, f"cache line_bytes must be >= 1, got {self.line_bytes}"
-        )
 
     @property
     def num_sets(self) -> int:
         """Number of cache sets implied by size/associativity/line size."""
-        sets = self.size_bytes // (self.associativity * self.line_bytes)
+        sets = self.size_bytes // (self.associativity * LINE_BYTES)
         return max(1, sets)
 
 
@@ -147,13 +147,13 @@ class DramConfig:
     with the core at 900 MHz; ``from_memory_clock`` performs the conversion.
     57.6 GB/s of aggregate bandwidth at 900 MHz works out to one 64B line per
     core cycle across all channels, i.e. an 8-core-cycle data burst per
-    channel.
+    channel.  A burst moves one :data:`LINE_BYTES` line, the transaction
+    size the trace generator coalesces to; no config field sets it.
     """
 
     num_channels: int = 8
     banks_per_channel: int = 16
     row_bytes: int = 2048
-    line_bytes: int = 64
     t_cl: int = 9
     t_rcd: int = 9
     t_rp: int = 10
@@ -185,12 +185,9 @@ class DramConfig:
             f"DRAM banks_per_channel must be >= 1, got {self.banks_per_channel}",
         )
         _require(
-            self.line_bytes >= 1, f"DRAM line_bytes must be >= 1, got {self.line_bytes}"
-        )
-        _require(
-            self.row_bytes >= self.line_bytes,
+            self.row_bytes >= LINE_BYTES,
             f"DRAM row_bytes ({self.row_bytes}) must hold at least one "
-            f"line ({self.line_bytes} bytes)",
+            f"line ({LINE_BYTES} bytes)",
         )
         for name in ("t_cl", "t_rcd", "t_rp", "pipeline_latency"):
             _require(

@@ -21,12 +21,14 @@ GPU-wide queue.
 
 from __future__ import annotations
 
+import weakref
 from time import perf_counter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.base import HardwarePrefetcher
 from repro.core.throttle import ThrottleEngine, ThrottleWindow
 from repro.sim.caches import PrefetchCache
+from repro.sim.coalescer import LINE_BYTES
 from repro.sim.config import GpuConfig
 from repro.sim.isa import Op, WarpInstruction
 from repro.sim.memory_request import MemoryRequest
@@ -50,6 +52,7 @@ class Core:
         "prefetch_generated", "prefetch_throttled", "prefetch_redundant",
         "prefetch_issued", "late_prefetches", "stall_cycles", "warps_assigned",
         "warps_retired", "_window_prefetch_issued", "_window_late",
+        "__weakref__",  # the MRQ's owner_core is a weak proxy
     )
 
     #: Fields a snapshot does not store (see :mod:`repro.sim.checkpoint`):
@@ -87,7 +90,7 @@ class Core:
         self.wake_cycle: Optional[int] = None
         self.sleep_credit = False
         self.woken = False
-        self.mrq.owner_core = self
+        self.mrq.owner_core = weakref.proxy(self)
         # Count of resident warps that have not finished their stream,
         # maintained by assign/issue so :attr:`drained` is O(1) — the GPU
         # main loop polls it every eventful cycle.
@@ -497,14 +500,13 @@ class Core:
         instruction touched ``footprint_lines`` lines, so each target covers
         the same footprint shifted by the predicted stride.
         """
-        line_bytes = self.config.prefetch_cache.line_bytes
         for target in targets:
             if target < 0:
                 continue
             delta = target - inst.base_addr
             for line in inst.lines[:footprint_lines]:
                 self._prefetch_line(
-                    (line + delta) // line_bytes * line_bytes, inst.pc, warp_id, cycle
+                    (line + delta) // LINE_BYTES * LINE_BYTES, inst.pc, warp_id, cycle
                 )
 
     def _issue_software_prefetch(

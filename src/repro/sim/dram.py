@@ -18,8 +18,11 @@ maintains per-priority-class arrival heaps plus per-(bank, row) open-row
 buckets so each pick inspects at most ``banks_per_channel`` bucket heads
 instead of scanning the whole request buffer; late-prefetch promotions
 are pushed eagerly into the demand index by a hook on
-:meth:`~repro.sim.memory_request.MemoryRequest.merge_demand`.  The
-original linear scan is retained behind
+:meth:`~repro.sim.memory_request.MemoryRequest.merge_demand`, which
+reaches the channel through the request's weak ``dram_channel`` proxy
+(:meth:`DramChannel.promote_line`).  No request or buffer entry holds a
+strong reference back to its channel, so a finished machine is freed by
+reference counting.  The original linear scan is retained behind
 ``DramConfig.reference_scheduler`` as the differential reference the
 diffcheck oracle and the property tests compare against.  Both paths key
 ties by ``BufferEntry.seq`` (per-channel insertion order), which equals
@@ -38,8 +41,10 @@ from __future__ import annotations
 
 import heapq
 import sys
+import weakref
 from typing import Dict, List, Optional, Tuple
 
+from repro.sim.coalescer import LINE_BYTES
 from repro.sim.config import DramConfig
 from repro.sim.memory_request import MemoryRequest
 
@@ -61,12 +66,8 @@ class BufferEntry:
 
     __slots__ = (
         "line_addr", "bank", "row", "requesters", "is_store", "arrival",
-        "ready_cycle", "demand", "seq", "queued", "owner",
+        "ready_cycle", "demand", "seq", "queued",
     )
-
-    #: ``owner`` is derived: a snapshot does not store it, and the owning
-    #: channel re-sets it on restore (:meth:`DramChannel.after_restore`).
-    snapshot_derived = ("owner",)
 
     def __init__(
         self,
@@ -92,11 +93,9 @@ class BufferEntry:
         # Index bookkeeping.  ``seq`` is the per-channel insertion order —
         # the FR-FCFS tie-breaker, equal to the entry's scan position in
         # the reference implementation.  ``queued`` is the lazy-deletion
-        # marker for the index heaps; ``owner`` routes promotion hooks
-        # back to the owning channel.
+        # marker for the index heaps.
         self.seq = -1
         self.queued = False
-        self.owner: Optional["DramChannel"] = None
 
     def merge(self, request: MemoryRequest) -> None:
         self.requesters.append(request)
@@ -145,13 +144,15 @@ class DramChannel:
         "_completion_seq", "_entry_seq", "_demand_all", "_demand_rows",
         "_other_all", "_other_rows", "_dp", "_reference", "bus_busy_until",
         "next_pick_cycle", "due_cycle", "row_hits", "row_misses",
-        "lines_transferred", "inter_core_merges",
+        "lines_transferred", "inter_core_merges", "_proxy",
+        "__weakref__",  # prefetch riders hold the channel weakly
     )
 
     #: Fields a snapshot does not store (see :mod:`repro.sim.checkpoint`):
-    #: the config, and the scheduling index, which :meth:`after_restore`
-    #: rebuilds from the restored buffer.
-    snapshot_static = ("config",)
+    #: the config and the channel's own weak proxy, and the scheduling
+    #: index, which :meth:`after_restore` rebuilds from the restored
+    #: buffer.
+    snapshot_static = ("config", "_proxy")
     snapshot_derived = ("_demand_all", "_demand_rows", "_other_all", "_other_rows")
 
     def __init__(self, channel_id: int, config: DramConfig) -> None:
@@ -191,6 +192,10 @@ class DramChannel:
         self.row_misses = 0
         self.lines_transferred = 0
         self.inter_core_merges = 0
+        #: What a buffered prefetch's ``dram_channel`` holds: a weak
+        #: proxy, so a request never keeps its channel alive and a
+        #: finished machine frees by reference counting.
+        self._proxy = weakref.proxy(self)
 
     def arrive(self, request: MemoryRequest, bank: int, row: int, cycle: int) -> None:
         """Accept a request from the interconnect, merging when possible.
@@ -210,7 +215,7 @@ class DramChannel:
                     if request.is_prefetch:
                         # A late demand at this rider's MRQ must still be
                         # able to promote the shared buffer entry.
-                        request.dram_entry = entry
+                        request.dram_channel = self._proxy
                     elif not was_demand:
                         self.promote(entry)
                 return
@@ -220,7 +225,7 @@ class DramChannel:
         entry = BufferEntry(request.line_addr, bank, row, request, cycle, ready)
         self._enqueue(entry)
         if request.is_prefetch:
-            request.dram_entry = entry
+            request.dram_channel = self._proxy
         if not entry.is_store:
             self._by_line[request.line_addr] = entry
 
@@ -235,7 +240,6 @@ class DramChannel:
 
     def _index(self, entry: BufferEntry) -> None:
         """Push a queued entry into its priority class's heaps."""
-        entry.owner = self
         item = (entry.seq, entry)
         key = (entry.bank, entry.row)
         if entry.demand and self._dp:
@@ -263,6 +267,17 @@ class DramChannel:
         heapq.heappush(
             self._demand_rows.setdefault((entry.bank, entry.row), []), item
         )
+
+    def promote_line(self, line_addr: int) -> None:
+        """Promote the queued entry buffering ``line_addr``.
+
+        The late-prefetch hook: ``MemoryRequest.merge_demand`` calls it
+        through a prefetch rider's ``dram_channel``, which is set only
+        while the rider's entry is queued.  A line has one entry in
+        ``_by_line`` from its arrival until it completes, so the lookup
+        finds exactly the entry the rider is on.
+        """
+        self.promote(self._by_line[line_addr])
 
     def _pick_reference(self, cycle: int) -> Optional[BufferEntry]:
         """Linear-scan pick: demand > row-hit > oldest (reference impl).
@@ -388,7 +403,7 @@ class DramChannel:
             del self.pending[entry.seq]
             entry.queued = False
             for request in entry.requesters:
-                request.dram_entry = None
+                request.dram_channel = None
             self._service(entry, max(self.next_pick_cycle, entry.ready_cycle))
         heap = self._completing
         if not heap or heap[0][0] > cycle:
@@ -475,8 +490,8 @@ class DramChannel:
         (entries keep their ``seq``, so relative age — the FR-FCFS
         tie-breaker — is exact); stale lazy-deletion items the original
         heaps carried are simply not rebuilt.  Prefetch riders of a
-        queued entry get their ``dram_entry`` back, so a late demand can
-        still promote it.
+        queued entry get their ``dram_channel`` back, so a late demand
+        can still promote it.
         """
         self._demand_all = []
         self._demand_rows = {}
@@ -486,15 +501,16 @@ class DramChannel:
             self._index(entry)
             for request in entry.requesters:
                 if request.is_prefetch:
-                    request.dram_entry = entry
+                    request.dram_channel = self._proxy
 
 
 class Dram:
     """The full DRAM subsystem: address mapping plus all channels.
 
-    Address mapping interleaves 64B lines across channels, then groups
-    ``row_bytes`` of per-channel lines into rows striped over banks, so a
-    contiguous sweep of physical memory produces row hits on every channel.
+    Address mapping interleaves 64B lines (:data:`LINE_BYTES`) across
+    channels, then groups ``row_bytes`` of per-channel lines into rows
+    striped over banks, so a contiguous sweep of physical memory produces
+    row hits on every channel.
     """
 
     __slots__ = ("config", "channels", "_lines_per_row", "due_cycle")
@@ -505,7 +521,7 @@ class Dram:
     def __init__(self, config: DramConfig) -> None:
         self.config = config
         self.channels = [DramChannel(i, config) for i in range(config.num_channels)]
-        self._lines_per_row = max(1, config.row_bytes // config.line_bytes)
+        self._lines_per_row = max(1, config.row_bytes // LINE_BYTES)
         #: Minimum of the channels' posted ``due_cycle``: the run loop
         #: steps DRAM only when it is due and reads it as its DRAM event.
         self.due_cycle = NEVER
@@ -518,7 +534,7 @@ class Dram:
         channel — the standard anti-camping hash real memory controllers
         use.
         """
-        line = line_addr // self.config.line_bytes
+        line = line_addr // LINE_BYTES
         channels = self.config.num_channels
         channel = (
             line ^ (line >> 3) ^ (line >> 6) ^ (line >> 9) ^ (line >> 12)

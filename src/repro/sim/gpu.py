@@ -10,6 +10,7 @@ full parameter sweeps while preserving cycle-accurate ordering.
 
 from __future__ import annotations
 
+import weakref
 from collections import deque
 from time import perf_counter
 from typing import Callable, List, Optional, Sequence
@@ -104,7 +105,7 @@ class GpuSimulator:
     __slots__ = (
         "config", "cores", "interconnect", "dram", "_blocks", "_block_queues",
         "cycle", "invariants", "profiler", "metrics", "hooks",
-        "__weakref__",  # callers may key side tables by simulator
+        "__weakref__",  # weak side tables; the invariant checker's proxy
     )
 
     #: Fields a snapshot does not store (see :mod:`repro.sim.checkpoint`):
@@ -156,7 +157,7 @@ class GpuSimulator:
         if invariants is None:
             invariants = invariants_enabled_from_env()
         self.invariants: Optional[InvariantChecker] = (
-            InvariantChecker(self) if invariants else None
+            InvariantChecker(weakref.proxy(self)) if invariants else None
         )
         self.profiler = profiler
         if profiler is not None:

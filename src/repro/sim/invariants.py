@@ -33,7 +33,9 @@ run.  It verifies:
 
 Enable it per-simulator (``GpuSimulator(cfg, invariants=True)``) or
 process-wide with ``REPRO_INVARIANTS=1`` — the CI tier-1 job runs the
-whole suite that way.  Checks cost O(in-flight requests) per interval,
+whole suite that way.  The simulator hands its checker a weak proxy of
+itself, so a checked machine is freed by reference counting like any
+other.  Checks cost O(in-flight requests) per interval,
 a negligible fraction of simulation time at the default interval.
 """
 
@@ -176,7 +178,10 @@ class InvariantChecker:
     """Opt-in integrity observer for one :class:`GpuSimulator`.
 
     Args:
-        sim: The simulator to watch (attached by ``GpuSimulator``).
+        sim: The simulator to watch.  ``GpuSimulator`` attaches its
+            checker with a weak proxy of itself, so the pair forms no
+            reference cycle and a finished machine frees by reference
+            counting.
         interval: Simulated cycles between mid-run check passes.
         watchdog_window: Simulated cycles without any activity
             (instructions retired, requests completed, DRAM lines

@@ -41,12 +41,12 @@ class MemoryRequest:
         "send_cycle",
         "waiters",
         "sent",
-        "dram_entry",
+        "dram_channel",
     )
 
-    #: ``dram_entry`` is derived: a snapshot does not store it, and the
-    #: owning DRAM channel re-sets it on restore (``DramChannel.after_restore``).
-    snapshot_derived = ("dram_entry",)
+    #: ``dram_channel`` is derived: a snapshot does not store it, and the
+    #: DRAM channel re-sets it on restore (``DramChannel.after_restore``).
+    snapshot_derived = ("dram_channel",)
 
     def __init__(
         self,
@@ -70,10 +70,12 @@ class MemoryRequest:
         self.send_cycle = -1
         self.waiters: List[Tuple[object, int]] = []
         self.sent = False
-        # Back-reference to the DRAM buffer entry this request rides while
+        # The DRAM channel whose buffer entry this prefetch rides while
         # that entry is schedulable, so a late-prefetch promotion reaches
-        # the indexed scheduler eagerly (see DramChannel.promote).
-        self.dram_entry: Optional[object] = None
+        # the indexed scheduler eagerly (see DramChannel.promote_line).
+        # It is the channel's weak proxy and names no entry, so no
+        # request <-> buffer-entry cycle outlives a run.
+        self.dram_channel: Optional[object] = None
 
     @property
     def is_demand(self) -> bool:
@@ -95,13 +97,13 @@ class MemoryRequest:
         if self.is_prefetch:
             self.is_prefetch = False
             self.late_prefetch = True
-            entry = self.dram_entry
-            if entry is not None:
+            channel = self.dram_channel
+            if channel is not None:
                 # Propagate the promotion into the DRAM scheduling index
                 # eagerly; the reference scheduler re-derives the same
                 # flag from the requester list at its next scan.
-                self.dram_entry = None
-                entry.owner.promote(entry)
+                self.dram_channel = None
+                channel.promote_line(self.line_addr)
         if warp is not None and token >= 0:
             self.add_waiter(warp, token)
 

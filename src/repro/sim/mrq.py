@@ -43,8 +43,8 @@ class MemoryRequestQueue:
         "total_full_rejections",
     )
 
-    #: The owning core is wired by ``Core.__init__``; a snapshot does not
-    #: store it (see :mod:`repro.sim.checkpoint`).
+    #: The owning core, a weak proxy wired by ``Core.__init__``; a
+    #: snapshot does not store it (see :mod:`repro.sim.checkpoint`).
     snapshot_static = ("owner_core",)
 
     def __init__(self, core_id: int, size: int) -> None:
@@ -56,7 +56,9 @@ class MemoryRequestQueue:
         # by Core.__init__): a store entry frees MRQ
         # space at injection with no response ever arriving, so a core
         # sleeping on an MRQ-full stall must be woken here or it sleeps
-        # through the only event that can unblock it.
+        # through the only event that can unblock it.  It is a weak
+        # proxy, so a finished machine holds no core <-> MRQ cycle and
+        # reference counting frees it.
         self.owner_core: Optional[object] = None
         # Window counters (throttle period scope).
         self.window_merges = 0

@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple, Union
 
+from repro.sim.coalescer import LINE_BYTES
 from repro.sim.occupancy import KernelResources
 
 
@@ -170,7 +171,7 @@ class KernelSpec:
                 mem += iters
         return {"comp_inst": comp, "mem_inst": mem}
 
-    def array_layout(self, line_bytes: int = 64) -> Dict[str, int]:
+    def array_layout(self) -> Dict[str, int]:
         """Deterministic base address per array, padded and row-aligned.
 
         Sizes are derived from the maximum byte any thread touches over all
@@ -187,7 +188,7 @@ class KernelSpec:
                     extent = (
                         (max_tid - 1) * abs(op.lane_stride)
                         + (iters - 1) * abs(op.iter_stride)
-                        + line_bytes
+                        + LINE_BYTES
                     )
                     arrays.append((op.array, extent))
         for array_name, extent in arrays:

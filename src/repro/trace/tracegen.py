@@ -14,13 +14,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.sim.coalescer import WARP_SIZE, coalesce, warp_addresses
+from repro.sim.coalescer import LINE_BYTES, WARP_SIZE, coalesce, warp_addresses
 from repro.sim.isa import MemSpace, Op, WarpInstruction
 from repro.sim.occupancy import KernelResources
 from repro.trace.kernels import Compute, KernelSpec, Load, Store
 from repro.trace.swp import NO_SWP, SoftwarePrefetchConfig
-
-LINE_BYTES = 64
 
 #: PC layout: prologue computes, then 16 bytes per static body op, with
 #: software prefetches placed in a disjoint high range.

@@ -2,8 +2,12 @@
 
 import pytest
 
-from repro.harness import experiments
-from repro.harness.runner import ExperimentRunner
+from repro.harness import experiments, runner as runner_module
+from repro.harness.runner import ExperimentRunner, WorkloadMemo
+from repro.harness.sweep import fingerprint
+from repro.sim.gpu import SimulationResult
+from repro.sim.stats import SimStats
+from repro.trace.benchmarks import get_benchmark
 
 SUBSET = ["cell", "monte"]
 
@@ -83,3 +87,64 @@ class TestFigureFunctions:
     def test_figure18(self, runner):
         result = experiments.figure18(runner, subset=["cell"], core_counts=(8, 14))
         assert set(result["MT-SWP"]) == {8, 14}
+
+
+class RecordingRunner(ExperimentRunner):
+    """Records the specs each sweep would simulate, in serial order.
+
+    Nothing is simulated: every warmed point gets the same stub result,
+    so the exhibit code after its sweep runs to completion.  Like the
+    sweep engine, a spec requested twice is recorded once.
+    """
+
+    def __init__(self) -> None:
+        super().__init__(scale=0.5, use_cache=False)
+        self.specs = []
+
+    def warm(self, requests):
+        for request in requests:
+            spec = self._spec(**request)
+            key = fingerprint(spec)
+            if key not in self._cache:
+                self.specs.append(spec)
+                self._cache[key] = SimulationResult(
+                    SimStats(cycles=1000, instructions=100)
+                )
+        return []
+
+
+SWEPT_EXHIBITS = {
+    "table3": experiments.table3,
+    "table4": experiments.table4,
+    "fig8": experiments.figure8,
+    "fig10": experiments.figure10,
+    "fig11": experiments.figure11,
+    "fig12": experiments.figure12,
+    "fig13": experiments.figure13,
+    "fig14": experiments.figure14,
+    "fig15": experiments.figure15,
+    "fig16": experiments.figure16,
+    "fig17": experiments.figure17,
+    "fig18": experiments.figure18,
+}
+
+
+@pytest.mark.parametrize("exhibit", sorted(SWEPT_EXHIBITS))
+def test_exhibit_grid_reuses_each_trace_back_to_back(exhibit, monkeypatch):
+    """The trace memo holds one workload, so an exhibit whose grid
+    interleaves traces would silently regenerate them.  Replaying each
+    full grid's serial request order through the memo must hit exactly
+    as often as an unbounded memo would."""
+    runner = RecordingRunner()
+    SWEPT_EXHIBITS[exhibit](runner)
+    monkeypatch.setattr(
+        runner_module, "generate_workload", lambda kernel, swp: object()
+    )
+    memo = WorkloadMemo()
+    keys = []
+    for spec in runner.specs:
+        kernel = get_benchmark(spec.benchmark, scale=spec.scale)
+        memo.get(kernel, spec.software)
+        keys.append(WorkloadMemo.key(kernel, spec.software))
+    assert memo.misses + memo.hits == len(keys) > 0
+    assert memo.hits == len(keys) - len(set(keys))

@@ -13,10 +13,12 @@ import json
 
 import pytest
 
+from repro.harness import experiments
 from repro.harness.runner import ExperimentRunner, make_spec
 from repro.harness.sweep import (
     SCHEMA_VERSION,
     ResultCache,
+    RunFailedError,
     RunFailure,
     SweepEngine,
     SweepManifest,
@@ -179,6 +181,39 @@ class TestFailureBudget:
         # A past deadline would fail every pooled run as a timeout.
         with pytest.raises(ValueError, match="timeout must be positive"):
             SweepEngine(jobs=2, timeout=timeout)
+
+
+class TestExhibitFailures:
+    """A grid point its sweep failed is never simulated again to finish
+    the exhibit, where no deadline or failure budget would bound it:
+    ``runner.run`` raises the recorded failure instead."""
+
+    @staticmethod
+    def fig15_grid(runner):
+        return [runner._spec("cell", hardware=hw, throttle=t)
+                for hw, t in (("none", False),) + experiments.FIG15_SCHEMES]
+
+    def test_failed_grid_raises_without_rerunning(self, fault_dir):
+        runner = ExperimentRunner(scale=SCALE, retries=0, use_cache=False)
+        runner.engine.worker = faults.crashing_worker
+        with pytest.raises(OSError, match="injected permanent fault"):
+            experiments.figure15(runner, subset=["cell"])
+        grid = self.fig15_grid(runner)
+        assert [faults.attempts_made(spec) for spec in grid] == [1] * len(grid)
+        assert runner.engine.failures == len(grid)
+
+    def test_failure_without_exception_names_the_run(self, fault_dir):
+        runner = ExperimentRunner(scale=SCALE, use_cache=False)
+        runner.engine.worker = faults.truncating_worker
+        with pytest.raises(RunFailedError,
+                           match=r"^run cell \(.*\) failed \[truncated\]: "):
+            experiments.figure15(runner, subset=["cell"])
+        grid = self.fig15_grid(runner)
+        assert [faults.attempts_made(spec) for spec in grid] == [1] * len(grid)
+        # A second warm of the failed grid attempts nothing either.
+        outcomes = runner.warm([{"benchmark": "cell"}])
+        assert outcomes[0].kind == "truncated"
+        assert faults.attempts_made(grid[0]) == 1
 
 
 class TestManifestResume:

@@ -101,7 +101,7 @@ class TestConfigValidation:
         [
             ({"size_bytes": 0}, "size_bytes"),
             ({"associativity": 0}, "associativity"),
-            ({"line_bytes": -64}, "line_bytes"),
+            ({"size_bytes": -1024}, "size_bytes"),
         ],
     )
     def test_prefetch_cache_rejections(self, kwargs, needle):
@@ -113,10 +113,12 @@ class TestConfigValidation:
         [
             ({"num_channels": 0}, "num_channels"),
             ({"banks_per_channel": 0}, "banks_per_channel"),
-            ({"row_bytes": 32, "line_bytes": 64}, "row_bytes"),
+            ({"row_bytes": 32}, "row_bytes"),
             ({"burst_cycles": 0}, "burst_cycles"),
             ({"pipeline_latency": -1}, "pipeline_latency"),
             ({"t_cl": -1}, "t_cl"),
+            ({"t_rcd": -1}, "t_rcd"),
+            ({"t_rp": -1}, "t_rp"),
         ],
     )
     def test_dram_rejections(self, kwargs, needle):

@@ -103,7 +103,7 @@ def _run_script(events, promos, cfg, decision_check=False):
                 del channel.pending[picked.seq]
                 picked.queued = False
                 for request in picked.requesters:
-                    request.dram_entry = None
+                    request.dram_channel = None
                 channel._service(
                     picked, max(channel.next_pick_cycle, picked.ready_cycle)
                 )

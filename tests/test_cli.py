@@ -219,6 +219,30 @@ def test_invalid_benchmark_errors():
         main(["run", "not-a-benchmark"])
 
 
+def test_figure_with_a_failed_run_exits_1_naming_it(tmp_path, monkeypatch, capsys):
+    """A run its sweep failed without raising (here: truncated) ends the
+    figure with exit 1 and one stderr line naming the run and its kind."""
+    from repro import cli
+    from tests.harness import faults
+
+    monkeypatch.setenv(faults.FAULT_DIR_ENV, str(tmp_path))
+    make_runner = cli._make_runner
+
+    def failing_runner(args):
+        runner = make_runner(args)
+        runner.engine.worker = faults.truncating_worker
+        return runner
+
+    monkeypatch.setattr(cli, "_make_runner", failing_runner)
+    assert main(["figure", "fig15", "--subset", "cell", "--scale", "0.05",
+                 "--no-cache"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = captured.err.splitlines()
+    assert line.startswith("repro: run cell (")
+    assert "failed [truncated]" in line
+
+
 def test_invalid_command_exits():
     with pytest.raises(SystemExit):
         main(["frobnicate"])
