@@ -93,7 +93,10 @@ import os
 import sys
 from typing import List, Optional
 
-from repro.harness import experiments, perf, supervise
+# Each command's own machinery (the perf harness, the auditor, the chaos
+# campaign, the differential checker) is imported inside its handler, so
+# a command compiles only the modules it runs.
+from repro.harness import experiments, supervise
 from repro.harness.coordinate import DEFAULT_LEASE_GRACE
 from repro.harness.report import (
     format_metrics_report,
@@ -102,13 +105,14 @@ from repro.harness.report import (
     format_table,
 )
 from repro.harness.runner import HARDWARE_SCHEMES, ExperimentRunner
-from repro.harness.sweep import RunFailedError, RunOptions, SweepInterrupted
-from repro.sim.checkpoint import DEFAULT_CHECKPOINT_INTERVAL
-from repro.sim.telemetry import (
-    DEFAULT_METRICS_INTERVAL,
-    to_chrome_trace,
-    validate_metrics_document,
+from repro.harness.sweep import (
+    DEFAULT_CHECKPOINT_INTERVAL,
+    RunFailedError,
+    RunOptions,
+    SweepInterrupted,
 )
+from repro.sim.artifacts import DEFAULT_METRICS_INTERVAL
+from repro.sim.telemetry import to_chrome_trace, validate_metrics_document
 from repro.trace.benchmarks import COMPUTE_BENCHMARKS, MEMORY_BENCHMARKS
 from repro.trace.swp import SCHEMES as SOFTWARE_SCHEMES
 
@@ -210,14 +214,7 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
     )
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro",
-        description="MICRO-2010 many-thread aware prefetching reproduction",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    run_p = sub.add_parser("run", help="simulate one benchmark")
+def _run_arguments(run_p: argparse.ArgumentParser) -> None:
     run_p.add_argument("benchmark")
     run_p.add_argument("--software", default="none", choices=sorted(SOFTWARE_SCHEMES))
     run_p.add_argument("--hardware", default="none", choices=sorted(HARDWARE_SCHEMES))
@@ -232,7 +229,8 @@ def _build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--json", action="store_true", help="print stats as JSON")
     _add_sweep_flags(run_p)
 
-    cmp_p = sub.add_parser("compare", help="compare schemes on one benchmark")
+
+def _compare_arguments(cmp_p: argparse.ArgumentParser) -> None:
     cmp_p.add_argument("benchmark")
     cmp_p.add_argument(
         "--schemes",
@@ -244,9 +242,8 @@ def _build_parser() -> argparse.ArgumentParser:
     cmp_p.add_argument("--scale", type=float, default=1.0)
     _add_sweep_flags(cmp_p)
 
-    sub.add_parser("list", help="list benchmarks and schemes")
 
-    fig_p = sub.add_parser("figure", help="regenerate a paper exhibit")
+def _figure_arguments(fig_p: argparse.ArgumentParser) -> None:
     fig_p.add_argument(
         "name",
         choices=[
@@ -258,9 +255,8 @@ def _build_parser() -> argparse.ArgumentParser:
     fig_p.add_argument("--subset", nargs="*", default=None)
     _add_sweep_flags(fig_p)
 
-    perf_p = sub.add_parser(
-        "perf", help="benchmark the simulator hot path (BENCH_perf.json)",
-    )
+
+def _perf_arguments(perf_p: argparse.ArgumentParser) -> None:
     perf_p.add_argument(
         "--quick", action="store_true",
         help="run the sub-second smoke subset (CI perf-smoke job)",
@@ -270,8 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="timed repetitions per spec; best-of-N is reported (default: 1)",
     )
     perf_p.add_argument(
-        "--output", default=None, metavar="FILE",
-        help=f"output document path (default: {perf.DEFAULT_OUTPUT}; "
+        "--output", default="BENCH_perf.json", metavar="FILE",
+        help="output document path (default: %(default)s; "
              "'-' prints the summary only)",
     )
     perf_p.add_argument(
@@ -292,10 +288,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true", help="print the full document as JSON",
     )
 
-    diff_p = sub.add_parser(
-        "diffcheck",
-        help="differential correctness harness (equivalence oracles + fuzzer)",
-    )
+
+def _diffcheck_arguments(diff_p: argparse.ArgumentParser) -> None:
     diff_p.add_argument(
         "--seeds", type=int, default=10, metavar="N",
         help="number of fuzz seeds to check (default: 10)",
@@ -320,10 +314,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="skip shrinking failing kernels to minimal repros",
     )
 
-    rep_p = sub.add_parser(
-        "report",
-        help="render a windowed-metrics document (from --metrics-dir)",
-    )
+
+def _report_arguments(rep_p: argparse.ArgumentParser) -> None:
     rep_p.add_argument(
         "metrics_file",
         help="a <benchmark>-<fingerprint>.metrics.json document",
@@ -339,11 +331,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="write the rendering to FILE instead of stdout",
     )
 
-    fsck_p = sub.add_parser(
-        "fsck",
-        help="audit durable artifacts (cache, manifests, checkpoints, "
-             "leases, heartbeats); repair corruption, collect litter",
-    )
+
+def _fsck_arguments(fsck_p: argparse.ArgumentParser) -> None:
     fsck_p.add_argument(
         "roots", nargs="*", metavar="ROOT",
         help="directories or files to audit (default: the resolved "
@@ -373,11 +362,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="print the full report document as JSON",
     )
 
-    chaos_p = sub.add_parser(
-        "chaos",
-        help="seeded crash-consistency campaign over a real "
-             "multi-process sweep",
-    )
+
+def _chaos_arguments(chaos_p: argparse.ArgumentParser) -> None:
     chaos_p.add_argument(
         "--seed", type=int, default=0, metavar="N",
         help="campaign RNG seed; the fault schedule is deterministic in "
@@ -414,7 +400,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--json", action="store_true",
         help="print the full campaign report as JSON",
     )
-    return parser
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
@@ -568,12 +553,14 @@ def _cmd_figure(args: argparse.Namespace) -> int:
 
 def _cmd_perf(args: argparse.Namespace) -> int:
     """``perf``: measure hot-path throughput, write/compare BENCH_perf."""
+    from repro.harness import perf
+
     doc = perf.run_perf(
         quick=args.quick,
         repeats=args.repeats,
         generated=perf.timestamp_now(),
     )
-    output = args.output or perf.DEFAULT_OUTPUT
+    output = args.output
     baseline_path = args.baseline or (output if output != "-" else None)
     baseline = perf.load_document(baseline_path) if baseline_path else None
     failure = perf.check_regression(doc, baseline or {}, args.max_regression)
@@ -698,6 +685,47 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
     return 0 if report.ok else 1
 
 
+#: Command -> (help line, function adding its arguments, handler).
+COMMANDS = {
+    "run": ("simulate one benchmark", _run_arguments, _cmd_run),
+    "compare": ("compare schemes on one benchmark", _compare_arguments,
+                _cmd_compare),
+    "list": ("list benchmarks and schemes", None, _cmd_list),
+    "figure": ("regenerate a paper exhibit", _figure_arguments, _cmd_figure),
+    "perf": ("benchmark the simulator hot path (BENCH_perf.json)",
+             _perf_arguments, _cmd_perf),
+    "diffcheck": ("differential correctness harness (equivalence oracles "
+                  "+ fuzzer)", _diffcheck_arguments, _cmd_diffcheck),
+    "report": ("render a windowed-metrics document (from --metrics-dir)",
+               _report_arguments, _cmd_report),
+    "fsck": ("audit durable artifacts (cache, manifests, checkpoints, "
+             "leases, heartbeats); repair corruption, collect litter",
+             _fsck_arguments, _cmd_fsck),
+    "chaos": ("seeded crash-consistency campaign over a real "
+              "multi-process sweep", _chaos_arguments, _cmd_chaos),
+}
+
+
+def _build_parser(command: Optional[str]) -> argparse.ArgumentParser:
+    """The ``repro`` parser, with the arguments of ``command`` alone.
+
+    Every command is a choice, so ``repro --help`` lists them all, but
+    only the one being run gets its arguments: building the hundred-odd
+    arguments of every command costs a few milliseconds of start-up,
+    several times what parsing one command's does.
+    """
+    parser = argparse.ArgumentParser(
+        prog="repro",
+        description="MICRO-2010 many-thread aware prefetching reproduction",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_line, add_arguments, _) in COMMANDS.items():
+        command_parser = sub.add_parser(name, help=help_line)
+        if name == command and add_arguments is not None:
+            add_arguments(command_parser)
+    return parser
+
+
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns a process exit code.
 
@@ -707,24 +735,18 @@ def main(argv: Optional[List[str]] = None) -> int:
     that failed without raising (timed out, heartbeat-silent, aborted)
     returns 1 with one line naming it.
     """
-    parser = _build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    # The command is the first word: no top-level option takes a value.
+    command = next((arg for arg in argv if not arg.startswith("-")), None)
+    parser = _build_parser(command)
     args = parser.parse_args(argv)
     if args.command in ("run", "compare", "figure"):
         try:
             args.runner = _make_runner(args)
         except ValueError as exc:
             parser.error(str(exc))
-    handler = {
-        "run": _cmd_run,
-        "compare": _cmd_compare,
-        "list": _cmd_list,
-        "figure": _cmd_figure,
-        "perf": _cmd_perf,
-        "diffcheck": _cmd_diffcheck,
-        "report": _cmd_report,
-        "fsck": _cmd_fsck,
-        "chaos": _cmd_chaos,
-    }[args.command]
+    handler = COMMANDS[args.command][2]
     try:
         return handler(args)
     except RunFailedError as exc:

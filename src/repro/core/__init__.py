@@ -13,37 +13,6 @@ compares against, independent of the timing simulator:
 * feedback-directed baselines **GHB+F** and **StridePC+T** — Section VIII-C;
 * the **MTAML** analytical model of useful/neutral/harmful prefetching —
   Section IV.
+
+The package re-exports nothing; import names from their modules.
 """
-
-from repro.core.base import HardwarePrefetcher, NullPrefetcher
-from repro.core.feedback import FeedbackGhbPrefetcher, LatenessThrottledStridePc
-from repro.core.ghb import GhbPrefetcher
-from repro.core.mt_hwp import MtHwpPrefetcher, hardware_cost_bits
-from repro.core.mtaml import (
-    PrefetchEffect,
-    classify_prefetch_effect,
-    mtaml,
-    mtaml_pref,
-)
-from repro.core.stream_pref import StreamPrefetcher
-from repro.core.stride_pc import StridePcPrefetcher
-from repro.core.stride_rpt import StrideRptPrefetcher
-from repro.core.throttle import ThrottleEngine
-
-__all__ = [
-    "FeedbackGhbPrefetcher",
-    "GhbPrefetcher",
-    "HardwarePrefetcher",
-    "LatenessThrottledStridePc",
-    "MtHwpPrefetcher",
-    "NullPrefetcher",
-    "PrefetchEffect",
-    "StreamPrefetcher",
-    "StridePcPrefetcher",
-    "StrideRptPrefetcher",
-    "ThrottleEngine",
-    "classify_prefetch_effect",
-    "hardware_cost_bits",
-    "mtaml",
-    "mtaml_pref",
-]

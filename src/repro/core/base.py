@@ -20,6 +20,12 @@ from __future__ import annotations
 import abc
 from typing import Dict, List
 
+#: Bytes per memory transaction (line).  Prefetchers align their targets
+#: to it, the trace generator coalesces every access to these lines, and
+#: the prefetch cache, the DRAM address map and the cores move them; no
+#: config field sets it.
+LINE_BYTES = 64
+
 
 class HardwarePrefetcher(abc.ABC):
     """Base class for all hardware prefetchers.

@@ -21,9 +21,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Dict, List, Optional
 
-from repro.core.base import HardwarePrefetcher
-
-LINE_BYTES = 64
+from repro.core.base import LINE_BYTES, HardwarePrefetcher
 
 #: Confirmations of a direction needed before a stream starts prefetching.
 TRAIN_CONFIRMATIONS = 2

@@ -7,67 +7,9 @@ normalizes run requests and memoizes results through it,
 :mod:`repro.harness.experiments` defines the per-figure grids, and
 :mod:`repro.harness.perf` benchmarks the simulator hot path itself.
 :mod:`repro.harness.coordinate` lets concurrent sweep processes sharing
-one cache partition uncached work via work-claim leases, and
+one cache partition uncached work via work-claim leases,
 :mod:`repro.harness.fsck` audits every durable artifact the harness
-writes.  (:mod:`repro.harness.chaos` — the crash-consistency campaign —
-is deliberately not re-exported here: it imports the runner at call
-time and is an operational tool, reached via ``python -m repro chaos``.)
+writes, and :mod:`repro.harness.chaos` runs the crash-consistency
+campaign.  The package re-exports nothing: import names from their
+modules, and each ``repro`` command imports only the modules it runs.
 """
-
-from repro.harness.coordinate import (
-    DEFAULT_LEASE_GRACE,
-    Lease,
-    LeaseManager,
-    lease_dir_for,
-)
-from repro.harness.fsck import FsckReport, audit
-from repro.harness.perf import check_regression, run_perf
-from repro.harness.runner import (
-    HARDWARE_SCHEMES,
-    ExperimentRunner,
-    geometric_mean,
-    make_spec,
-    run_benchmark,
-    run_spec,
-)
-from repro.harness.sweep import (
-    SCHEMA_VERSION,
-    ProgressReporter,
-    ResultCache,
-    RunFailure,
-    RunSpec,
-    SweepEngine,
-    SweepManifest,
-    build_result_cache,
-    default_cache_dir,
-    fingerprint,
-    is_transient_failure,
-)
-
-__all__ = [
-    "DEFAULT_LEASE_GRACE",
-    "FsckReport",
-    "HARDWARE_SCHEMES",
-    "ExperimentRunner",
-    "Lease",
-    "LeaseManager",
-    "ProgressReporter",
-    "ResultCache",
-    "RunFailure",
-    "RunSpec",
-    "SCHEMA_VERSION",
-    "SweepEngine",
-    "SweepManifest",
-    "audit",
-    "build_result_cache",
-    "check_regression",
-    "default_cache_dir",
-    "fingerprint",
-    "lease_dir_for",
-    "geometric_mean",
-    "run_perf",
-    "is_transient_failure",
-    "make_spec",
-    "run_benchmark",
-    "run_spec",
-]

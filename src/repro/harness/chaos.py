@@ -128,13 +128,14 @@ def _install_enospc_shim(flag_path: str) -> None:
     """Make every free-space probe report zero while ``flag_path`` exists.
 
     ``free_bytes`` is imported *by name* into the sweep module, so both
-    the checkpoint module's attribute and sweep's copy must be replaced;
+    the defining module's attribute (which the checkpoint preflight
+    reads through ``has_free_space``) and sweep's copy must be replaced;
     pooled workers fork after this runs and inherit the shim.
     """
     import repro.harness.sweep as sweep_module
-    import repro.sim.checkpoint as checkpoint_module
+    import repro.sim.artifacts as artifacts_module
 
-    real = checkpoint_module.free_bytes
+    real = artifacts_module.free_bytes
 
     def probed(path) -> int:
         """Shimmed ``free_bytes``: 0 during an ENOSPC window."""
@@ -142,7 +143,7 @@ def _install_enospc_shim(flag_path: str) -> None:
             return 0
         return real(path)
 
-    checkpoint_module.free_bytes = probed
+    artifacts_module.free_bytes = probed
     sweep_module.free_bytes = probed
 
 

@@ -45,7 +45,6 @@ from __future__ import annotations
 import errno
 import json
 import os
-import socket
 import threading
 import time
 import warnings
@@ -53,7 +52,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
-from repro.sim.checkpoint import atomic_write_json
+from repro.sim.artifacts import atomic_write_json
 
 #: Lease record format version; readers ignore records from other
 #: versions (treated as stale, hence stealable — an old-protocol process
@@ -155,7 +154,7 @@ class LeaseManager:
         if renew_interval is None:
             renew_interval = DEFAULT_RENEW_INTERVAL
         self.renew_interval = min(max(0.05, float(renew_interval)), self.grace / 2)
-        self.host = socket.gethostname()
+        self.host = os.uname().nodename
         self.claims = 0  # leases successfully acquired (stolen included)
         self.denials = 0  # acquire attempts refused by a live lease
         self.steals = 0  # orphaned leases stolen

@@ -13,7 +13,6 @@ import dataclasses
 from typing import Dict, List, Optional, Sequence
 
 from repro.core.mt_hwp import hardware_cost_bits, hardware_cost_bytes
-from repro.core.mtaml import mtaml_curves
 from repro.core.throttle import ThrottleConfig
 from repro.harness.runner import ExperimentRunner, geometric_mean
 from repro.sim.config import PrefetchCacheConfig, baseline_config
@@ -164,6 +163,8 @@ def figure7(
     counts, then useful, then no-effect once multithreading alone tolerates
     the (linearly contended) average memory latency.
     """
+    from repro.core.mtaml import mtaml_curves
+
     points = mtaml_curves(
         comp_inst=comp_inst,
         mem_inst=mem_inst,

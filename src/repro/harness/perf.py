@@ -53,14 +53,12 @@ from typing import Dict, List, Optional, Union
 
 from repro.harness import supervise
 from repro.harness.runner import HARDWARE_SCHEMES, _simulate, make_spec
+from repro.sim.artifacts import atomic_write_json
 from repro.sim.profiling import SimProfiler
 from repro.trace.benchmarks import get_benchmark
 
 #: Schema tag embedded in every emitted BENCH_perf document.
 PERF_SCHEMA = 1
-
-#: Default output document, at the repository root by convention.
-DEFAULT_OUTPUT = "BENCH_perf.json"
 
 #: The full fixed benchmark subset (mirrors the determinism golden set:
 #: a no-prefetch baseline, both MT-aware schemes, a table-heavy hardware
@@ -229,8 +227,6 @@ def write_document(doc: Dict[str, object], path: Union[str, Path]) -> Path:
     pattern): ``BENCH_perf.json`` is a committed artifact, and a crash
     mid-write must leave the previous intact document, not a torn one.
     """
-    from repro.sim.checkpoint import atomic_write_json
-
     return atomic_write_json(
         path, doc, indent=2, sort_keys=True, trailing_newline=True
     )

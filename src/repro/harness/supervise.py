@@ -29,7 +29,7 @@ the two sides:
   disable themselves instead of crashing the run.
 
 Everything here is engine-agnostic and importable from workers: it
-depends only on the sim layer (errors, checkpoint helpers), never on
+depends only on the sim layer (errors, the atomic-write helper), never on
 :mod:`repro.harness.sweep`, so ``sweep`` -> ``supervise`` stays a
 one-way dependency.
 """
@@ -48,7 +48,7 @@ import warnings
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.sim.checkpoint import atomic_write_json
+from repro.sim.artifacts import atomic_write_json
 from repro.sim.errors import WorkerInterrupted
 from repro.sim.gpu import PeriodicHook
 
@@ -207,7 +207,7 @@ class HeartbeatWriter:
     ``beat()`` is cheap to call often (the supervision hook fires every
     :data:`SUPERVISION_HOOK_CYCLES` cycles): it only touches the disk
     once per ``interval`` seconds.  Writes are atomic (shared
-    :func:`~repro.sim.checkpoint.atomic_write_json` helper) so the
+    :func:`~repro.sim.artifacts.atomic_write_json` helper) so the
     engine never reads a torn record.  Disk pressure (ENOSPC/EDQUOT)
     warns once and disables the sink — liveness reporting degrades, the
     simulation itself survives.

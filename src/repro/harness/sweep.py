@@ -117,16 +117,11 @@ import time
 import traceback
 import warnings
 from collections import deque
-from concurrent.futures import (
-    FIRST_COMPLETED,
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    wait,
-)
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Callable,
     Dict,
     List,
@@ -144,8 +139,8 @@ from repro.harness.coordinate import (
     lease_dir_for,
 )
 from repro.harness.supervise import is_disk_pressure
-from repro.sim.checkpoint import (
-    DEFAULT_CHECKPOINT_INTERVAL,
+from repro.sim.artifacts import (
+    DEFAULT_METRICS_INTERVAL,
     atomic_write_json,
     free_bytes,
 )
@@ -153,8 +148,10 @@ from repro.sim.config import GpuConfig
 from repro.sim.errors import SimulationError, WorkerInterrupted
 from repro.sim.gpu import SimulationResult
 from repro.sim.stats import SimStats
-from repro.sim.telemetry import DEFAULT_METRICS_INTERVAL
 from repro.trace.swp import SoftwarePrefetchConfig
+
+if TYPE_CHECKING:
+    from concurrent.futures import ProcessPoolExecutor
 
 #: Bump whenever a code change alters what any cached result would contain:
 #: simulator timing, prefetcher algorithms, trace generation, or the
@@ -249,6 +246,11 @@ class RunSpec:
     perfect_memory: bool
     scale: float
     config: GpuConfig
+
+
+#: Default simulated cycles between auto-checkpoints when a checkpoint
+#: directory is set but no interval is given (``--checkpoint-interval``).
+DEFAULT_CHECKPOINT_INTERVAL = 50_000
 
 
 @dataclass(frozen=True)
@@ -362,9 +364,18 @@ def fingerprint(spec: RunSpec) -> str:
     different key, which is what makes the on-disk cache safe to share
     across sweeps with different configs.
     """
-    payload = {"schema": SCHEMA_VERSION, "spec": dataclasses.asdict(spec)}
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps(
+        {"schema": SCHEMA_VERSION, "spec": spec}, default=_dataclass_fields,
+        sort_keys=True, separators=(",", ":"),
+    )
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+
+
+def _dataclass_fields(value: object) -> Dict[str, object]:
+    """A dataclass's fields by name: how :func:`fingerprint` serializes
+    the nested dataclasses it meets, the same JSON as
+    ``dataclasses.asdict`` without copying every leaf first."""
+    return {f.name: getattr(value, f.name) for f in dataclasses.fields(value)}
 
 
 # ----------------------------------------------------------------------
@@ -1393,7 +1404,9 @@ class SweepEngine:
 
         The one scheduler of every sweep.  It builds a process pool, whose
         initializer installs the worker signal handlers, only when
-        ``min(jobs, misses) > 1``; otherwise ``submit`` calls the worker
+        ``min(jobs, misses) > 1``, after importing the invariant checker's
+        module (the one observer module a run imports on demand), so the
+        forked workers inherit it; otherwise ``submit`` calls the worker
         in this process and stores its stats or exception in a finished
         future, recorded like a pooled completion (with no deadline: an
         in-process run cannot be preempted).
@@ -1451,6 +1464,10 @@ class SweepEngine:
 
         def fresh_executor() -> ProcessPoolExecutor:
             nonlocal lost_slots
+            # Only a sweep that builds a pool imports one (and with it
+            # multiprocessing).
+            from concurrent.futures import ProcessPoolExecutor
+
             ex = ProcessPoolExecutor(
                 max_workers=max_workers,
                 initializer=supervise.install_worker_signal_handlers,
@@ -1459,7 +1476,13 @@ class SweepEngine:
             lost_slots = 0
             return ex
 
-        executor = fresh_executor() if pooled else None
+        executor = None
+        if pooled:
+            # A forked worker inherits its parent's modules; one it had
+            # to import itself would be compiled once per worker.
+            import repro.sim.invariants  # noqa: F401
+
+            executor = fresh_executor()
         work: deque = deque(_PendingRun(key, spec) for key, spec in misses)
         running: Dict[Future, _PendingRun] = {}
 

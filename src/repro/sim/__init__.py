@@ -6,62 +6,9 @@ warp scheduling, memory coalescing, per-core memory request queues with
 intra-core merging, a fixed-latency injection-limited interconnect, a banked
 DRAM model with inter-core merging and demand-over-prefetch priority, and the
 per-core prefetch cache that backs both software and hardware MT-prefetching.
+
+Import names from their modules (``repro.sim.gpu``, ``repro.sim.config``,
+...): the package re-exports nothing, so importing one module compiles
+only what that module needs; the simulator imports the invariant
+checker only for a run that checks invariants.
 """
-
-from repro.sim.checkpoint import (
-    CHECKPOINT_SCHEMA,
-    atomic_write_json,
-    attach_checkpointing,
-    config_fingerprint,
-    load_checkpoint,
-    restore_simulator,
-    write_checkpoint,
-)
-from repro.sim.config import (
-    CoreConfig,
-    DramConfig,
-    GpuConfig,
-    InterconnectConfig,
-    PrefetchCacheConfig,
-    baseline_config,
-)
-from repro.sim.errors import (
-    CheckpointError,
-    CycleLimitExceeded,
-    DeadlockError,
-    InvariantViolation,
-    SimulationError,
-    load_failure_report,
-    write_failure_report,
-)
-from repro.sim.gpu import GpuSimulator, SimulationResult
-from repro.sim.invariants import InvariantChecker, invariants_enabled_from_env
-from repro.sim.stats import SimStats
-
-__all__ = [
-    "CHECKPOINT_SCHEMA",
-    "CheckpointError",
-    "CoreConfig",
-    "CycleLimitExceeded",
-    "DeadlockError",
-    "DramConfig",
-    "GpuConfig",
-    "GpuSimulator",
-    "InterconnectConfig",
-    "InvariantChecker",
-    "InvariantViolation",
-    "PrefetchCacheConfig",
-    "SimStats",
-    "SimulationError",
-    "SimulationResult",
-    "atomic_write_json",
-    "attach_checkpointing",
-    "baseline_config",
-    "config_fingerprint",
-    "invariants_enabled_from_env",
-    "load_checkpoint",
-    "load_failure_report",
-    "restore_simulator",
-    "write_checkpoint",
-    "write_failure_report",
-]

@@ -69,10 +69,10 @@ that canonical text is what the file holds — any torn or bit-flipped
 file fails validation with a structured
 :class:`~repro.sim.errors.CheckpointError` instead of corrupting a run.
 
-Writes are atomic (unique temp file + ``os.replace``), matching the
-sweep result cache: a crash mid-write leaves either the previous valid
-checkpoint or a stray temp file, never a half-written snapshot at the
-final path.
+Writes are atomic (:func:`~repro.sim.artifacts.atomic_write_json`, the
+helper the sweep result cache writes through): a crash mid-write leaves
+either the previous valid checkpoint or a stray temp file, never a
+half-written snapshot at the final path.
 
 Auto-snapshots ride the simulator's run-loop hook list
 (:attr:`~repro.sim.gpu.GpuSimulator.hooks`): :func:`attach_checkpointing`
@@ -101,7 +101,6 @@ import gc
 import hashlib
 import importlib
 import json
-import os
 import sys
 import warnings
 from collections import OrderedDict, deque
@@ -109,6 +108,7 @@ from operator import attrgetter
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
+from repro.sim.artifacts import atomic_write_json, has_free_space
 from repro.sim.config import GpuConfig
 from repro.sim.errors import CheckpointError
 
@@ -117,10 +117,6 @@ from repro.sim.errors import CheckpointError
 #: than guessing.  A class's field layout needs no bump: the payload
 #: records it and :func:`load_state` checks it.
 CHECKPOINT_SCHEMA = 2
-
-#: Default auto-checkpoint interval (cycles) when a directory is set but
-#: no interval is given.
-DEFAULT_CHECKPOINT_INTERVAL = 50_000
 
 
 def canonical_json(document: object) -> str:
@@ -155,64 +151,6 @@ def config_fingerprint(config: GpuConfig) -> str:
         dataclasses.asdict(config), sort_keys=True, separators=(",", ":"), default=str
     )
     return hashlib.sha256(document.encode("utf-8")).hexdigest()
-
-
-def scratch_path(path: Union[str, Path]) -> Path:
-    """Scratch temp location for an atomic write targeting ``path``.
-
-    ``.tmp-<pid>-<name>`` in the same directory: the same filesystem (so
-    ``os.replace`` stays atomic), a leading dot + ``tmp`` prefix so
-    humans and the artifact auditor (:mod:`repro.harness.fsck`) recognize
-    scratch litter at a glance, and a pid stamp so the auditor can
-    attribute an orphaned temp to a dead writer and collect it under
-    ``--gc`` while leaving a live writer's in-flight temp alone.
-    """
-    path = Path(path)
-    return path.parent / f".tmp-{os.getpid()}-{path.name}"
-
-
-def atomic_write_json(
-    path: Union[str, Path],
-    document: object = None,
-    indent: Optional[int] = None,
-    sort_keys: bool = False,
-    trailing_newline: bool = False,
-    text: Optional[str] = None,
-) -> Path:
-    """Write ``document`` as JSON to ``path`` atomically; returns the path.
-
-    Parent directories are created.  The document is serialized to a
-    pid-unique temp file (:func:`scratch_path`) in the same directory and
-    moved into place with ``os.replace`` (atomic on POSIX), so concurrent
-    writers cannot observe — or leave behind — a torn file at the final
-    path.  On *any* failure after the temp file is created (serialization
-    error, ENOSPC mid-write, a failed replace) the temp is removed before
-    the exception propagates, so an exception path never leaks scratch
-    litter.  This is the same pattern the sweep result cache uses; the
-    profiler (:meth:`repro.sim.profiling.SimProfiler.write`) and the perf
-    harness (:func:`repro.harness.perf.write_document`) share this
-    helper.  ``sort_keys`` / ``trailing_newline`` exist for committed,
-    diff-friendly documents such as ``BENCH_perf.json``.  ``text`` is JSON
-    the caller already encoded, written verbatim instead of encoding
-    ``document`` (a checkpoint writes the canonical text it digested).
-    """
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = scratch_path(path)
-    if text is None:
-        text = json.dumps(document, indent=indent, sort_keys=sort_keys)
-    if trailing_newline:
-        text += "\n"
-    try:
-        tmp.write_text(text, encoding="utf-8")
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            tmp.unlink(missing_ok=True)
-        except OSError:  # pragma: no cover - cleanup is best-effort
-            pass
-        raise
-    return path
 
 
 # ----------------------------------------------------------------------
@@ -725,26 +663,6 @@ def restore_simulator(
     # dropped here, and an observer the snapshot lacks starts fresh.
     sim.invariants, sim.profiler, sim.metrics = attached
     return sim
-
-
-def free_bytes(path: Union[str, Path]) -> Optional[int]:
-    """Free bytes on the filesystem holding ``path``, or None if unknown.
-
-    Uses ``os.statvfs`` (POSIX); returns None on platforms without it or
-    when the path cannot be statted — callers treat "unknown" as "enough"
-    so a missing probe never disables a sink.
-    """
-    try:
-        stat = os.statvfs(path)
-    except (AttributeError, OSError):
-        return None
-    return stat.f_bavail * stat.f_frsize
-
-
-def has_free_space(path: Union[str, Path], floor: int) -> bool:
-    """True when the filesystem holding ``path`` has >= ``floor`` bytes free."""
-    free = free_bytes(path)
-    return free is None or free >= floor
 
 
 #: Minimum free bytes required before an auto-checkpoint write is

@@ -16,11 +16,7 @@ from __future__ import annotations
 
 from typing import Iterable, List, Sequence, Tuple
 
-#: Bytes per memory transaction (line).  The trace generator coalesces
-#: every access to these lines, and the prefetch cache, the DRAM address
-#: map and the cores' prefetch alignment all move them; no config field
-#: sets it.
-LINE_BYTES = 64
+from repro.core.base import LINE_BYTES
 
 #: Threads per warp (CUDA).  The trace generator, the coalescer and the
 #: core's resident-thread limit all assume it; no config field sets it.

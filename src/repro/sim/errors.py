@@ -38,6 +38,8 @@ import json
 from pathlib import Path
 from typing import Dict, List, Optional, Union
 
+from repro.sim.artifacts import atomic_write_json
+
 #: Schema tag written into every failure report so future readers can
 #: evolve the format without guessing.
 FAILURE_REPORT_SCHEMA = 1
@@ -161,9 +163,6 @@ def write_failure_report(path: Union[str, Path], report: Dict) -> Path:
     atomic-write helper, so a crash mid-write leaves no torn report for
     ``repro fsck`` to call corrupt.
     """
-    # Imported here because repro.sim.checkpoint imports this module.
-    from repro.sim.checkpoint import atomic_write_json
-
     return atomic_write_json(path, report, indent=2, sort_keys=True)
 
 

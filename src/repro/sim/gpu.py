@@ -10,10 +10,11 @@ full parameter sweeps while preserving cycle-accurate ordering.
 
 from __future__ import annotations
 
+import os
 import weakref
 from collections import deque
 from time import perf_counter
-from typing import Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Callable, List, Optional, Sequence
 
 from repro.core.base import HardwarePrefetcher
 from repro.core.throttle import ThrottleEngine
@@ -22,17 +23,23 @@ from repro.sim.core import Block, Core
 from repro.sim.dram import NEVER, Dram
 from repro.sim.errors import CycleLimitExceeded, DeadlockError
 from repro.sim.interconnect import Interconnect
-from repro.sim.invariants import (
-    InvariantChecker,
-    diagnose_no_progress,
-    invariants_enabled_from_env,
-    snapshot_simulator,
-)
-from repro.sim.profiling import SimProfiler
 from repro.sim.stats import SimStats
-from repro.sim.telemetry import MetricsRecorder
+
+if TYPE_CHECKING:
+    from repro.sim.invariants import InvariantChecker
+    from repro.sim.profiling import SimProfiler
+    from repro.sim.telemetry import MetricsRecorder
 
 PrefetcherFactory = Callable[[int], Optional[HardwarePrefetcher]]
+
+#: Environment variable that opts every simulator in this process into
+#: invariant checking (any non-empty value other than "0").
+INVARIANTS_ENV = "REPRO_INVARIANTS"
+
+
+def invariants_enabled_from_env() -> bool:
+    """True when ``$REPRO_INVARIANTS`` requests process-wide checking."""
+    return os.environ.get(INVARIANTS_ENV, "") not in ("", "0")
 
 
 class PeriodicHook:
@@ -156,9 +163,13 @@ class GpuSimulator:
         self.cycle = 0
         if invariants is None:
             invariants = invariants_enabled_from_env()
-        self.invariants: Optional[InvariantChecker] = (
-            InvariantChecker(weakref.proxy(self)) if invariants else None
-        )
+        self.invariants: Optional[InvariantChecker] = None
+        if invariants:
+            # Only a checked run imports the checker (a pooled sweep
+            # imports it before it forks).
+            from repro.sim.invariants import InvariantChecker
+
+            self.invariants = InvariantChecker(weakref.proxy(self))
         self.profiler = profiler
         if profiler is not None:
             for core in self.cores:
@@ -448,6 +459,11 @@ class GpuSimulator:
                 if next_throttle < next_event:
                     next_event = next_throttle
                 if next_event == NEVER:
+                    from repro.sim.invariants import (
+                        diagnose_no_progress,
+                        snapshot_simulator,
+                    )
+
                     raise DeadlockError(
                         f"simulator deadlock at cycle {cycle}: "
                         + diagnose_no_progress(self, cycle),
@@ -479,6 +495,8 @@ class GpuSimulator:
         stats = self._collect_stats(cycle)
         stats.truncated = truncated
         if truncated and strict:
+            from repro.sim.invariants import snapshot_simulator
+
             raise CycleLimitExceeded(
                 f"run truncated: max_cycles={max_cycles} exhausted with "
                 f"unretired warps at cycle {cycle}",

@@ -32,31 +32,21 @@ run.  It verifies:
   component (via :func:`diagnose_no_progress`).
 
 Enable it per-simulator (``GpuSimulator(cfg, invariants=True)``) or
-process-wide with ``REPRO_INVARIANTS=1`` — the CI tier-1 job runs the
-whole suite that way.  The simulator hands its checker a weak proxy of
-itself, so a checked machine is freed by reference counting like any
-other.  Checks cost O(in-flight requests) per interval,
+process-wide with ``REPRO_INVARIANTS=1``, which the simulator reads
+(:func:`repro.sim.gpu.invariants_enabled_from_env`): a run without
+checking imports this module only to describe a deadlock or a
+truncation.  CI runs the tier-1 suite both ways.  The simulator hands
+its checker a weak proxy of itself, so a checked machine is freed by
+reference counting like any other.  Checks cost O(in-flight requests) per interval,
 a negligible fraction of simulation time at the default interval.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Dict, List, Optional
 
 from repro.sim.dram import NEVER
 from repro.sim.errors import DeadlockError, InvariantViolation
-
-#: Environment variable that opts every simulator in this process into
-#: invariant checking (any non-empty value other than "0").
-INVARIANTS_ENV = "REPRO_INVARIANTS"
-
-
-def invariants_enabled_from_env() -> bool:
-    """True when ``$REPRO_INVARIANTS`` requests process-wide checking."""
-    value = os.environ.get(INVARIANTS_ENV, "")
-    return value not in ("", "0")
-
 
 # ----------------------------------------------------------------------
 # Diagnostic snapshots

@@ -41,6 +41,8 @@ import time
 from pathlib import Path
 from typing import Dict, Union
 
+from repro.sim.artifacts import atomic_write_json
+
 #: Schema tag embedded in every emitted profile document.
 PROFILE_SCHEMA = 1
 
@@ -169,11 +171,11 @@ class SimProfiler:
         """Write the profile JSON to ``path`` (parents created); returns it.
 
         The write is atomic (temp file + ``os.replace``, the result-cache
-        pattern) so a crash mid-write can never leave a torn profile.
+        pattern) so a crash mid-write can never leave a torn profile.  The
+        JSON is compact: it goes through ``json``'s C encoder, which leaves
+        no garbage for the cyclic collector (an ``indent`` would not).
         """
-        from repro.sim.checkpoint import atomic_write_json
-
-        return atomic_write_json(path, self.to_dict(), indent=2)
+        return atomic_write_json(path, self.to_dict())
 
     def summary(self) -> str:
         """One-paragraph human-readable profile summary (CLI output)."""

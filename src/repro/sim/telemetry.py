@@ -9,7 +9,8 @@ is a time-series claim).  :class:`MetricsRecorder` closes that gap: an
 opt-in observer the main loop consults exactly like the profiler — a run
 without one pays a single ``is None`` branch per loop iteration — that
 samples a fixed schema of counters on a nominal cadence of
-``interval`` simulated cycles (default :data:`DEFAULT_METRICS_INTERVAL`)
+``interval`` simulated cycles (default
+:data:`~repro.sim.artifacts.DEFAULT_METRICS_INTERVAL`)
 and folds each sample into a bounded ring of *window* records.
 
 The recorder is the simulator's first run-loop hook (it rides the same
@@ -80,11 +81,10 @@ from collections import deque
 from pathlib import Path
 from typing import Deque, Dict, List, Optional, Union
 
+from repro.sim.artifacts import DEFAULT_METRICS_INTERVAL, atomic_write_json
+
 #: Schema tag embedded in every emitted metrics document.
 METRICS_SCHEMA = 1
-
-#: Nominal simulated cycles per window (``--metrics-interval`` default).
-DEFAULT_METRICS_INTERVAL = 1000
 
 #: Ring bound: maximum retained window records per run.  Oldest windows
 #: are dropped (and counted) beyond this; totals remain exact.
@@ -390,11 +390,11 @@ class MetricsRecorder:
         """Write the metrics JSON to ``path`` (parents created); returns it.
 
         The write is atomic (temp file + ``os.replace``, the result-cache
-        pattern) so a crash mid-write can never leave a torn document.
+        pattern) so a crash mid-write can never leave a torn document.  The
+        JSON is compact: it goes through ``json``'s C encoder, which leaves
+        no garbage for the cyclic collector (an ``indent`` would not).
         """
-        from repro.sim.checkpoint import atomic_write_json
-
-        return atomic_write_json(path, self.to_dict(), indent=2)
+        return atomic_write_json(path, self.to_dict())
 
 
 def validate_metrics_document(doc: object) -> Dict[str, object]:

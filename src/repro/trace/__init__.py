@@ -14,18 +14,6 @@ key on: per-warp strides, cross-warp strides at the same PC, and
 mechanisms as trace transformations: register (binding) prefetching,
 stride prefetching into the prefetch cache, and inter-thread prefetching
 (IP); MT-SWP is stride + IP.
+
+The package re-exports nothing; import names from their modules.
 """
-
-from repro.trace.kernels import Compute, KernelSpec, Load, Store
-from repro.trace.swp import SoftwarePrefetchConfig
-from repro.trace.tracegen import Workload, generate_workload
-
-__all__ = [
-    "Compute",
-    "KernelSpec",
-    "Load",
-    "SoftwarePrefetchConfig",
-    "Store",
-    "Workload",
-    "generate_workload",
-]

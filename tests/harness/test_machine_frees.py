@@ -3,13 +3,12 @@
 The simulated machine's object graph must hold no reference cycle: an
 owner's back-references (a core's MRQ, a DRAM channel's buffered
 prefetch riders, the invariant checker's simulator) are weak proxies,
-and a snapshot write leaves no encoder cycle.  Otherwise every dead
-machine of a long sweep stays resident until a full collection.  Each
-case runs :func:`run_spec`, drops the result, and asserts that the
-cyclic collector finds no instance of a class, and no function, defined
-in the model's packages.  Standard-library garbage (the pure-Python
-JSON encoder's closures when a document is written with ``indent``) is
-out of scope.
+a snapshot write leaves no encoder cycle, and the profile and metrics
+documents go through ``json``'s C encoder (the pure-Python one, which
+an ``indent`` selects, leaves its closures behind).  Otherwise every
+dead machine of a long sweep stays resident until a full collection.
+Each case runs :func:`run_spec`, drops the result, and asserts that the
+run left nothing at all for the cyclic collector.
 """
 
 import gc
@@ -19,9 +18,6 @@ import pytest
 
 from repro.harness.runner import HARDWARE_SCHEMES, make_spec, run_spec
 from repro.harness.sweep import RunOptions
-
-#: Packages whose instances must never need the cyclic collector.
-MODEL_PACKAGES = ("repro.sim", "repro.core", "repro.trace")
 
 #: Small enough for ~40 runs in a few seconds; large enough that MT-HWP
 #: still has prefetch entries buffered in DRAM when the last warp retires.
@@ -35,8 +31,9 @@ def _defined_in(obj):
     return type(obj).__module__, type(obj).__qualname__
 
 
-def _model_garbage(spec, options):
-    """The model's classes and functions left for the cyclic collector."""
+def _garbage(spec, options):
+    """The classes and functions of what the run left for the cyclic
+    collector."""
     gc.collect()
     # Collections during the run then traverse only what it allocates.
     gc.freeze()
@@ -45,10 +42,7 @@ def _model_garbage(spec, options):
         run_spec(spec, options)
         gc.collect()
         found = {_defined_in(obj) for obj in gc.garbage}
-        return sorted(
-            f"{module}.{name}" for module, name in found
-            if module.startswith(MODEL_PACKAGES)
-        )
+        return sorted(f"{module}.{name}" for module, name in found)
     finally:
         gc.set_debug(0)
         gc.garbage.clear()
@@ -59,13 +53,13 @@ def _model_garbage(spec, options):
 @pytest.mark.parametrize("hardware", sorted(HARDWARE_SCHEMES))
 def test_hardware_scheme_run_leaves_no_cycle(hardware, throttle):
     spec = make_spec("monte", hardware=hardware, throttle=throttle, scale=SCALE)
-    assert _model_garbage(spec, RunOptions()) == []
+    assert _garbage(spec, RunOptions()) == []
 
 
 @pytest.mark.parametrize("software", ["register", "stride", "ip", "mt-swp"])
 def test_software_scheme_run_leaves_no_cycle(software):
     spec = make_spec("monte", software=software, scale=SCALE)
-    assert _model_garbage(spec, RunOptions()) == []
+    assert _garbage(spec, RunOptions()) == []
 
 
 def _observer_options(tmp_path):
@@ -92,7 +86,7 @@ def test_observed_run_leaves_no_cycle(observer, tmp_path):
     else:
         options = RunOptions(**fields[observer])
     spec = make_spec("monte", hardware="mt-hwp", throttle=True, scale=SCALE)
-    assert _model_garbage(spec, options) == []
+    assert _garbage(spec, options) == []
     if observer in ("checkpoints", "all"):
         # The run wrote snapshots (and removed the last one on completion).
         assert (tmp_path / "ckpt").is_dir()

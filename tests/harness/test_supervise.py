@@ -446,7 +446,7 @@ class TestDiskPressure:
         destination = tmp_path / "snapshots" / "run.ckpt.json"
         attach_checkpointing(sim, destination, interval=500,
                              fingerprint=fingerprint(spec))
-        monkeypatch.setattr("repro.sim.checkpoint.free_bytes", lambda p: 0)
+        monkeypatch.setattr("repro.sim.artifacts.free_bytes", lambda p: 0)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             stats = sim.run()

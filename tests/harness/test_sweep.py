@@ -89,6 +89,27 @@ class TestFingerprint:
         b = make_spec("monte", scale=SCALE, config=baseline_config(num_cores=8))
         assert fingerprint(a) != fingerprint(b)
 
+    def test_key_is_the_digest_of_the_specs_asdict_form(self):
+        """Existing cache entries stay addressable: the key hashes the
+        canonical JSON of ``dataclasses.asdict(spec)``."""
+        import hashlib
+
+        from repro.sim.config import PrefetchCacheConfig, baseline_config
+
+        specs = [
+            make_spec("monte", software="mt-swp", hardware="mt-hwp",
+                      throttle=True, distance=3, degree=2, scale=SCALE),
+            make_spec("cell", perfect_memory=True, scale=SCALE, config=baseline_config(
+                num_cores=4,
+                prefetch_cache=PrefetchCacheConfig(size_bytes=2048))),
+        ]
+        for spec in specs:
+            canonical = json.dumps(
+                {"schema": SCHEMA_VERSION, "spec": dataclasses.asdict(spec)},
+                sort_keys=True, separators=(",", ":"),
+            )
+            assert fingerprint(spec) == hashlib.sha256(canonical.encode()).hexdigest()
+
 
 class TestSpecValidation:
     def test_unknown_schemes_rejected_eagerly(self):

@@ -28,16 +28,15 @@ import pytest
 
 from repro.harness.runner import HARDWARE_SCHEMES, make_spec
 from repro.harness.sweep import fingerprint
+from repro.sim.artifacts import atomic_write_json, scratch_path
 from repro.sim.checkpoint import (
     CHECKPOINT_SCHEMA,
-    atomic_write_json,
     attach_checkpointing,
     canonical_json,
     config_fingerprint,
     load_checkpoint,
     payload_digest,
     restore_simulator,
-    scratch_path,
     write_checkpoint,
 )
 from repro.sim.config import baseline_config

@@ -24,12 +24,14 @@ from repro.sim.errors import (
     load_failure_report,
     write_failure_report,
 )
-from repro.sim.gpu import GpuSimulator
-from repro.sim.invariants import (
+from repro.sim.gpu import (
     INVARIANTS_ENV,
+    GpuSimulator,
+    invariants_enabled_from_env,
+)
+from repro.sim.invariants import (
     InvariantChecker,
     diagnose_no_progress,
-    invariants_enabled_from_env,
     snapshot_simulator,
 )
 from repro.sim.isa import compute, load, store

@@ -248,6 +248,23 @@ def test_invalid_command_exits():
         main(["frobnicate"])
 
 
+@pytest.mark.parametrize("command, option", [
+    ("run", "--hardware"), ("compare", "--schemes"), ("figure", "--subset"),
+    ("perf", "--quick"), ("diffcheck", "--seeds"), ("report", "--format"),
+    ("fsck", "--repair"), ("chaos", "--budget"),
+])
+def test_each_command_parses_its_own_arguments(command, option, capsys):
+    """Only the invoked command's sub-parser gets its arguments: its
+    help names them, and the top-level help still lists every command."""
+    with pytest.raises(SystemExit) as done:
+        main([command, "--help"])
+    assert done.value.code == 0
+    assert option in capsys.readouterr().out
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert command in capsys.readouterr().out
+
+
 SAMPLE_METRICS = Path(__file__).parent / "data" / "sample.metrics.json"
 
 
