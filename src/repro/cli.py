@@ -53,8 +53,9 @@ sweep flags:
   rendered by ``report``), ``--checkpoint-dir DIR`` /
   ``--checkpoint-interval N`` (periodic snapshots; re-invoking with the
   same directory resumes an interrupted run bit-identically),
-  and ``--heartbeat-interval S`` (liveness heartbeats; a pooled sweep
-  kills and requeues a heartbeat-silent run well before ``--timeout``).
+  and ``--heartbeat-interval S`` (liveness heartbeats from pooled runs,
+  which record the pid a draining sweep relays SIGTERM to; nothing kills
+  a run for a stale heartbeat, ``--timeout`` bounds a stuck one).
   They build one :class:`~repro.harness.sweep.RunOptions` that the
   sweep engine hands to every run, inline or in a pool worker; nothing
   is exported into the environment.
@@ -75,11 +76,13 @@ same command with the same manifest resumes exactly.  A second signal
 forces immediate exit.
 
 A grid point the sweep recorded as failed is never simulated again to
-finish an exhibit.  A run that exceeded ``--timeout``, went
-heartbeat-silent or was skipped after ``--max-failures`` exits with
-status 1 and one line naming the run and its failure kind; a run that
-raised (a deadlock, an invariant violation, an unknown benchmark)
-re-raises that exception.
+finish an exhibit.  A run that exceeded ``--timeout`` or was skipped
+after ``--max-failures`` exits with status 1 and one line naming the run
+and its failure kind; a run that raised (a deadlock, an invariant
+violation, an unknown benchmark) re-raises that exception.
+
+A reader that closes the output pipe early (``| head``) ends the
+command quietly with status 0.
 
 ``perf`` runs the fixed performance benchmark subset and writes a
 ``BENCH_perf.json`` throughput document (see :mod:`repro.harness.perf`).
@@ -179,9 +182,9 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--heartbeat-interval", type=float, default=None, metavar="S",
-        help="worker liveness heartbeats every S seconds; pooled sweeps "
-             "kill+requeue a heartbeat-silent (wedged) run well before "
-             "its full --timeout deadline",
+        help="pooled runs write liveness heartbeats every S seconds, "
+             "recording the pid a draining sweep signals; use --timeout "
+             "to bound a stuck run",
     )
 
 
@@ -236,7 +239,9 @@ def _compare_arguments(cmp_p: argparse.ArgumentParser) -> None:
         "--schemes",
         nargs="+",
         default=["stride", "mt-swp", "stride_pc_wid", "mt-hwp"],
-        help="software scheme names and/or hardware scheme names",
+        choices=sorted({*SOFTWARE_SCHEMES, *HARDWARE_SCHEMES} - {"none"}),
+        metavar="SCHEME",
+        help="schemes to compare against the baseline: %(choices)s",
     )
     cmp_p.add_argument("--throttle", action="store_true")
     cmp_p.add_argument("--scale", type=float, default=1.0)
@@ -438,29 +443,19 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 def _cmd_compare(args: argparse.Namespace) -> int:
     runner = args.runner
-    resolved = []
-    for scheme in args.schemes:
-        software = scheme if scheme in SOFTWARE_SCHEMES else "none"
-        hardware = scheme if scheme in HARDWARE_SCHEMES and scheme != "none" else "none"
-        resolved.append((scheme, software, hardware))
-    runner.warm([{"benchmark": args.benchmark}] + [
-        {"benchmark": args.benchmark, "software": sw, "hardware": hw,
-         "throttle": args.throttle}
-        for _, sw, hw in resolved if (sw, hw) != ("none", "none")
-    ])
+    variants = [
+        {"benchmark": args.benchmark, "throttle": args.throttle,
+         ("software" if scheme in SOFTWARE_SCHEMES else "hardware"): scheme}
+        for scheme in args.schemes
+    ]
+    runner.warm([{"benchmark": args.benchmark}] + variants)
     baseline = runner.run(args.benchmark)
     print(f"{'scheme':<20} {'cycles':>9} {'CPI':>7} {'speedup':>8}")
     print("-" * 46)
     print(f"{'baseline':<20} {baseline.cycles:>9} {baseline.cpi:>7.2f} "
           f"{'1.00x':>8}")
-    for scheme, software, hardware in resolved:
-        if software == "none" and hardware == "none":
-            print(f"{scheme:<20} unknown scheme", file=sys.stderr)
-            continue
-        result = runner.run(
-            args.benchmark, software=software, hardware=hardware,
-            throttle=args.throttle,
-        )
+    for scheme, variant in zip(args.schemes, variants):
+        result = runner.run(**variant)
         print(f"{scheme:<20} {result.cycles:>9} {result.cpi:>7.2f} "
               f"{result.speedup_over(baseline):>7.2f}x")
     return 0
@@ -634,13 +629,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
             handle.write(rendering + "\n")
         print(f"wrote {args.output}")
     else:
-        try:
-            print(rendering)
-        except BrokenPipeError:
-            # Reports are long and piping into `head`/a pager is the
-            # normal way to read one; a closed pipe is not an error.
-            devnull = os.open(os.devnull, os.O_WRONLY)
-            os.dup2(devnull, sys.stdout.fileno())
+        print(rendering)
     return 0
 
 
@@ -732,8 +721,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     A graceful shutdown (first SIGTERM/SIGINT: the sweep drains, journals
     completed runs, and finalizes the manifest) and a forced exit (second
     signal) both return 130, the conventional fatal-signal code.  A run
-    that failed without raising (timed out, heartbeat-silent, aborted)
-    returns 1 with one line naming it.
+    that failed without raising (timed out, aborted) returns 1 with one
+    line naming it.  A closed stdout pipe (``| head``) returns 0.
     """
     if argv is None:
         argv = sys.argv[1:]
@@ -748,7 +737,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             parser.error(str(exc))
     handler = COMMANDS[args.command][2]
     try:
-        return handler(args)
+        status = handler(args)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
+        return status
+    except BrokenPipeError:
+        # Later writes, and the flush at exit, go to os.devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 0
     except RunFailedError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 1

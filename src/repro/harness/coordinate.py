@@ -20,10 +20,10 @@ pointless ``os.replace`` race.  This module adds the missing protocol:
   write, so once it finishes the waiter's claim succeeds, the waiter's
   post-claim cache read finds the result, and it records a cache hit
   instead of a duplicate simulation.
-* **Renew on the heartbeat cadence.**  The claimant renews its leases
+* **Renew on a fixed cadence.**  The claimant renews its leases
   (atomic rewrite bumping ``renewed_wall``) from a small daemon thread
-  on the sweep's heartbeat interval, so liveness has one cadence
-  throughout the harness.
+  every :data:`DEFAULT_RENEW_INTERVAL` seconds, or half the grace when
+  that is shorter.
 * **Steal from the dead.**  A lease whose renewal age exceeds the grace
   period — or whose recorded pid is provably dead on this host — is
   orphaned: the claimant was SIGKILLed or wedged.  Stealing is a rename
@@ -65,13 +65,13 @@ LEASE_SUFFIX = ".lease"
 #: Subdirectory of the versioned cache root holding the lease files.
 LEASES_DIRNAME = "leases"
 
-#: Default seconds of renewal silence after which a lease is orphaned.
-#: Matches the supervision idea of a stall grace: generous enough for a
-#: busy claimant whose renewal thread is briefly starved, short enough
-#: that a SIGKILLed claimant only parks its specs for seconds.
+#: Default seconds of renewal silence after which a lease is orphaned,
+#: for a sweep and ``repro fsck`` alike: generous enough for a busy
+#: claimant whose renewal thread is briefly starved, short enough that a
+#: SIGKILLed claimant only parks its specs for seconds.
 DEFAULT_LEASE_GRACE = 30.0
 
-#: Default seconds between renewals when no heartbeat cadence is given.
+#: Default seconds between renewals of held leases.
 DEFAULT_RENEW_INTERVAL = 5.0
 
 
@@ -138,9 +138,8 @@ class LeaseManager:
         grace: Seconds of renewal silence after which another process may
             steal a lease.
         renew_interval: Seconds between renewals of held leases; defaults
-            to the heartbeat cadence when the engine supervises, else
-            :data:`DEFAULT_RENEW_INTERVAL`.  Clamped below ``grace / 2``
-            so a healthy holder can never look stale.
+            to :data:`DEFAULT_RENEW_INTERVAL`.  Clamped below
+            ``grace / 2`` so a healthy holder can never look stale.
     """
 
     def __init__(

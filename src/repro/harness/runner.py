@@ -414,9 +414,9 @@ def run_spec(
     if options.checkpoint_dir is not None:
         checkpoint_path = checkpoint_path_for(spec, options.checkpoint_dir)
     # The sentinel is built before trace generation so its first
-    # heartbeat (which records this worker's pid) lands immediately —
-    # the supervisor must be able to reclaim a worker that wedges before
-    # its simulation ever starts.  Without heartbeats (a directory and
+    # heartbeat (which records this worker's pid) lands immediately — a
+    # draining engine relays SIGTERM to that pid even before the
+    # simulation starts.  Without heartbeats (a directory and
     # an interval) it still honors shutdown requests: that is what lets
     # an inline run checkpoint and bow out on SIGTERM.
     heartbeat = None
@@ -539,8 +539,7 @@ class ExperimentRunner:
             progress.
         options: The :class:`~repro.harness.sweep.RunOptions` every run
             gets: invariant checking, observer directories and intervals,
-            and the heartbeat interval that turns on wedge supervision
-            for pooled sweeps.
+            and the interval of the heartbeats pooled runs write.
 
     With a cache configured, the engine claims work-claim leases so
     concurrent sweeps sharing the cache directory do not duplicate a
@@ -611,7 +610,7 @@ class ExperimentRunner:
 
         A failed point raises its failure: the original exception when
         the run raised one, else :class:`~repro.harness.sweep.RunFailedError`
-        (a timeout, an aborted or heartbeat-silent run).  Single runs
+        (a timed-out or an aborted run).  Single runs
         are strict; only sweeps isolate faults.  A point that failed
         once, here or in :meth:`warm`, raises again without running, so
         finishing an exhibit never re-simulates a failed grid point

@@ -8,11 +8,10 @@ the two sides:
   ``{cycle, wall, peak_rss_kb, pid}`` record to a per-run heartbeat file
   (:class:`HeartbeatWriter`, driven by a run-loop hook like checkpoint
   auto-snapshots) in the heartbeat directory the engine names in the
-  run's :class:`~repro.harness.sweep.RunOptions`.  The engine-side
-  supervisor reads the record's age to distinguish *slow but
-  progressing* (fresh heartbeat, advancing cycle) from *wedged* (silent
-  past the stall threshold), so a stuck run is killed and requeued long
-  before its full ``--timeout`` deadline expires.
+  run's :class:`~repro.harness.sweep.RunOptions`.  A draining engine
+  reads the pid to relay SIGTERM to, ``repro fsck`` audits the files,
+  and a person can read them; nothing kills a run because its heartbeat
+  is stale (the per-run ``--timeout`` bounds a stuck run).
 * **The run sentinel.**  :class:`RunSentinel` is the worker-side
   self-monitor: on every supervision tick it emits a heartbeat and
   honors shutdown requests by flushing the run's checkpoint hook and
@@ -61,10 +60,6 @@ HEARTBEAT_SCHEMA = 1
 #: cadence costs one call per 1000 cycles, not one file write.
 SUPERVISION_HOOK_CYCLES = 1000
 
-#: A run whose heartbeat is older than ``interval * STALL_GRACE`` (with
-#: this floor, covering worker startup and trace generation) is wedged.
-WEDGE_GRACE_FLOOR = 2.0
-
 
 def heartbeat_path_for(
     benchmark: str, key: str, directory: Union[str, Path]
@@ -106,7 +101,8 @@ def load_heartbeat(path: Union[str, Path]) -> Dict:
     A heartbeat is a JSON object with this module's
     :data:`HEARTBEAT_SCHEMA` and a numeric ``wall`` timestamp, as
     :class:`HeartbeatWriter` writes it.  ``repro fsck`` judges heartbeat
-    files with this parser.
+    files with this parser, and a draining sweep engine reads the pid to
+    relay SIGTERM to with it.
 
     Raises:
         OSError: The file cannot be read (``FileNotFoundError`` when
@@ -127,26 +123,6 @@ def load_heartbeat(path: Union[str, Path]) -> Dict:
     if not isinstance(record.get("wall"), (int, float)):
         raise ValueError("no numeric wall timestamp")
     return record
-
-
-def read_heartbeat(path: Union[str, Path]) -> Optional[Dict]:
-    """Latest heartbeat record at ``path``, or None when absent.
-
-    A record :func:`load_heartbeat` rejects degrades to
-    ``{"wall": <mtime>}`` — enough for staleness checks even when the
-    payload is unusable (heartbeat writes are atomic, so this is rare).
-    """
-    path = Path(path)
-    try:
-        return load_heartbeat(path)
-    except FileNotFoundError:
-        return None
-    except (OSError, ValueError):
-        pass
-    try:
-        return {"wall": path.stat().st_mtime}
-    except OSError:
-        return None
 
 
 # ----------------------------------------------------------------------
@@ -210,7 +186,8 @@ class HeartbeatWriter:
     :func:`~repro.sim.artifacts.atomic_write_json` helper) so the
     engine never reads a torn record.  Disk pressure (ENOSPC/EDQUOT)
     warns once and disables the sink — liveness reporting degrades, the
-    simulation itself survives.
+    simulation itself survives, since nothing judges a run by its
+    heartbeat's age.
     """
 
     def __init__(self, path: Union[str, Path], interval: float) -> None:
@@ -243,7 +220,7 @@ class HeartbeatWriter:
                 self.enabled = False
                 warnings.warn(
                     f"heartbeat writes to {self.path} disabled ({exc}); "
-                    "the supervisor will fall back to the full deadline",
+                    "the run continues without liveness reporting",
                     RuntimeWarning,
                     stacklevel=2,
                 )
@@ -280,8 +257,8 @@ class RunSentinel:
         self.checkpoint: Optional[PeriodicHook] = None
         if heartbeat is not None:
             # First beat immediately: it records this worker's pid before
-            # trace generation starts, so the engine can relay signals to
-            # (or reclaim) the worker even if the run wedges early.
+            # trace generation starts, so a draining engine can relay
+            # SIGTERM to the worker from the moment its run begins.
             heartbeat.beat(0, force=True)
 
     def attach(

@@ -25,9 +25,10 @@ exploits both:
 Fault-tolerance model (the integrity layer of the harness):
 
 * **Per-run deadlines.**  ``timeout`` bounds each pooled run's own wall
-  clock.  Only the run that exceeds its deadline is recorded as a
-  ``timeout`` failure; every other run proceeds.  A hung worker's slot is
-  written off, and when every slot is hung the pool is replaced.
+  clock, and is the one defence against a stuck run.  Only the run that
+  exceeds its deadline is recorded as a ``timeout`` failure; every other
+  run proceeds.  A hung worker's slot is written off, and when every
+  slot is hung the pool is replaced.
 * **Bounded retry with exponential backoff** — but only for *transient*
   failures (a crashed worker process, ``OSError``).  Deterministic
   failures (:class:`~repro.sim.errors.SimulationError` subclasses such as
@@ -49,11 +50,10 @@ Fault-tolerance model (the integrity layer of the harness):
 * **Failure budgets.**  ``max_failures`` aborts the sweep once too many
   runs fail; unexecuted runs are recorded as ``aborted`` failures, so
   callers always receive one outcome per input spec.
-* **Supervised liveness** (see :mod:`repro.harness.supervise`).  With a
+* **Heartbeats** (see :mod:`repro.harness.supervise`).  With a
   heartbeat interval in the options, every pooled worker writes periodic
-  liveness heartbeats and the engine kills+requeues a heartbeat-silent
-  (*wedged*) run well before its full ``timeout`` deadline, while a slow
-  but progressing run is left alone.
+  liveness heartbeats that record its pid, which a draining engine
+  relays SIGTERM to.  No run is killed because its heartbeat went quiet.
 * **Disk pressure.**  Out-of-space errors on cache/manifest/heartbeat
   writes warn once and disable that sink (with dropped-write counts in
   the sweep summary) instead of crashing.
@@ -171,10 +171,6 @@ SCHEMA_VERSION = 3
 #: Environment variable overriding the default machine-wide cache root.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Multiples of the heartbeat interval of silence a supervised pool
-#: tolerates before it declares a run wedged.
-STALL_GRACE = 5.0
-
 #: Maximum seconds a shutdown request waits for in-flight pooled runs to
 #: finish, or checkpoint and bow out.
 DRAIN_TIMEOUT = 30.0
@@ -274,10 +270,9 @@ class RunOptions:
             already there resumes from it, and a finished run removes it.
         checkpoint_interval: Simulated cycles between snapshots.
         heartbeat_interval: Seconds between worker liveness heartbeats.
-            The sweep engine supervises its pools when this is set.
+            Only pooled runs write them.
         heartbeat_dir: Heartbeat files go here (with an interval set);
-            the engine names a private directory for a pool it
-            supervises when unset.
+            a pooled sweep names a private directory when unset.
     """
 
     invariants: Optional[bool] = None
@@ -307,10 +302,10 @@ class RunFailure:
     inline path and the pool path preserve it), so strict callers can
     re-raise it.  ``kind`` is the failure taxonomy tag: ``"exception"``,
     ``"timeout"``, ``"truncated"``, ``"invariant"``, ``"deadlock"``,
-    ``"wedged"`` (heartbeat-silent worker killed by the supervisor),
     ``"interrupted"``, ``"checkpoint"``, or ``"aborted"`` (not executed
-    after the ``max_failures`` budget ran out).  ``report`` holds the diagnostic snapshot payload when the
-    failure was a :class:`~repro.sim.errors.SimulationError`.
+    after the ``max_failures`` budget ran out).  ``report`` holds the
+    diagnostic snapshot payload when the failure was a
+    :class:`~repro.sim.errors.SimulationError`.
     """
 
     spec: RunSpec
@@ -330,8 +325,8 @@ class RunFailedError(RuntimeError):
     """A failed run that raised nothing itself, raised where it is needed.
 
     :meth:`~repro.harness.runner.ExperimentRunner.run` raises it for a
-    failure that carries no exception (a timeout, an aborted or a
-    heartbeat-silent run); a failure that does re-raises that exception.
+    failure that carries no exception (a timed-out or an aborted run); a
+    failure that does re-raises that exception.
     ``failure`` is the :class:`RunFailure`; the message names the run and
     its failure kind on one line, which is what the CLI prints before
     exiting 1.
@@ -872,8 +867,6 @@ class _PendingRun:
     attempt: int = 0
     deadline: Optional[float] = None
     not_before: float = 0.0  # gate: retry backoff or next lease claim
-    submitted_wall: float = 0.0  # wall clock of the last submit (liveness)
-    collateral: int = 0  # free requeues granted after a supervised kill
     deferred: bool = False  # parked at least once behind a sibling's lease
 
 
@@ -952,19 +945,14 @@ class SweepEngine:
         manifest: Checkpoint journal (path or :class:`SweepManifest`)
             for resumable sweeps.
         lease_grace: Seconds of renewal silence after which another
-            process may steal one of this sweep's leases.  ``None``
-            derives it from the supervision stall threshold
-            (``heartbeat_interval * STALL_GRACE``, floored) when
-            supervising, else
-            :data:`~repro.harness.coordinate.DEFAULT_LEASE_GRACE`.
+            process may steal one of this sweep's leases; the same
+            default as ``repro fsck --grace``.
         options: The :class:`RunOptions` handed to every worker call.
-            Its ``heartbeat_interval`` turns on supervision for pooled
-            runs: workers write per-run heartbeat files (into
-            ``heartbeat_dir``, or a private temporary directory removed
-            when :meth:`run` ends) and the engine kills+requeues a run
-            silent for ``heartbeat_interval * STALL_GRACE`` seconds
-            (floor 2 s) instead of waiting out the full ``timeout``.
-            In-process runs write no heartbeats.
+            With its ``heartbeat_interval`` set, pooled workers write
+            per-run heartbeat files (into ``heartbeat_dir``, or a
+            private temporary directory removed when :meth:`run` ends),
+            whose pids a draining engine relays SIGTERM to.  In-process
+            runs write no heartbeats.
     """
 
     def __init__(
@@ -978,7 +966,7 @@ class SweepEngine:
         retry_backoff: float = 0.5,
         max_failures: Optional[int] = None,
         manifest: Union[SweepManifest, str, Path, None] = None,
-        lease_grace: Optional[float] = None,
+        lease_grace: float = DEFAULT_LEASE_GRACE,
         options: Optional[RunOptions] = None,
     ) -> None:
         if timeout is not None and not timeout > 0:
@@ -998,21 +986,9 @@ class SweepEngine:
         self.manifest = manifest
         self.options = options or RunOptions()
         self.leases: Optional[LeaseManager] = None
-        heartbeat_interval = self.options.heartbeat_interval
         if self.cache is not None:
-            if lease_grace is None:
-                lease_grace = (
-                    max(
-                        heartbeat_interval * STALL_GRACE,
-                        supervise.WEDGE_GRACE_FLOOR,
-                    )
-                    if heartbeat_interval is not None
-                    else DEFAULT_LEASE_GRACE
-                )
             self.leases = LeaseManager(
-                lease_dir_for(self.cache.root),
-                grace=lease_grace,
-                renew_interval=heartbeat_interval,
+                lease_dir_for(self.cache.root), grace=lease_grace
             )
         # Cumulative counters, exposed so callers (and the acceptance
         # tests) can verify e.g. that a warm re-run simulated nothing.
@@ -1021,7 +997,6 @@ class SweepEngine:
         self.manifest_hits = 0
         self.failures = 0
         self.retried = 0
-        self.wedged = 0  # heartbeat-silent runs killed by the supervisor
         self.lease_deferred = 0  # specs parked behind a sibling's lease
         self.lease_deferred_hits = 0  # parked specs resolved from its results
         self.interrupted = False  # the last run() ended in a shutdown
@@ -1359,20 +1334,12 @@ class SweepEngine:
         return supervise.heartbeat_path_for(run.spec.benchmark, run.key, directory)
 
     def _clear_heartbeat(self, run: _PendingRun, directory: Path) -> None:
-        """Drop a stale heartbeat so the next attempt starts fresh."""
+        """Drop an earlier attempt's heartbeat, so a drain never relays
+        SIGTERM to the pid it recorded."""
         try:
             self._heartbeat_path(run, directory).unlink(missing_ok=True)
         except OSError:
             pass
-
-    @staticmethod
-    def _kill_worker(pid: int) -> bool:
-        """SIGKILL a wedged worker process; True when the signal landed."""
-        try:
-            os.kill(pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError, OSError):
-            return False
-        return True
 
     def _relay_shutdown(
         self, running: Dict[Future, _PendingRun], directory: Optional[Path]
@@ -1380,17 +1347,23 @@ class SweepEngine:
         """Forward the shutdown request to in-flight worker processes.
 
         Workers whose pid is known (from their heartbeat in
-        ``directory``, None when unsupervised) get a SIGTERM; their
-        sentinel then checkpoints and raises ``WorkerInterrupted`` at the
-        next tick.  Workers without a heartbeat yet simply finish their
-        (short, pre-simulation) work and drain normally.
+        ``directory``, None when the pool writes no heartbeats) get a
+        SIGTERM; their sentinel then checkpoints and raises
+        ``WorkerInterrupted`` at the next tick.  A worker whose heartbeat
+        is missing or unreadable is skipped: it finishes its run, or the
+        drain deadline abandons it.
         """
         if directory is None:
             return
         own = os.getpid()
         for run in running.values():
-            beat = supervise.read_heartbeat(self._heartbeat_path(run, directory))
-            pid = beat.get("pid") if beat else None
+            try:
+                beat = supervise.load_heartbeat(
+                    self._heartbeat_path(run, directory)
+                )
+            except (OSError, ValueError):
+                continue
+            pid = beat.get("pid")
             if isinstance(pid, int) and pid != own:
                 try:
                     os.kill(pid, signal.SIGTERM)
@@ -1400,7 +1373,7 @@ class SweepEngine:
     def _dispatch(
         self, misses: Sequence, outcomes: Dict[str, Outcome]
     ) -> None:
-        """Run the missing specs: retries, deadlines, supervision, drain.
+        """Run the missing specs: retries, deadlines, drain.
 
         The one scheduler of every sweep.  It builds a process pool, whose
         initializer installs the worker signal handlers, only when
@@ -1418,13 +1391,9 @@ class SweepEngine:
         down without waiting at the end, so orphaned workers die on
         their own without stalling the sweep.
 
-        With ``options.heartbeat_interval`` set, pool workers
-        additionally write liveness heartbeats and a heartbeat-silent run
-        is killed (by the pid its own heartbeat recorded) and requeued as
-        ``wedged`` long before the full deadline.  Killing a pool process
-        makes the executor report ``BrokenProcessPool`` for innocent
-        co-resident futures; completions inside a short post-kill window
-        are requeued without burning their retry budget (``collateral``).
+        With ``options.heartbeat_interval`` set, pool workers write
+        liveness heartbeats into a directory this method names; the
+        drain reads them for the pids to relay SIGTERM to.
 
         Retries and lease deferrals share the ``not_before`` gate: a
         retried run waits out its backoff, and a spec whose lease a
@@ -1445,22 +1414,16 @@ class SweepEngine:
         # snapshot — which makes deadline hits worth retrying.
         resumable = self.options.checkpoint_dir is not None
 
-        heartbeat_interval = self.options.heartbeat_interval
-        supervising = pooled and heartbeat_interval is not None
         heartbeat_dir: Optional[Path] = None
         private_dir: Optional[str] = None
-        if supervising:
+        if pooled and self.options.heartbeat_interval is not None:
             if self.options.heartbeat_dir is None:
                 private_dir = tempfile.mkdtemp(prefix="repro-heartbeats-")
                 heartbeat_dir = Path(private_dir)
             else:
                 heartbeat_dir = Path(self.options.heartbeat_dir)
                 heartbeat_dir.mkdir(parents=True, exist_ok=True)
-            stall_threshold = max(
-                heartbeat_interval * STALL_GRACE, supervise.WEDGE_GRACE_FLOOR
-            )
         options = dataclasses.replace(self.options, heartbeat_dir=heartbeat_dir)
-        kill_window_until = 0.0
 
         def fresh_executor() -> ProcessPoolExecutor:
             nonlocal lost_slots
@@ -1496,9 +1459,8 @@ class SweepEngine:
                     future.set_exception(exc)
                 running[future] = run
                 return
-            if supervising:
+            if heartbeat_dir is not None:
                 self._clear_heartbeat(run, heartbeat_dir)
-            run.submitted_wall = time.time()
             try:
                 future = executor.submit(self.worker, run.spec, options)
             except (BrokenExecutor, RuntimeError):
@@ -1586,8 +1548,7 @@ class SweepEngine:
                         continue
                 # Wait for a completion, the earliest deadline, or the
                 # earliest gate — whichever comes first, and at most
-                # 0.25 s, so wedge scans and shutdown requests are
-                # serviced promptly.
+                # 0.25 s, so shutdown requests are serviced promptly.
                 now = time.monotonic()
                 wait_bounds = [0.25]
                 wait_bounds.extend(
@@ -1622,18 +1583,6 @@ class SweepEngine:
                             continue
                         if (
                             not draining
-                            and isinstance(exc, BrokenExecutor)
-                            and now < kill_window_until
-                            and run.collateral < 3
-                        ):
-                            # Collateral damage from a supervised kill of
-                            # a co-resident worker: requeue without
-                            # charging the run's own retry budget.
-                            run.collateral += 1
-                            work.append(run)
-                            continue
-                        if (
-                            not draining
                             and is_transient_failure(exc)
                             and run.attempt < self.retries
                         ):
@@ -1647,49 +1596,6 @@ class SweepEngine:
                         self._record_success(
                             run.key, run.spec, SimulationResult(stats),
                             outcomes, attempts=run.attempt + 1,
-                        )
-                # Supervision: kill+requeue heartbeat-silent runs well
-                # before their full deadline.
-                if supervising and running:
-                    now_wall = time.time()
-                    for future, run in list(running.items()):
-                        beat = supervise.read_heartbeat(
-                            self._heartbeat_path(run, heartbeat_dir)
-                        )
-                        alive_at = beat["wall"] if beat else run.submitted_wall
-                        silence = now_wall - alive_at
-                        if silence <= stall_threshold:
-                            continue
-                        running.pop(future)
-                        if future.cancel():
-                            # Still queued (a slot died after submit): not
-                            # a wedge — resubmit without charging retries.
-                            work.append(run)
-                            continue
-                        self.wedged += 1
-                        pid = beat.get("pid") if beat else None
-                        if isinstance(pid, int) and self._kill_worker(pid):
-                            # The pool will report BrokenProcessPool for
-                            # co-resident futures; open the forgiveness
-                            # window and let a fresh executor take over.
-                            kill_window_until = time.monotonic() + 5.0
-                        else:
-                            # No pid to kill: abandon the worker and
-                            # write its slot off.
-                            lost_slots += 1
-                        self._clear_heartbeat(run, heartbeat_dir)
-                        if not draining and run.attempt < self.retries:
-                            requeue(run, time.monotonic())
-                            continue
-                        self._record_failure(
-                            run.key, run.spec, "wedged", None, outcomes,
-                            message=(
-                                f"no heartbeat for {silence:.1f}s (stall "
-                                f"threshold {stall_threshold:.1f}s); worker "
-                                "killed and run "
-                                + ("abandoned" if draining else "requeued")
-                            ),
-                            attempts=run.attempt + 1,
                         )
                 # Enforce per-run deadlines: only the overdue run fails.
                 overdue = [

@@ -36,10 +36,8 @@ own process right after the snapshot lands, so it must only ever run in
 a dedicated subprocess.
 
 The supervised-runtime additions cover the mechanisms of
-``repro.harness.supervise``: :func:`wedge_worker` and
-:func:`selectively_wedged_worker` go heartbeat-silent (busy-wedge) so
-the supervisor must kill and requeue them; :func:`raise_enospc` is a
-monkeypatch shim standing in for a full disk;
+``repro.harness.supervise``: :func:`raise_enospc` is a monkeypatch shim
+standing in for a full disk;
 :func:`selectively_crashing_worker` crashes one spec on every attempt so
 it burns its whole retry budget; and :func:`supervised_sweep_main` is a
 subprocess driver for the SIGTERM-mid-sweep acceptance test.
@@ -400,69 +398,14 @@ def checkpointing_crash_worker(spec, options) -> SimStats:
 
 
 # ----------------------------------------------------------------------
-# Supervised-runtime faults: wedges, memory pressure, disk pressure,
-# poison specs, and a SIGTERM-able subprocess sweep driver
+# Supervised-runtime faults: disk pressure, poison specs, and a
+# SIGTERM-able subprocess sweep driver
 # ----------------------------------------------------------------------
-
-#: How long a wedged worker stays silent.  Far past any sane stall
-#: threshold, but bounded so an orphan that escaped SIGKILL eventually
-#: exits on its own instead of outliving the test session.
-WEDGE_SECONDS = 45.0
 
 #: Per-run pacing for :func:`paced_worker` — slow enough that the parent
 #: test can observe a sweep mid-flight and SIGTERM it, fast enough that
 #: draining two in-flight runs stays well inside the drain timeout.
 PACE_SECONDS = 0.35
-
-
-def _write_one_heartbeat(spec, options) -> None:
-    """Emit a single genuine heartbeat for ``spec`` (records our pid).
-
-    Wedge workers call this before going silent so the supervisor can
-    (a) see the run was alive once and (b) find a pid to SIGKILL —
-    exactly the trace a real worker leaves before an infinite loop.
-    """
-    from repro.harness import supervise
-
-    directory = options.heartbeat_dir
-    if directory is None:
-        return
-    writer = supervise.HeartbeatWriter(
-        supervise.heartbeat_path_for(spec.benchmark, fingerprint(spec),
-                                     directory),
-        interval=0.0,
-    )
-    writer.beat(0, force=True)
-
-
-def wedge_worker(spec, options) -> SimStats:
-    """Heartbeat once, then go silent in a sleep-loop — a wedged run.
-
-    Never returns within any test deadline; the supervisor must notice
-    the heartbeat silence, SIGKILL the worker, and requeue the run.
-    """
-    record_attempt(spec)
-    return _wedge_silently(spec, options)
-
-
-def selectively_wedged_worker(spec, options) -> SimStats:
-    """Wedge (heartbeat-silent) for benchmark ``monte`` on the first
-    attempt only; succeed instantly for everything else and on retries.
-    Proves the supervisor condemns exactly the wedged run, strictly
-    before the per-run ``timeout``, and that the requeue succeeds."""
-    attempt = record_attempt(spec)
-    if spec.benchmark == "monte" and attempt == 1:
-        return _wedge_silently(spec, options)
-    return _stats_for(spec)
-
-
-def _wedge_silently(spec, options) -> SimStats:
-    """Go heartbeat-silent without recording another attempt marker."""
-    _write_one_heartbeat(spec, options)
-    deadline = time.monotonic() + WEDGE_SECONDS
-    while time.monotonic() < deadline:  # pragma: no cover - killed early
-        time.sleep(0.05)
-    return _stats_for(spec)
 
 
 def selectively_crashing_worker(spec, options) -> SimStats:

@@ -1,11 +1,16 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
+
+REPO_ROOT = Path(__file__).parent.parent
 
 
 @pytest.fixture(autouse=True)
@@ -57,8 +62,29 @@ def test_compare_command(capsys):
 
 
 def test_compare_rejects_unknown_scheme(capsys):
-    assert main(["compare", "cell", "--schemes", "bogus", "--scale", "0.1"]) == 0
-    assert "unknown scheme" in capsys.readouterr().err
+    # A usage error before anything simulates, so a typo stops a script.
+    with pytest.raises(SystemExit) as excinfo:
+        main(["compare", "cell", "--schemes", "bogus", "mt-hwp",
+              "--scale", "0.1"])
+    assert excinfo.value.code == 2
+    assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+def test_closed_stdout_pipe_ends_quietly():
+    """A reader that stops early (``repro list | head -1``) is no error:
+    the command exits 0 and prints no traceback."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # the reader is gone before the first write
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "list"], stdout=write_end,
+            stderr=subprocess.PIPE, text=True, timeout=120,
+            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        )
+    finally:
+        os.close(write_end)
+    assert done.returncode == 0
+    assert done.stderr == ""
 
 
 def test_figure_table6(capsys):
