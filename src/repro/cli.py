@@ -54,8 +54,8 @@ sweep flags:
   ``--checkpoint-interval N`` (periodic snapshots; re-invoking with the
   same directory resumes an interrupted run bit-identically),
   and ``--heartbeat-interval S`` (liveness heartbeats from pooled runs,
-  which record the pid a draining sweep relays SIGTERM to; nothing kills
-  a run for a stale heartbeat, ``--timeout`` bounds a stuck one).
+  which ``fsck`` audits; nothing kills a run for a stale heartbeat,
+  ``--timeout`` bounds a stuck one).
   They build one :class:`~repro.harness.sweep.RunOptions` that the
   sweep engine hands to every run, inline or in a pool worker; nothing
   is exported into the environment.

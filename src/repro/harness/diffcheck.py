@@ -403,7 +403,7 @@ def _check_dram_indexed_vs_reference(
 ) -> List[DifferentialMismatch]:
     """Indexed FR-FCFS DRAM scheduler ≡ the linear-scan reference.
 
-    The indexed scheduler (per-bank open-row buckets plus an
+    The indexed scheduler (per-bank, per-row buckets plus an
     arrival-order structure, ``repro.sim.dram``) exists purely for
     speed; it must reproduce the reference scan's pick sequence — and
     therefore every statistic — bit for bit, including under late

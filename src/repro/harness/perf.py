@@ -22,11 +22,18 @@ Document schema (``PERF_SCHEMA``)::
       "quick": false,
       "runs": [{"benchmark": ..., "hardware": ..., "software": ...,
                 "throttle": ..., "scale": ..., "cycles": ...,
-                "wall_seconds": ..., "sim_cycles_per_sec": ...}, ...],
+                "wall_seconds": ..., "sim_cycles_per_sec": ...,
+                "phases_wall_seconds": {"issue": ..., ...}}, ...],
       "totals": {"cycles": ..., "wall_seconds": ...,
-                 "sim_cycles_per_sec": ..., "peak_rss_kb": ...},
+                 "sim_cycles_per_sec": ..., "peak_rss_kb": ...,
+                 "phases_wall_seconds": {"issue": ..., ...}},
       "history": [{"label": ..., "generated": ..., "totals": {...}}, ...]
     }
+
+``phases_wall_seconds`` holds the run loop's phase timers
+(:data:`~repro.sim.profiling.PHASES`) of each run's timed repetition,
+and their sums in ``totals``; a history entry keeps its totals, so it
+shows which loop phase moved between two labelled measurements.
 
 The absolute timestamp and machine description are *passed in* by the
 harness entry points (CLI / pytest); nothing on the simulation path
@@ -54,7 +61,7 @@ from typing import Dict, List, Optional, Union
 from repro.harness import supervise
 from repro.harness.runner import HARDWARE_SCHEMES, _simulate, make_spec
 from repro.sim.artifacts import atomic_write_json
-from repro.sim.profiling import SimProfiler
+from repro.sim.profiling import PHASES, SimProfiler
 from repro.trace.benchmarks import get_benchmark
 
 #: Schema tag embedded in every emitted BENCH_perf document.
@@ -114,6 +121,9 @@ def _measure_one(request: Dict[str, object], repeats: int) -> Dict[str, object]:
         "cycles": best.cycles,
         "wall_seconds": round(best.wall_seconds, 6),
         "sim_cycles_per_sec": round(best.sim_cycles_per_sec, 1),
+        "phases_wall_seconds": {
+            phase: round(best.wall[phase], 6) for phase in PHASES
+        },
     }
 
 
@@ -152,6 +162,10 @@ def run_perf(
             "sim_cycles_per_sec": round(total_cycles / total_wall, 1)
             if total_wall > 0 else 0.0,
             "peak_rss_kb": supervise.peak_rss_kb(),
+            "phases_wall_seconds": {
+                phase: round(sum(r["phases_wall_seconds"][phase] for r in runs), 6)
+                for phase in PHASES
+            },
         },
         "history": [],
     }

@@ -414,11 +414,10 @@ def run_spec(
     if options.checkpoint_dir is not None:
         checkpoint_path = checkpoint_path_for(spec, options.checkpoint_dir)
     # The sentinel is built before trace generation so its first
-    # heartbeat (which records this worker's pid) lands immediately — a
-    # draining engine relays SIGTERM to that pid even before the
-    # simulation starts.  Without heartbeats (a directory and
-    # an interval) it still honors shutdown requests: that is what lets
-    # an inline run checkpoint and bow out on SIGTERM.
+    # heartbeat (which records this worker's pid) lands immediately.
+    # Without heartbeats (a directory and an interval) it still honors
+    # shutdown requests: that is what lets a run checkpoint and bow out
+    # on SIGTERM.
     heartbeat = None
     if None not in (options.heartbeat_dir, options.heartbeat_interval):
         heartbeat = supervise.HeartbeatWriter(

@@ -8,10 +8,10 @@ the two sides:
   ``{cycle, wall, peak_rss_kb, pid}`` record to a per-run heartbeat file
   (:class:`HeartbeatWriter`, driven by a run-loop hook like checkpoint
   auto-snapshots) in the heartbeat directory the engine names in the
-  run's :class:`~repro.harness.sweep.RunOptions`.  A draining engine
-  reads the pid to relay SIGTERM to, ``repro fsck`` audits the files,
-  and a person can read them; nothing kills a run because its heartbeat
-  is stale (the per-run ``--timeout`` bounds a stuck run).
+  run's :class:`~repro.harness.sweep.RunOptions`.  ``repro fsck``
+  audits the files and a person can read them; nothing kills a run
+  because its heartbeat is stale (the per-run ``--timeout`` bounds a
+  stuck run).
 * **The run sentinel.**  :class:`RunSentinel` is the worker-side
   self-monitor: on every supervision tick it emits a heartbeat and
   honors shutdown requests by flushing the run's checkpoint hook and
@@ -101,8 +101,7 @@ def load_heartbeat(path: Union[str, Path]) -> Dict:
     A heartbeat is a JSON object with this module's
     :data:`HEARTBEAT_SCHEMA` and a numeric ``wall`` timestamp, as
     :class:`HeartbeatWriter` writes it.  ``repro fsck`` judges heartbeat
-    files with this parser, and a draining sweep engine reads the pid to
-    relay SIGTERM to with it.
+    files with this parser.
 
     Raises:
         OSError: The file cannot be read (``FileNotFoundError`` when
@@ -257,8 +256,8 @@ class RunSentinel:
         self.checkpoint: Optional[PeriodicHook] = None
         if heartbeat is not None:
             # First beat immediately: it records this worker's pid before
-            # trace generation starts, so a draining engine can relay
-            # SIGTERM to the worker from the moment its run begins.
+            # trace generation starts, so the run is visible from the
+            # moment it begins.
             heartbeat.beat(0, force=True)
 
     def attach(

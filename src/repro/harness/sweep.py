@@ -52,8 +52,8 @@ Fault-tolerance model (the integrity layer of the harness):
   callers always receive one outcome per input spec.
 * **Heartbeats** (see :mod:`repro.harness.supervise`).  With a
   heartbeat interval in the options, every pooled worker writes periodic
-  liveness heartbeats that record its pid, which a draining engine
-  relays SIGTERM to.  No run is killed because its heartbeat went quiet.
+  liveness heartbeats that record its pid, for ``repro fsck`` and for a
+  person to read.  No run is killed because its heartbeat went quiet.
 * **Disk pressure.**  Out-of-space errors on cache/manifest/heartbeat
   writes warn once and disable that sink (with dropped-write counts in
   the sweep summary) instead of crashing.
@@ -61,7 +61,9 @@ Fault-tolerance model (the integrity layer of the harness):
   admission, drains in-flight runs (which flush checkpoints), journals a
   final manifest record, and raises :class:`SweepInterrupted`; the CLI
   exits 130 and a re-invocation with the same ``--manifest`` resumes
-  exactly.  A second signal forces immediate exit.
+  exactly.  A draining engine relays SIGTERM to its pool workers, so a
+  signal sent to the engine alone reaches the runs too.  A second signal
+  forces immediate exit.
 * **Cooperative multi-process coordination** (see
   :mod:`repro.harness.coordinate`).  With a cache attached, the engine
   claims a work-claim lease under ``<cache-root>/leases/`` before
@@ -950,9 +952,8 @@ class SweepEngine:
         options: The :class:`RunOptions` handed to every worker call.
             With its ``heartbeat_interval`` set, pooled workers write
             per-run heartbeat files (into ``heartbeat_dir``, or a
-            private temporary directory removed when :meth:`run` ends),
-            whose pids a draining engine relays SIGTERM to.  In-process
-            runs write no heartbeats.
+            private temporary directory removed when :meth:`run` ends).
+            In-process runs write no heartbeats.
     """
 
     def __init__(
@@ -1329,46 +1330,21 @@ class SweepEngine:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _heartbeat_path(run: _PendingRun, directory: Path) -> Path:
-        """Canonical heartbeat file for a pending run."""
-        return supervise.heartbeat_path_for(run.spec.benchmark, run.key, directory)
+    def _relay_shutdown() -> None:
+        """Forward the shutdown request to the pools' worker processes.
 
-    def _clear_heartbeat(self, run: _PendingRun, directory: Path) -> None:
-        """Drop an earlier attempt's heartbeat, so a drain never relays
-        SIGTERM to the pid it recorded."""
-        try:
-            self._heartbeat_path(run, directory).unlink(missing_ok=True)
-        except OSError:
-            pass
-
-    def _relay_shutdown(
-        self, running: Dict[Future, _PendingRun], directory: Optional[Path]
-    ) -> None:
-        """Forward the shutdown request to in-flight worker processes.
-
-        Workers whose pid is known (from their heartbeat in
-        ``directory``, None when the pool writes no heartbeats) get a
-        SIGTERM; their sentinel then checkpoints and raises
-        ``WorkerInterrupted`` at the next tick.  A worker whose heartbeat
-        is missing or unreadable is skipped: it finishes its run, or the
-        drain deadline abandons it.
+        Every live child of this process (``multiprocessing`` lists them,
+        heartbeats or not) gets a SIGTERM.  A busy worker's sentinel then
+        checkpoints and raises ``WorkerInterrupted`` at its next tick; an
+        idle worker only raises its flag, and it is admitted no more work.
         """
-        if directory is None:
-            return
-        own = os.getpid()
-        for run in running.values():
+        import multiprocessing
+
+        for child in multiprocessing.active_children():
             try:
-                beat = supervise.load_heartbeat(
-                    self._heartbeat_path(run, directory)
-                )
-            except (OSError, ValueError):
-                continue
-            pid = beat.get("pid")
-            if isinstance(pid, int) and pid != own:
-                try:
-                    os.kill(pid, signal.SIGTERM)
-                except (ProcessLookupError, PermissionError, OSError):
-                    pass
+                os.kill(child.pid, signal.SIGTERM)
+            except OSError:
+                pass
 
     def _dispatch(
         self, misses: Sequence, outcomes: Dict[str, Outcome]
@@ -1392,8 +1368,7 @@ class SweepEngine:
         their own without stalling the sweep.
 
         With ``options.heartbeat_interval`` set, pool workers write
-        liveness heartbeats into a directory this method names; the
-        drain reads them for the pids to relay SIGTERM to.
+        liveness heartbeats into a directory this method names.
 
         Retries and lease deferrals share the ``not_before`` gate: a
         retried run waits out its backoff, and a spec whose lease a
@@ -1459,8 +1434,6 @@ class SweepEngine:
                     future.set_exception(exc)
                 running[future] = run
                 return
-            if heartbeat_dir is not None:
-                self._clear_heartbeat(run, heartbeat_dir)
             try:
                 future = executor.submit(self.worker, run.spec, options)
             except (BrokenExecutor, RuntimeError):
@@ -1487,7 +1460,8 @@ class SweepEngine:
                     if not draining:
                         draining = True
                         drain_deadline = time.monotonic() + DRAIN_TIMEOUT
-                        self._relay_shutdown(running, heartbeat_dir)
+                        if pooled:
+                            self._relay_shutdown()
                     if not running or time.monotonic() >= drain_deadline:
                         return
                 if not draining:

@@ -468,7 +468,10 @@ class _Decoder:
 
 
 def write_checkpoint(
-    path: Union[str, Path], sim: "object", fingerprint: str = ""
+    path: Union[str, Path],
+    sim: "object",
+    fingerprint: str = "",
+    config_sha256: Optional[str] = None,
 ) -> Path:
     """Snapshot a simulator into a versioned envelope at ``path``.
 
@@ -483,6 +486,8 @@ def write_checkpoint(
         fingerprint: Caller-chosen workload tag (e.g. the sweep-run
             fingerprint); validated on load so a snapshot cannot be
             resumed against a different run spec.
+        config_sha256: :func:`config_fingerprint` of ``sim.config``, if
+            the caller already holds it; computed here otherwise.
 
     Returns:
         The path written.
@@ -501,7 +506,7 @@ def write_checkpoint(
     head = canonical_json({
         "schema": CHECKPOINT_SCHEMA,
         "fingerprint": fingerprint,
-        "config_sha256": config_fingerprint(sim.config),
+        "config_sha256": config_sha256 or config_fingerprint(sim.config),
         "cycle": sim.cycle,
         "payload_sha256": hashlib.sha256(payload.encode("utf-8")).hexdigest(),
     })
@@ -697,6 +702,8 @@ def attach_checkpointing(
         return None
     destination = Path(path)
     state = {"disabled": False}
+    # A run's config never changes, so every snapshot shares one hash.
+    config_sha256 = config_fingerprint(sim.config)
 
     def _auto_snapshot(snapshot_sim: "object") -> None:
         """Guarded snapshot: preflight space, warn once, then go quiet."""
@@ -710,7 +717,10 @@ def attach_checkpointing(
                     errno.ENOSPC,
                     f"free space below {CHECKPOINT_FREE_SPACE_FLOOR} byte floor",
                 )
-            write_checkpoint(destination, snapshot_sim, fingerprint=fingerprint)
+            write_checkpoint(
+                destination, snapshot_sim, fingerprint=fingerprint,
+                config_sha256=config_sha256,
+            )
         except OSError as exc:
             state["disabled"] = True
             warnings.warn(

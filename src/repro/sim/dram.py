@@ -14,10 +14,10 @@ bus serializes one 64B burst per ``burst_cycles``; bank preparation
 (precharge/activate) overlaps with earlier bursts.
 
 Two pick implementations coexist.  The *indexed* scheduler (default)
-maintains per-priority-class arrival heaps plus per-(bank, row) open-row
-buckets so each pick inspects at most ``banks_per_channel`` bucket heads
-instead of scanning the whole request buffer; late-prefetch promotions
-are pushed eagerly into the demand index by a hook on
+maintains per-priority-class arrival heaps plus per-bank, per-row
+buckets so each pick inspects at most one bucket head per bank with
+queued rows instead of scanning the whole request buffer; late-prefetch
+promotions are pushed eagerly into the demand index by a hook on
 :meth:`~repro.sim.memory_request.MemoryRequest.merge_demand`, which
 reaches the channel through the request's weak ``dram_channel`` proxy
 (:meth:`DramChannel.promote_line`).  No request or buffer entry holds a
@@ -171,13 +171,14 @@ class DramChannel:
         # Indexed-scheduler state.  Each heap holds (seq, entry) with lazy
         # deletion: an entry is live in the demand heaps iff it is still
         # queued, and live in the other heaps iff it is queued and has not
-        # been promoted to the demand class.  Row buckets are keyed by
-        # (bank, row) so an open-row change re-targets lookups for free.
+        # been promoted to the demand class.  Row buckets are keyed by bank,
+        # then row, so a row-hit search looks up one bucket per bank that
+        # has queued rows, and an open-row change re-targets it for free.
         self._entry_seq = 0
         self._demand_all: List[Tuple[int, BufferEntry]] = []
-        self._demand_rows: Dict[Tuple[int, int], List[Tuple[int, BufferEntry]]] = {}
+        self._demand_rows: Dict[int, Dict[int, List[Tuple[int, BufferEntry]]]] = {}
         self._other_all: List[Tuple[int, BufferEntry]] = []
-        self._other_rows: Dict[Tuple[int, int], List[Tuple[int, BufferEntry]]] = {}
+        self._other_rows: Dict[int, Dict[int, List[Tuple[int, BufferEntry]]]] = {}
         self._dp = config.demand_priority
         self._reference = config.reference_scheduler
         self.bus_busy_until = 0
@@ -223,31 +224,35 @@ class DramChannel:
         if not self.pending and ready < self.due_cycle:
             self.due_cycle = ready
         entry = BufferEntry(request.line_addr, bank, row, request, cycle, ready)
-        self._enqueue(entry)
-        if request.is_prefetch:
-            request.dram_channel = self._proxy
-        if not entry.is_store:
-            self._by_line[request.line_addr] = entry
-
-    def _enqueue(self, entry: BufferEntry) -> None:
-        """Add an entry to the pending buffer and the scheduling index."""
         seq = self._entry_seq
         self._entry_seq = seq + 1
         entry.seq = seq
         entry.queued = True
         self.pending[seq] = entry
         self._index(entry)
+        if request.is_prefetch:
+            request.dram_channel = self._proxy
+        if not entry.is_store:
+            self._by_line[request.line_addr] = entry
 
     def _index(self, entry: BufferEntry) -> None:
         """Push a queued entry into its priority class's heaps."""
         item = (entry.seq, entry)
-        key = (entry.bank, entry.row)
         if entry.demand and self._dp:
             heapq.heappush(self._demand_all, item)
-            heapq.heappush(self._demand_rows.setdefault(key, []), item)
+            rows = self._demand_rows
         else:
             heapq.heappush(self._other_all, item)
-            heapq.heappush(self._other_rows.setdefault(key, []), item)
+            rows = self._other_rows
+        bank_rows = rows.get(entry.bank)
+        if bank_rows is None:
+            rows[entry.bank] = {entry.row: [item]}
+            return
+        bucket = bank_rows.get(entry.row)
+        if bucket is None:
+            bank_rows[entry.row] = [item]
+        else:
+            heapq.heappush(bucket, item)
 
     def promote(self, entry: BufferEntry) -> None:
         """Move a buffered entry into the demand priority class.
@@ -260,13 +265,8 @@ class DramChannel:
         discarded lazily at pop time.
         """
         entry.demand = True
-        if not entry.queued or not self._dp:
-            return
-        item = (entry.seq, entry)
-        heapq.heappush(self._demand_all, item)
-        heapq.heappush(
-            self._demand_rows.setdefault((entry.bank, entry.row), []), item
-        )
+        if entry.queued and self._dp:
+            self._index(entry)
 
     def promote_line(self, line_addr: int) -> None:
         """Promote the queued entry buffering ``line_addr``.
@@ -318,7 +318,7 @@ class DramChannel:
     def _best_in_class(
         self,
         all_heap: List[Tuple[int, BufferEntry]],
-        row_buckets: Dict[Tuple[int, int], List[Tuple[int, BufferEntry]]],
+        row_buckets: Dict[int, Dict[int, List[Tuple[int, BufferEntry]]]],
         cycle: int,
         demand_class: bool,
         pop: heapq.heappop = heapq.heappop,  # type: ignore[assignment]
@@ -342,19 +342,20 @@ class DramChannel:
         head = all_heap[0][1]
         if head.ready_cycle > cycle:
             return None  # oldest entry unready => whole class unready
-        if self.banks[head.bank].open_row == head.row:
+        banks = self.banks
+        if banks[head.bank].open_row == head.row:
             # Oldest entry in the class is itself a row hit: unbeatable.
             return head
-        # Oldest ready row hit across the currently-open rows; any row hit
-        # outranks the (row-miss) class head regardless of age.
+        # Oldest ready row hit: one bucket lookup per bank with queued
+        # rows in this class; any row hit outranks the (row-miss) class
+        # head regardless of age.  Stale bucket heads are dropped on the
+        # way, and so is a bucket (or a bank) they leave empty.
         best_seq = None
-        best = None
-        for bank_index, bank in enumerate(self.banks):
-            row = bank.open_row
-            if row is None:
-                continue
-            key = (bank_index, row)
-            bucket = row_buckets.get(key)
+        best = head
+        emptied = []
+        for bank_index, bank_rows in row_buckets.items():
+            row = banks[bank_index].open_row
+            bucket = bank_rows.get(row)
             if bucket is None:
                 continue
             while bucket:
@@ -362,27 +363,31 @@ class DramChannel:
                 if entry.queued and (not dp or entry.demand == demand_class):
                     break
                 pop(bucket)
-            if not bucket:
-                del row_buckets[key]
+            else:
+                del bank_rows[row]
+                if not bank_rows:
+                    emptied.append(bank_index)
                 continue
-            seq, entry = bucket[0]
-            if (best_seq is None or seq < best_seq) and entry.ready_cycle <= cycle:
+            if entry.ready_cycle <= cycle and (best_seq is None or seq < best_seq):
                 best_seq = seq
                 best = entry
+        for bank_index in emptied:
+            del row_buckets[bank_index]
         # A ready row hit beats every row miss; otherwise the class head
         # (ready, oldest, necessarily a row miss here) wins.
-        return best if best is not None else head
+        return best
 
     def _pick_indexed(self, cycle: int) -> Optional[BufferEntry]:
         """Index-driven pick, decision-identical to :meth:`_pick_reference`.
 
-        Inspects at most one heap head per bank per priority class instead
-        of scanning the whole request buffer.  Late-prefetch promotions
-        are applied eagerly by :meth:`promote` (hooked from
+        Inspects at most one heap head per bank per priority class, and
+        only banks with queued rows in that class, instead of scanning the
+        whole request buffer.  Late-prefetch
+        promotions are applied eagerly by :meth:`promote` (hooked from
         ``MemoryRequest.merge_demand``), so the demand heaps are always
         current when a pick happens.
         """
-        if self._dp:
+        if self._dp and self._demand_all:
             entry = self._best_in_class(
                 self._demand_all, self._demand_rows, cycle, True
             )
@@ -404,7 +409,9 @@ class DramChannel:
             entry.queued = False
             for request in entry.requesters:
                 request.dram_channel = None
-            self._service(entry, max(self.next_pick_cycle, entry.ready_cycle))
+            start = self.next_pick_cycle
+            ready = entry.ready_cycle
+            self._service(entry, ready if ready > start else start)
         heap = self._completing
         if not heap or heap[0][0] > cycle:
             completed = _NO_ENTRIES
@@ -423,21 +430,25 @@ class DramChannel:
     def _service(self, entry: BufferEntry, pick_cycle: int) -> None:
         bank = self.banks[entry.bank]
         cfg = self.config
-        if bank.open_row == entry.row:
+        row = entry.row
+        open_row = bank.open_row
+        if open_row == row:
             # Row hit: column accesses pipeline; only tCL from the command
             # plus data-bus availability constrain the burst.
             row_ready = bank.row_ready_cycle
             self.row_hits += 1
-        elif bank.open_row is None:
-            row_ready = pick_cycle + cfg.t_rcd
-            self.row_misses += 1
         else:
-            row_ready = pick_cycle + cfg.t_rp + cfg.t_rcd
+            # Row miss: activate the row, after precharging an open one.
+            row_ready = pick_cycle + cfg.t_rcd
+            if open_row is not None:
+                row_ready += cfg.t_rp
             self.row_misses += 1
-        cas_cycle = max(pick_cycle, row_ready)
-        burst_start = max(cas_cycle + cfg.t_cl, self.bus_busy_until)
+        cas_cycle = row_ready if row_ready > pick_cycle else pick_cycle
+        burst_start = cas_cycle + cfg.t_cl
+        if burst_start < self.bus_busy_until:
+            burst_start = self.bus_busy_until
         done = burst_start + cfg.burst_cycles
-        bank.open_row = entry.row
+        bank.open_row = row
         bank.row_ready_cycle = row_ready
         self.bus_busy_until = done
         self.next_pick_cycle = burst_start

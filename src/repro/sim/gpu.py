@@ -262,11 +262,14 @@ class GpuSimulator:
         # every profiler touch sits behind an ``is None`` branch so an
         # uninstrumented run pays (almost) nothing for the
         # instrumentation points.
+        # The pipes' heaps are read at their heads, so a pop is called
+        # only when something has arrived.
+        to_core = icnt._to_core
+        to_memory = icnt._to_memory
         pop_core_arrivals = icnt.pop_core_arrivals
         pop_memory_arrivals = icnt.pop_memory_arrivals
-        send_response = icnt.send_response
+        send_responses = icnt.send_responses
         inject_requests = icnt.inject_requests
-        icnt_tick_idle = icnt.tick_idle
         icnt_next_event = icnt.next_event_cycle
         dram_arrive = dram.arrive
         dram_step = dram.step
@@ -306,9 +309,9 @@ class GpuSimulator:
                 prof.loop_iterations += 1
                 t_phase = timer()
             # 1. Deliver responses that reached their core.
-            responses = pop_core_arrivals(cycle)
+            responses = to_core and to_core[0][0] <= cycle
             if responses:
-                for core_id, request in responses:
+                for core_id, request in pop_core_arrivals(cycle):
                     cores[core_id].on_response(request, cycle)
             if prof is not None:
                 t_now = timer()
@@ -317,9 +320,9 @@ class GpuSimulator:
                 if responses:
                     prof_active["interconnect_response"] += 1
             # 2. Deliver requests that reached the memory controllers.
-            requests_in = pop_memory_arrivals(cycle)
+            requests_in = to_memory and to_memory[0][0] <= cycle
             if requests_in:
-                for request in requests_in:
+                for request in pop_memory_arrivals(cycle):
                     dram_arrive(request, cycle)
             if prof is not None:
                 t_now = timer()
@@ -331,11 +334,8 @@ class GpuSimulator:
             # through the network.
             if dram.due_cycle <= cycle:
                 completed = dram_step(cycle)
-                for entry in completed:
-                    if entry.is_store:
-                        continue
-                    for request in entry.requesters:
-                        send_response(cycle, request.core_id, request)
+                if completed:
+                    send_responses(cycle, completed)
                 if prof is not None:
                     t_now = timer()
                     prof_wall["dram"] += t_now - t_phase
@@ -409,16 +409,13 @@ class GpuSimulator:
                 if issued_any:
                     prof_active["core_issue"] += 1
                 injected_before = icnt.total_injected
-            # 7. Inject requests into the network.  When no MRQ has
-            # anything sendable, the full call (whose round-robin probe
-            # pays a pop_sendable call per core) is replaced by an O(1)
-            # clock tick: the credit cap binds per *update interval*, so
-            # the arbiter clock must advance on idle cycles too or the
-            # next real injection would bank the whole gap's bandwidth.
+            # 7. Inject requests into the network.  The injection budget
+            # is the bandwidth of every cycle since the previous visit, so
+            # a visit with nothing to send still records itself.
             if send_pending:
                 send_pending = inject_requests(cycle, mrqs)
             else:
-                icnt_tick_idle(cycle)
+                icnt.last_visit = cycle
             if prof is not None:
                 t_now = timer()
                 prof_wall["inject"] += t_now - t_phase
@@ -445,9 +442,10 @@ class GpuSimulator:
 
             # 8. Find the next cycle where anything can happen.  The set
             # of visited cycles is part of the statistics (stall_cycles
-            # counts eventful iterations), so every candidate must be
-            # exact: an early one adds an iteration, a late one skips an
-            # event.
+            # counts eventful iterations, and an injection's budget is
+            # the cycles since the previous visit), so every candidate
+            # must be exact: an early one adds an iteration, a late one
+            # skips an event.
             if send_pending:
                 cycle += 1
             else:

@@ -1,35 +1,40 @@
 """Core<->memory interconnection network.
 
 Paper Table II: "20-cycle fixed latency, at most 1 req. from every 2 cores
-per cycle".  We model the request path as a token-bucket arbiter (an
-injection budget of ``num_cores / cores_per_injection_slot`` requests per
-cycle, granted round-robin over the cores) feeding a fixed-latency pipe.
+per cycle".  We model the request path as an injection-limited arbiter
+(a budget of ``num_cores / cores_per_injection_slot`` requests per cycle,
+granted round-robin over the cores) feeding a fixed-latency pipe.
 Responses ride a fixed-latency return pipe without a bandwidth limit (the
 paper does not constrain the response path).
 
-The arbiter accumulates credit across skipped cycles so the simulator's
-cycle-skipping fast path conserves bandwidth.
+The run loop visits only eventful cycles, so the arbiter grants at a
+visit the budget of every cycle since the loop's previous visit
+(:attr:`Interconnect.last_visit`), in one batch; nothing carries over
+from one visit to the next.  The injection schedule therefore depends on
+which cycles the loop visits, not only on what the cores queue: a loop
+visiting every cycle would grant at most one cycle's budget per visit.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import List, Optional, Tuple
+from bisect import bisect_left
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple
 
 from repro.sim.config import InterconnectConfig
 from repro.sim.memory_request import MemoryRequest
 from repro.sim.mrq import MemoryRequestQueue
 
-#: Shared immutable "nothing arrived" result for the pop fast paths.
-_NO_ARRIVALS: Tuple[()] = ()
+if TYPE_CHECKING:
+    from repro.sim.dram import BufferEntry
 
 
 class Interconnect:
     """Fixed-latency, injection-limited request/response network."""
 
     __slots__ = (
-        "config", "num_cores", "slots_per_cycle", "_rr_pointer", "_credit",
-        "_last_step_cycle", "_to_memory", "_to_core", "_seq", "total_injected",
+        "config", "num_cores", "slots_per_cycle", "_rr_pointer", "last_visit",
+        "_to_memory", "_to_core", "_seq", "total_injected",
     )
 
     #: The config is rebuilt at construction; a snapshot does not store it.
@@ -40,8 +45,10 @@ class Interconnect:
         self.num_cores = num_cores
         self.slots_per_cycle = max(1, num_cores // config.cores_per_injection_slot)
         self._rr_pointer = 0
-        self._credit = 0.0
-        self._last_step_cycle = 0
+        #: The run loop's previous visited cycle: it calls
+        #: :meth:`inject_requests`, or sets this itself on a visit with
+        #: nothing to send.
+        self.last_visit = 0
         self._to_memory: List[Tuple[int, int, MemoryRequest]] = []
         self._to_core: List[Tuple[int, int, int, MemoryRequest]] = []
         # FIFO tiebreaker of both pipes' heap tuples: the next sequence
@@ -49,83 +56,73 @@ class Interconnect:
         self._seq = 0
         self.total_injected = 0
 
-    def tick_idle(self, cycle: int) -> None:
-        """Advance the arbiter clock/credit for a cycle with nothing to send.
-
-        The credit cap is ``slots_per_cycle * max(1, elapsed)`` with
-        ``elapsed`` measured since the last arbiter update, so a caller
-        that elides :meth:`inject_requests` on empty-queue cycles must
-        still tick the clock here — otherwise the next real injection
-        sees the whole idle gap as one interval and banks its bandwidth.
-        """
-        elapsed = cycle - self._last_step_cycle
-        self._last_step_cycle = cycle
-        self._credit = min(
-            self._credit + elapsed * self.slots_per_cycle,
-            float(self.slots_per_cycle) * max(1, elapsed),
-        )
-
     def inject_requests(self, cycle: int, mrqs: List[MemoryRequestQueue]) -> bool:
         """Arbiter: pull sendable requests from the MRQs into the pipe.
 
-        Grants up to ``slots_per_cycle`` injections per elapsed cycle,
-        round-robin over cores, carrying unused credit forward (bounded to
-        one cycle's worth so a long idle period cannot bank unbounded
-        bandwidth).  Returns whether any MRQ still holds a sendable
-        request -- the run loop's exact send-pending flag.
+        The budget is ``slots_per_cycle`` per cycle since
+        :attr:`last_visit` (none at elapsed 0); what a visit leaves
+        unused is lost.  Grants go round-robin over the cores whose MRQ
+        holds a sendable request: each goes to the first such core at or
+        past ``_rr_pointer``, which then points past it.  Returns whether
+        any MRQ still holds a sendable request -- the run loop's exact
+        send-pending flag.
         """
-        elapsed = cycle - self._last_step_cycle
-        self._last_step_cycle = cycle
-        self._credit = min(
-            self._credit + elapsed * self.slots_per_cycle,
-            float(self.slots_per_cycle) * max(1, elapsed),
-        )
+        budget = (cycle - self.last_visit) * self.slots_per_cycle
+        self.last_visit = cycle
+        ready = [core_id for core_id, mrq in enumerate(mrqs) if mrq._send_queue]
+        if not budget or not ready:
+            return bool(ready)
         # Loads and stores share the request pipe: stores traverse the
         # network and consume DRAM write bandwidth but carry no response.
         arrival = cycle + self.config.latency
         heappush = heapq.heappush
         to_memory = self._to_memory
-        while self._credit >= 1.0:
-            request = self._pick_next(cycle, mrqs)
-            if request is None:
-                return False
-            self._credit -= 1.0
-            self.total_injected += 1
-            heappush(to_memory, (arrival, self._seq, request))
-            self._seq += 1
-        for mrq in mrqs:
+        seq = self._seq
+        granted = 0
+        # Injection never refills a send queue, so a core leaves the
+        # round once its queue is empty.
+        at = bisect_left(ready, self._rr_pointer)
+        while True:
+            if at == len(ready):
+                at = 0
+            core_id = ready[at]
+            mrq = mrqs[core_id]
+            heappush(to_memory, (arrival, seq, mrq.pop_sendable(cycle)))
+            seq += 1
+            granted += 1
             if mrq._send_queue:
-                return True
-        return False
+                at += 1
+            else:
+                del ready[at]
+            if granted == budget or not ready:
+                break
+        self._seq = seq
+        self.total_injected += granted
+        core_id += 1
+        self._rr_pointer = core_id if core_id < self.num_cores else 0
+        return bool(ready)
 
-    def _pick_next(
-        self, cycle: int, mrqs: List[MemoryRequestQueue]
-    ) -> Optional[MemoryRequest]:
-        """Round-robin scan of the cores' MRQs for a sendable request."""
-        num_cores = self.num_cores
-        core_id = self._rr_pointer
-        for _ in range(num_cores):
-            if core_id >= num_cores:
-                core_id -= num_cores
-            request = mrqs[core_id].pop_sendable(cycle)
-            if request is not None:
-                core_id += 1
-                self._rr_pointer = core_id if core_id < num_cores else 0
-                return request
-            core_id += 1
-        return None
+    def send_responses(self, cycle: int, entries: Sequence["BufferEntry"]) -> None:
+        """Route completed DRAM entries back to their cores.
 
-    def send_response(self, cycle: int, core_id: int, request: MemoryRequest) -> None:
-        """Schedule a response delivery to a core after the fixed latency."""
+        Every requester of a load entry gets a response after the fixed
+        latency, in entry then requester order; a store gets none.
+        """
         arrival = cycle + self.config.latency
-        heapq.heappush(self._to_core, (arrival, self._seq, core_id, request))
-        self._seq += 1
+        heappush = heapq.heappush
+        to_core = self._to_core
+        seq = self._seq
+        for entry in entries:
+            if entry.is_store:
+                continue
+            for request in entry.requesters:
+                heappush(to_core, (arrival, seq, request.core_id, request))
+                seq += 1
+        self._seq = seq
 
     def pop_memory_arrivals(self, cycle: int) -> List[MemoryRequest]:
         """Requests reaching the memory controllers at or before ``cycle``."""
         heap = self._to_memory
-        if not heap or heap[0][0] > cycle:
-            return _NO_ARRIVALS
         arrivals = []
         heappop = heapq.heappop
         while heap and heap[0][0] <= cycle:
@@ -135,8 +132,6 @@ class Interconnect:
     def pop_core_arrivals(self, cycle: int) -> List[Tuple[int, MemoryRequest]]:
         """(core_id, request) responses arriving at or before ``cycle``."""
         heap = self._to_core
-        if not heap or heap[0][0] > cycle:
-            return _NO_ARRIVALS
         arrivals = []
         heappop = heapq.heappop
         while heap and heap[0][0] <= cycle:

@@ -6,6 +6,7 @@ import pytest
 
 from repro import cli
 from repro.harness import perf
+from repro.sim.profiling import PHASES
 
 #: One sub-50ms spec so the harness tests stay cheap.
 TINY_SPECS = (
@@ -35,6 +36,22 @@ class TestRunPerf:
         totals = doc["totals"]
         assert totals["cycles"] == run["cycles"]
         assert totals["peak_rss_kb"] > 0
+
+    def test_phase_times_per_run_and_in_totals(self, tiny_subset, monkeypatch):
+        monkeypatch.setattr(perf, "QUICK_SPECS", TINY_SPECS * 2)
+        doc = perf.run_perf(quick=True, generated="t")
+        runs = doc["runs"]
+        for run in runs:
+            phases = run["phases_wall_seconds"]
+            assert list(phases) == list(PHASES)
+            assert 0 < phases["issue"] < run["wall_seconds"]
+        totals = doc["totals"]["phases_wall_seconds"]
+        for phase in PHASES:
+            assert totals[phase] == pytest.approx(
+                sum(run["phases_wall_seconds"][phase] for run in runs), abs=2e-6
+            )
+        merged = perf.merge_history(doc, None, "phases")
+        assert merged["history"][0]["totals"]["phases_wall_seconds"] == totals
 
     def test_repeats_keep_best(self, tiny_subset):
         doc = perf.run_perf(quick=True, repeats=2, generated="t")

@@ -14,7 +14,7 @@ Covers the supervised runtime end to end:
 * **Graceful shutdown** — first signal drains (inline and pooled),
   finalizes the manifest, and raises ``SweepInterrupted``; the second
   forces exit.  A SIGTERM that reaches the engine alone is relayed to
-  its pool workers by the pids their heartbeats recorded.  The
+  its pool workers, with heartbeats or without.  The
   acceptance test SIGTERMs a *real subprocess sweep*
   mid-flight and verifies the resumed sweep loses zero completed results
   and reproduces the uninterrupted control sweep bit-for-bit.
@@ -580,19 +580,24 @@ def _run_until_shutdown(spec, options):
     """Pool worker that ticks a real run sentinel until its own shutdown
     flag rises, for at most :data:`RELAY_BOUND_SECONDS`.
 
-    Once both runs' heartbeats exist, the monte run sends SIGTERM to the
-    engine alone, so a worker's flag rises only if the engine relays the
-    signal to the pid its heartbeat recorded.
+    The sentinel writes heartbeats when the options ask for them.  Each
+    run marks its start in the fault directory; once both have, the
+    monte run sends SIGTERM to the engine alone, so a worker's flag
+    rises only if the engine relays the signal.
     """
-    directory = Path(options.heartbeat_dir)
-    sentinel = _pooled_sentinel(spec, options)
+    directory = faults._fault_dir()
+    (directory / f"started-{spec.benchmark}").touch()
+    if options.heartbeat_dir is None:
+        sentinel = supervise.RunSentinel()
+    else:
+        sentinel = _pooled_sentinel(spec, options)
     signalled = spec.benchmark != "monte"
     sim = _DummySim(cycle=0)
     deadline = time.monotonic() + RELAY_BOUND_SECONDS
     while time.monotonic() < deadline:
         sim.cycle += supervise.SUPERVISION_HOOK_CYCLES
         sentinel.tick(sim)  # raises WorkerInterrupted once the flag rises
-        if not signalled and len(list(directory.glob("*.hb.json"))) == 2:
+        if not signalled and len(list(directory.glob("started-*"))) == 2:
             os.kill(ENGINE_PID, signal.SIGTERM)
             signalled = True
         time.sleep(0.02)
@@ -690,11 +695,8 @@ class TestGracefulShutdown:
         statuses = sorted(record["status"] for record in journal.values())
         assert statuses == ["done", "final"]
 
-    def test_drain_relays_sigterm_to_pooled_workers(self):
-        engine = SweepEngine(
-            jobs=2, worker=_run_until_shutdown,
-            options=RunOptions(heartbeat_interval=0.2),
-        )
+    def _assert_drain_relays(self, options):
+        engine = SweepEngine(jobs=2, worker=_run_until_shutdown, options=options)
         t0 = time.monotonic()
         with pytest.raises(SweepInterrupted) as excinfo:
             engine.run([spec_for("monte"), spec_for("cell")])
@@ -704,6 +706,13 @@ class TestGracefulShutdown:
         assert (excinfo.value.done, excinfo.value.pending) == (0, 2)
         assert engine.failures == 0
         assert elapsed < RELAY_BOUND_SECONDS / 2, f"drain took {elapsed:.1f}s"
+
+    def test_drain_relays_sigterm_to_pooled_workers(self, fault_dir):
+        self._assert_drain_relays(RunOptions(heartbeat_interval=0.2))
+
+    def test_drain_relays_sigterm_without_heartbeats(self, fault_dir):
+        """The relay finds the workers with no heartbeat file to read."""
+        self._assert_drain_relays(RunOptions())
 
     def test_pre_raised_flag_stops_admission_before_any_run(
         self, fault_dir, tmp_path

@@ -444,3 +444,39 @@ def test_attach_checkpointing_zero_interval_disarms():
     assert attach_checkpointing(sim, "/nonexistent/never.json", 0) is None
     assert sim.hooks == []
     sim.run(strict=True)  # would crash writing to /nonexistent if armed
+
+
+def test_auto_snapshots_hash_the_config_once_and_match_a_direct_write(
+    tmp_path, monkeypatch
+):
+    """The hook hashes the config when it is attached, not per snapshot,
+    and each envelope it writes equals :func:`write_checkpoint`'s own."""
+    from repro.sim import checkpoint
+
+    spec = make_spec(**ROUNDTRIP_REQUESTS[1])
+    sim = build_sim(spec)
+    hashed = []
+    real_fingerprint = checkpoint.config_fingerprint
+
+    def counting_fingerprint(config):
+        hashed.append(config)
+        return real_fingerprint(config)
+
+    monkeypatch.setattr(checkpoint, "config_fingerprint", counting_fingerprint)
+    auto = tmp_path / "auto.ckpt.json"
+    hook = attach_checkpointing(sim, auto, 600, fingerprint=fingerprint(spec))
+    direct = []
+
+    def compare(s):
+        # Runs after the auto-snapshot hook at the same loop top.
+        path = tmp_path / f"direct-{s.cycle}.ckpt.json"
+        monkeypatch.setattr(checkpoint, "config_fingerprint", real_fingerprint)
+        write_checkpoint(path, s, fingerprint=fingerprint(spec))
+        monkeypatch.setattr(checkpoint, "config_fingerprint", counting_fingerprint)
+        assert path.read_bytes() == auto.read_bytes()
+        direct.append(path)
+
+    sim.hooks.append(PeriodicHook(hook.interval, compare, sim.cycle))
+    sim.run(strict=True)
+    assert len(direct) >= 3
+    assert len(hashed) == 1

@@ -1,7 +1,9 @@
 """Unit tests for the injection-limited, fixed-latency interconnect."""
 
 from repro.sim.config import InterconnectConfig
+from repro.sim.dram import BufferEntry
 from repro.sim.interconnect import Interconnect
+from repro.sim.memory_request import MemoryRequest
 from repro.sim.mrq import MemoryRequestQueue
 from repro.sim.warp import Warp
 
@@ -42,13 +44,14 @@ def test_injection_bandwidth_limit():
 def test_credit_accumulates_over_skipped_cycles():
     icnt = Interconnect(InterconnectConfig(), 14)
     mrqs = make_mrqs()
-    icnt.inject_requests(1, mrqs)  # nothing to send; credit capped
+    icnt.inject_requests(1, mrqs)  # nothing to send; the visit is recorded
     for mrq in mrqs:
         fill_demands(mrq, 2, base=mrq.core_id * 1 << 20)
-    # After a long skip the credit is bounded (no unbounded banking) but
-    # scales with the elapsed cycles in one batch.
+    # A visit after a skip grants the budget of every cycle since the
+    # previous visit in one batch.
     icnt.inject_requests(100, mrqs)
     assert icnt.total_injected == 28  # everything drained
+    assert icnt.last_visit == 100
 
 
 def test_round_robin_fairness():
@@ -70,10 +73,14 @@ def test_response_path():
     mrqs = make_mrqs()
     fill_demands(mrqs[3], 1)
     request = mrqs[3].pop_sendable(0)
-    icnt.send_response(100, 3, request)
+    store = MemoryRequest(0x4000, 5, 0, 0x10, False, 0, is_store=True)
+    icnt.send_responses(
+        100, [BufferEntry(request.line_addr, 0, 0, request, 80, 90),
+              BufferEntry(store.line_addr, 0, 0, store, 80, 90)],
+    )
     assert not icnt.pop_core_arrivals(119)
     arrivals = icnt.pop_core_arrivals(120)
-    assert arrivals == [(3, request)]
+    assert arrivals == [(3, request)]  # a store carries no response
 
 
 def test_next_event_and_idle():
