@@ -1,7 +1,7 @@
 """Figure 15: throttling/feedback for hardware prefetchers."""
 
 from repro.harness import experiments
-from repro.harness.report import format_speedup_figure, summarize_headline
+from repro.harness.report import format_speedup_figure
 
 
 def test_figure15(benchmark, runner):

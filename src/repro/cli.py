@@ -68,7 +68,9 @@ leases (SIGKILLed claimant) are stolen after a grace period.
 
 A flag value the sweep engine rejects — a non-positive ``--timeout`` or
 interval, or ``--max-failures`` below 1 — is a usage error (exit
-status 2).
+status 2), as is a ``--subset`` benchmark that a paper table (Table III
+or IV) has no row for; either stops the command before anything
+simulates.
 
 A sweep interrupted by SIGTERM/SIGINT drains in-flight runs, finalizes
 the ``--manifest`` journal, and exits with status 130; re-invoking the
@@ -249,13 +251,7 @@ def _compare_arguments(cmp_p: argparse.ArgumentParser) -> None:
 
 
 def _figure_arguments(fig_p: argparse.ArgumentParser) -> None:
-    fig_p.add_argument(
-        "name",
-        choices=[
-            "table3", "table4", "table6", "fig7", "fig8", "fig10", "fig11",
-            "fig12", "fig13", "fig14", "fig15", "fig16", "fig17", "fig18",
-        ],
-    )
+    fig_p.add_argument("name", choices=list(FIGURES))
     fig_p.add_argument("--scale", type=float, default=1.0)
     fig_p.add_argument("--subset", nargs="*", default=None)
     _add_sweep_flags(fig_p)
@@ -408,7 +404,6 @@ def _chaos_arguments(chaos_p: argparse.ArgumentParser) -> None:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    runner = args.runner
     variant = dict(
         software=args.software,
         hardware=args.hardware,
@@ -417,10 +412,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
         degree=args.degree,
         perfect_memory=args.perfect_memory,
     )
-    runner.warm([{"benchmark": args.benchmark},
-                 {"benchmark": args.benchmark, **variant}])
-    baseline = runner.run(args.benchmark)
-    result = runner.run(args.benchmark, **variant)
+    [[baseline, result]] = args.runner.grid([args.benchmark], [{}, variant])
     stats = result.stats.as_dict()
     stats["speedup_over_baseline"] = result.speedup_over(baseline)
     # Peak RSS rides along in every harness mode's output (perf totals,
@@ -442,20 +434,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
 
 
 def _cmd_compare(args: argparse.Namespace) -> int:
-    runner = args.runner
     variants = [
-        {"benchmark": args.benchmark, "throttle": args.throttle,
+        {"throttle": args.throttle,
          ("software" if scheme in SOFTWARE_SCHEMES else "hardware"): scheme}
         for scheme in args.schemes
     ]
-    runner.warm([{"benchmark": args.benchmark}] + variants)
-    baseline = runner.run(args.benchmark)
+    [[baseline, *results]] = args.runner.grid([args.benchmark], [{}, *variants])
     print(f"{'scheme':<20} {'cycles':>9} {'CPI':>7} {'speedup':>8}")
     print("-" * 46)
     print(f"{'baseline':<20} {baseline.cycles:>9} {baseline.cpi:>7.2f} "
           f"{'1.00x':>8}")
-    for scheme, variant in zip(args.schemes, variants):
-        result = runner.run(**variant)
+    for scheme, result in zip(args.schemes, results):
         print(f"{scheme:<20} {result.cycles:>9} {result.cpi:>7.2f} "
               f"{result.speedup_over(baseline):>7.2f}x")
     return 0
@@ -473,76 +462,74 @@ def _cmd_list(_args: argparse.Namespace) -> int:
     return 0
 
 
+def _fig13(runner: ExperimentRunner, subset: Optional[List[str]]) -> str:
+    result = experiments.figure13(runner, subset)
+    return "\n\n".join(
+        format_speedup_figure(
+            {"rows": result[part], "geomean": result["geomean_" + part]}, title
+        )
+        for part, title in (("naive", "Figure 13a"), ("warp_id", "Figure 13b"))
+    )
+
+
+def _fig17(runner: ExperimentRunner, subset: Optional[List[str]]) -> str:
+    # The columns are distances; a text table's column names are strings.
+    result = experiments.figure17(runner, subset)
+    rows = [{str(k): v for k, v in row.items()} for row in result["rows"]]
+    means = {str(k): v for k, v in result["geomean"].items()}
+    return format_speedup_figure({"rows": rows, "geomean": means}, "Figure 17")
+
+
+#: ``repro figure`` exhibit -> renderer(runner, subset) of its text.
+FIGURES = {
+    "table3": lambda runner, subset: format_table(
+        experiments.table3(runner, subset),
+        ["benchmark", "type", "base_cpi", "paper_base_cpi",
+         "pmem_cpi", "paper_pmem_cpi"],
+        title="Table III",
+    ),
+    "table4": lambda runner, subset: format_table(
+        experiments.table4(runner, subset),
+        ["benchmark", "base_cpi", "pmem_cpi", "hwp_cpi",
+         "paper_base_cpi", "paper_pmem_cpi", "paper_hwp_cpi"],
+        title="Table IV",
+    ),
+    "table6": lambda runner, subset: json.dumps(experiments.table6(), indent=2),
+    "fig7": lambda runner, subset: format_table(
+        experiments.figure7(),
+        ["warps", "mtaml", "mtaml_pref", "avg_latency", "effect"],
+        title="Figure 7", floatfmt="{:.1f}",
+    ),
+    "fig8": lambda runner, subset: format_table(
+        experiments.figure8(runner, subset),
+        ["benchmark", "normalized_latency", "prefetch_accuracy"],
+        title="Figure 8",
+    ),
+    "fig10": lambda runner, subset: format_speedup_figure(
+        experiments.figure10(runner, subset), "Figure 10"),
+    "fig11": lambda runner, subset: format_speedup_figure(
+        experiments.figure11(runner, subset), "Figure 11"),
+    "fig12": lambda runner, subset: format_table(
+        experiments.figure12(runner, subset),
+        ["benchmark", "early_ratio_swp", "early_ratio_swp_t",
+         "bandwidth_swp", "bandwidth_swp_t"],
+        title="Figure 12",
+    ),
+    "fig13": _fig13,
+    "fig14": lambda runner, subset: format_speedup_figure(
+        experiments.figure14(runner, subset), "Figure 14"),
+    "fig15": lambda runner, subset: format_speedup_figure(
+        experiments.figure15(runner, subset), "Figure 15"),
+    "fig16": lambda runner, subset: format_sweep(
+        experiments.figure16(runner, subset), "Figure 16", "size_kb"),
+    "fig17": _fig17,
+    "fig18": lambda runner, subset: format_sweep(
+        experiments.figure18(runner, subset), "Figure 18", "cores"),
+}
+
+
 def _cmd_figure(args: argparse.Namespace) -> int:
-    runner = args.runner
-    subset = args.subset or None
-    name = args.name
-    if name == "table3":
-        print(format_table(
-            experiments.table3(runner, subset),
-            ["benchmark", "type", "base_cpi", "paper_base_cpi",
-             "pmem_cpi", "paper_pmem_cpi"],
-            title="Table III",
-        ))
-    elif name == "table4":
-        print(format_table(
-            experiments.table4(runner, subset),
-            ["benchmark", "base_cpi", "pmem_cpi", "hwp_cpi",
-             "paper_base_cpi", "paper_pmem_cpi", "paper_hwp_cpi"],
-            title="Table IV",
-        ))
-    elif name == "table6":
-        result = experiments.table6()
-        print(json.dumps(result, indent=2))
-    elif name == "fig7":
-        print(format_table(
-            experiments.figure7(),
-            ["warps", "mtaml", "mtaml_pref", "avg_latency", "effect"],
-            title="Figure 7", floatfmt="{:.1f}",
-        ))
-    elif name == "fig8":
-        print(format_table(
-            experiments.figure8(runner, subset),
-            ["benchmark", "normalized_latency", "prefetch_accuracy"],
-            title="Figure 8",
-        ))
-    elif name in ("fig10", "fig11", "fig14", "fig15"):
-        func = {
-            "fig10": experiments.figure10, "fig11": experiments.figure11,
-            "fig14": experiments.figure14, "fig15": experiments.figure15,
-        }[name]
-        print(format_speedup_figure(func(runner, subset), f"Figure {name[3:]}"))
-    elif name == "fig12":
-        print(format_table(
-            experiments.figure12(runner, subset),
-            ["benchmark", "early_ratio_swp", "early_ratio_swp_t",
-             "bandwidth_swp", "bandwidth_swp_t"],
-            title="Figure 12",
-        ))
-    elif name == "fig13":
-        result = experiments.figure13(runner, subset)
-        print(format_speedup_figure(
-            {"rows": result["naive"], "geomean": result["geomean_naive"]},
-            "Figure 13a"))
-        print()
-        print(format_speedup_figure(
-            {"rows": result["warp_id"], "geomean": result["geomean_warp_id"]},
-            "Figure 13b"))
-    elif name == "fig16":
-        print(format_sweep(experiments.figure16(runner, subset),
-                           "Figure 16", "size_kb"))
-    elif name == "fig17":
-        result = experiments.figure17(runner, subset)
-        rows = [
-            {"benchmark": r["benchmark"],
-             **{str(k): v for k, v in r.items() if k != "benchmark"}}
-            for r in result["rows"]
-        ]
-        means = {str(k): v for k, v in result["geomean"].items()}
-        print(format_speedup_figure({"rows": rows, "geomean": means}, "Figure 17"))
-    elif name == "fig18":
-        print(format_sweep(experiments.figure18(runner, subset),
-                           "Figure 18", "cores"))
+    print(FIGURES[args.name](args.runner, args.subset or None))
     return 0
 
 
@@ -744,6 +731,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Later writes, and the flush at exit, go to os.devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
+    except experiments.SubsetError as exc:
+        parser.error(str(exc))
     except RunFailedError as exc:
         print(f"repro: {exc}", file=sys.stderr)
         return 1

@@ -5,19 +5,19 @@ of the paper and returns a plain data structure (dicts/lists) that
 :mod:`repro.harness.report` renders as text and the ``benchmarks/`` targets
 regenerate.  All functions accept an :class:`ExperimentRunner`, which caches
 runs, so executing several figures in one process shares the baselines.
+Each simulated exhibit states its run grid once, as benchmarks x variants:
+:meth:`ExperimentRunner.grid` sweeps it in one call and hands back the
+results.
 """
 
 from __future__ import annotations
 
-import dataclasses
-from typing import Dict, List, Optional, Sequence
+from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.mt_hwp import hardware_cost_bits, hardware_cost_bytes
-from repro.core.throttle import ThrottleConfig
 from repro.harness.runner import ExperimentRunner, geometric_mean
-from repro.sim.config import PrefetchCacheConfig, baseline_config
+from repro.sim.config import GpuConfig, PrefetchCacheConfig, baseline_config
 from repro.trace.benchmarks import (
-    COMPUTE_BENCHMARKS,
     MEMORY_BENCHMARKS,
     PAPER_DEL_LOADS,
     PAPER_TABLE4,
@@ -37,29 +37,86 @@ FIG15_SCHEMES = (
     ("mt-hwp", True),
 )
 
+#: The schemes of the sensitivity studies (Figs. 16 and 18), by legend label.
+SENSITIVITY_SCHEMES = {
+    "MT-HWP": {"hardware": "mt-hwp"},
+    "MT-HWP+T": {"hardware": "mt-hwp", "throttle": True},
+    "MT-SWP": {"software": "mt-swp"},
+    "MT-SWP+T": {"software": "mt-swp", "throttle": True},
+}
+
+
+class SubsetError(ValueError):
+    """A subset names a benchmark the paper's table has no row for."""
+
 
 def _benchmarks(subset: Optional[Sequence[str]]) -> List[str]:
     return list(subset) if subset else list(MEMORY_BENCHMARKS)
 
 
-def _warm(runner: ExperimentRunner, requests: List[Dict]) -> None:
-    """Fan a figure's full run grid out through the runner's sweep engine.
+def _table_rows(
+    subset: Optional[Sequence[str]], paper: Mapping[str, object], table: str
+) -> List[str]:
+    """A paper table's benchmarks: ``subset``, or every row of ``paper``.
 
-    With ``jobs > 1`` the grid simulates in parallel; with a result cache
-    attached, previously-completed points load from disk.  Either way the
-    serial figure code below each call then reads every run from the
-    runner's memory cache, so result values and ordering are identical to
-    the pure-serial path.  Failures are deliberately not raised here —
-    the runner keeps each one, and the ``runner.run`` call that needs the
-    point raises it without simulating it again.
-
-    Every grid lists the runs of one trace (benchmark × software scheme)
-    back to back: the trace memo holds only the last workload, so an
-    interleaved grid would regenerate traces.
+    Checked before anything simulates: a benchmark without a paper row
+    raises :class:`SubsetError`.
     """
-    warm = getattr(runner, "warm", None)
-    if warm is not None:
-        warm(requests)
+    names = list(subset) if subset else list(paper)
+    for name in names:
+        if name not in paper:
+            raise SubsetError(f"{table} has no row for benchmark {name!r}")
+    return names
+
+
+def _speedup_table(
+    runner: ExperimentRunner,
+    subset: Optional[Sequence[str]],
+    schemes: Mapping[object, Mapping[str, object]],
+) -> Dict:
+    """Each scheme's speedup over no prefetching, per benchmark and geomean.
+
+    ``schemes`` maps each column label to the :meth:`ExperimentRunner.run`
+    keyword arguments of its scheme.
+    """
+    names = _benchmarks(subset)
+    rows = []
+    grid = runner.grid(names, [{}, *schemes.values()])
+    for name, (base, *results) in zip(names, grid):
+        row: Dict = {"benchmark": name}
+        for label, result in zip(schemes, results):
+            row[label] = result.speedup_over(base)
+        rows.append(row)
+    means = {label: geometric_mean(row[label] for row in rows) for label in schemes}
+    return {"rows": rows, "geomean": means}
+
+
+def _sensitivity(
+    runner: ExperimentRunner,
+    subset: Optional[Sequence[str]],
+    configs: Mapping[int, GpuConfig],
+) -> Dict[str, Dict[int, float]]:
+    """Geomean speedup of each :data:`SENSITIVITY_SCHEMES` scheme per machine.
+
+    ``configs`` maps each x-axis value to its machine; a speedup is over
+    no prefetching on the same machine.
+    """
+    grid = runner.grid(_benchmarks(subset), [
+        {**scheme, "config": cfg}
+        for scheme in ({}, *SENSITIVITY_SCHEMES.values())
+        for cfg in configs.values()
+    ])
+    # A row holds the baseline on every machine, then each scheme's runs.
+    width = len(configs)
+    return {
+        label: {
+            x: geometric_mean(
+                row[k * width + j].speedup_over(row[j]) for row in grid
+            )
+            for j, x in enumerate(configs)
+        }
+        for k, label in enumerate(SENSITIVITY_SCHEMES, start=1)
+    }
 
 
 # ----------------------------------------------------------------------
@@ -69,16 +126,11 @@ def _warm(runner: ExperimentRunner, requests: List[Dict]) -> None:
 
 def table3(runner: ExperimentRunner, subset: Optional[Sequence[str]] = None) -> List[Dict]:
     """Table III: benchmark characteristics (ours vs. paper)."""
+    names = _table_rows(subset, PAPER_DEL_LOADS, "Table III")
     rows = []
-    _warm(runner, [
-        {"benchmark": name, "perfect_memory": pmem}
-        for name in _benchmarks(subset)
-        for pmem in (False, True)
-    ])
-    for name in _benchmarks(subset):
+    grid = runner.grid(names, [{}, {"perfect_memory": True}])
+    for name, (base, pmem) in zip(names, grid):
         spec = get_benchmark(name, scale=runner.scale)
-        base = runner.run(name)
-        pmem = runner.run(name, perfect_memory=True)
         paper_del = PAPER_DEL_LOADS[name]
         rows.append(
             {
@@ -105,17 +157,12 @@ def table3(runner: ExperimentRunner, subset: Optional[Sequence[str]] = None) -> 
 
 def table4(runner: ExperimentRunner, subset: Optional[Sequence[str]] = None) -> List[Dict]:
     """Table IV: non-memory-intensive benchmarks (base / PMEM / HWP CPI)."""
-    names = list(subset) if subset else list(COMPUTE_BENCHMARKS)
+    names = _table_rows(subset, PAPER_TABLE4, "Table IV")
     rows = []
-    _warm(runner, [
-        {"benchmark": name, **kwargs}
-        for name in names
-        for kwargs in ({}, {"perfect_memory": True}, {"hardware": "mt-hwp"})
-    ])
-    for name in names:
-        base = runner.run(name)
-        pmem = runner.run(name, perfect_memory=True)
-        hwp = runner.run(name, hardware="mt-hwp")
+    grid = runner.grid(
+        names, [{}, {"perfect_memory": True}, {"hardware": "mt-hwp"}]
+    )
+    for name, (base, pmem, hwp) in zip(names, grid):
         paper = PAPER_TABLE4[name]
         rows.append(
             {
@@ -193,15 +240,10 @@ def figure7(
 
 def figure8(runner: ExperimentRunner, subset: Optional[Sequence[str]] = None) -> List[Dict]:
     """Fig. 8: normalized average memory latency + accuracy under MT-SWP."""
+    names = _benchmarks(subset)
     rows = []
-    _warm(runner, [
-        {"benchmark": name, **kwargs}
-        for name in _benchmarks(subset)
-        for kwargs in ({}, {"software": "mt-swp"})
-    ])
-    for name in _benchmarks(subset):
-        base = runner.run(name)
-        pref = runner.run(name, software="mt-swp")
+    grid = runner.grid(names, [{}, {"software": "mt-swp"}])
+    for name, (base, pref) in zip(names, grid):
         base_lat = base.stats.avg_demand_latency
         rows.append(
             {
@@ -217,21 +259,9 @@ def figure8(runner: ExperimentRunner, subset: Optional[Sequence[str]] = None) ->
 
 def figure10(runner: ExperimentRunner, subset: Optional[Sequence[str]] = None) -> Dict:
     """Fig. 10: speedup of software prefetching schemes over no-prefetching."""
-    rows = []
-    _warm(runner, [
-        {"benchmark": name, "software": scheme}
-        for name in _benchmarks(subset)
-        for scheme in ("none",) + FIG10_SCHEMES
-    ])
-    for name in _benchmarks(subset):
-        entry = {"benchmark": name}
-        for scheme in FIG10_SCHEMES:
-            entry[scheme] = runner.speedup(name, software=scheme)
-        rows.append(entry)
-    means = {
-        scheme: geometric_mean(row[scheme] for row in rows) for scheme in FIG10_SCHEMES
-    }
-    return {"rows": rows, "geomean": means}
+    return _speedup_table(
+        runner, subset, {scheme: {"software": scheme} for scheme in FIG10_SCHEMES}
+    )
 
 
 def figure11(runner: ExperimentRunner, subset: Optional[Sequence[str]] = None) -> Dict:
@@ -242,37 +272,21 @@ def figure11(runner: ExperimentRunner, subset: Optional[Sequence[str]] = None) -
         ("mt-swp", False),
         ("mt-swp", True),
     )
-    rows = []
-    _warm(runner, [
-        {"benchmark": name, "software": sw, "throttle": t}
-        for name in _benchmarks(subset)
-        for sw, t in (("none", False),) + schemes
-    ])
-    for name in _benchmarks(subset):
-        entry = {"benchmark": name}
-        for software, throttle in schemes:
-            label = software + ("+T" if throttle else "")
-            entry[label] = runner.speedup(name, software=software, throttle=throttle)
-        rows.append(entry)
-    labels = [s + ("+T" if t else "") for s, t in schemes]
-    means = {label: geometric_mean(row[label] for row in rows) for label in labels}
-    return {"rows": rows, "geomean": means}
+    return _speedup_table(runner, subset, {
+        software + ("+T" if throttle else ""):
+            {"software": software, "throttle": throttle}
+        for software, throttle in schemes
+    })
 
 
 def figure12(runner: ExperimentRunner, subset: Optional[Sequence[str]] = None) -> List[Dict]:
     """Fig. 12: early-prefetch ratio and normalized bandwidth, MT-SWP vs +T."""
+    names = _benchmarks(subset)
     rows = []
-    _warm(runner, [
-        {"benchmark": name, **kwargs}
-        for name in _benchmarks(subset)
-        for kwargs in (
-            {}, {"software": "mt-swp"}, {"software": "mt-swp", "throttle": True},
-        )
+    grid = runner.grid(names, [
+        {}, {"software": "mt-swp"}, {"software": "mt-swp", "throttle": True},
     ])
-    for name in _benchmarks(subset):
-        base = runner.run(name)
-        swp = runner.run(name, software="mt-swp")
-        swp_t = runner.run(name, software="mt-swp", throttle=True)
+    for name, (base, swp, swp_t) in zip(names, grid):
         base_bw = max(1, base.stats.bandwidth_lines)
         rows.append(
             {
@@ -293,67 +307,43 @@ def figure12(runner: ExperimentRunner, subset: Optional[Sequence[str]] = None) -
 
 def figure13(runner: ExperimentRunner, subset: Optional[Sequence[str]] = None) -> Dict:
     """Fig. 13: previously-proposed HW prefetchers, naive vs warp-id."""
-    naive_rows, wid_rows = [], []
-    _warm(runner, [
-        {"benchmark": name, "hardware": hw}
-        for name in _benchmarks(subset)
-        for hw in ("none",) + tuple(
-            p + suffix for p in FIG13_PREFETCHERS for suffix in ("", "_wid")
-        )
-    ])
-    for name in _benchmarks(subset):
-        naive = {"benchmark": name}
-        wid = {"benchmark": name}
-        for pref in FIG13_PREFETCHERS:
-            naive[pref] = runner.speedup(name, hardware=pref)
-            wid[pref] = runner.speedup(name, hardware=pref + "_wid")
-        naive_rows.append(naive)
-        wid_rows.append(wid)
+    table = _speedup_table(runner, subset, {
+        hw: {"hardware": hw}
+        for hw in (p + suffix for p in FIG13_PREFETCHERS for suffix in ("", "_wid"))
+    })
+
+    def half(suffix: str):
+        rows = [
+            {"benchmark": row["benchmark"],
+             **{p: row[p + suffix] for p in FIG13_PREFETCHERS}}
+            for row in table["rows"]
+        ]
+        return rows, {p: table["geomean"][p + suffix] for p in FIG13_PREFETCHERS}
+
+    naive_rows, naive_means = half("")
+    wid_rows, wid_means = half("_wid")
     return {
         "naive": naive_rows,
         "warp_id": wid_rows,
-        "geomean_naive": {
-            p: geometric_mean(r[p] for r in naive_rows) for p in FIG13_PREFETCHERS
-        },
-        "geomean_warp_id": {
-            p: geometric_mean(r[p] for r in wid_rows) for p in FIG13_PREFETCHERS
-        },
+        "geomean_naive": naive_means,
+        "geomean_warp_id": wid_means,
     }
 
 
 def figure14(runner: ExperimentRunner, subset: Optional[Sequence[str]] = None) -> Dict:
     """Fig. 14: MT-HWP table ablation (GHB vs PWS vs +GS vs +IP vs all)."""
-    rows = []
-    _warm(runner, [
-        {"benchmark": name, "hardware": hw}
-        for name in _benchmarks(subset)
-        for hw in ("none",) + FIG14_CONFIGS
-    ])
-    for name in _benchmarks(subset):
-        entry = {"benchmark": name}
-        for scheme in FIG14_CONFIGS:
-            entry[scheme] = runner.speedup(name, hardware=scheme)
-        rows.append(entry)
-    means = {s: geometric_mean(r[s] for r in rows) for s in FIG14_CONFIGS}
-    return {"rows": rows, "geomean": means}
+    return _speedup_table(
+        runner, subset, {scheme: {"hardware": scheme} for scheme in FIG14_CONFIGS}
+    )
 
 
 def figure15(runner: ExperimentRunner, subset: Optional[Sequence[str]] = None) -> Dict:
     """Fig. 15: throttling/feedback for hardware prefetchers."""
-    rows = []
-    labels = [h + ("+T" if t else "") for h, t in FIG15_SCHEMES]
-    _warm(runner, [
-        {"benchmark": name, "hardware": hw, "throttle": t}
-        for name in _benchmarks(subset)
-        for hw, t in (("none", False),) + FIG15_SCHEMES
-    ])
-    for name in _benchmarks(subset):
-        entry = {"benchmark": name}
-        for (hardware, throttle), label in zip(FIG15_SCHEMES, labels):
-            entry[label] = runner.speedup(name, hardware=hardware, throttle=throttle)
-        rows.append(entry)
-    means = {label: geometric_mean(r[label] for r in rows) for label in labels}
-    return {"rows": rows, "geomean": means}
+    return _speedup_table(runner, subset, {
+        hardware + ("+T" if throttle else ""):
+            {"hardware": hardware, "throttle": throttle}
+        for hardware, throttle in FIG15_SCHEMES
+    })
 
 
 # ----------------------------------------------------------------------
@@ -367,40 +357,12 @@ def figure16(
     sizes_kb: Sequence[int] = (1, 2, 4, 8, 16, 32, 64, 128),
 ) -> Dict:
     """Fig. 16: sensitivity to prefetch cache size (geomean speedup)."""
-    schemes = (
-        ("none", "mt-hwp", False, "MT-HWP"),
-        ("none", "mt-hwp", True, "MT-HWP+T"),
-        ("mt-swp", "none", False, "MT-SWP"),
-        ("mt-swp", "none", True, "MT-SWP+T"),
-    )
-    names = _benchmarks(subset)
-    result: Dict[str, Dict[int, float]] = {label: {} for *_, label in schemes}
-    configs = {
+    return _sensitivity(runner, subset, {
         size: baseline_config(
             prefetch_cache=PrefetchCacheConfig(size_bytes=size * 1024)
         )
         for size in sizes_kb
-    }
-    _warm(runner, [
-        {"benchmark": name, "software": sw, "hardware": hw, "throttle": t,
-         "config": configs[size]}
-        for name in names
-        for sw, hw, t in (
-            ("none", "none", False),
-        ) + tuple(s[:3] for s in schemes)
-        for size in sizes_kb
-    ])
-    for size, cfg in configs.items():
-        for software, hardware, throttle, label in schemes:
-            speedups = [
-                runner.speedup(
-                    name, software=software, hardware=hardware,
-                    throttle=throttle, config=cfg,
-                )
-                for name in names
-            ]
-            result[label][size] = geometric_mean(speedups)
-    return result
+    })
 
 
 def figure17(
@@ -409,22 +371,10 @@ def figure17(
     distances: Sequence[int] = (1, 3, 5, 7, 9, 11, 13, 15),
 ) -> Dict:
     """Fig. 17: sensitivity of MT-HWP to prefetch distance."""
-    names = _benchmarks(subset)
-    rows = []
-    _warm(runner, [
-        {"benchmark": name, **kwargs}
-        for name in names
-        for kwargs in [{}] + [
-            {"hardware": "mt-hwp", "distance": d} for d in distances
-        ]
-    ])
-    for name in names:
-        entry = {"benchmark": name}
-        for distance in distances:
-            entry[distance] = runner.speedup(name, hardware="mt-hwp", distance=distance)
-        rows.append(entry)
-    means = {d: geometric_mean(r[d] for r in rows) for d in distances}
-    return {"rows": rows, "geomean": means}
+    return _speedup_table(runner, subset, {
+        distance: {"hardware": "mt-hwp", "distance": distance}
+        for distance in distances
+    })
 
 
 def figure18(
@@ -433,32 +383,6 @@ def figure18(
     core_counts: Sequence[int] = (8, 10, 12, 14, 16, 18, 20),
 ) -> Dict:
     """Fig. 18: sensitivity to the number of cores (DRAM bandwidth fixed)."""
-    schemes = (
-        ("none", "mt-hwp", False, "MT-HWP"),
-        ("none", "mt-hwp", True, "MT-HWP+T"),
-        ("mt-swp", "none", False, "MT-SWP"),
-        ("mt-swp", "none", True, "MT-SWP+T"),
-    )
-    names = _benchmarks(subset)
-    result: Dict[str, Dict[int, float]] = {label: {} for *_, label in schemes}
-    configs = {cores: baseline_config(num_cores=cores) for cores in core_counts}
-    _warm(runner, [
-        {"benchmark": name, "software": sw, "hardware": hw, "throttle": t,
-         "config": configs[cores]}
-        for name in names
-        for sw, hw, t in (
-            ("none", "none", False),
-        ) + tuple(s[:3] for s in schemes)
-        for cores in core_counts
-    ])
-    for cores, cfg in configs.items():
-        for software, hardware, throttle, label in schemes:
-            speedups = [
-                runner.speedup(
-                    name, software=software, hardware=hardware,
-                    throttle=throttle, config=cfg,
-                )
-                for name in names
-            ]
-            result[label][cores] = geometric_mean(speedups)
-    return result
+    return _sensitivity(runner, subset, {
+        cores: baseline_config(num_cores=cores) for cores in core_counts
+    })

@@ -73,7 +73,6 @@ FSCK_SCHEMA = 1
 STATUSES = ("ok", "corrupt", "orphaned", "stale")
 
 _SCRATCH = re.compile(r"^\.tmp-(\d+)-")
-_LEGACY_SCRATCH = re.compile(r"\.tmp\.(\d+)$")
 _STEAL_TOMBSTONE = re.compile(r"\.lease\.steal\.(\d+)$")
 
 
@@ -303,12 +302,7 @@ def classify(
         )
     scratch = _SCRATCH.match(name)
     tombstone = _STEAL_TOMBSTONE.search(name)
-    legacy = _LEGACY_SCRATCH.search(name)
-    for match, sink in (
-        (scratch, "scratch"),
-        (tombstone, "lease"),
-        (legacy, "scratch"),
-    ):
+    for match, sink in ((scratch, "scratch"), (tombstone, "lease")):
         if match is None:
             continue
         alive = _dead_writer(match.group(1))

@@ -15,7 +15,9 @@ Software schemes (Figs. 10-11): ``none``, ``register``, ``stride``, ``ip``,
 :class:`ExperimentRunner` memoizes results by their full configuration so
 figure scripts that share runs (every figure needs the no-prefetch baseline)
 pay for each simulation once; it keeps failures too, so a point its sweep
-failed raises instead of being simulated again.  Sweep results are
+failed raises instead of being simulated again.  Its
+:meth:`~ExperimentRunner.grid` sweeps an exhibit's benchmarks x variants
+in one call and hands back the results.  Sweep results are
 stats-only, and a finished machine holds no reference cycle, so it is
 freed as its run ends; :class:`WorkloadMemo` keeps only the trace the
 sweep is working on.  :func:`run_spec` executes one spec under a
@@ -32,7 +34,9 @@ import json
 import math
 import warnings
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Mapping, Optional, Union
+from typing import (
+    Callable, Dict, Iterable, List, Mapping, NoReturn, Optional, Sequence, Union,
+)
 
 from repro.core.feedback import FeedbackGhbPrefetcher, LatenessThrottledStridePc
 from repro.core.ghb import GhbPrefetcher
@@ -507,6 +511,13 @@ def run_benchmark(
     ))
 
 
+def _raise_failure(failure: RunFailure) -> NoReturn:
+    """Raise a failed point as :meth:`ExperimentRunner.run` documents."""
+    if failure.exception is not None:
+        raise failure.exception
+    raise RunFailedError(failure)
+
+
 class ExperimentRunner:
     """Memoizing front end over the sweep engine.
 
@@ -630,20 +641,17 @@ class ExperimentRunner:
                 self._cache[key] = outcome
                 return outcome
             failure = self._failed[key] = outcome
-        if failure.exception is not None:
-            raise failure.exception
-        raise RunFailedError(failure)
+        _raise_failure(failure)
 
     def warm(self, requests: Iterable[Mapping[str, object]]) -> List[Outcome]:
         """Fan a grid of run requests out over the worker pool.
 
         Each request is a dict of :meth:`run` keyword arguments.  Results
-        land in the runner's memory (and disk) cache, so the figure code
-        that follows reads them back instantly and in deterministic
-        order.  Failed runs are returned as :class:`RunFailure` entries
-        in the corresponding slots and kept under their keys: neither a
-        later :meth:`warm` nor :meth:`run` attempts the point again, and
-        :meth:`run` raises its failure.
+        land in the runner's memory (and disk) cache and come back in
+        request order.  Failed runs are returned as :class:`RunFailure`
+        entries in the corresponding slots and kept under their keys:
+        neither a later :meth:`warm` nor :meth:`run` attempts the point
+        again, and :meth:`run` raises its failure.
         """
         pairs = []
         for request in requests:
@@ -663,9 +671,32 @@ class ExperimentRunner:
             for key, _ in pairs
         ]
 
-    def baseline(self, benchmark: str) -> SimulationResult:
-        """The no-prefetching run every figure normalizes against."""
-        return self.run(benchmark)
+    def grid(
+        self,
+        benchmarks: Sequence[str],
+        variants: Sequence[Mapping[str, object]],
+    ) -> List[List[SimulationResult]]:
+        """Simulate every benchmark under every variant in one sweep.
+
+        Each variant is a dict of :meth:`run` keyword arguments other
+        than ``benchmark``.  The one :meth:`warm` call lists the grid
+        benchmark by benchmark, each benchmark's variants in the order
+        given, so the runs of one trace (benchmark x software scheme)
+        sit next to each other as long as the variants list each
+        software scheme's runs together (DESIGN §5.5).  Returns one row
+        per benchmark: its variants' results, in order.  A failed point
+        raises as :meth:`run` raises it.
+        """
+        outcomes = self.warm(
+            {"benchmark": name, **variant}
+            for name in benchmarks
+            for variant in variants
+        )
+        for outcome in outcomes:
+            if isinstance(outcome, RunFailure):
+                _raise_failure(outcome)
+        width = len(variants)
+        return [outcomes[i * width:(i + 1) * width] for i in range(len(benchmarks))]
 
     def speedup(
         self,
@@ -716,11 +747,3 @@ def geometric_mean(values: Iterable[float]) -> float:
     if not vals:
         return 0.0
     return math.exp(sum(math.log(v) for v in vals) / len(vals))
-
-
-def arithmetic_mean(values: Iterable[float]) -> float:
-    """Plain average, used where the paper reports arithmetic means."""
-    vals = list(values)
-    if not vals:
-        return 0.0
-    return sum(vals) / len(vals)

@@ -6,8 +6,9 @@ host's wall clock go"; neither can answer *when* — yet the paper's
 arguments are temporal (merge ratios ramp as warps interleave, Eq. 6; the
 throttle reacts per period, Table I; Fig. 12's early bandwidth consumption
 is a time-series claim).  :class:`MetricsRecorder` closes that gap: an
-opt-in observer the main loop consults exactly like the profiler — a run
-without one pays a single ``is None`` branch per loop iteration — that
+opt-in observer, an entry of :attr:`GpuSimulator.hooks
+<repro.sim.gpu.GpuSimulator.hooks>` (a run without one pays nothing for
+it: the loop's one due-cycle test per iteration serves every hook), that
 samples a fixed schema of counters on a nominal cadence of
 ``interval`` simulated cycles (default
 :data:`~repro.sim.artifacts.DEFAULT_METRICS_INTERVAL`)

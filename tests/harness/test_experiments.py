@@ -89,6 +89,15 @@ class TestFigureFunctions:
         assert set(result["MT-SWP"]) == {8, 14}
 
 
+class UnreachableEngine:
+    """An engine no read may reach: an exhibit takes every point from
+    its one sweep, never simulating one alone outside ``--jobs`` and
+    ``--timeout``."""
+
+    def run(self, specs):
+        raise AssertionError(f"read a point its sweep did not warm: {specs}")
+
+
 class RecordingRunner(ExperimentRunner):
     """Records the specs each sweep would simulate, in serial order.
 
@@ -99,9 +108,13 @@ class RecordingRunner(ExperimentRunner):
 
     def __init__(self) -> None:
         super().__init__(scale=0.5, use_cache=False)
+        self.engine = UnreachableEngine()
         self.specs = []
+        self.warm_calls = 0
 
     def warm(self, requests):
+        self.warm_calls += 1
+        outcomes = []
         for request in requests:
             spec = self._spec(**request)
             key = fingerprint(spec)
@@ -110,7 +123,8 @@ class RecordingRunner(ExperimentRunner):
                 self._cache[key] = SimulationResult(
                     SimStats(cycles=1000, instructions=100)
                 )
-        return []
+            outcomes.append(self._cache[key])
+        return outcomes
 
 
 SWEPT_EXHIBITS = {
@@ -148,3 +162,14 @@ def test_exhibit_grid_reuses_each_trace_back_to_back(exhibit, monkeypatch):
         keys.append(WorkloadMemo.key(kernel, spec.software))
     assert memo.misses + memo.hits == len(keys) > 0
     assert memo.hits == len(keys) - len(set(keys))
+
+
+@pytest.mark.parametrize("exhibit", sorted(SWEPT_EXHIBITS))
+def test_exhibit_sweeps_its_whole_grid_once(exhibit):
+    """An exhibit sends its whole grid in one warm call and reads
+    nothing else: a second sweep, or a read of a point no sweep warmed
+    (which reaches the engine), fails here."""
+    runner = RecordingRunner()
+    SWEPT_EXHIBITS[exhibit](runner)
+    assert runner.warm_calls == 1
+    assert runner.specs

@@ -12,7 +12,6 @@ from repro.harness.runner import (
     HARDWARE_SCHEMES,
     ExperimentRunner,
     WorkloadMemo,
-    arithmetic_mean,
     geometric_mean,
     make_spec,
     resolve_software,
@@ -191,10 +190,6 @@ class TestMeans:
             assert geometric_mean([2.0, 0.0]) == 2.0  # nonpositive filtered
         with pytest.warns(RuntimeWarning, match="non-positive"):
             assert geometric_mean([0.0, -1.0]) == 0.0
-
-    def test_arithmetic_mean(self):
-        assert arithmetic_mean([1.0, 3.0]) == 2.0
-        assert arithmetic_mean([]) == 0.0
 
 
 class TestReportFormatting:

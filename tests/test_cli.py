@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.cli import main
+from repro.cli import FIGURES, main
 
 REPO_ROOT = Path(__file__).parent.parent
 
@@ -102,6 +102,50 @@ def test_figure_with_subset(capsys):
     assert main(["figure", "fig10", "--scale", "0.1", "--subset", "cell"]) == 0
     out = capsys.readouterr().out
     assert "cell" in out and "geomean" in out
+
+
+#: The first line each exhibit prints (Table VI prints a JSON document).
+FIGURE_TITLES = {
+    "table3": "Table III", "table4": "Table IV", "table6": "{",
+    "fig7": "Figure 7", "fig8": "Figure 8", "fig10": "Figure 10",
+    "fig11": "Figure 11", "fig12": "Figure 12", "fig13": "Figure 13a",
+    "fig14": "Figure 14", "fig15": "Figure 15", "fig16": "Figure 16",
+    "fig17": "Figure 17", "fig18": "Figure 18",
+}
+
+
+@pytest.mark.parametrize("name", list(FIGURES))
+def test_figure_renders_through_the_cli(name, capsys):
+    benchmark = "gaussian" if name == "table4" else "cell"
+    assert main(["figure", name, "--scale", "0.05", "--jobs", "1",
+                 "--no-cache", "--subset", benchmark]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == FIGURE_TITLES[name]
+
+
+@pytest.mark.parametrize("name, subset, outsider", [
+    ("table3", ["monte", "gaussian"], "gaussian"),
+    ("table4", ["cell"], "cell"),
+], ids=["table3", "table4"])
+def test_table_subset_without_a_paper_row_is_a_usage_error(
+    name, subset, outsider, monkeypatch, capsys
+):
+    """A paper table has rows for its own benchmarks only: another one
+    in its --subset stops the command, naming it, before anything
+    simulates."""
+    from repro.harness.sweep import SweepEngine
+
+    def no_sweep(self, specs):
+        raise AssertionError("simulated before rejecting the subset")
+
+    monkeypatch.setattr(SweepEngine, "run", no_sweep)
+    with pytest.raises(SystemExit) as excinfo:
+        main(["figure", name, "--scale", "0.05", "--no-cache",
+              "--subset", *subset])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = [l for l in captured.err.splitlines() if repr(outsider) in l]
+    assert "no row" in line
 
 
 def test_cache_dir_and_jobs_flags(tmp_path, capsys):
