@@ -109,7 +109,7 @@ from repro.harness.report import (
     format_sweep,
     format_table,
 )
-from repro.harness.runner import HARDWARE_SCHEMES, ExperimentRunner
+from repro.harness.runner import HARDWARE_SCHEMES, ExperimentRunner, SpecError
 from repro.harness.sweep import (
     DEFAULT_CHECKPOINT_INTERVAL,
     RunFailedError,
@@ -731,7 +731,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Later writes, and the flush at exit, go to os.devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 0
-    except experiments.SubsetError as exc:
+    except SpecError as exc:
+        # A rejected run parameter or subset, before anything simulates.
         parser.error(str(exc))
     except RunFailedError as exc:
         print(f"repro: {exc}", file=sys.stderr)

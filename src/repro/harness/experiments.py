@@ -15,7 +15,7 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, Optional, Sequence
 
 from repro.core.mt_hwp import hardware_cost_bits, hardware_cost_bytes
-from repro.harness.runner import ExperimentRunner, geometric_mean
+from repro.harness.runner import ExperimentRunner, SpecError, geometric_mean
 from repro.sim.config import GpuConfig, PrefetchCacheConfig, baseline_config
 from repro.trace.benchmarks import (
     MEMORY_BENCHMARKS,
@@ -46,7 +46,7 @@ SENSITIVITY_SCHEMES = {
 }
 
 
-class SubsetError(ValueError):
+class SubsetError(SpecError):
     """A subset names a benchmark the paper's table has no row for."""
 
 

@@ -11,7 +11,7 @@ document the report reads.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence
+from typing import Iterable, List, Mapping, Optional, Sequence
 
 
 def format_table(
@@ -69,26 +69,6 @@ def format_sweep(result: Mapping[str, Mapping], title: str, x_label: str) -> str
             row[scheme] = result[scheme][x]
         rows.append(row)
     return format_table(rows, [x_label] + schemes, title=title)
-
-
-def summarize_headline(
-    figure11_result: Mapping, figure15_result: Mapping
-) -> Dict[str, float]:
-    """The abstract's headline comparisons.
-
-    * MT-SWP+T over stride SWP (paper: +16%),
-    * MT-HWP+T over StridePC+T (paper: +15%),
-    * MT-SWP+T over baseline (paper: +36%),
-    * MT-HWP+T over baseline (paper: +29%).
-    """
-    swp = figure11_result["geomean"]
-    hwp = figure15_result["geomean"]
-    return {
-        "mt_swp_t_over_stride": swp["mt-swp+T"] / swp["stride"],
-        "mt_swp_t_over_baseline": swp["mt-swp+T"],
-        "mt_hwp_t_over_stride_pc_t": hwp["mt-hwp+T"] / hwp["stride_pc_throttle"],
-        "mt_hwp_t_over_baseline": hwp["mt-hwp+T"],
-    }
 
 
 def format_markdown_table(

@@ -220,6 +220,10 @@ def _normalize_scheme_args(
     return swp, hw_distance
 
 
+class SpecError(ValueError):
+    """A run parameter no simulation accepts, rejected before any runs."""
+
+
 def make_spec(
     benchmark: str,
     software: Union[str, SoftwarePrefetchConfig] = "none",
@@ -237,17 +241,17 @@ def make_spec(
     the same simulation produce the same spec, and therefore the same
     cache fingerprint.  Unknown software/hardware scheme names raise
     ``KeyError``, and nonsensical aggressiveness/scale values raise
-    ``ValueError`` — here, before anything is simulated or cached.
+    :class:`SpecError` — here, before anything is simulated or cached.
     """
     if distance is not None and distance < 1:
-        raise ValueError(
+        raise SpecError(
             f"prefetch distance must be >= 1 (or None for the scheme "
             f"default), got {distance}"
         )
     if degree < 1:
-        raise ValueError(f"prefetch degree must be >= 1, got {degree}")
+        raise SpecError(f"prefetch degree must be >= 1, got {degree}")
     if not scale > 0:
-        raise ValueError(
+        raise SpecError(
             f"scale must be a positive grid-scale factor, got {scale}"
         )
     swp, hw_distance = _normalize_scheme_args(software, hardware, distance)

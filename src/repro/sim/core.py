@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import weakref
 from time import perf_counter
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.base import HardwarePrefetcher
 from repro.core.throttle import ThrottleEngine, ThrottleWindow
@@ -45,7 +45,7 @@ class Core:
     __slots__ = (
         "core_id", "config", "prefetcher", "throttle", "mrq", "pcache", "warps",
         "_block_warps", "max_blocks", "port_free_cycle", "_rr_index",
-        "asleep", "wake_cycle", "sleep_credit", "woken",
+        "_issuable", "blocked", "sleep_credit", "woken",
         "_unfinished", "profiler", "_issue_cycles", "instructions",
         "prefetch_instructions", "demand_loads", "demand_line_accesses",
         "demand_lines_to_memory", "demand_latency_sum", "demand_latency_count",
@@ -59,6 +59,8 @@ class Core:
     #: the config and the issue-latency table built from it, and the
     #: simulator's profiler reference.
     snapshot_static = ("config", "profiler", "_issue_cycles")
+    #: The issue mask, rebuilt by :meth:`after_restore`.
+    snapshot_derived = ("_issuable",)
 
     def __init__(
         self,
@@ -78,16 +80,15 @@ class Core:
         self.max_blocks = 1
         self.port_free_cycle = 0
         self._rr_index = 0
-        # Sleep/wake scheduling state, driven by try_issue and consumed by
-        # the GPU main loop: a core whose issue attempt fails for a reason
-        # that cannot resolve by itself goes to sleep, and the loop skips
-        # its warp scan until ``wake_cycle`` passes or an external event
-        # (response, block dispatch, store freed at injection) sets
-        # ``woken``.  ``sleep_credit`` marks sleeps entered from a failed
-        # full scan, whose skipped polls must still accrue stall_cycles
-        # exactly as the polled scan would have.
-        self.asleep = False
-        self.wake_cycle: Optional[int] = None
+        # One bit per position of ``warps`` whose warp is unfinished and
+        # not parked on a load token.
+        self._issuable = 0
+        # The GPU main loop polls a core only while its port is free.  A
+        # core whose scan failed is ``blocked`` until a response, a block
+        # dispatch or a store freed at injection sets ``woken``; with
+        # ``sleep_credit`` its skipped polls accrue stall_cycles exactly
+        # as the polled scans would have.
+        self.blocked = False
         self.sleep_credit = False
         self.woken = False
         self.mrq.owner_core = weakref.proxy(self)
@@ -142,6 +143,22 @@ class Core:
             self.warps.append(warp)
             if not warp.finished:
                 self._unfinished += 1
+        self._reindex()
+
+    def _reindex(self) -> None:
+        """Number the warps by position and rebuild the issue mask."""
+        mask = 0
+        for slot, warp in enumerate(self.warps):
+            warp.slot = slot
+            if not (warp.finished or warp.parked):
+                mask |= 1 << slot
+        self._issuable = mask
+
+    def after_restore(self) -> None:
+        """Rebuild the issue mask, every warp unparked (the scan re-parks)."""
+        for warp in self.warps:
+            warp.parked = False
+        self._reindex()
 
     @property
     def resident_blocks(self) -> int:
@@ -181,6 +198,9 @@ class Core:
         return not self._block_warps and self._unfinished == 0
 
     def _retire_warp(self, warp: Warp) -> None:
+        """Account a warp that just finished; compact out a done block."""
+        self._unfinished -= 1
+        self._issuable ^= 1 << warp.slot
         remaining = self._block_warps.get(warp.block_id)
         if remaining is None:
             return
@@ -191,7 +211,7 @@ class Core:
             self.warps = [
                 w for w in self.warps if not (w.finished and w.block_id == done_block)
             ]
-            self._rr_index = 0
+            self._reindex()
         else:
             self._block_warps[warp.block_id] = remaining - 1
 
@@ -199,122 +219,99 @@ class Core:
     # Issue
     # ------------------------------------------------------------------
 
-    def try_issue(self, cycle: int) -> Tuple[bool, Optional[int]]:
-        """Attempt to issue one warp-instruction.
+    def try_issue(self, cycle: int) -> bool:
+        """Issue one warp-instruction if any warp can; True when one did.
 
-        Returns ``(issued, retry_cycle)``: ``retry_cycle`` is the earliest
-        future cycle worth re-attempting at (None when only an external
-        event — a memory response — can unblock the core).
-
-        Every call also refreshes the sleep/wake state: a failure whose
-        outcome is provably stable until ``retry_cycle`` or an external
-        wake event puts the core to sleep.  A failed scan that touched
-        :meth:`_issue_chunk` is *not* sleep-eligible — its probe has
-        per-poll side effects (prefetch-cache miss and MRQ full-rejection
-        counters) that must keep accruing each polled cycle.  An issue
-        puts the core straight into the port-busy sleep its next poll
-        would enter, until ``port_free_cycle``.
-
-        Non-memory instructions, the bulk of every stream, issue inline:
-        the port occupancy and :meth:`Warp.advance` are applied here
-        rather than through :meth:`_issue`.
+        Called only while the port is free and the core is not blocked.
+        The scan meets the warps whose issue-mask bit is set, from
+        ``_rr_index`` (wrapped once: a retired block may have been
+        compacted out from under it) upward, then from position 0.  A warp
+        whose next instruction waits on an incomplete load token is
+        parked: it loses its bit until :meth:`on_response` completes the
+        token.  A failed scan blocks the core unless it touched
+        :meth:`_issue_chunk`, whose probe has per-poll side effects
+        (prefetch-cache miss and MRQ full-rejection counters).  An issue
+        sets only ``_rr_index`` besides the port; non-memory
+        instructions, the bulk of every stream, issue inline.
         """
-        if self.port_free_cycle > cycle:
-            # The busy port blocks all issue until it frees, whatever else
-            # happens in between; no stall is charged on this path.
-            self.asleep = True
-            self.wake_cycle = self.port_free_cycle
-            self.sleep_credit = False
-            self.woken = False
-            return False, self.port_free_cycle
-        self.asleep = False
         warps = self.warps
         num_warps = len(warps)
         if num_warps == 0:
             # Nothing resident: only a block dispatch (or a straggler
             # response) changes anything, and both set ``woken``.
-            self.asleep = True
-            self.wake_cycle = None
+            self.blocked = True
             self.sleep_credit = False
             self.woken = False
-            return False, None
+            return False
         impure = False
-        min_ready: Optional[int] = None
-        index = self._rr_index
-        for _ in range(num_warps):
-            if index >= num_warps:
-                index -= num_warps
-            warp = warps[index]
-            index += 1
-            if warp.finished:
-                continue
-            ready_cycle = warp.ready_cycle
-            if ready_cycle > cycle:
-                if min_ready is None or ready_cycle < min_ready:
-                    min_ready = ready_cycle
-                continue
-            inst = warp.stream[warp.pc_index]
-            wait = inst.wait_tokens
-            if wait and not warp.tokens_done.issuperset(wait):
-                continue
-            if not inst.is_memory:
-                # _issue and Warp.advance, inlined for the common case.
-                free = cycle + self._issue_cycles[inst.op]
-                self.port_free_cycle = free
-                self.instructions += 1
-                pc_index = warp.pc_index + 1
-                warp.pc_index = pc_index
-                warp.ready_cycle = free
-                if pc_index >= len(warp.stream):
-                    warp.finished = True
-                    if warp.finish_cycle < 0:
-                        warp.finish_cycle = cycle
-                    self._unfinished -= 1
-                    self._retire_warp(warp)
-            elif warp.line_offset > 0:
-                # A chunked issue is in progress: the all-at-once room
-                # check must not run (completed early chunks would make
-                # the instruction look re-issuable from scratch).
-                if not self._issue_chunk(warp, inst, cycle):
-                    impure = True
+        mask = self._issuable
+        start = self._rr_index
+        if start >= num_warps:
+            start -= num_warps
+        high = mask >> start << start
+        for bits in (high, mask ^ high):
+            while bits:
+                bit = bits & -bits
+                bits ^= bit
+                index = bit.bit_length() - 1
+                warp = warps[index]
+                inst = warp.stream[warp.pc_index]
+                wait = inst.wait_tokens
+                if wait and not warp.tokens_done.issuperset(wait):
+                    warp.parked = True
+                    self._issuable ^= bit
                     continue
-            elif (
-                inst.global_memory
-                and inst.op != Op.PREFETCH
-                and not self._mrq_has_room(inst)
-            ):
-                # A prefetch that does not fit still issues: a
-                # throttle-style structural drop never stalls the warp,
-                # the instruction retires and its requests are dropped.
-                if self._mrq_new_lines(inst) <= self.mrq.size:
-                    # Structural stall: MRQ space frees when a response
-                    # arrives (an external event), but responses are only
-                    # observed on event boundaries anyway.
-                    continue
-                # The instruction alone needs more MRQ entries than
-                # exist: the all-at-once check can never pass and
-                # stalling here would deadlock.  Issue it in chunks.
-                if not self._issue_chunk(warp, inst, cycle):
-                    impure = True
-                    continue
-            else:
-                self._issue(warp, inst, cycle)
-            self._rr_index = index if index < num_warps else 0
-            self.asleep = True
-            self.wake_cycle = self.port_free_cycle
-            self.sleep_credit = False
-            self.woken = False
-            return True, None
+                if not inst.is_memory:
+                    # _issue and Warp.advance, inlined for the common case.
+                    self.port_free_cycle = cycle + self._issue_cycles[inst.op]
+                    self.instructions += 1
+                    pc_index = warp.pc_index + 1
+                    warp.pc_index = pc_index
+                    if pc_index >= len(warp.stream):
+                        warp.finished = True
+                        if warp.finish_cycle < 0:
+                            warp.finish_cycle = cycle
+                        self._retire_warp(warp)
+                elif warp.line_offset > 0:
+                    # A chunked issue is in progress: the all-at-once room
+                    # check must not run (completed early chunks would make
+                    # the instruction look re-issuable from scratch).
+                    if not self._issue_chunk(warp, inst, cycle):
+                        impure = True
+                        continue
+                elif (
+                    inst.global_memory
+                    and inst.op != Op.PREFETCH
+                    and not self._mrq_has_room(inst)
+                ):
+                    # A prefetch that does not fit still issues: a
+                    # throttle-style structural drop never stalls the warp,
+                    # the instruction retires and its requests are dropped.
+                    if self._mrq_new_lines(inst) <= self.mrq.size:
+                        # Structural stall: MRQ space frees when a response
+                        # arrives (an external event), but responses are
+                        # only observed on event boundaries anyway.
+                        continue
+                    # The instruction alone needs more MRQ entries than
+                    # exist: the all-at-once check can never pass and
+                    # stalling here would deadlock.  Issue it in chunks.
+                    if not self._issue_chunk(warp, inst, cycle):
+                        impure = True
+                        continue
+                else:
+                    self._issue(warp, inst, cycle)
+                index += 1
+                self._rr_index = index if index < num_warps else 0
+                return True
         self.stall_cycles += 1
         if not impure:
             # The failed scan was side-effect free, so its outcome cannot
-            # change before min_ready or an external wake event; skipped
-            # polls accrue stall_cycles via sleep_credit.
-            self.asleep = True
-            self.wake_cycle = min_ready
+            # change before an external wake event; skipped polls accrue
+            # stall_cycles via sleep_credit.
+            self.blocked = True
             self.sleep_credit = True
             self.woken = False
-        return False, min_ready
+        return False
 
     def _mrq_new_lines(self, inst: WarpInstruction) -> int:
         """Distinct lines of ``inst`` needing a fresh MRQ entry right now."""
@@ -345,8 +342,7 @@ class Core:
     def _issue(self, warp: Warp, inst: WarpInstruction, cycle: int) -> None:
         """Issue one warp-instruction: occupy the port, run its side effects."""
         op = inst.op
-        occupancy = self._issue_cycles[op]
-        self.port_free_cycle = cycle + occupancy
+        self.port_free_cycle = cycle + self._issue_cycles[op]
         self.instructions += 1
         if op == Op.LOAD:
             self._issue_load(warp, inst, cycle)
@@ -355,9 +351,8 @@ class Core:
         elif op == Op.PREFETCH:
             self.prefetch_instructions += 1
             self._issue_software_prefetch(warp, inst, cycle)
-        warp.advance(cycle, cycle + occupancy)
+        warp.advance(cycle)
         if warp.finished:
-            self._unfinished -= 1
             self._retire_warp(warp)
 
     def _issue_load(self, warp: Warp, inst: WarpInstruction, cycle: int) -> None:
@@ -414,7 +409,7 @@ class Core:
         MRQ holds in total (``_mrq_new_lines(inst) > mrq.size``), so the
         all-at-once room check of :meth:`_issue` can never be satisfied.
         Lines are routed from ``warp.line_offset`` until the MRQ rejects
-        one; the warp then stays parked on the instruction (occupying
+        one; the warp then stays on the instruction (occupying
         the issue port per chunk, like a real memory stage draining a
         too-wide access) and resumes as responses free entries.  Returns
         True when any progress was made (the caller treats it as an
@@ -455,8 +450,7 @@ class Core:
         done = offset >= len(lines)
         if offset == warp.line_offset and not done:
             return False
-        occupancy = self._issue_cycles[op]
-        self.port_free_cycle = cycle + occupancy
+        self.port_free_cycle = cycle + self._issue_cycles[op]
         if first:
             self.instructions += 1
             if op == Op.LOAD:
@@ -466,13 +460,11 @@ class Core:
             warp.begin_load_chunk(inst.token, pending, final=done)
         if done:
             warp.line_offset = 0
-            warp.advance(cycle, cycle + occupancy)
+            warp.advance(cycle)
             if warp.finished:
-                self._unfinished -= 1
                 self._retire_warp(warp)
         else:
             warp.line_offset = offset
-            warp.ready_cycle = cycle + occupancy
         return True
 
     def _issue_store(self, warp: Warp, inst: WarpInstruction, cycle: int) -> None:
@@ -554,7 +546,10 @@ class Core:
             self.demand_latency_sum += cycle - entry.create_cycle
             self.demand_latency_count += 1
         for warp, token in entry.waiters:
-            warp.line_complete(token)
+            if warp.line_complete(token) and warp.parked:
+                if warp.deps_ready(warp.stream[warp.pc_index]):
+                    warp.parked = False
+                    self._issuable |= 1 << warp.slot
         if entry.was_prefetch:
             if entry.late_prefetch:
                 self.late_prefetches += 1

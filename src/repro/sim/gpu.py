@@ -363,45 +363,33 @@ class GpuSimulator:
                     t_now = timer()
                     prof_wall["dispatch"] += t_now - t_phase
                     t_phase = t_now
-            # 6. Issue.  Sleeping cores are skipped: their last issue
-            # attempt failed (or issued and left the port busy) for a
-            # reason proven stable until wake_cycle or an external
-            # ``woken`` event, so the skipped poll's only observable
-            # effects — the stall_cycles increment and the retry
-            # candidate — are replayed here verbatim, keeping stats
-            # bit-identical to polling every core every eventful cycle.
+            # 6. Issue.  A core is polled only when its port is free and it
+            # is not blocked, or a ``woken`` event (response, block
+            # dispatch, store freed at injection) reached it since its
+            # scan failed.  A busy port is its event candidate; a skipped
+            # credit block replays its poll's stall_cycles increment,
+            # keeping stats bit-identical to polling every eventful cycle.
             next_event = NEVER
             issued_any = False
             for core in cores:
-                if core.asleep:
-                    wake = core.wake_cycle
-                    if wake is None or wake > cycle:
-                        if not core.woken:
-                            if core.sleep_credit:
-                                core.stall_cycles += 1
-                            if wake is not None and wake < next_event:
-                                next_event = wake
-                            continue
-                        if core.port_free_cycle > cycle:
-                            # Woken while its port is busy: the poll
-                            # would only re-enter this same sleep, whose
-                            # wake_cycle is the port's release.
-                            core.woken = False
-                            if wake < next_event:
-                                next_event = wake
-                            continue
-                    core.asleep = False
-                    core.woken = False
-                issued, retry = core.try_issue(cycle)
-                if issued:
+                free = core.port_free_cycle
+                if free > cycle:
+                    if free < next_event:
+                        next_event = free
+                    continue
+                if core.blocked:
+                    if not core.woken:
+                        if core.sleep_credit:
+                            core.stall_cycles += 1
+                        continue
+                    core.blocked = False
+                if core.try_issue(cycle):
                     issued_any = True
-                    wake = core.port_free_cycle
-                    if wake < next_event:
-                        next_event = wake
+                    free = core.port_free_cycle
+                    if free < next_event:
+                        next_event = free
                     if core.mrq._send_queue:
                         send_pending = True
-                elif retry is not None and retry < next_event:
-                    next_event = retry
             if prof is not None:
                 t_now = timer()
                 prof_wall["issue"] += t_now - t_phase

@@ -16,6 +16,10 @@ run.  It verifies:
 * **Warp/block retirement accounting** — per core,
   ``warps_assigned == warps_retired + active`` and each resident
   block's outstanding-warp count matches the live warp list.
+* **Issue scan** — per core, each warp's ``slot`` is its position in
+  ``Core.warps``, the issue mask has a bit set exactly for the
+  unfinished, unparked warps, and every parked warp is unfinished and
+  waits on an incomplete load token (so a response can unpark it).
 * **Posted due cycles** — each DRAM channel's posted ``due_cycle``
   equals the next-event cycle recomputed from its buffers, and the
   DRAM's posted cycle equals their minimum: the run loop visits DRAM
@@ -172,7 +176,9 @@ class InvariantChecker:
             checker with a weak proxy of itself, so the pair forms no
             reference cycle and a finished machine frees by reference
             counting.
-        interval: Simulated cycles between mid-run check passes.
+        interval: Simulated cycles between mid-run check passes; the
+            default is short enough that runs of a few thousand cycles
+            (diffcheck's fuzzed kernels, most tests) get checked mid-run.
         watchdog_window: Simulated cycles without any activity
             (instructions retired, requests completed, DRAM lines
             transferred) after which the run is declared wedged.
@@ -193,7 +199,7 @@ class InvariantChecker:
     def __init__(
         self,
         sim,
-        interval: int = 100_000,
+        interval: int = 2_000,
         watchdog_window: int = 4_000_000,
     ) -> None:
         self.sim = sim
@@ -248,6 +254,7 @@ class InvariantChecker:
         violations.extend(self._check_retirement_accounting())
         violations.extend(self._check_prefetch_ledgers(final=False))
         violations.extend(self._check_posted_due_cycles(cycle))
+        violations.extend(self._check_issue_scan())
         self._raise_if(violations, cycle)
 
     def check_final(self, cycle: int, truncated: bool = False) -> None:
@@ -344,6 +351,31 @@ class InvariantChecker:
                         f"{outstanding} unretired warp(s) but "
                         f"{live.get(block_id, 0)} are live"
                     )
+        return violations
+
+    def _check_issue_scan(self) -> List[str]:
+        """Each core's slots, issue mask and parked warps match its warps."""
+        violations = []
+        for core in self.sim.cores:
+            expected = 0
+            for position, warp in enumerate(core.warps):
+                if warp.slot != position:
+                    violations.append(
+                        f"core {core.core_id} warp {warp.warp_id} at "
+                        f"position {position} holds slot {warp.slot}"
+                    )
+                if warp.parked and not warp.blocked_on_tokens():
+                    violations.append(
+                        f"core {core.core_id} warp {warp.warp_id} is parked "
+                        "but has finished or waits on no load token"
+                    )
+                if not (warp.finished or warp.parked):
+                    expected |= 1 << position
+            if core._issuable != expected:
+                violations.append(
+                    f"core {core.core_id} issue mask {core._issuable:#x} != "
+                    f"{expected:#x}, its unfinished unparked warps"
+                )
         return violations
 
     def _check_posted_due_cycles(self, cycle: int) -> List[str]:

@@ -3,8 +3,7 @@
 A warp is the smallest unit of hardware execution (paper Section II-A).  The
 core's in-order scheduler issues one warp-instruction at a time from some
 ready warp, switching warps when source operands are not ready.  Warp state
-tracks the position in the warp's trace, the outstanding load tokens, and the
-earliest cycle the warp may issue again.
+tracks the position in the warp's trace and the outstanding load tokens.
 """
 
 from __future__ import annotations
@@ -22,24 +21,26 @@ class Warp:
         "block_id",
         "stream",
         "pc_index",
-        "ready_cycle",
         "tokens_done",
         "_pending_lines",
         "finish_cycle",
         "finished",
         "line_offset",
+        "slot",
+        "parked",
     )
 
     #: The instruction stream is static: a snapshot does not store it, and
     #: restore re-links it by warp id (``GpuSimulator.after_restore``).
     snapshot_static = ("stream",)
+    #: The core's scan state, rebuilt by ``Core.after_restore``.
+    snapshot_derived = ("slot", "parked")
 
     def __init__(self, warp_id: int, block_id: int, stream: List[WarpInstruction]) -> None:
         self.warp_id = warp_id
         self.block_id = block_id
         self.stream = stream
         self.pc_index = 0
-        self.ready_cycle = 0
         self.tokens_done: Set[int] = set()
         self._pending_lines: Dict[int, int] = {}
         self.finish_cycle = -1
@@ -55,6 +56,11 @@ class Warp:
         #: ``Core.try_issue``'s compute path) moves ``pc_index``, so it is
         #: updated there.
         self.finished = not stream
+        #: Position in the owning core's warp list (its issue-mask bit).
+        self.slot = 0
+        #: True while the core's scan has set the warp aside because its
+        #: next instruction waits on an incomplete load token.
+        self.parked = False
 
     def peek(self) -> Optional[WarpInstruction]:
         """The next instruction to issue, or None when finished."""
@@ -68,12 +74,6 @@ class Warp:
         if not wait:
             return True
         return self.tokens_done.issuperset(wait)
-
-    def issuable(self, cycle: int) -> bool:
-        """True when the warp can issue its next instruction this cycle."""
-        if self.finished or self.ready_cycle > cycle:
-            return False
-        return self.deps_ready(self.stream[self.pc_index])
 
     def blocked_on_tokens(self) -> bool:
         """True when the next instruction waits on an outstanding load."""
@@ -125,11 +125,9 @@ class Warp:
         self._pending_lines[token] = remaining - 1
         return False
 
-    def advance(self, cycle: int, next_ready: int) -> None:
-        """Consume the current instruction; warp may issue again at
-        ``next_ready``."""
+    def advance(self, cycle: int) -> None:
+        """Consume the current instruction (issued at ``cycle``)."""
         self.pc_index += 1
-        self.ready_cycle = next_ready
         if self.pc_index >= len(self.stream):
             self.finished = True
             if self.finish_cycle < 0:

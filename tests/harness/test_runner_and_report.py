@@ -6,7 +6,6 @@ from repro.harness.report import (
     format_speedup_figure,
     format_sweep,
     format_table,
-    summarize_headline,
 )
 from repro.harness.runner import (
     HARDWARE_SCHEMES,
@@ -217,16 +216,6 @@ class TestReportFormatting:
         out = format_sweep(result, "Sweep", "x")
         assert "Sweep" in out
         assert out.splitlines()[1].startswith("x")
-
-    def test_summarize_headline(self):
-        fig11 = {"geomean": {"register": 1.0, "stride": 1.2,
-                             "mt-swp": 1.35, "mt-swp+T": 1.38}}
-        fig15 = {"geomean": {"ghb_wid": 1.0, "ghb_feedback": 1.05,
-                             "stride_pc_wid": 1.1, "stride_pc_throttle": 1.12,
-                             "mt-hwp": 1.28, "mt-hwp+T": 1.30}}
-        headline = summarize_headline(fig11, fig15)
-        assert headline["mt_swp_t_over_stride"] == pytest.approx(1.38 / 1.2)
-        assert headline["mt_hwp_t_over_stride_pc_t"] == pytest.approx(1.30 / 1.12)
 
 
 class TestBarChart:

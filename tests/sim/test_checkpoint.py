@@ -190,36 +190,42 @@ def test_resume_is_bit_identical_to_golden(request_, tmp_path):
 def test_resume_mid_sleep_is_bit_identical(tmp_path):
     """Snapshots taken with cores mid-sleep resume to the golden stats.
 
-    The per-core sleep/wake scheduler keeps ``asleep`` / ``wake_cycle`` /
-    ``sleep_credit`` state between loop iterations, so a snapshot can
-    land while cores are asleep — including credit sleeps, where the
-    resumed run must keep accruing the skipped polls' stall cycles.
-    This test snapshots densely, keeps only instants where at least one
-    core is asleep, and requires the kept set to cover both a credit
-    sleep (skipped polls still accruing stalls) and a pinned wake cycle
-    (the scheduled-retry path); every such resume must reproduce the
-    golden capture byte for byte.
+    Between loop iterations a core can be waiting on its busy port
+    (until ``port_free_cycle``) or ``blocked`` until an external event,
+    and its warps can be parked on load tokens.  ``blocked`` and
+    ``sleep_credit`` are stored, so a resumed credit block keeps
+    accruing the skipped polls' stall cycles; the parked flags and the
+    issue mask are derived, rebuilt unparked on restore.  This test
+    snapshots densely, keeps only instants that caught one of the
+    three, requires the kept set to cover all three, and resumes the
+    first snapshot of each kind and the first four; every such resume
+    must reproduce the golden capture byte for byte.
     """
     request_ = {"benchmark": "stream", "hardware": "stride_pc_wid",
                 "scale": 0.5, "software": "none"}
     spec = make_spec(**request_)
     sim = build_sim(spec)
     paths = []
-    credit_sleep_seen = False
-    pinned_wake_seen = False
+    first_caught = {}  # kind of sleep -> first snapshot that caught it
 
     def writer(s):
-        nonlocal credit_sleep_seen, pinned_wake_seen
-        sleeping = [core for core in s.cores if core.asleep]
-        if not sleeping:
+        kinds = {
+            "credit block": any(
+                core.blocked and core.sleep_credit for core in s.cores
+            ),
+            "busy port": any(core.port_free_cycle > s.cycle for core in s.cores),
+            "parked warp": any(
+                warp.parked for core in s.cores for warp in core.warps
+            ),
+        }
+        if not any(kinds.values()):
             return
-        credit_sleep_seen |= any(core.sleep_credit for core in sleeping)
-        pinned_wake_seen |= any(
-            core.wake_cycle is not None for core in sleeping
-        )
         path = Path(tmp_path) / f"sleep-{s.cycle}.ckpt.json"
         write_checkpoint(path, s, fingerprint=fingerprint(spec))
         paths.append(path)
+        for kind, caught in kinds.items():
+            if caught:
+                first_caught.setdefault(kind, path)
 
     # Dense, off-phase with wake periods.
     sim.hooks.append(PeriodicHook(401, writer, sim.cycle))
@@ -227,10 +233,8 @@ def test_resume_mid_sleep_is_bit_identical(tmp_path):
     result.stats.benchmark = BUILT[sim].kernel.name
     expected = golden_sha(request_)
     assert stats_sha(result) == expected
-    assert paths, "no snapshot ever caught a core asleep"
-    assert credit_sleep_seen, "no snapshot caught a credit sleep"
-    assert pinned_wake_seen, "no snapshot caught a pinned wake cycle"
-    for path in paths[:4]:
+    assert sorted(first_caught) == ["busy port", "credit block", "parked warp"]
+    for path in sorted(set(paths[:4]) | set(first_caught.values())):
         resumed = resume_from(path, spec)
         assert stats_sha(resumed) == expected, (
             f"mid-sleep resume from {path.name} diverged"

@@ -23,13 +23,11 @@ class TestIssue:
     def test_compute_occupies_port(self):
         core = make_core()
         core.assign_block(one_warp_block([compute(), compute()]))
-        issued, _ = core.try_issue(0)
-        assert issued
+        assert core.try_issue(0)
+        # The run loop polls the core again once its port frees.
         assert core.port_free_cycle == 4
-        issued, retry = core.try_issue(1)
-        assert not issued and retry == 4
-        issued, _ = core.try_issue(4)
-        assert issued
+        assert core.try_issue(4)
+        assert core.port_free_cycle == 8
 
     def test_imul_fdiv_latencies(self):
         core = make_core()
@@ -57,8 +55,7 @@ class TestIssue:
         core.assign_block(one_warp_block(stream))
         core.try_issue(0)
         assert len(core.mrq) == 0
-        issued, _ = core.try_issue(4)
-        assert issued  # dependent compute not blocked
+        assert core.try_issue(4)  # dependent compute not blocked
 
     def test_warp_switch_on_dependency(self):
         core = make_core()
@@ -66,27 +63,29 @@ class TestIssue:
             [load(0x10, 0, [0]), compute(0x20, wait_tokens=[0])], 0, 0))
         core.assign_block(one_warp_block([compute(0x30)], 1, 1))
         core.try_issue(0)   # warp 0 load
-        issued, _ = core.try_issue(4)
-        assert issued       # switches to warp 1's compute
-        issued, _ = core.try_issue(8)
-        assert not issued   # both blocked/done until the response
+        assert core.try_issue(4)        # switches to warp 1's compute
+        assert not core.try_issue(8)    # both blocked/done until the response
+        assert core.blocked and core.sleep_credit
+        assert core.warps[0].parked
 
     def test_response_unblocks_waiter(self):
         core = make_core()
         core.assign_block(one_warp_block(
             [load(0x10, 0, [0]), compute(0x20, wait_tokens=[0])]))
         core.try_issue(0)
+        assert not core.try_issue(4)    # the dependent compute parks the warp
+        assert core.warps[0].parked and core._issuable == 0
         request = core.mrq.pop_sendable(1)
         core.on_response(request, 500)
-        issued, _ = core.try_issue(500)
-        assert issued
+        assert core.woken
+        assert not core.warps[0].parked and core._issuable == 1
+        assert core.try_issue(500)
 
     def test_store_fire_and_forget(self):
         core = make_core()
         core.assign_block(one_warp_block([store(0x10, [0]), compute(0x20)]))
         core.try_issue(0)
-        issued, _ = core.try_issue(4)
-        assert issued  # store never blocks the warp
+        assert core.try_issue(4)  # store never blocks the warp
 
     def test_block_retires_and_frees_slot(self):
         core = make_core()
@@ -161,8 +160,7 @@ class TestPrefetchEngine:
             [load(0x10, 0, [0]), compute(0x20, wait_tokens=[0])]))
         core.try_issue(0)
         assert len(core.mrq) == 0          # served by the prefetch cache
-        issued, _ = core.try_issue(4)
-        assert issued                       # token completed at issue
+        assert core.try_issue(4)            # token completed at issue
 
     def test_late_prefetch_accounting_on_response(self):
         core = make_core()
@@ -182,6 +180,6 @@ class TestStructuralStalls:
         core.assign_block(one_warp_block([load(0x20, 0, [64])], 1, 1))
         core.assign_block(one_warp_block([prefetch(0x80, [128])], 2, 2))
         core.try_issue(0)                  # fills the single MRQ slot
-        issued, _ = core.try_issue(4)      # warp 1's load cannot allocate ...
-        assert issued                      # ... but warp 2's prefetch issues
+        # Warp 1's load cannot allocate, but warp 2's prefetch issues.
+        assert core.try_issue(4)
         assert core.mrq.total_prefetch_dropped_full == 1

@@ -97,12 +97,13 @@ def test_rerun_continues_from_clean_state():
 
 
 def test_response_to_a_busy_core_skips_its_poll(monkeypatch):
-    """A response that reaches a core whose issue port is busy leaves it
-    asleep: polling it could only re-enter the same port-busy sleep.
+    """A response that reaches a core whose issue port is busy does not
+    poll it: the loop reads the port before anything else, and a busy
+    core is never ``blocked``, so the port's release polls it anyway.
 
     The same workload is run twice, once as the loop runs it and once
-    with every response forcing the poll; the forced run must poll a
-    busy port, the loop's own run never, and the stats must agree.
+    with every response to a busy core taking back its ``woken`` flag;
+    neither run may poll a busy port, and the stats must agree.
     """
     # Warp 0's load returns while warp 1's 32-cycle FDIVs keep the
     # port busy on all but one cycle in 32.
@@ -113,21 +114,23 @@ def test_response_to_a_busy_core_skips_its_poll(monkeypatch):
     try_issue = Core.try_issue
     on_response = Core.on_response
 
-    def run(force_poll):
+    def run(unwake):
         busy_polls = []
         busy_responses = []
 
         def spied_try_issue(core, cycle):
-            if core.port_free_cycle > cycle:
+            if core.port_free_cycle > cycle or core.blocked:
                 busy_polls.append(cycle)
             return try_issue(core, cycle)
 
         def spied_on_response(core, request, cycle):
-            if core.port_free_cycle > cycle:
+            busy = core.port_free_cycle > cycle
+            if busy:
+                assert not core.blocked
                 busy_responses.append(cycle)
             on_response(core, request, cycle)
-            if force_poll:
-                core.asleep = False
+            if busy and unwake:
+                core.woken = False
 
         monkeypatch.setattr(Core, "try_issue", spied_try_issue)
         monkeypatch.setattr(Core, "on_response", spied_on_response)
@@ -135,9 +138,10 @@ def test_response_to_a_busy_core_skips_its_poll(monkeypatch):
         sim.load_workload(blocks, 2)
         return sim.run().stats.to_dict(), busy_polls, busy_responses
 
-    stats, busy_polls, busy_responses = run(force_poll=False)
+    stats, busy_polls, busy_responses = run(unwake=False)
     assert busy_responses, "no response reached a busy core"
     assert busy_polls == []
-    forced_stats, forced_polls, _ = run(force_poll=True)
-    assert forced_polls == busy_responses
-    assert forced_stats == stats
+    unwoken_stats, unwoken_polls, unwoken_responses = run(unwake=True)
+    assert unwoken_responses == busy_responses
+    assert unwoken_polls == []
+    assert unwoken_stats == stats

@@ -27,6 +27,7 @@ from repro.sim.errors import (
 from repro.sim.gpu import (
     INVARIANTS_ENV,
     GpuSimulator,
+    PeriodicHook,
     invariants_enabled_from_env,
 )
 from repro.sim.invariants import (
@@ -95,6 +96,20 @@ class TestHealthyRuns:
         assert sim.invariants.checks > 1
         assert sim.invariants.violations_found == 0
 
+    def test_issue_scan_holds_at_every_visited_cycle(self):
+        """Warps park on their dependent instructions and the responses
+        unpark them; each core's issue mask stays exact throughout."""
+        sim = GpuSimulator(baseline_config(num_cores=2), invariants=True)
+        sim.invariants = InvariantChecker(sim, interval=1)
+        sim.load_workload([memory_block(b) for b in range(4)], 2)
+        parked = []
+        sim.hooks.append(PeriodicHook(1, lambda s: parked.append(any(
+            warp.parked for core in s.cores for warp in core.warps)), 0))
+        result = sim.run()
+        assert not result.truncated
+        assert any(parked)
+        assert sim.invariants.checks > 50
+
     def test_snapshot_is_json_serializable(self):
         sim = GpuSimulator(baseline_config(num_cores=2), invariants=True)
         sim.load_workload([memory_block(0)], 1)
@@ -151,6 +166,28 @@ class TestInjectedCorruption:
         violations = excinfo.value.violations
         assert any("channel 3 posts due cycle 42" in v for v in violations)
         assert any("minimum of its channels" in v for v in violations)
+
+    def test_corrupted_issue_mask_is_caught(self):
+        sim = GpuSimulator(baseline_config(num_cores=2), invariants=True)
+        sim.load_workload([memory_block(0)], 1)
+        sim.invariants.check(0)  # both resident warps may issue
+        sim.cores[0]._issuable ^= 1 << 1  # the second loses its bit
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.invariants.check(0)
+        assert any("core 0 issue mask 0x1 != 0x3" in v
+                   for v in excinfo.value.violations)
+
+    def test_parked_warp_that_can_issue_is_caught(self):
+        sim = GpuSimulator(baseline_config(num_cores=2), invariants=True)
+        sim.load_workload([memory_block(0)], 1)
+        core = sim.cores[0]
+        core.warps[0].parked = True  # its first load waits on nothing
+        core._issuable = 0b10
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.invariants.check(0)
+        [violation] = excinfo.value.violations
+        assert "core 0 warp 0 is parked but has finished or waits on no " \
+            "load token" in violation
 
 
 class TestDeadlockDiagnosis:

@@ -48,37 +48,30 @@ class TestWarp:
     def test_initial_state(self):
         warp = self.make_warp()
         assert not warp.finished
-        assert warp.issuable(0)
+        assert not warp.blocked_on_tokens()
+        assert not warp.parked
         assert warp.peek().op == Op.LOAD
 
     def test_dependency_blocks_until_lines_complete(self):
         warp = self.make_warp()
         warp.begin_load(0, num_lines=2)
-        warp.advance(0, 4)          # past the load
-        warp.advance(4, 8)          # past the independent compute
-        assert not warp.issuable(8)          # waits on token 0
-        assert warp.blocked_on_tokens()
+        warp.advance(0)             # past the load
+        warp.advance(4)             # past the independent compute
+        assert warp.blocked_on_tokens()      # waits on token 0
         assert not warp.line_complete(0)     # one of two lines
         assert warp.line_complete(0)         # second line completes token
-        assert warp.issuable(8)
+        assert not warp.blocked_on_tokens()
 
     def test_zero_line_load_completes_immediately(self):
         warp = self.make_warp()
         warp.begin_load(0, num_lines=0)
         assert 0 in warp.tokens_done
 
-    def test_ready_cycle_gates_issue(self):
-        warp = self.make_warp()
-        warp.begin_load(0, 0)
-        warp.advance(0, 10)
-        assert not warp.issuable(9)
-        assert warp.issuable(10)
-
     def test_finish_records_cycle(self):
         warp = self.make_warp()
         warp.begin_load(0, 0)
         for cycle in (0, 4, 8):
-            warp.advance(cycle, cycle + 4)
+            warp.advance(cycle)
         assert warp.finished
         assert warp.finish_cycle == 8
         assert warp.peek() is None

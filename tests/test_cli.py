@@ -242,6 +242,33 @@ def test_checkpoint_dir_resumes_an_interrupted_run(tmp_path, capsys):
     assert not snapshot.exists(), "consumed snapshot must be removed"
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["run", "cell", "--distance", "0", "--scale", "0.05", "--no-cache"],
+     "prefetch distance must be >= 1"),
+    (["figure", "fig10", "--scale", "0", "--no-cache", "--subset", "cell"],
+     "scale must be a positive grid-scale factor"),
+], ids=["run-distance", "figure-scale"])
+def test_rejected_run_parameter_is_a_usage_error(
+    argv, message, monkeypatch, capsys
+):
+    """A run parameter ``make_spec`` rejects stops the command as the
+    sweep engine's own rejections do: exit 2 and one ``repro: error:``
+    line, before anything simulates."""
+    from repro.harness.sweep import SweepEngine
+
+    def no_sweep(self, specs):
+        raise AssertionError("simulated before rejecting the parameter")
+
+    monkeypatch.setattr(SweepEngine, "run", no_sweep)
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    [line] = [l for l in captured.err.splitlines() if "error" in l]
+    assert line.startswith("repro: error: ") and message in line
+
+
 @pytest.mark.parametrize("flag", [
     "--metrics-interval", "--checkpoint-interval", "--heartbeat-interval",
 ])
