@@ -54,8 +54,9 @@ sweep flags:
   ``--checkpoint-interval N`` (periodic snapshots; re-invoking with the
   same directory resumes an interrupted run bit-identically),
   and ``--heartbeat-interval S`` (liveness heartbeats from pooled runs,
-  which ``fsck`` audits; nothing kills a run for a stale heartbeat,
-  ``--timeout`` bounds a stuck one).
+  written into a private temporary directory that the sweep deletes
+  when it ends; nothing reads them, and ``--timeout`` bounds a stuck
+  run).
   They build one :class:`~repro.harness.sweep.RunOptions` that the
   sweep engine hands to every run, inline or in a pool worker; nothing
   is exported into the environment.
@@ -184,9 +185,9 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--heartbeat-interval", type=float, default=None, metavar="S",
-        help="pooled runs write liveness heartbeats every S seconds, "
-             "recording the pid a draining sweep signals; use --timeout "
-             "to bound a stuck run",
+        help="pooled runs write liveness heartbeats every S seconds into "
+             "a private temporary directory the sweep deletes when it "
+             "ends; nothing reads them; use --timeout to bound a stuck run",
     )
 
 

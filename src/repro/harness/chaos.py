@@ -18,7 +18,8 @@ processes:
    child process group, graceful SIGTERM, SIGKILL aimed at the current
    holder of a live work-claim lease, torn (truncated) cache entries and
    checkpoint snapshots, and timed ENOSPC windows during which every
-   free-space probe in the children reports zero bytes.
+   best-effort artifact write in the children (cache entries,
+   heartbeats, checkpoints) fails with ``ENOSPC``.
 2. **Converge.** Relaunch fresh, undisturbed children until one finishes
    its whole grid successfully and every grid fingerprint has a cached
    result (bounded by ``max_rounds``).
@@ -38,6 +39,7 @@ nondeterminism — which is the point.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import random
@@ -66,6 +68,7 @@ from repro.harness.sweep import (
     cache_entry_version,
     fingerprint,
 )
+from repro.sim.artifacts import Sink
 from repro.sim.gpu import SimulationResult
 from repro.sim.stats import SimStats
 
@@ -125,26 +128,26 @@ def paced_worker(spec, options: RunOptions) -> SimStats:
 
 
 def _install_enospc_shim(flag_path: str) -> None:
-    """Make every free-space probe report zero while ``flag_path`` exists.
+    """Fail every sink write with ``ENOSPC`` while ``flag_path`` exists.
 
-    ``free_bytes`` is imported *by name* into the sweep module, so both
-    the defining module's attribute (which the checkpoint preflight
-    reads through ``has_free_space``) and sweep's copy must be replaced;
-    pooled workers fork after this runs and inherit the shim.
+    Wraps :meth:`~repro.sim.artifacts.Sink.attempt` on the class, which
+    every best-effort artifact write goes through, so the write itself
+    fails and its sink stops, as on a full disk.  Pooled workers fork
+    after this runs and inherit the shim.
     """
-    import repro.harness.sweep as sweep_module
-    import repro.sim.artifacts as artifacts_module
+    real = Sink.attempt
 
-    real = artifacts_module.free_bytes
-
-    def probed(path) -> int:
-        """Shimmed ``free_bytes``: 0 during an ENOSPC window."""
+    def attempt(self, write, path, *args, **kwargs) -> bool:
         if os.path.exists(flag_path):
-            return 0
-        return real(path)
+            write = _disk_full
+        return real(self, write, path, *args, **kwargs)
 
-    artifacts_module.free_bytes = probed
-    sweep_module.free_bytes = probed
+    Sink.attempt = attempt
+
+
+def _disk_full(*args, **kwargs) -> None:
+    """A write during an ENOSPC window."""
+    raise OSError(errno.ENOSPC, "No space left on device (chaos window)")
 
 
 def child_main(config: Dict) -> int:

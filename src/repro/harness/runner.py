@@ -56,6 +56,7 @@ from repro.harness.sweep import (
     build_result_cache,
     fingerprint,
 )
+from repro.sim.artifacts import Sink
 from repro.sim.checkpoint import (
     attach_checkpointing,
     load_checkpoint,
@@ -328,11 +329,12 @@ def _simulate(
             except CheckpointError as exc:
                 # Recoverable: leave a structured trace of the rejected
                 # snapshot, drop it, and cold-start the run.
+                Sink("rejected-snapshot report").attempt(
+                    write_failure_report,
+                    checkpoint_path.with_suffix(".failure.json"),
+                    exc.to_report(),
+                )
                 try:
-                    write_failure_report(
-                        checkpoint_path.with_suffix(".failure.json"),
-                        exc.to_report(),
-                    )
                     checkpoint_path.unlink(missing_ok=True)
                 except OSError:
                     pass
@@ -451,26 +453,15 @@ def run_spec(
         # spec either way.
         recorder.benchmark = spec.benchmark
         recorder.fingerprint = key
-        metrics_path = metrics_path_for(spec, options.metrics_dir)
-        try:
-            recorder.write(metrics_path)
-        except OSError as exc:
-            warnings.warn(
-                f"metrics write to {metrics_path} dropped ({exc})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        Sink("metrics document").attempt(
+            recorder.write, metrics_path_for(spec, options.metrics_dir)
+        )
     if profiler is not None:
         profiler.benchmark = spec.benchmark
-        profile_path = Path(options.profile_dir) / f"{spec.benchmark}-{key[:12]}.json"
-        try:
-            profiler.write(profile_path)
-        except OSError as exc:
-            warnings.warn(
-                f"profile write to {profile_path} dropped ({exc})",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        Sink("profile document").attempt(
+            profiler.write,
+            Path(options.profile_dir) / f"{spec.benchmark}-{key[:12]}.json",
+        )
     return result
 
 
@@ -701,33 +692,6 @@ class ExperimentRunner:
                 _raise_failure(outcome)
         width = len(variants)
         return [outcomes[i * width:(i + 1) * width] for i in range(len(benchmarks))]
-
-    def speedup(
-        self,
-        benchmark: str,
-        software: Union[str, SoftwarePrefetchConfig] = "none",
-        hardware: str = "none",
-        throttle: bool = False,
-        distance: Optional[int] = None,
-        degree: int = 1,
-        config: Optional[GpuConfig] = None,
-    ) -> float:
-        """Speedup of a scheme over the no-prefetching baseline."""
-        base = self.run(benchmark, config=config)
-        variant = self.run(
-            benchmark,
-            software=software,
-            hardware=hardware,
-            throttle=throttle,
-            distance=distance,
-            degree=degree,
-            config=config,
-        )
-        return variant.speedup_over(base)
-
-    def cache_size(self) -> int:
-        """Number of distinct runs held in the in-memory memo cache."""
-        return len(self._cache)
 
 
 def geometric_mean(values: Iterable[float]) -> float:

@@ -9,9 +9,11 @@ the two sides:
   (:class:`HeartbeatWriter`, driven by a run-loop hook like checkpoint
   auto-snapshots) in the heartbeat directory the engine names in the
   run's :class:`~repro.harness.sweep.RunOptions`.  ``repro fsck``
-  audits the files and a person can read them; nothing kills a run
-  because its heartbeat is stale (the per-run ``--timeout`` bounds a
-  stuck run).
+  audits the files; nothing kills a run because its heartbeat is stale
+  (the per-run ``--timeout`` bounds a stuck run).  Writes go through a
+  :class:`~repro.sim.artifacts.Sink`, the policy every best-effort
+  artifact shares: the first failed write warns once and stops the
+  run's heartbeats, and the run carries on.
 * **The run sentinel.**  :class:`RunSentinel` is the worker-side
   self-monitor: on every supervision tick it emits a heartbeat and
   honors shutdown requests by flushing the run's checkpoint hook and
@@ -23,19 +25,15 @@ the two sides:
   :func:`install_worker_signal_handlers` installs, as the pool's
   initializer, raise the worker's own flag on every signal; a run in
   the engine's process stays under the engine's handlers.
-* **Disk-pressure degradation.**  :func:`is_disk_pressure` classifies
-  ``ENOSPC``/``EDQUOT``; heartbeat writes that hit them warn once and
-  disable themselves instead of crashing the run.
 
 Everything here is engine-agnostic and importable from workers: it
-depends only on the sim layer (errors, the atomic-write helper), never on
+depends only on the sim layer (errors, the artifact helpers), never on
 :mod:`repro.harness.sweep`, so ``sweep`` -> ``supervise`` stays a
 one-way dependency.
 """
 
 from __future__ import annotations
 
-import errno
 import json
 import os
 import resource
@@ -43,11 +41,10 @@ import signal
 import sys
 import threading
 import time
-import warnings
 from pathlib import Path
 from typing import Dict, Optional, Union
 
-from repro.sim.artifacts import atomic_write_json
+from repro.sim.artifacts import Sink, atomic_write_json
 from repro.sim.errors import WorkerInterrupted
 from repro.sim.gpu import PeriodicHook
 
@@ -86,13 +83,6 @@ def peak_rss_kb() -> int:
     if sys.platform == "darwin":  # pragma: no cover - platform-specific
         peak //= 1024
     return int(peak)
-
-
-def is_disk_pressure(exc: BaseException) -> bool:
-    """True when ``exc`` is an out-of-space condition (ENOSPC/EDQUOT)."""
-    if not isinstance(exc, OSError):
-        return False
-    return exc.errno in (errno.ENOSPC, getattr(errno, "EDQUOT", -1))
 
 
 def load_heartbeat(path: Union[str, Path]) -> Dict:
@@ -182,28 +172,26 @@ class HeartbeatWriter:
     ``beat()`` is cheap to call often (the supervision hook fires every
     :data:`SUPERVISION_HOOK_CYCLES` cycles): it only touches the disk
     once per ``interval`` seconds.  Writes are atomic (shared
-    :func:`~repro.sim.artifacts.atomic_write_json` helper) so the
-    engine never reads a torn record.  Disk pressure (ENOSPC/EDQUOT)
-    warns once and disables the sink — liveness reporting degrades, the
-    simulation itself survives, since nothing judges a run by its
-    heartbeat's age.
+    :func:`~repro.sim.artifacts.atomic_write_json` helper), so a reader
+    never sees a torn record, and go through :attr:`sink`: the first
+    failed one warns and stops this run's heartbeats.  The simulation
+    itself carries on, since nothing judges a run by its heartbeat's
+    age.
     """
 
     def __init__(self, path: Union[str, Path], interval: float) -> None:
         self.path = Path(path)
         self.interval = max(0.0, float(interval))
-        self.enabled = True
         self.writes = 0
-        self.dropped = 0
+        self.sink = Sink("heartbeat")
         self._last = float("-inf")
 
     def beat(self, cycle: int, force: bool = False) -> None:
         """Write a heartbeat record when the interval has elapsed."""
-        if not self.enabled:
-            return
         now = time.monotonic()
         if not force and now - self._last < self.interval:
             return
+        self._last = now
         record = {
             "schema": HEARTBEAT_SCHEMA,
             "pid": os.getpid(),
@@ -211,21 +199,8 @@ class HeartbeatWriter:
             "wall": time.time(),
             "peak_rss_kb": peak_rss_kb(),
         }
-        try:
-            atomic_write_json(self.path, record)
-        except OSError as exc:
-            self.dropped += 1
-            if is_disk_pressure(exc):
-                self.enabled = False
-                warnings.warn(
-                    f"heartbeat writes to {self.path} disabled ({exc}); "
-                    "the run continues without liveness reporting",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return
-        self._last = now
-        self.writes += 1
+        if self.sink.attempt(atomic_write_json, self.path, record):
+            self.writes += 1
 
     def close(self) -> None:
         """Remove the heartbeat file (a completed run needs no liveness)."""
@@ -278,21 +253,15 @@ class RunSentinel:
         if self.heartbeat is not None:
             self.heartbeat.beat(sim.cycle)
         if shutdown_requested():
-            self._flush_checkpoint(sim)
+            # The hook writes through its own sink: a failed snapshot
+            # warns there and never raises here.
+            if self.checkpoint is not None:
+                self.checkpoint.fire(sim)
             raise WorkerInterrupted(
                 f"graceful shutdown requested; run interrupted at cycle "
                 f"{sim.cycle} (checkpoint flushed if armed)",
                 snapshot={"cycle": sim.cycle, "pid": os.getpid()},
             )
-
-    def _flush_checkpoint(self, sim: object) -> None:
-        """Best-effort final snapshot before a structured worker exit."""
-        if self.checkpoint is None:
-            return
-        try:
-            self.checkpoint.fire(sim)
-        except OSError:  # pragma: no cover - best-effort by design
-            pass
 
     def close(self) -> None:
         """Tear down after a successful run (removes the heartbeat)."""

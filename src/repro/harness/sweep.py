@@ -52,11 +52,15 @@ Fault-tolerance model (the integrity layer of the harness):
   callers always receive one outcome per input spec.
 * **Heartbeats** (see :mod:`repro.harness.supervise`).  With a
   heartbeat interval in the options, every pooled worker writes periodic
-  liveness heartbeats that record its pid, for ``repro fsck`` and for a
-  person to read.  No run is killed because its heartbeat went quiet.
-* **Disk pressure.**  Out-of-space errors on cache/manifest/heartbeat
-  writes warn once and disable that sink (with dropped-write counts in
-  the sweep summary) instead of crashing.
+  liveness heartbeats that record its pid, into the options'
+  ``heartbeat_dir`` or else a private temporary directory removed when
+  the sweep ends.  Nothing here reads them, and no run is killed
+  because its heartbeat went quiet.
+* **Best-effort artifact writes.**  Cache entries, manifest lines and
+  every per-run artifact go through a :class:`~repro.sim.artifacts.Sink`:
+  the first failed write warns once and stops that sink, and the dropped
+  cache and manifest writes are counted in the sweep summary.  No failed
+  artifact write fails a run or a sweep.
 * **Graceful shutdown.**  The first SIGTERM/SIGINT during a sweep stops
   admission, drains in-flight runs (which flush checkpoints), journals a
   final manifest record, and raises :class:`SweepInterrupted`; the CLI
@@ -117,7 +121,6 @@ import tempfile
 import threading
 import time
 import traceback
-import warnings
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, Future, wait
 from dataclasses import dataclass, field
@@ -140,12 +143,7 @@ from repro.harness.coordinate import (
     LeaseManager,
     lease_dir_for,
 )
-from repro.harness.supervise import is_disk_pressure
-from repro.sim.artifacts import (
-    DEFAULT_METRICS_INTERVAL,
-    atomic_write_json,
-    free_bytes,
-)
+from repro.sim.artifacts import DEFAULT_METRICS_INTERVAL, Sink, atomic_write_json
 from repro.sim.config import GpuConfig
 from repro.sim.errors import SimulationError, WorkerInterrupted
 from repro.sim.gpu import SimulationResult
@@ -459,12 +457,10 @@ class ResultCache:
     so the re-parse tax is paid once, not on every future lookup, and
     the renamed file stays on disk for ``repro fsck`` to report.
     Evictions are counted in ``corrupt_evicted`` and surfaced in the
-    sweep summary.  I/O errors degrade gracefully but *audibly*: the
-    first failed write emits a ``RuntimeWarning``, every dropped write is
-    counted (``dropped``, and surfaced in the sweep summary), and disk
-    pressure (ENOSPC/EDQUOT) disables the sink for the rest of the
-    process instead of shredding the remaining free blocks with doomed
-    temp files.  Truncated results are never stored.
+    sweep summary.  Writes go through :attr:`sink`: the first failed one
+    warns and stops caching for the rest of this cache's life, and every
+    dropped write is counted (surfaced in the sweep summary).  Truncated
+    results are never stored.
     """
 
     def __init__(self, root: Union[str, Path]) -> None:
@@ -472,11 +468,10 @@ class ResultCache:
         self.hits = 0
         self.misses = 0
         self.stores = 0
+        #: Entries that could not be read or did not parse.
         self.errors = 0
-        self.dropped = 0
         self.corrupt_evicted = 0
-        self.disabled = False
-        self._warned = False
+        self.sink = Sink("result cache")
 
     def path_for(self, key: str) -> Path:
         """On-disk location for a fingerprint key (two-level fan-out)."""
@@ -519,42 +514,21 @@ class ResultCache:
             # A truncated run is not a result; caching it would let a
             # partial simulation masquerade as a completed one forever.
             return
-        if self.disabled:
-            self.dropped += 1
-            return
-        path = self.path_for(key)
         payload = {
             "schema": SCHEMA_VERSION,
             "key": key,
             "spec": dataclasses.asdict(spec),
             "stats": stats.to_dict(),
         }
-        try:
-            # Shared atomic-write helper: pid-stamped scratch temp in the
-            # same directory, replaced into place, cleaned up on any
-            # exception path.  sort_keys makes the entry byte-identical
-            # no matter which process wrote it — what lets tests diff
-            # two independently-merged caches file by file.
-            atomic_write_json(path, payload, sort_keys=True)
-        except OSError as exc:
-            self.errors += 1
-            self.dropped += 1
-            if is_disk_pressure(exc):
-                self.disabled = True
-            if not self._warned:
-                self._warned = True
-                detail = (
-                    "caching disabled for the rest of this process"
-                    if self.disabled
-                    else "entry dropped"
-                )
-                warnings.warn(
-                    f"result cache write to {path} failed ({exc}); {detail}",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
-            return
-        self.stores += 1
+        # Shared atomic-write helper: pid-stamped scratch temp in the
+        # same directory, replaced into place, cleaned up on any
+        # exception path.  sort_keys makes the entry byte-identical no
+        # matter which process wrote it — what lets tests diff two
+        # independently-merged caches file by file.
+        if self.sink.attempt(
+            atomic_write_json, self.path_for(key), payload, sort_keys=True
+        ):
+            self.stores += 1
 
     def __len__(self) -> int:
         if not self.root.is_dir():
@@ -588,11 +562,18 @@ def build_result_cache(
 # Checkpointed sweep manifest
 # ----------------------------------------------------------------------
 
-#: Minimum free bytes required before a manifest append is attempted.
-#: One journal line is well under a kilobyte; the floor exists so a
-#: nearly-full disk degrades to counted, warned-about drops instead of
-#: an ENOSPC storm from inside the fsync path.
-MANIFEST_FREE_SPACE_FLOOR = 1 << 20
+def append_line(path: Path, line: str) -> None:
+    """Append one line to ``path`` and push it to stable storage.
+
+    The fsync comes before the sweep moves on: a process killed right
+    after this call must find the line intact on resume, not sitting in
+    a userspace buffer that died with the process.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "a", encoding="utf-8") as fh:
+        fh.write(line + "\n")
+        fh.flush()
+        os.fsync(fh.fileno())
 
 
 def parse_manifest_line(line: bytes) -> Optional[Dict]:
@@ -638,18 +619,16 @@ class SweepManifest:
     simulator-semantics change makes old results unusable, exactly as
     with the result cache.
 
-    Appends are preflighted against a small free-space floor and fail
-    loudly-but-safely: the first dropped append emits a
-    ``RuntimeWarning`` (a silent journal gap would surface much later as
-    a mysteriously re-executed run), every drop is counted in
-    ``dropped`` and surfaced in the sweep summary, and the sweep itself
-    continues.
+    Appends go through :attr:`sink`: the first failed one warns (a
+    silent journal gap would surface much later as a mysteriously
+    re-executed run) and stops the journal for the rest of this
+    manifest's life, every dropped append is counted and surfaced in the
+    sweep summary, and the sweep itself continues.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
-        self.dropped = 0
-        self._warned = False
+        self.sink = Sink("sweep manifest")
 
     def load(self) -> Dict[str, Dict]:
         """Latest valid record per key; empty when the journal is absent.
@@ -674,32 +653,9 @@ class SweepManifest:
 
     def _append(self, record: Dict) -> None:
         record = {"schema": SCHEMA_VERSION, **record}
-        try:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            space = free_bytes(self.path.parent)
-            if space is not None and space < MANIFEST_FREE_SPACE_FLOOR:
-                raise OSError(
-                    errno.ENOSPC,
-                    f"free space below {MANIFEST_FREE_SPACE_FLOOR} byte floor",
-                )
-            with open(self.path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps(record, sort_keys=True) + "\n")
-                # Push the record through to stable storage before the
-                # sweep moves on: a process killed right after this call
-                # must find the line intact on resume, not sitting in a
-                # userspace buffer that died with the process.
-                fh.flush()
-                os.fsync(fh.fileno())
-        except OSError as exc:
-            self.dropped += 1
-            if not self._warned:
-                self._warned = True
-                warnings.warn(
-                    f"sweep manifest append to {self.path} dropped ({exc}); "
-                    "resume coverage for this sweep will be incomplete",
-                    RuntimeWarning,
-                    stacklevel=2,
-                )
+        self.sink.attempt(
+            append_line, self.path, json.dumps(record, sort_keys=True)
+        )
 
     def record_success(self, key: str, spec: RunSpec, stats: SimStats) -> None:
         """Journal a completed run so a resumed sweep can replay it."""
@@ -1164,12 +1120,12 @@ class SweepEngine:
         return summary
 
     def _dropped_writes(self) -> int:
-        """Total cache + manifest writes dropped so far (disk pressure)."""
+        """Total cache + manifest writes dropped so far."""
         dropped = 0
         if self.cache is not None:
-            dropped += self.cache.dropped
+            dropped += self.cache.sink.dropped
         if self.manifest is not None:
-            dropped += self.manifest.dropped
+            dropped += self.manifest.sink.dropped
         return dropped
 
     def _summary_text(self) -> Optional[str]:
@@ -1182,14 +1138,16 @@ class SweepEngine:
             )
         if self.progress.aborted:
             parts.append(f"{self.progress.aborted} aborted")
-        if self.cache is not None and self.cache.dropped:
-            parts.append(f"{self.cache.dropped} cache write(s) dropped")
+        if self.cache is not None and self.cache.sink.dropped:
+            parts.append(f"{self.cache.sink.dropped} cache write(s) dropped")
         if self.cache is not None and self.cache.corrupt_evicted:
             count = self.cache.corrupt_evicted
             noun = "entry" if count == 1 else "entries"
             parts.append(f"{count} corrupt cache {noun} evicted")
-        if self.manifest is not None and self.manifest.dropped:
-            parts.append(f"{self.manifest.dropped} manifest append(s) dropped")
+        if self.manifest is not None and self.manifest.sink.dropped:
+            parts.append(
+                f"{self.manifest.sink.dropped} manifest append(s) dropped"
+            )
         if self.lease_deferred:
             parts.append(
                 f"{self.lease_deferred} run(s) deferred to a concurrent "

@@ -2,20 +2,24 @@
 
 Every file a run or a sweep leaves behind (result-cache entries, leases,
 heartbeats, checkpoints, metrics and profile documents, failure reports,
-``BENCH_perf.json``) is written through :func:`atomic_write_json`, and
-the sinks that can fill a disk preflight it with :func:`free_bytes` /
-:func:`has_free_space`.  It also holds the metrics recorder's default
-cadence, which :class:`~repro.harness.sweep.RunOptions` and the CLI
-state too.  It depends on the standard library alone, so the result
-cache, leases and heartbeats do not depend on the snapshot codec.
+``BENCH_perf.json``) is written through :func:`atomic_write_json`.  The
+best-effort ones — written to help later, never needed by the run that
+writes them — go through a :class:`Sink`, the one failure policy: a
+write that raises ``OSError`` is dropped, counted and warned about once,
+and its sink writes nothing more.  The module also holds the metrics
+recorder's default cadence, which
+:class:`~repro.harness.sweep.RunOptions` and the CLI state too.  It
+depends on the standard library alone, so the result cache, leases and
+heartbeats do not depend on the snapshot codec.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import warnings
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, Optional, Union
 
 #: Default simulated cycles per windowed-metrics sample
 #: (:class:`~repro.sim.telemetry.MetricsRecorder`, ``--metrics-interval``).
@@ -80,21 +84,45 @@ def atomic_write_json(
     return path
 
 
-def free_bytes(path: Union[str, Path]) -> Optional[int]:
-    """Free bytes on the filesystem holding ``path``, or None if unknown.
+class Sink:
+    """The failure policy of one owner's best-effort artifact writes.
 
-    Uses ``os.statvfs`` (POSIX); returns None on platforms without it or
-    when the path cannot be statted — callers treat "unknown" as "enough"
-    so a missing probe never disables a sink.
+    The result cache, the sweep manifest, a run's heartbeats, its
+    auto-checkpoints, its metrics and profile documents and the report
+    of a rejected snapshot each write through their own sink.  A write
+    that raises ``OSError`` (a full disk, a quota, a lost directory) is
+    dropped and counted in :attr:`dropped`; the first drop emits one
+    ``RuntimeWarning`` naming the sink, the path and the error; and the
+    sink then *stops* for the rest of its owner's life, so every later
+    write is a counted drop that touches no file.  The run or sweep
+    carries on: nothing these sinks write is needed to finish it.
     """
-    try:
-        stat = os.statvfs(path)
-    except (AttributeError, OSError):
-        return None
-    return stat.f_bavail * stat.f_frsize
 
+    __slots__ = ("name", "dropped", "stopped")
 
-def has_free_space(path: Union[str, Path], floor: int) -> bool:
-    """True when the filesystem holding ``path`` has >= ``floor`` bytes free."""
-    free = free_bytes(path)
-    return free is None or free >= floor
+    def __init__(self, name: str) -> None:
+        self.name = name
+        self.dropped = 0
+        self.stopped = False
+
+    def attempt(
+        self, write: Callable[..., object], path: Union[str, Path],
+        *args: object, **kwargs: object,
+    ) -> bool:
+        """Call ``write(path, *args, **kwargs)``; True when it wrote."""
+        if self.stopped:
+            self.dropped += 1
+            return False
+        try:
+            write(path, *args, **kwargs)
+        except OSError as exc:
+            self.dropped += 1
+            self.stopped = True
+            warnings.warn(
+                f"{self.name} write to {path} failed ({exc}); dropping it "
+                f"and every later {self.name} write",
+                RuntimeWarning,
+                stacklevel=3,
+            )
+            return False
+        return True

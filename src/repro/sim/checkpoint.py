@@ -77,9 +77,12 @@ half-written snapshot at the final path.
 Auto-snapshots ride the simulator's run-loop hook list
 (:attr:`~repro.sim.gpu.GpuSimulator.hooks`): :func:`attach_checkpointing`
 appends a periodic hook, and a run's sentinel flushes that same hook
-before a structured exit.  Typical use (what :mod:`repro.harness.runner`
-does from a :class:`~repro.harness.sweep.RunOptions` checkpoint
-directory)::
+before a structured exit.  The hook writes through a
+:class:`~repro.sim.artifacts.Sink`, the policy every best-effort
+artifact shares: the first failed snapshot warns once and stops the
+run's auto-snapshots, and the run carries on without crash recovery.
+Typical use (what :mod:`repro.harness.runner` does from a
+:class:`~repro.harness.sweep.RunOptions` checkpoint directory)::
 
     tag = fingerprint(spec)
     sim = GpuSimulator(config, factory)
@@ -96,19 +99,17 @@ directory)::
 from __future__ import annotations
 
 import dataclasses
-import errno
 import gc
 import hashlib
 import importlib
 import json
 import sys
-import warnings
 from collections import OrderedDict, deque
 from operator import attrgetter
 from pathlib import Path
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from repro.sim.artifacts import atomic_write_json, has_free_space
+from repro.sim.artifacts import Sink, atomic_write_json
 from repro.sim.config import GpuConfig
 from repro.sim.errors import CheckpointError
 
@@ -670,13 +671,6 @@ def restore_simulator(
     return sim
 
 
-#: Minimum free bytes required before an auto-checkpoint write is
-#: attempted.  A full-machine snapshot of the largest sweep cells is well
-#: under 4 MB of JSON; preflighting avoids shredding the last few blocks
-#: of a full disk with doomed temp files every interval.
-CHECKPOINT_FREE_SPACE_FLOOR = 4 << 20
-
-
 def attach_checkpointing(
     sim: "object", path: Union[str, Path], interval: int, fingerprint: str = ""
 ) -> Optional["object"]:
@@ -689,10 +683,9 @@ def attach_checkpointing(
     iteration at or past each interval boundary.  ``interval <= 0``
     attaches nothing and returns None.
 
-    Each snapshot is preflighted against
-    :data:`CHECKPOINT_FREE_SPACE_FLOOR`; a failed preflight or a write
-    that raises ``OSError`` (disk full, quota, permissions) emits one
-    ``RuntimeWarning`` and disables further auto-snapshots for this run
+    Snapshots go through one :class:`~repro.sim.artifacts.Sink`: a
+    write that raises ``OSError`` (disk full, quota, permissions) emits
+    one ``RuntimeWarning`` and stops further auto-snapshots for this run
     instead of crashing it — crash *recoverability* degrades, the
     simulation itself survives.
     """
@@ -701,34 +694,15 @@ def attach_checkpointing(
     if interval <= 0:
         return None
     destination = Path(path)
-    state = {"disabled": False}
+    sink = Sink("auto-checkpoint")
     # A run's config never changes, so every snapshot shares one hash.
     config_sha256 = config_fingerprint(sim.config)
 
     def _auto_snapshot(snapshot_sim: "object") -> None:
-        """Guarded snapshot: preflight space, warn once, then go quiet."""
-        if state["disabled"]:
-            return
-        try:
-            parent = destination.parent if destination.parent != Path("") else Path(".")
-            parent.mkdir(parents=True, exist_ok=True)
-            if not has_free_space(parent, CHECKPOINT_FREE_SPACE_FLOOR):
-                raise OSError(
-                    errno.ENOSPC,
-                    f"free space below {CHECKPOINT_FREE_SPACE_FLOOR} byte floor",
-                )
-            write_checkpoint(
-                destination, snapshot_sim, fingerprint=fingerprint,
-                config_sha256=config_sha256,
-            )
-        except OSError as exc:
-            state["disabled"] = True
-            warnings.warn(
-                f"auto-checkpointing to {destination} disabled ({exc}); "
-                "the run continues without crash recovery",
-                RuntimeWarning,
-                stacklevel=2,
-            )
+        sink.attempt(
+            write_checkpoint, destination, snapshot_sim,
+            fingerprint=fingerprint, config_sha256=config_sha256,
+        )
 
     hook = PeriodicHook(interval, _auto_snapshot, sim.cycle)
     sim.hooks.append(hook)

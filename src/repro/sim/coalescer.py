@@ -45,18 +45,14 @@ def coalesce(addresses: Iterable[int], line_bytes: int = LINE_BYTES) -> Tuple[in
 
 
 def warp_addresses(
-    base: int,
-    lane_stride: int,
-    warp_size: int = WARP_SIZE,
-    elem_bytes: int = 4,
+    base: int, lane_stride: int, warp_size: int = WARP_SIZE
 ) -> List[int]:
     """Per-lane byte addresses for a warp access.
 
-    ``lane_stride`` is the byte distance between consecutive lanes' elements:
-    ``elem_bytes`` gives a fully coalesced access; >= 64 bytes is fully
-    uncoalesced.
+    ``lane_stride`` is the byte distance between consecutive lanes'
+    elements: the element size gives a fully coalesced access; >= 64
+    bytes is fully uncoalesced.
     """
-    del elem_bytes  # the stride fully determines the pattern
     return [base + lane * lane_stride for lane in range(warp_size)]
 
 

@@ -269,8 +269,6 @@ class Core:
                     warp.pc_index = pc_index
                     if pc_index >= len(warp.stream):
                         warp.finished = True
-                        if warp.finish_cycle < 0:
-                            warp.finish_cycle = cycle
                         self._retire_warp(warp)
                 elif warp.line_offset > 0:
                     # A chunked issue is in progress: the all-at-once room
@@ -351,7 +349,7 @@ class Core:
         elif op == Op.PREFETCH:
             self.prefetch_instructions += 1
             self._issue_software_prefetch(warp, inst, cycle)
-        warp.advance(cycle)
+        warp.advance()
         if warp.finished:
             self._retire_warp(warp)
 
@@ -460,7 +458,7 @@ class Core:
             warp.begin_load_chunk(inst.token, pending, final=done)
         if done:
             warp.line_offset = 0
-            warp.advance(cycle)
+            warp.advance()
             if warp.finished:
                 self._retire_warp(warp)
         else:

@@ -23,7 +23,6 @@ class Warp:
         "pc_index",
         "tokens_done",
         "_pending_lines",
-        "finish_cycle",
         "finished",
         "line_offset",
         "slot",
@@ -43,7 +42,6 @@ class Warp:
         self.pc_index = 0
         self.tokens_done: Set[int] = set()
         self._pending_lines: Dict[int, int] = {}
-        self.finish_cycle = -1
         #: Lines of the *current* memory instruction already routed to
         #: the memory system.  Nonzero only while a chunked issue is in
         #: progress (an instruction whose line footprint exceeds the
@@ -125,13 +123,8 @@ class Warp:
         self._pending_lines[token] = remaining - 1
         return False
 
-    def advance(self, cycle: int) -> None:
-        """Consume the current instruction (issued at ``cycle``)."""
+    def advance(self) -> None:
+        """Consume the current instruction."""
         self.pc_index += 1
         if self.pc_index >= len(self.stream):
             self.finished = True
-            if self.finish_cycle < 0:
-                self.finish_cycle = cycle
-
-    def outstanding_loads(self) -> int:
-        return len(self._pending_lines)

@@ -153,12 +153,6 @@ class KernelSpec:
     def loads(self) -> Tuple[Load, ...]:
         return tuple(op for op in self.body if isinstance(op, Load))
 
-    def load_by_name(self, name: str) -> Load:
-        for op in self.body:
-            if isinstance(op, Load) and op.name == name:
-                return op
-        raise KeyError(name)
-
     def instruction_mix(self) -> Dict[str, int]:
         """Static per-thread instruction counts (for MTAML inputs)."""
         comp = self.prologue_compute

@@ -425,9 +425,9 @@ def selectively_crashing_worker(spec, options) -> SimStats:
 def raise_enospc(*args, **kwargs):
     """Monkeypatch shim: fail like a full filesystem (``ENOSPC``).
 
-    Swap it in for ``os.replace`` / ``atomic_write_json`` / the
-    free-space probe's consumers to simulate disk exhaustion at any
-    write site without actually filling a disk.
+    Swap it in for ``os.replace``, ``atomic_write_json`` or any other
+    write a sink makes to simulate disk exhaustion at that write site
+    without actually filling a disk.
     """
     import errno as _errno
 

@@ -13,10 +13,16 @@ from a seeded schedule — and pins the full acceptance contract:
 """
 
 import json
+import warnings
 
 import pytest
 
 from repro.cli import main as cli_main
+from repro.harness.chaos import _install_enospc_shim
+from repro.harness.runner import make_spec
+from repro.harness.sweep import ResultCache, SweepManifest, fingerprint
+from repro.sim.artifacts import Sink
+from tests.harness import faults
 from tests.harness.chaos import (
     SMOKE_BUDGET,
     ChaosReport,
@@ -79,6 +85,38 @@ class TestCampaignPlumbing:
         specs = campaign_specs(0.05)
         assert len(specs) == 6
         assert len({spec.benchmark for spec in specs}) == 2
+
+    def test_enospc_window_fails_sink_writes_while_the_flag_exists(
+        self, tmp_path, monkeypatch
+    ):
+        # The shim patches the class; the monkeypatch restores it.
+        monkeypatch.setattr(Sink, "attempt", Sink.attempt)
+        flag = tmp_path / "enospc.flag"
+        _install_enospc_shim(str(flag))
+        spec = make_spec("monte", scale=0.05)
+        key, stats = fingerprint(spec), faults._stats_for(spec)
+
+        def put_and_append(name):
+            cache = ResultCache(tmp_path / name)
+            manifest = SweepManifest(tmp_path / name / "sweep.jsonl")
+            cache.put(key, spec, stats)
+            manifest.record_success(key, spec, stats)
+            return cache, manifest
+
+        flag.write_text("full\n", encoding="utf-8")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            cache, manifest = put_and_append("window")
+        assert cache.sink.dropped == manifest.sink.dropped == 1
+        assert cache.get(key) is None and manifest.load() == {}
+        assert len(caught) == 2
+        assert all("No space left" in str(w.message) for w in caught)
+
+        flag.unlink()
+        cache, manifest = put_and_append("after")
+        assert cache.stores == 1 and cache.sink.dropped == 0
+        assert cache.get(key).to_dict() == stats.to_dict()
+        assert list(manifest.load()) == [key]
 
     def test_cli_chaos_smoke(self, tmp_path, capsys):
         """A tiny disturbed campaign through the real CLI exits 0."""

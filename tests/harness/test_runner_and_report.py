@@ -160,23 +160,24 @@ class TestTypedBenchmarkField:
 
 class TestRunnerCaching:
     def test_cache_hit_returns_same_object(self):
-        runner = ExperimentRunner(scale=0.1)
+        runner = ExperimentRunner(scale=0.1, use_cache=False)
         a = runner.run("cell")
         b = runner.run("cell")
         assert a is b
-        assert runner.cache_size() == 1
+        assert runner.engine.simulated == 1
 
     def test_different_schemes_are_distinct_runs(self):
-        runner = ExperimentRunner(scale=0.1)
+        runner = ExperimentRunner(scale=0.1, use_cache=False)
         runner.run("cell")
         runner.run("cell", hardware="mt-hwp")
-        assert runner.cache_size() == 2
+        assert runner.engine.simulated == 2
 
     def test_speedup_uses_shared_baseline(self):
-        runner = ExperimentRunner(scale=0.1)
-        s = runner.speedup("cell", hardware="mt-hwp")
-        assert s > 0
-        assert runner.cache_size() == 2
+        runner = ExperimentRunner(scale=0.1, use_cache=False)
+        [[base, variant]] = runner.grid(["cell"], [{}, {"hardware": "mt-hwp"}])
+        assert variant.speedup_over(base) > 0
+        assert runner.run("cell") is base
+        assert runner.engine.simulated == 2
 
 
 class TestMeans:

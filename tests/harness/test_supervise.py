@@ -4,10 +4,13 @@ Covers the supervised runtime end to end:
 
 * **Liveness heartbeats** — writer gating and atomicity, and the
   lifetime of a pooled sweep's heartbeat directory.
-* **Disk pressure** — injected ENOSPC degrades the result cache,
-  manifest journal, heartbeat sink, and auto-checkpoint closure
-  loudly-but-safely (one warning, counted drops, run survives); a pooled
-  run whose heartbeats stop on a full disk still succeeds.
+* **Best-effort artifact writes** — one contract over all seven sinks
+  (cache entry, manifest line, auto-checkpoint, heartbeat, metrics and
+  profile documents, rejected-snapshot report): a write failed with
+  ENOSPC warns once naming its sink, leaves no file, stops the sink
+  (later writes are counted drops), and the run or sweep still returns
+  its result; a pooled run whose heartbeats stop on a full disk still
+  succeeds.
 * **Retry budgets** — a transiently crashing spec uses exactly
   ``retries + 1`` attempts without aborting the healthy cells beside it,
   and a deterministic failure is attempted once.
@@ -36,7 +39,13 @@ from unittest import mock
 import pytest
 
 from repro.harness import chaos, supervise
-from repro.harness.runner import ExperimentRunner, make_spec, run_spec
+from repro.harness.runner import (
+    ExperimentRunner,
+    checkpoint_path_for,
+    make_spec,
+    metrics_path_for,
+    run_spec,
+)
 from repro.harness.sweep import (
     ProgressReporter,
     ResultCache,
@@ -48,7 +57,7 @@ from repro.harness.sweep import (
     fingerprint,
     is_transient_failure,
 )
-from repro.sim.checkpoint import attach_checkpointing
+from repro.sim.artifacts import Sink
 from repro.sim.errors import SimulationError, WorkerInterrupted
 from repro.sim.gpu import PeriodicHook, SimulationResult
 
@@ -134,20 +143,6 @@ class TestHeartbeat:
         writer.close()
         assert not path.exists()
         writer.close()  # idempotent
-
-    def test_enospc_disables_sink_with_one_warning(self, tmp_path, monkeypatch):
-        writer = supervise.HeartbeatWriter(tmp_path / "hb.json", interval=0.0)
-        monkeypatch.setattr(supervise, "atomic_write_json", faults.raise_enospc)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            writer.beat(1, force=True)
-            writer.beat(2, force=True)
-        runtime = [w for w in caught if w.category is RuntimeWarning]
-        assert len(runtime) == 1
-        assert "disabled" in str(runtime[0].message)
-        assert not writer.enabled
-        assert writer.dropped == 1  # the second beat was a silent no-op
-        assert writer.writes == 0
 
     def test_run_options_wire_heartbeat(self, tmp_path, monkeypatch):
         built = []
@@ -338,7 +333,7 @@ class TestRetryBudget:
 
 
 # ----------------------------------------------------------------------
-# Disk-pressure degradation (ENOSPC injection)
+# Best-effort artifact writes (ENOSPC injection)
 # ----------------------------------------------------------------------
 
 #: How long :func:`_disk_fills_after_first_beat` keeps working once its
@@ -351,9 +346,9 @@ def _disk_fills_after_first_beat(spec, options):
     """Pooled run whose disk fills right after its first heartbeat.
 
     The sentinel's first beat lands; every later write fails with
-    ENOSPC, so the writer disables itself while the run keeps ticking
-    for :data:`DISK_FULL_RUN_SECONDS`.  The writer's final state goes to
-    the fault directory for the test to check.
+    ENOSPC, so the writer's sink stops while the run keeps ticking for
+    :data:`DISK_FULL_RUN_SECONDS`.  The writer's final state goes to the
+    fault directory for the test to check.
     """
     sentinel = _pooled_sentinel(spec, options)
     writer = sentinel.heartbeat
@@ -367,55 +362,146 @@ def _disk_fills_after_first_beat(spec, options):
             sim.cycle += supervise.SUPERVISION_HOOK_CYCLES
             sentinel.tick(sim)
             time.sleep(0.02)
-    state = {"enabled": writer.enabled, "writes": writer.writes}
+    state = {"stopped": writer.sink.stopped, "writes": writer.writes}
     state_path = faults._fault_dir() / f"heartbeat-{spec.benchmark}"
     state_path.write_text(json.dumps(state))
     sentinel.close()
     return faults._stats_for(spec)
 
 
-class TestDiskPressure:
-    def test_cache_put_enospc_warns_once_and_disables(
-        self, tmp_path, monkeypatch
-    ):
-        cache = ResultCache(tmp_path / "cache")
-        spec = spec_for("monte")
-        stats = faults._stats_for(spec)
-        monkeypatch.setattr(os, "replace", faults.raise_enospc)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            cache.put(fingerprint(spec), spec, stats)
-            cache.put(fingerprint(spec), spec, stats)
-        runtime = [w for w in caught if w.category is RuntimeWarning]
-        assert len(runtime) == 1
-        assert "caching disabled" in str(runtime[0].message)
-        assert cache.disabled
-        assert cache.dropped == 2
-        assert len(cache) == 0
+def _sweep(**engine):
+    """Sweep two specs with the instant fake worker, in process."""
+    specs = [spec_for("monte"), spec_for("cell")]
+    outcomes = SweepEngine(jobs=1, worker=faults.fast_worker, **engine).run(specs)
+    return outcomes, specs[0]
 
-    def test_manifest_append_preflights_free_space(
-        self, tmp_path, monkeypatch
-    ):
-        manifest = SweepManifest(tmp_path / "sweep.jsonl")
-        spec = spec_for("monte")
-        monkeypatch.setattr("repro.harness.sweep.free_bytes", lambda p: 0)
+
+def _cache_sweep(tmp_path):
+    cache = ResultCache(tmp_path / "cache")
+    outcomes, spec = _sweep(cache=cache)
+    return outcomes, cache.path_for(fingerprint(spec))
+
+
+def _manifest_sweep(tmp_path):
+    path = tmp_path / "sweep.jsonl"
+    outcomes, _ = _sweep(manifest=path)
+    return outcomes, path
+
+
+def _observed_run(**options):
+    """One real in-process run of monte with the given run options."""
+    spec = spec_for("monte")
+    return [run_spec(spec, RunOptions(**options))], spec
+
+
+def _checkpointed_run(tmp_path):
+    outcomes, spec = _observed_run(
+        checkpoint_dir=tmp_path / "ckpt", checkpoint_interval=500
+    )
+    return outcomes, checkpoint_path_for(spec, tmp_path / "ckpt")
+
+
+def _heartbeat_run(tmp_path):
+    outcomes, spec = _observed_run(
+        heartbeat_dir=tmp_path / "hb", heartbeat_interval=1e-6
+    )
+    return outcomes, supervise.heartbeat_path_for(
+        spec.benchmark, fingerprint(spec), tmp_path / "hb"
+    )
+
+
+def _metrics_run(tmp_path):
+    outcomes, spec = _observed_run(metrics_dir=tmp_path / "metrics")
+    return outcomes, metrics_path_for(spec, tmp_path / "metrics")
+
+
+def _profiled_run(tmp_path):
+    outcomes, spec = _observed_run(profile_dir=tmp_path / "prof")
+    return outcomes, tmp_path / "prof" / f"monte-{fingerprint(spec)[:12]}.json"
+
+
+def _rejected_snapshot_run(tmp_path):
+    snapshot = checkpoint_path_for(spec_for("monte"), tmp_path / "ckpt")
+    snapshot.parent.mkdir()
+    snapshot.write_text("{\"torn\": ", encoding="utf-8")
+    outcomes, _ = _observed_run(checkpoint_dir=tmp_path / "ckpt")
+    return outcomes, snapshot.with_suffix(".failure.json")
+
+
+#: sink name -> (the write it makes, how to drive it, whether it writes
+#: more than once).  Each case faults that write itself with ENOSPC.
+SINK_CASES = {
+    "result cache": ("repro.harness.sweep.atomic_write_json", _cache_sweep, True),
+    "sweep manifest": ("repro.harness.sweep.append_line", _manifest_sweep, True),
+    "auto-checkpoint": (
+        "repro.sim.checkpoint.write_checkpoint", _checkpointed_run, True
+    ),
+    "heartbeat": ("repro.harness.supervise.atomic_write_json", _heartbeat_run, True),
+    "metrics document": (
+        "repro.sim.telemetry.MetricsRecorder.write", _metrics_run, False
+    ),
+    "profile document": (
+        "repro.sim.profiling.SimProfiler.write", _profiled_run, False
+    ),
+    "rejected-snapshot report": (
+        "repro.harness.runner.write_failure_report", _rejected_snapshot_run, False
+    ),
+}
+
+
+class TestDiskPressure:
+    @pytest.mark.parametrize(
+        "name", list(SINK_CASES), ids=lambda name: name.replace(" ", "-")
+    )
+    def test_sink_contract(self, name, fault_dir, tmp_path, monkeypatch):
+        """A full disk under any sink: the write is dropped with one
+        warning naming the sink, leaves no file and stops the sink, and
+        the run or sweep still returns its result."""
+        target, drive, repeats = SINK_CASES[name]
+        writes = []
+
+        def full_disk(*args, **kwargs):
+            writes.append(args)
+            faults.raise_enospc()
+
+        monkeypatch.setattr(target, full_disk)
+        sinks = []
+        attempt = Sink.attempt
+
+        def recording(sink, *args, **kwargs):
+            if sink.name == name and sink not in sinks:
+                sinks.append(sink)
+            return attempt(sink, *args, **kwargs)
+
+        monkeypatch.setattr(Sink, "attempt", recording)
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            manifest.record_success(fingerprint(spec), spec,
-                                    faults._stats_for(spec))
-            manifest.record_final({"interrupted": False, "total": 1,
-                                   "failed": 0})
-        runtime = [w for w in caught if w.category is RuntimeWarning]
-        assert len(runtime) == 1
-        assert "resume coverage" in str(runtime[0].message)
-        assert manifest.dropped == 2
-        assert manifest.load() == {}
+            outcomes, path = drive(tmp_path)
+        # The run or sweep still returns its result.
+        assert all(isinstance(o, SimulationResult) for o in outcomes), outcomes
+        named = [
+            w for w in caught
+            if w.category is RuntimeWarning and name in str(w.message)
+        ]
+        assert len(named) == 1, [str(w.message) for w in caught]
+        assert not path.exists()
+        [sink] = sinks
+        assert sink.stopped
+        assert len(writes) == 1
+        if repeats:
+            # Every write after the first was a counted drop that never
+            # reached the write function, so it touched no file.
+            assert sink.dropped >= 2
+        else:
+            assert sink.dropped == 1
 
     def test_dropped_writes_surface_in_the_sweep_summary(
         self, fault_dir, tmp_path, monkeypatch
     ):
         stream = io.StringIO()
-        monkeypatch.setattr("repro.harness.sweep.free_bytes", lambda p: 0)
+        monkeypatch.setattr(
+            "repro.harness.sweep.append_line", faults.raise_enospc
+        )
         engine = SweepEngine(
             jobs=1, worker=faults.fast_worker,
             manifest=tmp_path / "sweep.jsonl",
@@ -444,26 +530,7 @@ class TestDiskPressure:
             state = json.loads(
                 (fault_dir / f"heartbeat-{spec.benchmark}").read_text()
             )
-            assert state == {"enabled": False, "writes": 1}
-
-    def test_auto_checkpoint_disables_on_full_disk_and_run_survives(
-        self, tmp_path, monkeypatch
-    ):
-        spec = spec_for("monte")
-        sim = faults._build_sim_for(spec)
-        destination = tmp_path / "snapshots" / "run.ckpt.json"
-        attach_checkpointing(sim, destination, interval=500,
-                             fingerprint=fingerprint(spec))
-        monkeypatch.setattr("repro.sim.artifacts.free_bytes", lambda p: 0)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            stats = sim.run()
-        runtime = [w for w in caught if w.category is RuntimeWarning]
-        assert len(runtime) == 1
-        assert "auto-checkpointing" in str(runtime[0].message)
-        assert "disabled" in str(runtime[0].message)
-        assert not destination.exists()
-        assert stats.cycles > 0 and not stats.truncated
+            assert state == {"stopped": True, "writes": 1}
 
 
 # ----------------------------------------------------------------------

@@ -371,25 +371,25 @@ class TestExperimentRunnerIntegration:
             runner.run("no-such-benchmark")
 
     def test_warm_populates_memory_cache(self):
-        runner = ExperimentRunner(scale=SCALE, jobs=2)
+        runner = ExperimentRunner(scale=SCALE, jobs=2, use_cache=False)
         requests = [
             {"benchmark": "monte"},
             {"benchmark": "monte", "hardware": "stride_pc"},
         ]
         outcomes = runner.warm(requests)
         assert len(outcomes) == 2
-        assert runner.cache_size() == 2
+        assert runner.engine.simulated == 2
         simulated_before = runner.engine.simulated
         runner.run("monte")  # memory hit, no new simulation
         assert runner.engine.simulated == simulated_before
 
     def test_warm_returns_failures_without_raising(self):
-        runner = ExperimentRunner(scale=SCALE)
+        runner = ExperimentRunner(scale=SCALE, use_cache=False)
         outcomes = runner.warm([{"benchmark": "no-such-benchmark"},
                                 {"benchmark": "monte"}])
         assert isinstance(outcomes[0], RunFailure)
         assert isinstance(outcomes[1], SimulationResult)
-        assert runner.cache_size() == 1
+        assert runner.engine.simulated == 1
 
     def test_figures_identical_serial_vs_parallel(self, tmp_path):
         """Figure pipeline end to end: warm parallel path == serial path."""

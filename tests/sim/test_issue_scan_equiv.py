@@ -86,8 +86,6 @@ class _FullWalkCore(Core):
                 warp.pc_index = pc_index
                 if pc_index >= len(warp.stream):
                     warp.finished = True
-                    if warp.finish_cycle < 0:
-                        warp.finish_cycle = cycle
                     self._retire_warp(warp)
             elif warp.line_offset > 0:
                 if not self._issue_chunk(warp, inst, cycle):

@@ -259,7 +259,7 @@ class TestBeginLoadChunk:
         warp = make_warp()
         warp.begin_load_chunk(3, 0, final=True)
         assert 3 in warp.tokens_done
-        assert warp.outstanding_loads() == 0
+        assert warp._pending_lines == {}
 
     def test_line_offset_round_trips_through_state_dict(self):
         """The snapshot codec round-trips a chunked issue's line offset."""

@@ -55,8 +55,8 @@ class TestWarp:
     def test_dependency_blocks_until_lines_complete(self):
         warp = self.make_warp()
         warp.begin_load(0, num_lines=2)
-        warp.advance(0)             # past the load
-        warp.advance(4)             # past the independent compute
+        warp.advance()              # past the load
+        warp.advance()              # past the independent compute
         assert warp.blocked_on_tokens()      # waits on token 0
         assert not warp.line_complete(0)     # one of two lines
         assert warp.line_complete(0)         # second line completes token
@@ -67,22 +67,22 @@ class TestWarp:
         warp.begin_load(0, num_lines=0)
         assert 0 in warp.tokens_done
 
-    def test_finish_records_cycle(self):
+    def test_advancing_past_the_last_instruction_finishes(self):
         warp = self.make_warp()
         warp.begin_load(0, 0)
-        for cycle in (0, 4, 8):
-            warp.advance(cycle)
+        for _ in range(3):
+            assert not warp.finished
+            warp.advance()
         assert warp.finished
-        assert warp.finish_cycle == 8
         assert warp.peek() is None
 
     def test_outstanding_loads_counter(self):
         warp = self.make_warp()
         warp.begin_load(0, 2)
-        assert warp.outstanding_loads() == 1
+        assert warp._pending_lines == {0: 2}
         warp.line_complete(0)
         warp.line_complete(0)
-        assert warp.outstanding_loads() == 0
+        assert warp._pending_lines == {}
 
 
 class TestOccupancy:
