@@ -34,7 +34,7 @@ class HardwarePrefetcher(abc.ABC):
     varies per instance adds ``name`` to its own slots.
     """
 
-    __slots__ = ("distance", "degree", "triggers", "observations")
+    __slots__ = ("distance", "degree", "observations")
 
     #: Human-readable identifier used by the experiment harness.
     name: str = "base"
@@ -44,7 +44,6 @@ class HardwarePrefetcher(abc.ABC):
             raise ValueError("prefetch distance and degree must be >= 1")
         self.distance = distance
         self.degree = degree
-        self.triggers = 0
         self.observations = 0
 
     @abc.abstractmethod
@@ -87,7 +86,6 @@ class HardwarePrefetcher(abc.ABC):
 
     def reset(self) -> None:
         """Forget all training state (used between kernels in tests)."""
-        self.triggers = 0
         self.observations = 0
 
 

@@ -121,7 +121,6 @@ class GhbPrefetcher(HardwarePrefetcher):
                 for delta in predicted:
                     base += delta
                     targets.append(base)
-                self.triggers += 1
                 break
         return targets
 

@@ -157,7 +157,6 @@ class MtHwpPrefetcher(HardwarePrefetcher):
             self.gs_hits += 1
             if self.enable_pws:
                 self.pws_accesses_saved += 1
-            self.triggers += 1
             return self.targets_from_stride(addr, gs_stride)
         # Cycle 1: PWS probe and training.
         if self.enable_pws:
@@ -169,7 +168,6 @@ class MtHwpPrefetcher(HardwarePrefetcher):
             elif entry.train(addr):
                 if self.enable_gs:
                     self._maybe_promote(pc, entry.stride)
-                self.triggers += 1
                 return self.targets_from_stride(addr, entry.stride)
         if ip_trained:
             # IP hit (Section III-B): prefetch for the warp
@@ -177,7 +175,6 @@ class MtHwpPrefetcher(HardwarePrefetcher):
             # target list along the per-warp stride (covering the warps
             # immediately after the target), not by whole warp-distances.
             self.ip_hits += 1
-            self.triggers += 1
             base = addr + ip_entry.stride * self.ip_warp_distance
             return [base + ip_entry.stride * k for k in range(self.degree)]
         return []

@@ -138,7 +138,6 @@ class StreamPrefetcher(HardwarePrefetcher):
         if entry.monitoring:
             if direction == entry.direction:
                 self._move_anchor(entry, line)
-                self.triggers += 1
                 return [
                     (line + entry.direction * (self.distance + k)) * LINE_BYTES
                     for k in range(self.degree)

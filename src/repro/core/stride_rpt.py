@@ -52,7 +52,6 @@ class StrideRptPrefetcher(HardwarePrefetcher):
             self.table.put(key, StrideEntry(addr))
             return []
         if entry.train(addr):
-            self.triggers += 1
             return self.targets_from_stride(addr, entry.stride)
         return []
 

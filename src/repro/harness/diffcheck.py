@@ -34,8 +34,9 @@ caps at 1.0 and would mask an overcount):
 * ``truncated`` is False (strict mode raised otherwise).
 
 The **fuzzer** drives the whole stack with seeded random small kernels
-and machine configs (tiny MRQs to exercise the full-queue paths, single
-cores, odd strides, stores before loads), runs every hardware scheme on
+and machine configs (32-entry MRQs, which one uncoalesced
+warp-instruction fills, to exercise the full-queue paths, single cores,
+odd strides, stores before loads), runs every hardware scheme on
 each, and applies the oracles plus the bounds.  A failure is *shrunk* —
 blocks, loop iterations, body operations, then threads are greedily
 reduced while the failure reproduces — and the minimal repro spec is
@@ -726,10 +727,11 @@ def fuzz_kernel(rng, seed: int) -> KernelSpec:
 def fuzz_config(rng) -> GpuConfig:
     """One seeded random small machine config.
 
-    Tiny MRQs (8 entries) are deliberately over-represented: the
-    full-queue prefetch-drop and store-backlog paths only execute under
-    queue pressure, and the baseline 64-entry MRQ rarely fills on small
-    fuzz kernels.  Tiny DRAM geometries (one channel, one bank) are
+    The smallest MRQ the config admits (32 entries, one uncoalesced
+    warp-instruction's lines) is deliberately over-represented: the
+    full-queue stall, prefetch-drop and store-backlog paths only execute
+    under queue pressure, and the baseline 512-entry MRQ rarely fills on
+    small fuzz kernels.  Tiny DRAM geometries (one channel, one bank) are
     over-represented for the same reason: they concentrate all traffic
     in one request buffer, maximizing the scheduling interleavings —
     row-hit promotions past older misses, late demand promotions,
@@ -739,7 +741,7 @@ def fuzz_config(rng) -> GpuConfig:
     return config_from_dict(
         {
             "num_cores": rng.choice((1, 2, 4)),
-            "mrq_size": rng.choice((8, 8, 16, 32)),
+            "mrq_size": rng.choice((32, 32, 48, 64)),
             "prefetch_cache_bytes": rng.choice((512, 2048, 16 * 1024)),
             "interconnect_latency": rng.choice((1, 20)),
             "throttle_period": rng.choice((200, 1000)),

@@ -10,7 +10,7 @@ tracks a used-bit per line and reports evictions of never-used lines.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.sim.coalescer import LINE_BYTES
 from repro.sim.config import PrefetchCacheConfig
@@ -79,28 +79,26 @@ class SetAssociativeCache:
 class _PrefetchLine:
     """Payload stored per prefetch-cache line."""
 
-    __slots__ = ("fill_cycle", "used")
+    __slots__ = ("used",)
 
-    def __init__(self, fill_cycle: int) -> None:
-        self.fill_cycle = fill_cycle
+    def __init__(self) -> None:
         self.used = False
 
 
 class PrefetchCache:
     """Per-core prefetch cache with useful/early-eviction accounting.
 
-    Counters (reset per throttle period by the throttle engine via
-    :meth:`snapshot_and_reset_window`):
+    Run totals (a throttle window is their growth over the period, see
+    ``Core.periodic_update``):
 
-    * ``useful`` — prefetched lines hit by a demand access for the first time,
-    * ``early_evictions`` — lines evicted before their first use,
-    * ``hits`` / ``misses`` — demand lookup outcomes (cumulative totals are
-      also kept for end-of-run statistics).
+    * ``total_useful`` — prefetched lines hit by a demand access for the
+      first time,
+    * ``total_early_evictions`` — lines evicted before their first use,
+    * ``total_hits`` / ``total_misses`` — demand lookup outcomes.
     """
 
     __slots__ = (
         "config", "_cache",
-        "window_useful", "window_early_evictions", "window_hits",
         "total_useful", "total_early_evictions", "total_hits",
         "total_misses", "total_fills",
     )
@@ -111,11 +109,6 @@ class PrefetchCache:
     def __init__(self, config: PrefetchCacheConfig) -> None:
         self.config = config
         self._cache = SetAssociativeCache(config.size_bytes, config.associativity)
-        # Window counters (throttle period scope).
-        self.window_useful = 0
-        self.window_early_evictions = 0
-        self.window_hits = 0
-        # Run-total counters.
         self.total_useful = 0
         self.total_early_evictions = 0
         self.total_hits = 0
@@ -129,10 +122,8 @@ class PrefetchCache:
             self.total_misses += 1
             return False
         self.total_hits += 1
-        self.window_hits += 1
         if not line.used:
             line.used = True
-            self.window_useful += 1
             self.total_useful += 1
         return True
 
@@ -140,7 +131,7 @@ class PrefetchCache:
         """Presence check that does not disturb LRU or counters."""
         return self._cache.contains(line_addr)
 
-    def fill(self, line_addr: int, cycle: int, already_used: bool = False) -> None:
+    def fill(self, line_addr: int, already_used: bool = False) -> None:
         """Install a prefetched line returning from memory.
 
         ``already_used`` marks lines whose prefetch was late (a demand merged
@@ -148,14 +139,12 @@ class PrefetchCache:
         as used and its later eviction is not an early eviction.
         """
         self.total_fills += 1
-        line = _PrefetchLine(cycle)
+        line = _PrefetchLine()
         if already_used:
             line.used = True
-            self.window_useful += 1
             self.total_useful += 1
         evicted = self._cache.insert(line_addr, line)
         if evicted is not None and not evicted.used:
-            self.window_early_evictions += 1
             self.total_early_evictions += 1
 
     def resident_unused_count(self) -> int:
@@ -170,18 +159,6 @@ class PrefetchCache:
             for line in cache_set.values()
             if not line.used
         )
-
-    def snapshot_and_reset_window(self) -> Dict[str, int]:
-        """Return and clear the current throttle-window counters."""
-        snap = {
-            "useful": self.window_useful,
-            "early_evictions": self.window_early_evictions,
-            "hits": self.window_hits,
-        }
-        self.window_useful = 0
-        self.window_early_evictions = 0
-        self.window_hits = 0
-        return snap
 
     def __len__(self) -> int:
         return len(self._cache)

@@ -495,7 +495,7 @@ def write_checkpoint(
     """
     # The payload is a tree of fresh containers that reference counting
     # frees once encoded; with the cyclic collector off meanwhile, its
-    # build triggers no collections that would only traverse (and age)
+    # build starts no collections that would only traverse (and age)
     # it together with every instruction stream in the process.
     collecting = gc.isenabled()
     gc.disable()

@@ -46,7 +46,8 @@ class CoreConfig:
             warp-instruction for ordinary operations ("Others: 4-cycle/warp").
         issue_cycles_imul: Issue occupancy of an integer multiply warp-inst.
         issue_cycles_fdiv: Issue occupancy of an FP divide warp-inst.
-        mrq_size: Entries in the per-core memory request queue.
+        mrq_size: Entries in the per-core memory request queue; at least
+            :data:`WARP_SIZE`, the most lines one warp-instruction touches.
         max_blocks_limit: Hardware cap on concurrently resident thread blocks.
         max_threads_per_core: Hardware cap on resident threads.
         registers_per_core: Register file capacity in 32-bit registers.
@@ -68,7 +69,15 @@ class CoreConfig:
                 getattr(self, name) >= 1,
                 f"{name} must be >= 1, got {getattr(self, name)}",
             )
-        _require(self.mrq_size >= 1, f"mrq_size must be >= 1, got {self.mrq_size}")
+        # A coalesced warp access touches at most one line per thread, so
+        # an MRQ of WARP_SIZE entries takes any one warp-instruction whole
+        # once it drains; a smaller one could wedge a core on a single
+        # uncoalesced access.
+        _require(
+            self.mrq_size >= WARP_SIZE,
+            f"mrq_size must hold one warp-instruction's lines (the warp "
+            f"size, {WARP_SIZE}), got {self.mrq_size}",
+        )
         _require(
             self.max_blocks_limit >= 1,
             f"max_blocks_limit must be >= 1, got {self.max_blocks_limit}",

@@ -45,13 +45,13 @@ class Core:
     __slots__ = (
         "core_id", "config", "prefetcher", "throttle", "mrq", "pcache", "warps",
         "_block_warps", "max_blocks", "port_free_cycle", "_rr_index",
-        "_issuable", "blocked", "sleep_credit", "woken",
+        "_issuable", "blocked", "woken",
         "_unfinished", "profiler", "_issue_cycles", "instructions",
-        "prefetch_instructions", "demand_loads", "demand_line_accesses",
+        "prefetch_instructions", "demand_loads",
         "demand_lines_to_memory", "demand_latency_sum", "demand_latency_count",
         "prefetch_generated", "prefetch_throttled", "prefetch_redundant",
         "prefetch_issued", "late_prefetches", "stall_cycles", "warps_assigned",
-        "warps_retired", "_window_prefetch_issued", "_window_late",
+        "warps_retired", "_window_base",
         "__weakref__",  # the MRQ's owner_core is a weak proxy
     )
 
@@ -85,11 +85,10 @@ class Core:
         self._issuable = 0
         # The GPU main loop polls a core only while its port is free.  A
         # core whose scan failed is ``blocked`` until a response, a block
-        # dispatch or a store freed at injection sets ``woken``; with
-        # ``sleep_credit`` its skipped polls accrue stall_cycles exactly
-        # as the polled scans would have.
+        # dispatch or a store freed at injection sets ``woken``; while it
+        # holds warps, its skipped polls accrue stall_cycles exactly as
+        # the polled scans would have.
         self.blocked = False
-        self.sleep_credit = False
         self.woken = False
         self.mrq.owner_core = weakref.proxy(self)
         # Count of resident warps that have not finished their stream,
@@ -111,7 +110,6 @@ class Core:
         self.instructions = 0
         self.prefetch_instructions = 0
         self.demand_loads = 0
-        self.demand_line_accesses = 0
         self.demand_lines_to_memory = 0
         self.demand_latency_sum = 0
         self.demand_latency_count = 0
@@ -124,9 +122,9 @@ class Core:
         # Warp-lifetime ledger (invariant: assigned == retired + active).
         self.warps_assigned = 0
         self.warps_retired = 0
-        # Window counters for feedback-directed prefetchers.
-        self._window_prefetch_issued = 0
-        self._window_late = 0
+        # The run totals :meth:`periodic_update` read at the previous
+        # throttle-period boundary.
+        self._window_base = (0,) * 7
 
     # ------------------------------------------------------------------
     # Block / warp management
@@ -228,11 +226,10 @@ class Core:
         compacted out from under it) upward, then from position 0.  A warp
         whose next instruction waits on an incomplete load token is
         parked: it loses its bit until :meth:`on_response` completes the
-        token.  A failed scan blocks the core unless it touched
-        :meth:`_issue_chunk`, whose probe has per-poll side effects
-        (prefetch-cache miss and MRQ full-rejection counters).  An issue
-        sets only ``_rr_index`` besides the port; non-memory
-        instructions, the bulk of every stream, issue inline.
+        token.  A failed scan has no side effect beyond the stall it
+        counts and the warps it parks, so it blocks the core until a wake
+        event.  An issue sets only ``_rr_index`` besides the port;
+        non-memory instructions, the bulk of every stream, issue inline.
         """
         warps = self.warps
         num_warps = len(warps)
@@ -240,10 +237,8 @@ class Core:
             # Nothing resident: only a block dispatch (or a straggler
             # response) changes anything, and both set ``woken``.
             self.blocked = True
-            self.sleep_credit = False
             self.woken = False
             return False
-        impure = False
         mask = self._issuable
         start = self._rr_index
         if start >= num_warps:
@@ -270,72 +265,53 @@ class Core:
                     if pc_index >= len(warp.stream):
                         warp.finished = True
                         self._retire_warp(warp)
-                elif warp.line_offset > 0:
-                    # A chunked issue is in progress: the all-at-once room
-                    # check must not run (completed early chunks would make
-                    # the instruction look re-issuable from scratch).
-                    if not self._issue_chunk(warp, inst, cycle):
-                        impure = True
-                        continue
                 elif (
                     inst.global_memory
                     and inst.op != Op.PREFETCH
                     and not self._mrq_has_room(inst)
                 ):
-                    # A prefetch that does not fit still issues: a
-                    # throttle-style structural drop never stalls the warp,
-                    # the instruction retires and its requests are dropped.
-                    if self._mrq_new_lines(inst) <= self.mrq.size:
-                        # Structural stall: MRQ space frees when a response
-                        # arrives (an external event), but responses are
-                        # only observed on event boundaries anyway.
-                        continue
-                    # The instruction alone needs more MRQ entries than
-                    # exist: the all-at-once check can never pass and
-                    # stalling here would deadlock.  Issue it in chunks.
-                    if not self._issue_chunk(warp, inst, cycle):
-                        impure = True
-                        continue
+                    # Structural stall: MRQ space frees when a response
+                    # arrives or a store is injected, both wake events.
+                    # An instruction touches at most WARP_SIZE lines and
+                    # the MRQ holds at least that many (CoreConfig), so
+                    # an emptied MRQ always takes it.  A prefetch that
+                    # does not fit still issues: a throttle-style
+                    # structural drop never stalls the warp, the
+                    # instruction retires and its requests are dropped.
+                    continue
                 else:
                     self._issue(warp, inst, cycle)
                 index += 1
                 self._rr_index = index if index < num_warps else 0
                 return True
+        # Nothing in the core changes by itself while its port is free,
+        # so the outcome holds until a wake event; the run loop replays
+        # this stall for every poll it skips meanwhile.
         self.stall_cycles += 1
-        if not impure:
-            # The failed scan was side-effect free, so its outcome cannot
-            # change before an external wake event; skipped polls accrue
-            # stall_cycles via sleep_credit.
-            self.blocked = True
-            self.sleep_credit = True
-            self.woken = False
+        self.blocked = True
+        self.woken = False
         return False
-
-    def _mrq_new_lines(self, inst: WarpInstruction) -> int:
-        """Distinct lines of ``inst`` needing a fresh MRQ entry right now."""
-        needed = 0
-        mrq = self.mrq
-        is_load = inst.op == Op.LOAD
-        pcache = self.pcache
-        for line in inst.lines:
-            if mrq.lookup(line) is not None:
-                continue
-            if is_load and pcache.contains(line):
-                continue
-            needed += 1
-        return needed
 
     def _mrq_has_room(self, inst: WarpInstruction) -> bool:
         """Conservatively check MRQ space for a memory instruction.
 
-        Fast path: fresh entries needed can never exceed the
-        instruction's line count, so when even that worst case fits the
-        per-line MRQ and prefetch-cache probes are skipped entirely.
+        A line needs a fresh entry unless it is in flight or, for a load,
+        in the prefetch cache.  Fast path: fresh entries needed can never
+        exceed the instruction's line count, so when even that worst case
+        fits the per-line MRQ and prefetch-cache probes are skipped.
         """
-        occupied = len(self.mrq)
-        if occupied + len(inst.lines) <= self.mrq.size:
+        mrq = self.mrq
+        room = mrq.size - len(mrq)
+        lines = inst.lines
+        if len(lines) <= room:
             return True
-        return occupied + self._mrq_new_lines(inst) <= self.mrq.size
+        is_load = inst.op == Op.LOAD
+        pcache = self.pcache
+        needed = 0
+        for line in lines:
+            if mrq.lookup(line) is None and not (is_load and pcache.contains(line)):
+                needed += 1
+        return needed <= room
 
     def _issue(self, warp: Warp, inst: WarpInstruction, cycle: int) -> None:
         """Issue one warp-instruction: occupy the port, run its side effects."""
@@ -363,7 +339,6 @@ class Core:
             return
         pending = 0
         for line in inst.lines:
-            self.demand_line_accesses += 1
             if self.pcache.demand_lookup(line):
                 continue
             self.demand_lines_to_memory += 1
@@ -399,71 +374,6 @@ class Core:
             if targets:
                 footprint = len(inst.lines)
                 self._issue_hw_prefetches(targets, inst, warp.warp_id, footprint, cycle)
-
-    def _issue_chunk(self, warp: Warp, inst: WarpInstruction, cycle: int) -> bool:
-        """Route one chunk of an over-footprint memory instruction.
-
-        Called when a LOAD/STORE needs more fresh MRQ entries than the
-        MRQ holds in total (``_mrq_new_lines(inst) > mrq.size``), so the
-        all-at-once room check of :meth:`_issue` can never be satisfied.
-        Lines are routed from ``warp.line_offset`` until the MRQ rejects
-        one; the warp then stays on the instruction (occupying
-        the issue port per chunk, like a real memory stage draining a
-        too-wide access) and resumes as responses free entries.  Returns
-        True when any progress was made (the caller treats it as an
-        issue); False leaves the warp stalled awaiting a response.
-
-        Per-instruction bookkeeping (instruction/load counts, prefetcher
-        training) happens on the first chunk only; the warp advances on
-        the last.
-        """
-        op = inst.op
-        lines = inst.lines
-        first = warp.line_offset == 0
-        offset = warp.line_offset
-        pending = 0
-        if op == Op.LOAD:
-            while offset < len(lines):
-                line = lines[offset]
-                if self.pcache.demand_lookup(line):
-                    self.demand_line_accesses += 1
-                    offset += 1
-                    continue
-                request = self.mrq.access_demand(
-                    line, warp, inst.token, inst.pc, warp.warp_id, cycle
-                )
-                if request is None:
-                    break
-                self.demand_line_accesses += 1
-                self.demand_lines_to_memory += 1
-                pending += 1
-                offset += 1
-        else:
-            while offset < len(lines):
-                if self.mrq.access_store(
-                    lines[offset], inst.pc, warp.warp_id, cycle
-                ) is None:
-                    break
-                offset += 1
-        done = offset >= len(lines)
-        if offset == warp.line_offset and not done:
-            return False
-        self.port_free_cycle = cycle + self._issue_cycles[op]
-        if first:
-            self.instructions += 1
-            if op == Op.LOAD:
-                self.demand_loads += 1
-                self._observe_and_prefetch(warp, inst, cycle)
-        if op == Op.LOAD:
-            warp.begin_load_chunk(inst.token, pending, final=done)
-        if done:
-            warp.line_offset = 0
-            warp.advance()
-            if warp.finished:
-                self._retire_warp(warp)
-        else:
-            warp.line_offset = offset
-        return True
 
     def _issue_store(self, warp: Warp, inst: WarpInstruction, cycle: int) -> None:
         """Route a STORE through the MRQ (fire-and-forget, no waiters)."""
@@ -528,7 +438,6 @@ class Core:
         request = self.mrq.access_prefetch(line, pc, warp_id, cycle)
         if request is not None:
             self.prefetch_issued += 1
-            self._window_prefetch_issued += 1
 
     # ------------------------------------------------------------------
     # Responses
@@ -551,33 +460,40 @@ class Core:
         if entry.was_prefetch:
             if entry.late_prefetch:
                 self.late_prefetches += 1
-                self._window_late += 1
-                self.pcache.fill(request.line_addr, cycle, already_used=True)
-            else:
-                self.pcache.fill(request.line_addr, cycle, already_used=False)
+            self.pcache.fill(request.line_addr, already_used=entry.late_prefetch)
 
     # ------------------------------------------------------------------
     # Periodic throttle / feedback update
     # ------------------------------------------------------------------
 
     def periodic_update(self, cycle: int) -> None:
-        """End-of-period throttle adjustment and prefetcher feedback."""
-        pcache_snap = self.pcache.snapshot_and_reset_window()
-        mrq_snap = self.mrq.snapshot_and_reset_window()
-        window = ThrottleWindow(
-            early_evictions=pcache_snap["early_evictions"],
-            useful_prefetches=pcache_snap["useful"],
-            intra_core_merges=mrq_snap["merges"],
-            total_requests=mrq_snap["requests"],
-            prefetch_cache_hits=pcache_snap["hits"],
+        """End-of-period throttle adjustment and prefetcher feedback.
+
+        The window is what each run total grew by since the previous
+        boundary.
+        """
+        pcache = self.pcache
+        mrq = self.mrq
+        totals = (
+            pcache.total_early_evictions, pcache.total_useful,
+            pcache.total_hits, mrq.total_merges, mrq.total_requests,
+            self.prefetch_issued, self.late_prefetches,
         )
-        issued = self._window_prefetch_issued
-        late = self._window_late
-        useful = pcache_snap["useful"]
-        self._window_prefetch_issued = 0
-        self._window_late = 0
+        early, useful, hits, merges, requests, issued, late = (
+            now - then for now, then in zip(totals, self._window_base)
+        )
+        self._window_base = totals
         if self.throttle.enabled:
-            self.throttle.update(window, cycle)
+            self.throttle.update(
+                ThrottleWindow(
+                    early_evictions=early,
+                    useful_prefetches=useful,
+                    intra_core_merges=merges,
+                    total_requests=requests,
+                    prefetch_cache_hits=hits,
+                ),
+                cycle,
+            )
         if self.prefetcher is not None:
             self.prefetcher.periodic_update(
                 {
@@ -586,6 +502,6 @@ class Core:
                     "late": float(late),
                     "accuracy": (useful / issued) if issued else 0.0,
                     "lateness": (late / issued) if issued else 0.0,
-                    "early_evictions": float(window.early_evictions),
+                    "early_evictions": float(early),
                 }
             )

@@ -366,9 +366,10 @@ class GpuSimulator:
             # 6. Issue.  A core is polled only when its port is free and it
             # is not blocked, or a ``woken`` event (response, block
             # dispatch, store freed at injection) reached it since its
-            # scan failed.  A busy port is its event candidate; a skipped
-            # credit block replays its poll's stall_cycles increment,
-            # keeping stats bit-identical to polling every eventful cycle.
+            # scan failed.  A busy port is its event candidate; a blocked
+            # core that holds warps replays its failed scan's
+            # stall_cycles increment for each poll it skips, keeping
+            # stats bit-identical to polling every eventful cycle.
             next_event = NEVER
             issued_any = False
             for core in cores:
@@ -379,7 +380,7 @@ class GpuSimulator:
                     continue
                 if core.blocked:
                     if not core.woken:
-                        if core.sleep_credit:
+                        if core.warps:
                             core.stall_cycles += 1
                         continue
                     core.blocked = False

@@ -14,7 +14,8 @@ run.  It verifies:
   (``total_requests == merges + created`` and
   ``created == completed + stores_sent + resident``).
 * **Warp/block retirement accounting** — per core,
-  ``warps_assigned == warps_retired + active`` and each resident
+  ``warps_assigned == warps_retired + active``, the unfinished-warp
+  counter behind ``Core.drained`` equals ``active``, and each resident
   block's outstanding-warp count matches the live warp list.
 * **Issue scan** — per core, each warp's ``slot`` is its position in
   ``Core.warps``, the issue mask has a bit set exactly for the
@@ -339,6 +340,13 @@ class InvariantChecker:
                     f"core {core.core_id} warp ledger: assigned "
                     f"{core.warps_assigned} != retired {core.warps_retired} "
                     f"+ active {active}"
+                )
+            if core._unfinished != active:
+                # The counter decides ``Core.drained``, and so when the
+                # run ends.
+                violations.append(
+                    f"core {core.core_id} unfinished-warp counter "
+                    f"{core._unfinished} != {active} unfinished warps"
                 )
             live: Dict[int, int] = {}
             for warp in core.warps:

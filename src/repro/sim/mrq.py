@@ -8,8 +8,9 @@ stores, until injection), so ``mrq_size`` bounds the core's outstanding
 memory requests.
 
 The throttle engine's *merge ratio* metric (Eq. 6) is the number of
-intra-core merges divided by the total number of requests; both counters are
-maintained here with per-window snapshots.  The counters are kept *exact*:
+intra-core merges divided by the total number of requests; both run totals
+are kept here (a throttle window is their growth over the period, see
+``Core.periodic_update``).  The counters are kept *exact*:
 
 * Only demand and store accesses that join (or create) an entry count
   toward ``merges``/``requests``.  A prefetch probing a line the MRQ
@@ -36,11 +37,9 @@ class MemoryRequestQueue:
 
     __slots__ = (
         "core_id", "size", "_entries", "_send_queue", "owner_core",
-        "window_merges", "window_requests",
         "total_merges", "total_requests", "total_created", "total_completed",
         "total_stores_sent", "total_demand_on_prefetch_merges",
         "total_prefetch_dropped_full", "total_prefetch_merged",
-        "total_full_rejections",
     )
 
     #: The owning core, a weak proxy wired by ``Core.__init__``; a
@@ -60,9 +59,6 @@ class MemoryRequestQueue:
         # proxy, so a finished machine holds no core <-> MRQ cycle and
         # reference counting frees it.
         self.owner_core: Optional[object] = None
-        # Window counters (throttle period scope).
-        self.window_merges = 0
-        self.window_requests = 0
         # Run totals.  The created/completed/stores-sent triple is the
         # entry-lifetime ledger the invariant checker balances:
         # created == completed + stores_sent + currently resident.
@@ -74,11 +70,6 @@ class MemoryRequestQueue:
         self.total_demand_on_prefetch_merges = 0
         self.total_prefetch_dropped_full = 0
         self.total_prefetch_merged = 0
-        # Demand/store accesses bounced because the MRQ was full with no
-        # mergeable entry (the caller stalls and retries).  Telemetry's
-        # full-stall evidence; prefetch full-drops are counted separately
-        # above because a dropped prefetch never stalls the core.
-        self.total_full_rejections = 0
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -96,10 +87,8 @@ class MemoryRequestQueue:
         return bool(self._send_queue)
 
     def _count_access(self, merged: bool) -> None:
-        self.window_requests += 1
         self.total_requests += 1
         if merged:
-            self.window_merges += 1
             self.total_merges += 1
         else:
             self.total_created += 1
@@ -118,8 +107,9 @@ class MemoryRequestQueue:
         """Route a demand line access through the MRQ.
 
         Returns the (new or merged-into) request, or None when the MRQ is
-        full and no mergeable entry exists (the caller must retry later —
-        a structural stall).
+        full and no mergeable entry exists.  The core issues a demand or
+        store only once every fresh line fits (``Core._mrq_has_room``),
+        so none of its accesses is refused.
         """
         existing = self._entries.get(line_addr)
         if existing is not None:
@@ -139,7 +129,6 @@ class MemoryRequestQueue:
             self._count_access(merged=True)
             return existing
         if self.full:
-            self.total_full_rejections += 1
             return None
         request = MemoryRequest(line_addr, self.core_id, warp_id, pc, False, cycle)
         request.add_waiter(warp, token)
@@ -155,7 +144,6 @@ class MemoryRequestQueue:
             self._count_access(merged=True)
             return existing
         if self.full:
-            self.total_full_rejections += 1
             return None
         request = MemoryRequest(line_addr, self.core_id, warp_id, pc, False, cycle, is_store=True)
         self._entries[line_addr] = request
@@ -219,10 +207,3 @@ class MemoryRequestQueue:
         if entry is not None:
             self.total_completed += 1
         return entry
-
-    def snapshot_and_reset_window(self) -> Dict[str, int]:
-        """Return and clear the current throttle-window counters."""
-        snap = {"merges": self.window_merges, "requests": self.window_requests}
-        self.window_merges = 0
-        self.window_requests = 0
-        return snap

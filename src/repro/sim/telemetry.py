@@ -29,10 +29,9 @@ Each window carries two kinds of series:
 
 * **Delta counters** (:data:`COUNTERS`) — exact integer differences of
   cumulative machine counters across the window: instructions issued,
-  warps retired, stall cycles, MRQ traffic and full-queue rejections,
-  intra-/inter-core merges, DRAM lines transferred (the bandwidth
-  series) and row hits/misses, and the prefetch ledger
-  (issued/merged/dropped/useful/late).  Because every window is a delta
+  warps retired, stall cycles, MRQ traffic, intra-/inter-core merges,
+  DRAM lines transferred (the bandwidth series) and row hits/misses,
+  and the prefetch ledger (issued/merged/dropped/useful/late).  Because every window is a delta
   of the same cumulative snapshots, the per-counter sum over all windows
   reconciles *exactly* with the final :class:`~repro.sim.stats.SimStats`
   — no sampling loss, ever.
@@ -99,7 +98,6 @@ COUNTERS = (
     "warps_retired",
     "stall_cycles",
     "mrq_requests",
-    "mrq_full_rejections",
     "intra_core_merges",
     "inter_core_merges",
     "dram_lines",
@@ -130,9 +128,9 @@ GAUGES = (
 #: quantity.  The telemetry suite iterates this map to assert exact
 #: per-counter reconciliation between a run's window totals and its
 #: final stats.  Counters absent here (``warps_retired``,
-#: ``mrq_full_rejections``, ``prefetches_merged``, ``prefetches_dropped``,
-#: ``throttle_drops``) have no aggregate SimStats field and reconcile
-#: against the per-core machine counters directly.
+#: ``prefetches_merged``, ``prefetches_dropped``, ``throttle_drops``)
+#: have no aggregate SimStats field and reconcile against the per-core
+#: machine counters directly.
 SIMSTATS_EQUIVALENTS = {
     "instructions": "instructions",
     "stall_cycles": "stall_cycles",
@@ -217,7 +215,6 @@ class MetricsRecorder:
         warps_retired = 0
         stall_cycles = 0
         mrq_requests = 0
-        mrq_full_rejections = 0
         intra_core_merges = 0
         prefetches_issued = 0
         prefetches_merged = 0
@@ -231,7 +228,6 @@ class MetricsRecorder:
             warps_retired += core.warps_retired
             stall_cycles += core.stall_cycles
             mrq_requests += mrq.total_requests
-            mrq_full_rejections += mrq.total_full_rejections
             intra_core_merges += mrq.total_merges
             prefetches_issued += core.prefetch_issued
             prefetches_merged += mrq.total_prefetch_merged
@@ -245,7 +241,6 @@ class MetricsRecorder:
             "warps_retired": warps_retired,
             "stall_cycles": stall_cycles,
             "mrq_requests": mrq_requests,
-            "mrq_full_rejections": mrq_full_rejections,
             "intra_core_merges": intra_core_merges,
             "inter_core_merges": dram.total_inter_core_merges,
             "dram_lines": dram.total_lines_transferred,
@@ -485,7 +480,7 @@ TRACE_TRACKS = (
     ("dram lines", ("dram_lines",)),
     ("dram row locality", ("dram_row_hits", "dram_row_misses")),
     ("mrq occupancy", ("mrq_occupancy",)),
-    ("mrq traffic", ("mrq_requests", "intra_core_merges", "mrq_full_rejections")),
+    ("mrq traffic", ("mrq_requests", "intra_core_merges")),
     ("prefetches", (
         "prefetches_issued", "prefetches_merged", "prefetches_dropped",
         "prefetches_useful", "prefetches_late",

@@ -24,7 +24,6 @@ class Warp:
         "tokens_done",
         "_pending_lines",
         "finished",
-        "line_offset",
         "slot",
         "parked",
     )
@@ -42,11 +41,6 @@ class Warp:
         self.pc_index = 0
         self.tokens_done: Set[int] = set()
         self._pending_lines: Dict[int, int] = {}
-        #: Lines of the *current* memory instruction already routed to
-        #: the memory system.  Nonzero only while a chunked issue is in
-        #: progress (an instruction whose line footprint exceeds the
-        #: whole MRQ; see ``Core._issue_chunk``).
-        self.line_offset = 0
         #: Kept as a plain attribute (not a property over ``pc_index``):
         #: the issue loop and the core's drain check read it once per warp
         #: per eventful cycle, making it the single hottest attribute in
@@ -88,28 +82,6 @@ class Warp:
             self.tokens_done.add(token)
         else:
             self._pending_lines[token] = num_lines
-
-    def begin_load_chunk(self, token: int, num_lines: int, final: bool) -> None:
-        """Accumulate outstanding lines for a partially-issued LOAD.
-
-        While chunks are still being routed the token holds one extra
-        "open" count, so responses for early chunks — which can arrive
-        before the later chunks exist — cannot complete the token
-        prematurely.  The final chunk removes the open count; a load
-        whose lines all hit the prefetch cache completes immediately,
-        matching :meth:`begin_load`.
-        """
-        pending = self._pending_lines.get(token)
-        if pending is None:
-            pending = 1  # the open count
-        pending += num_lines
-        if final:
-            pending -= 1
-            if pending <= 0:
-                self._pending_lines.pop(token, None)
-                self.tokens_done.add(token)
-                return
-        self._pending_lines[token] = pending
 
     def line_complete(self, token: int) -> bool:
         """One line of load ``token`` arrived; True if the token completed."""

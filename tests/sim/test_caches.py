@@ -1,9 +1,12 @@
 """Unit tests for the set-associative cache and the prefetch cache."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.sim.caches import PrefetchCache, SetAssociativeCache
-from repro.sim.config import PrefetchCacheConfig
+from repro.sim.config import PrefetchCacheConfig, baseline_config
+from repro.sim.core import Core
 
 
 def make_cache(size=1024, assoc=2, line=64):
@@ -90,13 +93,13 @@ class TestPrefetchCache:
         pc = self.make()
         assert not pc.demand_lookup(0)
         assert pc.total_misses == 1
-        pc.fill(0, cycle=10)
+        pc.fill(0)
         assert pc.demand_lookup(0)
         assert pc.total_hits == 1
 
     def test_first_use_counts_useful_once(self):
         pc = self.make()
-        pc.fill(0, cycle=0)
+        pc.fill(0)
         pc.demand_lookup(0)
         pc.demand_lookup(0)
         assert pc.total_useful == 1
@@ -104,32 +107,42 @@ class TestPrefetchCache:
 
     def test_late_prefetch_fill_counts_useful(self):
         pc = self.make()
-        pc.fill(0, cycle=0, already_used=True)
+        pc.fill(0, already_used=True)
         assert pc.total_useful == 1
 
     def test_early_eviction_detected(self):
         pc = self.make(size_bytes=128, assoc=1)  # 2 sets, 1 way
-        pc.fill(0, cycle=0)          # set 0
-        pc.fill(128, cycle=1)        # set 0 -> evicts unused line 0
+        pc.fill(0)          # set 0
+        pc.fill(128)        # set 0 -> evicts unused line 0
         assert pc.total_early_evictions == 1
 
     def test_used_line_eviction_is_not_early(self):
         pc = self.make(size_bytes=128, assoc=1)
-        pc.fill(0, cycle=0)
+        pc.fill(0)
         pc.demand_lookup(0)
-        pc.fill(128, cycle=1)
+        pc.fill(128)
         assert pc.total_early_evictions == 0
 
     def test_window_snapshot_resets(self):
-        pc = self.make(size_bytes=128, assoc=1)
-        pc.fill(0, cycle=0)
+        """The core's throttle window reads this period's growth of the
+        prefetch cache's run totals, the next window starts from zero, and
+        the run totals persist."""
+        core = Core(0, baseline_config())
+        windows = []
+        core.throttle = SimpleNamespace(
+            enabled=True, update=lambda window, cycle: windows.append(window)
+        )
+        pc = core.pcache = self.make(size_bytes=128, assoc=1)
+        pc.fill(0)
         pc.demand_lookup(0)
-        pc.fill(128, cycle=1)
-        pc.fill(256, cycle=2)  # evicts unused 128 -> early eviction
-        snap = pc.snapshot_and_reset_window()
-        assert snap == {"useful": 1, "early_evictions": 1, "hits": 1}
-        snap2 = pc.snapshot_and_reset_window()
-        assert snap2 == {"useful": 0, "early_evictions": 0, "hits": 0}
+        pc.fill(128)
+        pc.fill(256)  # evicts unused 128 -> early eviction
+        core.periodic_update(1000)
+        core.periodic_update(2000)
+        assert [
+            (w.useful_prefetches, w.early_evictions, w.prefetch_cache_hits)
+            for w in windows
+        ] == [(1, 1, 1), (0, 0, 0)]
         # Run totals persist.
         assert pc.total_useful == 1
         assert pc.total_early_evictions == 1

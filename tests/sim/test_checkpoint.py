@@ -192,10 +192,11 @@ def test_resume_mid_sleep_is_bit_identical(tmp_path):
 
     Between loop iterations a core can be waiting on its busy port
     (until ``port_free_cycle``) or ``blocked`` until an external event,
-    and its warps can be parked on load tokens.  ``blocked`` and
-    ``sleep_credit`` are stored, so a resumed credit block keeps
-    accruing the skipped polls' stall cycles; the parked flags and the
-    issue mask are derived, rebuilt unparked on restore.  This test
+    and its warps can be parked on load tokens.  ``blocked`` and the
+    resident warps are stored, so a resumed core blocked with warps (a
+    credit block) keeps accruing the skipped polls' stall cycles; the
+    parked flags and the issue mask are derived, rebuilt unparked on
+    restore.  This test
     snapshots densely, keeps only instants that caught one of the
     three, requires the kept set to cover all three, and resumes the
     first snapshot of each kind and the first four; every such resume
@@ -211,7 +212,7 @@ def test_resume_mid_sleep_is_bit_identical(tmp_path):
     def writer(s):
         kinds = {
             "credit block": any(
-                core.blocked and core.sleep_credit for core in s.cores
+                core.blocked and core.warps for core in s.cores
             ),
             "busy port": any(core.port_free_cycle > s.cycle for core in s.cores),
             "parked warp": any(

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.sim.coalescer import WARP_SIZE
 from repro.sim.config import (
     CoreConfig,
     DramConfig,
@@ -95,6 +96,14 @@ class TestConfigValidation:
     def test_core_rejections(self, kwargs, needle):
         with pytest.raises(ValueError, match=needle):
             CoreConfig(**kwargs)
+
+    def test_mrq_must_hold_one_warp_instruction(self):
+        """A warp access touches at most one line per thread, so an MRQ of
+        WARP_SIZE entries takes any instruction whole once it drains; a
+        smaller one could wedge a core on a single uncoalesced access."""
+        with pytest.raises(ValueError, match=f"warp size, {WARP_SIZE}"):
+            CoreConfig(mrq_size=WARP_SIZE - 1)
+        assert CoreConfig(mrq_size=WARP_SIZE).mrq_size == 32
 
     @pytest.mark.parametrize(
         "kwargs, needle",

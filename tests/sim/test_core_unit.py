@@ -1,5 +1,7 @@
 """Unit tests for the SIMT core's issue and prefetch-engine paths."""
 
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.stride_pc import StridePcPrefetcher
@@ -65,7 +67,9 @@ class TestIssue:
         core.try_issue(0)   # warp 0 load
         assert core.try_issue(4)        # switches to warp 1's compute
         assert not core.try_issue(8)    # both blocked/done until the response
-        assert core.blocked and core.sleep_credit
+        # Blocked with warps resident: the run loop replays this scan's
+        # stall for every poll it skips.
+        assert core.blocked and core.warps and core.stall_cycles == 1
         assert core.warps[0].parked
 
     def test_response_unblocks_waiter(self):
@@ -117,7 +121,7 @@ class TestPrefetchEngine:
 
     def test_prefetch_redundant_with_pcache_line(self):
         core = make_core()
-        core.pcache.fill(0, cycle=0)
+        core.pcache.fill(0)
         core.assign_block(one_warp_block([prefetch(0x80, [0])]))
         core.try_issue(0)
         assert core.prefetch_redundant == 1
@@ -155,7 +159,7 @@ class TestPrefetchEngine:
 
     def test_demand_hits_prefetch_cache(self):
         core = make_core()
-        core.pcache.fill(0, cycle=0)
+        core.pcache.fill(0)
         core.assign_block(one_warp_block(
             [load(0x10, 0, [0]), compute(0x20, wait_tokens=[0])]))
         core.try_issue(0)
@@ -175,11 +179,62 @@ class TestPrefetchEngine:
 
 class TestStructuralStalls:
     def test_full_mrq_blocks_demand_not_prefetch(self):
-        core = make_core(mrq_size=1)
-        core.assign_block(one_warp_block([load(0x10, 0, [0])], 0, 0))
+        core = make_core(mrq_size=32)
+        uncoalesced = [lane * 128 for lane in range(32)]  # a line per lane
+        core.assign_block(one_warp_block(
+            [load(0x10, 0, uncoalesced), compute(0x11, wait_tokens=[0])], 0, 0))
         core.assign_block(one_warp_block([load(0x20, 0, [64])], 1, 1))
-        core.assign_block(one_warp_block([prefetch(0x80, [128])], 2, 2))
-        core.try_issue(0)                  # fills the single MRQ slot
-        # Warp 1's load cannot allocate, but warp 2's prefetch issues.
+        core.assign_block(one_warp_block([prefetch(0x80, [4096])], 2, 2))
+        assert core.try_issue(0)           # fills all 32 MRQ entries
+        assert core.mrq.full
+        # Warp 1's load cannot allocate, but warp 2's prefetch issues
+        # and its request is dropped.
         assert core.try_issue(4)
         assert core.mrq.total_prefetch_dropped_full == 1
+        assert core.warps[1].pc_index == 0
+        # Then warp 1 stalls on the full MRQ, which blocks the core.
+        assert not core.try_issue(8)
+        assert core.blocked and core.stall_cycles == 1
+        assert core.warps[1].pc_index == 0 and not core.warps[1].parked
+
+
+class TestThrottleWindow:
+    def test_window_is_the_growth_of_run_totals(self):
+        """Each period's window is what the run totals grew by since the
+        previous boundary: the prefetch cache's early evictions, useful
+        prefetches and hits, the MRQ's Eq. 6 merges and requests, and the
+        core's issued and late prefetches."""
+        windows, feedback = [], []
+
+        class Recorder(StridePcPrefetcher):
+            def periodic_update(self, metrics):
+                feedback.append(metrics)
+
+        core = make_core(prefetcher=Recorder())
+        core.throttle = SimpleNamespace(
+            enabled=True, update=lambda window, cycle: windows.append(window)
+        )
+
+        def grow(early, useful, hits, merges, requests, issued, late):
+            core.pcache.total_early_evictions += early
+            core.pcache.total_useful += useful
+            core.pcache.total_hits += hits
+            core.mrq.total_merges += merges
+            core.mrq.total_requests += requests
+            core.prefetch_issued += issued
+            core.late_prefetches += late
+
+        grow(1, 4, 6, 2, 10, 8, 2)
+        core.periodic_update(1000)
+        grow(0, 3, 5, 1, 4, 6, 3)
+        core.periodic_update(2000)
+        assert [
+            (w.early_evictions, w.useful_prefetches, w.prefetch_cache_hits,
+             w.intra_core_merges, w.total_requests)
+            for w in windows
+        ] == [(1, 4, 6, 2, 10), (0, 3, 5, 1, 4)]
+        assert [
+            (m["issued"], m["useful"], m["late"], m["early_evictions"])
+            for m in feedback
+        ] == [(8, 4, 2, 1), (6, 3, 3, 0)]
+        assert feedback[1]["accuracy"] == feedback[1]["lateness"] == 0.5

@@ -6,14 +6,15 @@ from repro.core.mt_hwp import MtHwpPrefetcher
 from repro.core.stride_pc import StridePcPrefetcher
 from repro.core.throttle import ThrottleConfig
 from repro.sim.config import CoreConfig, baseline_config
-from repro.sim.gpu import GpuSimulator
+from repro.sim.gpu import GpuSimulator, PeriodicHook
 from repro.trace.benchmarks import get_benchmark
 from repro.trace.kernels import Compute, KernelSpec, Load, Store
 from repro.trace.swp import MT_SWP
 from repro.trace.tracegen import generate_workload
 
 
-def small_spec(loop_iters=4, compute=4, num_blocks=14, warps_per_block=2):
+def small_spec(loop_iters=4, compute=4, num_blocks=14, warps_per_block=2,
+               lane_stride=4):
     return KernelSpec(
         name="small",
         suite="test",
@@ -21,7 +22,7 @@ def small_spec(loop_iters=4, compute=4, num_blocks=14, warps_per_block=2):
         threads_per_block=warps_per_block * 32,
         num_blocks=num_blocks,
         body=(
-            Load("a", "A", lane_stride=4, iter_stride=4096),
+            Load("a", "A", lane_stride=lane_stride, iter_stride=4096),
             Compute(1, consumes=("a",)),
             Compute(compute),
         ),
@@ -141,10 +142,26 @@ class TestScalingKnobs:
         assert fast.cycles < slow.cycles
 
     def test_mrq_size_bounds_outstanding(self):
-        spec = small_spec(num_blocks=28, warps_per_block=8)
-        tiny = run(spec, config=baseline_config(core=CoreConfig(mrq_size=4)))
-        large = run(spec, config=baseline_config(core=CoreConfig(mrq_size=512)))
-        assert large.cycles <= tiny.cycles
+        """32 entries hold one uncoalesced warp-instruction's lines, so
+        warps queue behind a full MRQ; 512 entries hold sixteen."""
+        spec = small_spec(num_blocks=28, warps_per_block=8, lane_stride=128)
+
+        def run_with_peak(mrq_size):
+            wl = generate_workload(spec)
+            sim = GpuSimulator(baseline_config(core=CoreConfig(mrq_size=mrq_size)))
+            sim.load_workload(wl.blocks, wl.max_blocks_per_core)
+            peak = [0]
+
+            def sample(s):
+                peak[0] = max(peak[0], max(len(core.mrq) for core in s.cores))
+
+            sim.hooks.append(PeriodicHook(1, sample, 0))
+            return sim.run(), peak[0]
+
+        small, small_peak = run_with_peak(32)
+        large, large_peak = run_with_peak(512)
+        assert small_peak == 32 < large_peak
+        assert large.cycles < small.cycles
 
     def test_real_benchmark_smoke(self):
         result = run(get_benchmark("cell", scale=0.25))

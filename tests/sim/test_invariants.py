@@ -134,6 +134,19 @@ class TestInjectedCorruption:
         assert exc.snapshot is not None
         json.dumps(exc.snapshot)  # snapshot must be serializable
 
+    def test_corrupted_unfinished_counter_is_caught(self):
+        """The counter behind ``Core.drained``, and so behind the end of
+        the run, must equal the recount of unfinished warps."""
+        sim = GpuSimulator(baseline_config(num_cores=2), invariants=True)
+        sim.load_workload([memory_block(0)], 1)
+        sim.invariants.check(0)  # two resident warps, both unfinished
+        sim.cores[0]._unfinished += 1
+        with pytest.raises(InvariantViolation) as excinfo:
+            sim.invariants.check(0)
+        assert excinfo.value.violations == [
+            "core 0 unfinished-warp counter 3 != 2 unfinished warps"
+        ]
+
     def test_tampered_mrq_ledger_is_caught(self):
         sim = GpuSimulator(baseline_config(num_cores=2), invariants=True)
         sim.invariants = InvariantChecker(sim, interval=100)

@@ -1,5 +1,9 @@
 """Unit tests for the memory request queue (intra-core merging, Fig. 2a)."""
 
+from types import SimpleNamespace
+
+from repro.sim.config import baseline_config
+from repro.sim.core import Core
 from repro.sim.mrq import MemoryRequestQueue
 from repro.sim.warp import Warp
 
@@ -102,13 +106,23 @@ def test_merge_window_extends_to_in_flight_requests():
 
 
 def test_window_snapshot():
-    mrq = MemoryRequestQueue(0, 8)
+    """The core's throttle window reads this period's growth of the MRQ's
+    merge and request totals, the next window starts from zero, and the
+    run totals persist."""
+    core = Core(0, baseline_config())
+    windows = []
+    core.throttle = SimpleNamespace(
+        enabled=True, update=lambda window, cycle: windows.append(window)
+    )
+    mrq = core.mrq = MemoryRequestQueue(0, 8)
     warp = make_warp()
     mrq.access_demand(0, warp, 1, 0x10, 0, 0)
     mrq.access_demand(0, warp, 2, 0x10, 0, 1)
-    snap = mrq.snapshot_and_reset_window()
-    assert snap == {"merges": 1, "requests": 2}
-    assert mrq.snapshot_and_reset_window() == {"merges": 0, "requests": 0}
+    core.periodic_update(1000)
+    core.periodic_update(2000)
+    assert [(w.intra_core_merges, w.total_requests) for w in windows] == [
+        (1, 2), (0, 0)
+    ]
     assert mrq.total_merges == 1 and mrq.total_requests == 2
 
 

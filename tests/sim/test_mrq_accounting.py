@@ -11,16 +11,22 @@ shrank them to:
    the entry (a store entry is freed at injection with no response; an
    unpromoted merge strands the demand waiter forever).
 2. **Structural deadlock** — an instruction whose fresh-line footprint
-   exceeds the *whole* MRQ can never satisfy the all-at-once room check;
-   the core must fall back to chunked issue (``Core._issue_chunk``)
-   instead of stalling forever.
+   exceeds the *whole* MRQ could never satisfy the all-at-once room
+   check and stalled forever.  ``CoreConfig`` now refuses an MRQ smaller
+   than a warp (a warp access touches at most one line per thread), so a
+   full MRQ only delays an instruction until responses or store
+   injections drain it.
 """
 
 import dataclasses
 
+import pytest
+
 from repro.sim.checkpoint import dump_state, load_state
 from repro.sim.config import baseline_config
+from repro.sim.core import Core
 from repro.sim.gpu import GpuSimulator
+from repro.sim.isa import Op
 from repro.sim.mrq import MemoryRequestQueue
 from repro.sim.warp import Warp
 from repro.trace.kernels import Compute, KernelSpec, Load, Store
@@ -50,8 +56,6 @@ class TestRedundantPrefetchAccounting:
         assert mrq.total_requests == requests, (
             "redundant prefetch counted as an Eq. 6 request"
         )
-        # Window counters feed the same equation and must agree.
-        assert mrq.snapshot_and_reset_window() == {"merges": 0, "requests": 1}
 
     def test_prefetch_on_prefetch_is_also_redundant(self):
         mrq = MemoryRequestQueue(0, 4)
@@ -131,141 +135,129 @@ class TestStorePromotion:
 # ----------------------------------------------------------------------
 
 
-def tiny_config(mrq_size):
+def small_config(mrq_size):
     cfg = baseline_config().replace(num_cores=1)
     return cfg.replace(core=dataclasses.replace(cfg.core, mrq_size=mrq_size))
 
 
 def run_kernel(spec, mrq_size):
     wl = generate_workload(spec)
-    sim = GpuSimulator(tiny_config(mrq_size), None, invariants=True)
+    sim = GpuSimulator(small_config(mrq_size), None, invariants=True)
     sim.load_workload(wl.blocks, wl.max_blocks_per_core)
     return sim.run(strict=True), wl
 
 
-class TestOverFootprintChunkedIssue:
+@pytest.fixture
+def refused(monkeypatch):
+    """The ops of the demands and stores a scan found no MRQ room for."""
+    ops = []
+    has_room = Core._mrq_has_room
+
+    def counting(self, inst):
+        room = has_room(self, inst)
+        if not room:
+            ops.append(inst.op)
+        return room
+
+    monkeypatch.setattr(Core, "_mrq_has_room", counting)
+    return ops
+
+
+def repro_spec(body, threads_per_block=32, loop_iters=0, delinquent=()):
+    return KernelSpec(
+        name="mrq-repro",
+        suite="fuzz",
+        btype="uncoal",
+        threads_per_block=threads_per_block,
+        num_blocks=1,
+        body=body,
+        loop_iters=loop_iters,
+        stride_delinquent=delinquent,
+    )
+
+
+#: Two warps, each loading 32 distinct lines (one per lane).
+TWO_UNCOALESCED_LOADS = repro_spec(
+    (
+        Load("x0", "A", lane_stride=128),
+        Compute(1, consumes=("x0",)),
+    ),
+    threads_per_block=64,
+    delinquent=("x0",),
+)
+
+
+class TestWarpSizedMrq:
     """Regression: diffcheck's fuzzer found that one uncoalesced LOAD whose
     line footprint (32 fresh lines) exceeds a 16-entry MRQ deadlocked at
-    cycle 8 — the all-at-once room check could never pass.  The shrunk
-    minimal repro is pinned here against the chunked-issue path."""
+    cycle 8 — the all-at-once room check could never pass.  No config
+    admits that MRQ any more; at the smallest one admitted, 32 entries,
+    the first warp's 32-line access fills the queue and the second
+    warp's waits on it."""
 
-    def repro_spec(self, body, delinquent=()):
-        return KernelSpec(
-            name="chunk-repro",
-            suite="fuzz",
-            btype="uncoal",
-            threads_per_block=32,
-            num_blocks=1,
-            body=body,
-            loop_iters=0,
-            stride_delinquent=delinquent,
-        )
-
-    def test_load_wider_than_mrq_completes(self):
-        spec = self.repro_spec(
-            (
-                Load("x0", "A", lane_stride=128),  # 32 distinct lines
-                Compute(1, consumes=("x0",)),
-            ),
-            delinquent=("x0",),
-        )
-        result, wl = run_kernel(spec, mrq_size=16)
+    def test_uncoalesced_load_waits_for_a_full_mrq(self, refused):
+        result, wl = run_kernel(TWO_UNCOALESCED_LOADS, mrq_size=32)
         assert result.stats.instructions == wl.total_instructions()
-        # Chunked issue must not double-count: exactly one line per lane.
-        assert result.stats.demand_lines_to_memory == 32
-        assert result.stats.demand_loads == 1
+        assert result.stats.demand_lines_to_memory == 64
+        assert result.stats.demand_loads == 2
+        assert Op.LOAD in refused
 
-    def test_store_wider_than_mrq_completes(self):
-        spec = self.repro_spec(
+    def test_uncoalesced_store_waits_for_a_full_mrq(self, refused):
+        spec = repro_spec(
             (
                 Store("A", lane_stride=128),
                 Load("x0", "B", lane_stride=4),
                 Compute(1, consumes=("x0",)),
             ),
+            threads_per_block=64,
             delinquent=("x0",),
         )
-        result, wl = run_kernel(spec, mrq_size=16)
+        result, wl = run_kernel(spec, mrq_size=32)
         assert result.stats.instructions == wl.total_instructions()
+        assert Op.STORE in refused
 
-    def test_chunked_and_whole_issue_agree_on_traffic(self):
-        """The same kernel on a roomy MRQ must see identical demand traffic:
-        chunking changes *when* lines enter the queue, never how many."""
-        spec = self.repro_spec(
-            (
-                Load("x0", "A", lane_stride=128),
-                Compute(1, consumes=("x0",)),
-            ),
-            delinquent=("x0",),
-        )
-        chunked, _ = run_kernel(spec, mrq_size=16)
-        whole, _ = run_kernel(spec, mrq_size=64)
+    def test_full_mrq_stalls_change_no_traffic(self, refused):
+        """The same kernel on a roomy MRQ sees identical demand traffic:
+        a full queue changes *when* lines enter it, never how many."""
+        full, _ = run_kernel(TWO_UNCOALESCED_LOADS, mrq_size=32)
+        assert refused
+        refused.clear()
+        roomy, _ = run_kernel(TWO_UNCOALESCED_LOADS, mrq_size=512)
+        assert not refused
         assert (
-            chunked.stats.demand_lines_to_memory
-            == whole.stats.demand_lines_to_memory
+            full.stats.demand_lines_to_memory
+            == roomy.stats.demand_lines_to_memory
         )
-        assert chunked.stats.demand_loads == whole.stats.demand_loads
-        assert chunked.stats.instructions == whole.stats.instructions
+        assert full.stats.demand_loads == roomy.stats.demand_loads
+        assert full.stats.instructions == roomy.stats.instructions
+        assert full.stats.cycles >= roomy.stats.cycles
 
 
 class TestStoreMergeDeadlockRegression:
     """Regression for the store-merge deadlock: an uncoalesced store backs
-    up unsent in a tiny MRQ, and a following load to the same lines merges
-    into the store entries.  Without promotion the waiters strand."""
+    up unsent in a small MRQ, and a following load to the same lines
+    merges into the store entries.  Without promotion the waiters strand."""
 
-    def test_store_then_load_same_array_completes(self):
-        spec = KernelSpec(
-            name="store-merge-repro",
-            suite="fuzz",
-            btype="uncoal",
-            threads_per_block=32,
-            num_blocks=1,
-            body=(
+    def test_store_then_load_same_array_completes(self, monkeypatch):
+        promoted = []
+        access_demand = MemoryRequestQueue.access_demand
+
+        def spying(self, line_addr, *args):
+            entry = self.lookup(line_addr)
+            if entry is not None and entry.is_store:
+                promoted.append(line_addr)
+            return access_demand(self, line_addr, *args)
+
+        monkeypatch.setattr(MemoryRequestQueue, "access_demand", spying)
+        spec = repro_spec(
+            (
                 Store("A", lane_stride=64),
                 Load("x0", "A", lane_stride=64),
                 Compute(1, consumes=("x0",)),
             ),
             loop_iters=2,
-            stride_delinquent=("x0",),
+            delinquent=("x0",),
         )
-        result, wl = run_kernel(spec, mrq_size=8)
+        result, wl = run_kernel(spec, mrq_size=32)
         assert result.stats.instructions == wl.total_instructions()
-
-
-# ----------------------------------------------------------------------
-# Chunked-issue warp bookkeeping (unit level)
-# ----------------------------------------------------------------------
-
-
-class TestBeginLoadChunk:
-    def test_open_count_blocks_early_completion(self):
-        """Responses for early chunks can arrive before later chunks exist;
-        the open count keeps the token incomplete until the final chunk."""
-        warp = make_warp()
-        warp.begin_load_chunk(1, 2, final=False)
-        assert warp.line_complete(1) is False
-        assert warp.line_complete(1) is False  # both lines back, still open
-        warp.begin_load_chunk(1, 1, final=True)
-        assert warp.line_complete(1) is True
-        assert 1 in warp.tokens_done
-
-    def test_final_chunk_with_all_lines_already_home(self):
-        warp = make_warp()
-        warp.begin_load_chunk(2, 1, final=False)
-        assert not warp.line_complete(2)
-        warp.begin_load_chunk(2, 0, final=True)  # last chunk fully cache-hit
-        assert 2 in warp.tokens_done
-
-    def test_fully_hit_single_chunk_completes_immediately(self):
-        warp = make_warp()
-        warp.begin_load_chunk(3, 0, final=True)
-        assert 3 in warp.tokens_done
-        assert warp._pending_lines == {}
-
-    def test_line_offset_round_trips_through_state_dict(self):
-        """The snapshot codec round-trips a chunked issue's line offset."""
-        warp = make_warp()
-        warp.line_offset = 17
-        warp.begin_load_chunk(1, 4, final=False)
-        clone = load_state(dump_state(warp), Warp(0, 0, []))
-        assert clone.line_offset == 17
-        assert dump_state(clone) == dump_state(warp)
+        assert promoted, "no demand merged into an unsent store"

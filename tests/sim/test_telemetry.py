@@ -137,24 +137,19 @@ def test_window_totals_reconcile_exactly_with_simstats(tmp_path):
 def test_counters_without_simstats_fields_reconcile_with_machine(tmp_path):
     """The rest reconcile against the per-core machine counters.
 
-    Uses a single-entry MRQ so multi-line instructions must issue in
-    chunks and bounce off a full queue — under the baseline 512-entry
-    queue (or any size the smallest instruction fits in whole) the
-    all-at-once room check stalls the warp *before* the queue is
-    touched, which would leave ``mrq_full_rejections`` untested.
+    Uses the smallest MRQ the config admits (32 entries, one uncoalesced
+    warp-instruction's lines) so ``prefetches_dropped`` counts prefetches
+    a full MRQ dropped as well as the throttle's drops.
     """
     from repro.sim.config import baseline_config
 
     base = baseline_config()
-    cfg = base.replace(core=dataclasses.replace(base.core, mrq_size=1))
+    cfg = base.replace(core=dataclasses.replace(base.core, mrq_size=32))
     recorder = MetricsRecorder(interval=INTERVAL)
     sim = build_sim(make_spec(**REQUEST, config=cfg), metrics=recorder)
     sim.run()
     machine = {
         "warps_retired": sum(c.warps_retired for c in sim.cores),
-        "mrq_full_rejections": sum(
-            c.mrq.total_full_rejections for c in sim.cores
-        ),
         "prefetches_merged": sum(
             c.mrq.total_prefetch_merged for c in sim.cores
         ),
@@ -169,9 +164,21 @@ def test_counters_without_simstats_fields_reconcile_with_machine(tmp_path):
     validate_metrics_document(doc)
     for counter, expected in machine.items():
         assert sum(w[counter] for w in doc["windows"]) == expected
-    assert machine["mrq_full_rejections"] > 0, (
-        "spec no longer exercises MRQ full-queue rejections; pick one that does"
+    assert sum(c.mrq.total_prefetch_dropped_full for c in sim.cores) > 0, (
+        "spec no longer fills the MRQ; pick one that does"
     )
+
+
+def test_a_document_with_a_retired_counter_still_validates():
+    """Readers iterate the current :data:`COUNTERS`, so a document that
+    carries a counter since retired still validates: the committed
+    sample has ``mrq_full_rejections``, which no run could move once no
+    demand or store access could bounce off a full MRQ."""
+    sample = Path(__file__).parents[1] / "data" / "sample.metrics.json"
+    doc = json.loads(sample.read_text(encoding="utf-8"))
+    assert "mrq_full_rejections" in doc["totals"]
+    assert "mrq_full_rejections" not in COUNTERS
+    assert validate_metrics_document(doc) is doc
 
 
 def test_every_window_carries_the_full_schema(tmp_path):

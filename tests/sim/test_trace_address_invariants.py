@@ -1,11 +1,18 @@
 """Cross-cutting invariants between trace generation and the benchmarks."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from repro.sim.coalescer import WARP_SIZE
 from repro.sim.isa import MemSpace, Op
-from repro.trace.benchmarks import MEMORY_BENCHMARKS, get_benchmark
-from repro.trace.swp import MT_SWP
-from repro.trace.tracegen import generate_workload
+from repro.trace.benchmarks import (
+    COMPUTE_BENCHMARKS,
+    MEMORY_BENCHMARKS,
+    get_benchmark,
+)
+from repro.trace.swp import MT_SWP, SCHEMES
+from repro.trace.tracegen import generate_workload, warp_lines
 
 
 @pytest.fixture(scope="module", params=["monte", "backprop", "bfs", "linear"])
@@ -72,3 +79,26 @@ def test_swp_prefetch_addresses_match_some_demand(name):
         pytest.skip(f"{name} has no delinquent loads for MT-SWP")
     covered = len(prefetch_lines & demand_lines) / len(prefetch_lines)
     assert covered > 0.8, f"{name}: only {covered:.0%} of prefetches useful"
+
+
+@given(base=st.integers(0, 1 << 40), lane_stride=st.integers(-(1 << 20), 1 << 20))
+def test_a_warp_access_touches_at_most_a_line_per_thread(base, lane_stride):
+    """The premise of ``CoreConfig``'s MRQ floor: one warp access needs at
+    most WARP_SIZE MRQ entries, whatever its base and lane stride."""
+    assert 1 <= len(warp_lines(base, lane_stride)) <= WARP_SIZE
+
+
+@pytest.mark.parametrize("software", sorted(SCHEMES))
+def test_no_benchmark_access_is_wider_than_a_warp(software):
+    """Every load and store of every benchmark, under every software
+    scheme, touches at most WARP_SIZE lines, so it fits an MRQ of the
+    smallest size the config admits."""
+    for name in MEMORY_BENCHMARKS + COMPUTE_BENCHMARKS:
+        wl = generate_workload(get_benchmark(name, scale=0.1),
+                               swp=SCHEMES[software])
+        widest = max(
+            (len(inst.lines) for inst in all_instructions(wl)
+             if inst.op in (Op.LOAD, Op.STORE)),
+            default=0,
+        )
+        assert widest <= WARP_SIZE, f"{name}: a {widest}-line access"
