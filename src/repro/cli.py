@@ -32,7 +32,7 @@ The simulating commands (``run``, ``compare``, ``figure``) share the
 sweep flags:
 
 * ``--jobs N`` — simulate up to N grid points concurrently in worker
-  processes (default 1: serial).
+  processes (default 1: serial).  N must be at least 1.
 * ``--cache-dir DIR`` — persistent result cache location (default
   ``$REPRO_CACHE_DIR`` or ``~/.cache/repro-mtap``); completed runs are
   reused across invocations, so the shared no-prefetch baseline is
@@ -40,10 +40,9 @@ sweep flags:
 * ``--no-cache`` — disable the persistent cache for this invocation.
 * ``--timeout S`` — per-run wall-clock deadline for pooled runs; only
   the run exceeding its own deadline fails.  S must be positive.
-* ``--retries N`` — extra attempts for transiently-failed runs (crashed
-  worker, OS error); deterministic failures are never retried.
-* ``--max-failures N`` — abort the sweep once N runs have failed; N
-  must be at least 1 (1 stops at the first failure).
+* ``--retries N`` — extra attempts for a pooled run whose worker process
+  died (or, with ``--checkpoint-dir``, that missed its deadline); any
+  other failure is recorded at once.  N must be at least 0.
 * ``--manifest FILE`` — JSONL checkpoint journal; re-invoking with the
   same manifest resumes an interrupted sweep.
 * Run options, applied to every run actually executed:
@@ -67,11 +66,11 @@ directory partition the work instead of duplicating it; a sweep denied
 a claim polls the cache for the other process's result, and orphaned
 leases (SIGKILLed claimant) are stolen after a grace period.
 
-A flag value the sweep engine rejects — a non-positive ``--timeout`` or
-interval, or ``--max-failures`` below 1 — is a usage error (exit
-status 2), as is a ``--subset`` benchmark that a paper table (Table III
-or IV) has no row for; either stops the command before anything
-simulates.
+A flag value the sweep engine rejects — ``--jobs`` below 1,
+``--retries`` below 0, or a non-positive ``--timeout`` or interval — is
+a usage error (exit status 2), as is a ``--subset`` benchmark that a
+paper table (Table III or IV) has no row for; either stops the command
+before anything simulates.
 
 A sweep interrupted by SIGTERM/SIGINT drains in-flight runs, finalizes
 the ``--manifest`` journal, and exits with status 130; re-invoking the
@@ -79,10 +78,10 @@ same command with the same manifest resumes exactly.  A second signal
 forces immediate exit.
 
 A grid point the sweep recorded as failed is never simulated again to
-finish an exhibit.  A run that exceeded ``--timeout`` or was skipped
-after ``--max-failures`` exits with status 1 and one line naming the run
-and its failure kind; a run that raised (a deadlock, an invariant
-violation, an unknown benchmark) re-raises that exception.
+finish an exhibit.  A run that exceeded ``--timeout`` exits with status
+1 and one line naming the run and its failure kind; a run that raised
+(a deadlock, an invariant violation, an unknown benchmark) re-raises
+that exception.
 
 A reader that closes the output pipe early (``| head``) ends the
 command quietly with status 0.
@@ -143,11 +142,8 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--retries", type=int, default=2, metavar="N",
-        help="extra attempts for transiently-failed runs (default: 2)",
-    )
-    parser.add_argument(
-        "--max-failures", type=int, default=None, metavar="N",
-        help="abort the sweep after N failed runs (default: never)",
+        help="extra attempts for a pooled run whose worker died "
+             "(default: 2)",
     )
     parser.add_argument(
         "--manifest", default=None, metavar="FILE",
@@ -214,7 +210,6 @@ def _make_runner(args: argparse.Namespace) -> ExperimentRunner:
         progress=sys.stderr.isatty(),
         timeout=args.timeout,
         retries=args.retries,
-        max_failures=args.max_failures,
         manifest=args.manifest,
         options=options,
     )
@@ -709,8 +704,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     A graceful shutdown (first SIGTERM/SIGINT: the sweep drains, journals
     completed runs, and finalizes the manifest) and a forced exit (second
     signal) both return 130, the conventional fatal-signal code.  A run
-    that failed without raising (timed out, aborted) returns 1 with one
-    line naming it.  A closed stdout pipe (``| head``) returns 0.
+    that failed without raising (timed out, say) returns 1 with one line
+    naming it.  A closed stdout pipe (``| head``) returns 0.
     """
     if argv is None:
         argv = sys.argv[1:]

@@ -171,7 +171,6 @@ def child_main(config: Dict) -> int:
         jobs=config.get("jobs", 2),
         worker=paced_worker,
         retries=config.get("retries", 3),
-        retry_backoff=0.1,
         lease_grace=config.get("lease_grace", 2.0),
         manifest=config.get("manifest"),
         options=RunOptions(

@@ -525,7 +525,8 @@ class ExperimentRunner:
     Args:
         config: Default machine configuration for all runs.
         scale: Grid scale factor for all runs.
-        jobs: Worker processes for :meth:`warm` sweeps (1 = serial inline).
+        jobs: Worker processes for :meth:`warm` sweeps (1 = serial
+            inline); at least 1.
         cache_dir: On-disk result cache directory; ``None`` defers to
             ``use_cache`` / ``$REPRO_CACHE_DIR``.
         use_cache: ``True`` forces caching on (default directory if
@@ -534,11 +535,10 @@ class ExperimentRunner:
         progress: Emit a progress/ETA line to stderr during sweeps.
         timeout: **Per-run** deadline in seconds for pooled sweeps; only a
             run exceeding its own deadline fails.
-        retries: Extra attempts for transiently-failed runs (crashed
-            worker, ``OSError``); deterministic simulation failures are
-            never retried.
-        max_failures: Abort a sweep once this many runs have failed;
-            remaining runs are recorded as ``aborted`` failures.
+        retries: Extra attempts for a pooled run whose worker process
+            died (or that missed its deadline with checkpointing on);
+            like deadlines, retries apply to pooled runs only, and any
+            other failure is recorded at once.  At least 0.
         manifest: Path to a JSONL checkpoint journal; an interrupted
             sweep re-invoked with the same manifest resumes from partial
             progress.
@@ -561,7 +561,6 @@ class ExperimentRunner:
         progress: bool = False,
         timeout: Optional[float] = None,
         retries: int = 2,
-        max_failures: Optional[int] = None,
         manifest: Union[str, Path, None] = None,
         options: Optional[RunOptions] = None,
     ) -> None:
@@ -573,14 +572,13 @@ class ExperimentRunner:
             timeout=timeout,
             progress=ProgressReporter(enabled=progress),
             retries=retries,
-            max_failures=max_failures,
             manifest=manifest,
             options=options,
         )
         self._cache: Dict[str, SimulationResult] = {}
         # Points a sweep of this runner failed, by fingerprint.  run()
         # raises the failure instead of simulating the point again in
-        # this process, where no deadline or failure budget applies.
+        # this process, where no deadline applies.
         self._failed: Dict[str, RunFailure] = {}
 
     def _spec(
@@ -615,11 +613,11 @@ class ExperimentRunner:
 
         A failed point raises its failure: the original exception when
         the run raised one, else :class:`~repro.harness.sweep.RunFailedError`
-        (a timed-out or an aborted run).  Single runs
-        are strict; only sweeps isolate faults.  A point that failed
-        once, here or in :meth:`warm`, raises again without running, so
-        finishing an exhibit never re-simulates a failed grid point
-        outside its sweep's deadline and failure budget.
+        (a timed-out run, say).  Single runs are strict; only sweeps
+        isolate faults.  A point that failed once, here or in
+        :meth:`warm`, raises again without running, so finishing an
+        exhibit never re-simulates a failed grid point outside its
+        sweep's deadline.
         """
         spec = self._spec(
             benchmark, software, hardware, throttle, distance, degree,

@@ -29,12 +29,13 @@ Fault-tolerance model (the integrity layer of the harness):
   exceeds its deadline is recorded as a ``timeout`` failure; every other
   run proceeds.  A hung worker's slot is written off, and when every
   slot is hung the pool is replaced.
-* **Bounded retry with exponential backoff** — but only for *transient*
-  failures (a crashed worker process, ``OSError``).  Deterministic
-  failures (:class:`~repro.sim.errors.SimulationError` subclasses such as
-  invariant violations or cycle-limit truncation, and ordinary
-  exceptions) would fail identically on every attempt and are never
-  retried.
+* **Retry of a dead worker.**  A pooled run whose worker process died
+  (the pool reports it as :class:`~concurrent.futures.BrokenExecutor`)
+  goes to the back of the queue, up to ``retries`` extra attempts.
+  Nothing else a run raises is retried: the simulator is deterministic
+  and every artifact write is best-effort, so any other error would
+  recur on every attempt.  An in-process run has no worker to lose and
+  is never retried.
 * **Checkpointed manifests.**  With a :class:`SweepManifest` attached,
   every completed run is journaled (append-only JSONL); an interrupted
   sweep re-invoked with the same manifest resumes from partial progress
@@ -47,9 +48,6 @@ Fault-tolerance model (the integrity layer of the harness):
   worker's retry continues from the last checkpoint instead of
   restarting at cycle 0 — and deadline hits become retryable, since
   each attempt makes forward progress.
-* **Failure budgets.**  ``max_failures`` aborts the sweep once too many
-  runs fail; unexecuted runs are recorded as ``aborted`` failures, so
-  callers always receive one outcome per input spec.
 * **Heartbeats** (see :mod:`repro.harness.supervise`).  With a
   heartbeat interval in the options, every pooled worker writes periodic
   liveness heartbeats that record its pid, into the options'
@@ -72,10 +70,10 @@ Fault-tolerance model (the integrity layer of the harness):
   :mod:`repro.harness.coordinate`).  With a cache attached, the engine
   claims a work-claim lease under ``<cache-root>/leases/`` before
   simulating each uncached spec.  A concurrent sweep that finds the
-  lease live puts the spec back behind the gate retry backoff uses and
-  claims it again later; once the claimant has cached its result and
-  released the lease, that claim succeeds and a cache re-check finds the
-  result instead of re-simulating it.  A lease whose renewals stopped
+  lease live puts the spec back behind a short gate and claims it again
+  later; once the claimant has cached its result and released the
+  lease, that claim succeeds and a cache re-check finds the result
+  instead of re-simulating it.  A lease whose renewals stopped
   (SIGKILLed claimant) is atomically stolen.  Coordination is purely an
   optimization — correctness still rests on atomic cache writes — and
   an unusable lease directory degrades to uncoordinated runs.
@@ -109,7 +107,6 @@ from __future__ import annotations
 
 import contextlib
 import dataclasses
-import errno
 import hashlib
 import json
 import os
@@ -133,7 +130,6 @@ from typing import (
     Optional,
     Sequence,
     TextIO,
-    Tuple,
     Union,
 )
 
@@ -174,53 +170,6 @@ CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 #: Maximum seconds a shutdown request waits for in-flight pooled runs to
 #: finish, or checkpoint and bow out.
 DRAIN_TIMEOUT = 30.0
-
-#: Exception types treated as transient (retryable) worker failures: the
-#: pool infrastructure died (:class:`BrokenExecutor` covers a killed or
-#: crashed worker process) or the OS briefly misbehaved.  Deterministic
-#: simulation failures are explicitly excluded — retrying them reproduces
-#: the identical failure at full simulation cost.
-TRANSIENT_EXCEPTIONS = (BrokenExecutor, OSError, EOFError, ConnectionError)
-
-#: ``OSError`` errnos that denote deterministic environment failures —
-#: a full disk, a quota, a permission wall, a path that does not exist.
-#: Retrying these burns the whole retry budget (at full simulation cost)
-#: on an attempt that can never succeed, so they are classified as
-#: permanent.  An ``OSError`` with *no* errno (e.g. a pool pipe tearing
-#: mid-pickle) stays transient: it signals infrastructure, not policy.
-PERMANENT_OS_ERRNOS = frozenset(
-    {
-        errno.EACCES,
-        errno.EPERM,
-        errno.EROFS,
-        errno.ENOSPC,
-        getattr(errno, "EDQUOT", -1),
-        errno.ENOENT,
-        errno.ENOTDIR,
-        errno.EISDIR,
-        errno.ENAMETOOLONG,
-    }
-)
-
-
-def is_transient_failure(exc: BaseException) -> bool:
-    """True when retrying ``exc``'s run could plausibly succeed.
-
-    Structured simulation failures are deterministic, hence permanent.
-    ``OSError`` is classified by errno: resource exhaustion and
-    permission errors (:data:`PERMANENT_OS_ERRNOS`) fail identically on
-    every attempt, while connection/pipe-level errors (and errno-less
-    ``OSError``\\ s from pool infrastructure) remain retryable.
-    """
-    if isinstance(exc, SimulationError):
-        return False
-    if not isinstance(exc, TRANSIENT_EXCEPTIONS):
-        return False
-    if isinstance(exc, OSError) and not isinstance(exc, ConnectionError):
-        if exc.errno in PERMANENT_OS_ERRNOS:
-            return False
-    return True
-
 
 @dataclass(frozen=True)
 class RunSpec:
@@ -302,8 +251,7 @@ class RunFailure:
     inline path and the pool path preserve it), so strict callers can
     re-raise it.  ``kind`` is the failure taxonomy tag: ``"exception"``,
     ``"timeout"``, ``"truncated"``, ``"invariant"``, ``"deadlock"``,
-    ``"interrupted"``, ``"checkpoint"``, or ``"aborted"`` (not executed
-    after the ``max_failures`` budget ran out).  ``report`` holds the
+    ``"interrupted"`` or ``"checkpoint"``.  ``report`` holds the
     diagnostic snapshot payload when the failure was a
     :class:`~repro.sim.errors.SimulationError`.
     """
@@ -325,8 +273,8 @@ class RunFailedError(RuntimeError):
     """A failed run that raised nothing itself, raised where it is needed.
 
     :meth:`~repro.harness.runner.ExperimentRunner.run` raises it for a
-    failure that carries no exception (a timed-out or an aborted run); a
-    failure that does re-raises that exception.
+    failure that carries no exception (a timed-out run, say); a failure
+    that does re-raises that exception.
     ``failure`` is the :class:`RunFailure`; the message names the run and
     its failure kind on one line, which is what the CLI prints before
     exiting 1.
@@ -612,8 +560,7 @@ class SweepManifest:
     write) is skipped on load, and everything before it is intact.  On
     resume, ``done`` entries are replayed as instant results; ``failed``
     entries, and ``done`` entries whose stats do not deserialize, are
-    re-attempted (which gives cross-invocation retry semantics for
-    transient infrastructure failures).
+    re-attempted.
 
     Records from a different :data:`SCHEMA_VERSION` are ignored: a
     simulator-semantics change makes old results unusable, exactly as
@@ -707,12 +654,8 @@ class ProgressReporter:
     captured test stream) carriage returns would pile every intermediate
     update into one unreadable line, so only the final status line is
     written, ``\\r``-free.  Disabled reporters are no-ops, so the engine
-    can call them unconditionally.
-
-    Beyond done/cached/failed, the line breaks out the ``aborted``
-    count (unexecuted after the ``max_failures`` budget) when nonzero,
-    and ``finish`` can append a one-line sweep summary (dropped
-    cache/manifest writes, interruption status).
+    can call them unconditionally.  ``finish`` can append a one-line
+    sweep summary (dropped cache/manifest writes, interruption status).
     """
 
     def __init__(self, enabled: bool = True, stream: Optional[TextIO] = None,
@@ -724,7 +667,6 @@ class ProgressReporter:
         self.done = 0
         self.cached = 0
         self.failed = 0
-        self.aborted = 0
         self._t0 = 0.0
         self._tty = self._stream_is_tty()
 
@@ -744,21 +686,14 @@ class ProgressReporter:
         self.done = cached
         self.cached = cached
         self.failed = 0
-        self.aborted = 0
         self._t0 = time.monotonic()
         self._tty = self._stream_is_tty()
         self._emit()
 
-    def step(self, failed: bool = False, aborted: bool = False) -> None:
-        """Record one finished run and refresh the progress line.
-
-        ``aborted`` runs are failures too (they produced no stats) and
-        are counted under both tallies.
-        """
+    def step(self, failed: bool = False) -> None:
+        """Record one finished run and refresh the progress line."""
         self.done += 1
-        if aborted:
-            self.aborted += 1
-        if failed or aborted:
+        if failed:
             self.failed += 1
         self._emit()
 
@@ -783,10 +718,9 @@ class ProgressReporter:
             eta_text = f" eta {eta:6.1f}s"
         else:
             eta_text = ""
-        extras = f", {self.aborted} aborted" if self.aborted else ""
         line = (
             f"[{self.label}] {self.done}/{self.total} done"
-            f" ({self.cached} cached, {self.failed} failed{extras})"
+            f" ({self.cached} cached, {self.failed} failed)"
             f" elapsed {elapsed:6.1f}s{eta_text}"
         )
         self.stream.write(("\r" if self._tty else "") + line)
@@ -824,7 +758,7 @@ class _PendingRun:
     spec: RunSpec
     attempt: int = 0
     deadline: Optional[float] = None
-    not_before: float = 0.0  # gate: retry backoff or next lease claim
+    not_before: float = 0.0  # gate: the next lease claim
     deferred: bool = False  # parked at least once behind a sibling's lease
 
 
@@ -883,7 +817,8 @@ class SweepEngine:
 
     Args:
         cache: Persistent result cache, or ``None``.
-        jobs: Worker processes (1 = run in this process).
+        jobs: Worker processes (1 = run in this process).  Must be at
+            least 1.
         timeout: **Per-run** wall-clock deadline in seconds for pooled
             runs.  A run exceeding it is recorded as a ``timeout``
             failure; other runs are unaffected.  In-process runs cannot
@@ -892,14 +827,11 @@ class SweepEngine:
         progress: Progress/ETA reporter.
         worker: Run-execution callable, called as ``worker(spec,
             options)`` (overridable for testing and fault injection).
-        retries: Maximum *additional* attempts for a transiently-failed
-            run (crashed worker, ``OSError``).  Deterministic failures
-            are never retried.
-        retry_backoff: Base backoff in seconds; attempt ``n`` waits
-            ``retry_backoff * 2**(n-1)`` before re-dispatch.
-        max_failures: Abort the sweep once this many runs have failed;
-            remaining runs are recorded as ``aborted``.  ``None`` means
-            never abort.  Must be at least 1.
+        retries: Maximum *additional* attempts for a pooled run whose
+            worker process died, or (with a checkpoint directory in
+            ``options``) that missed its deadline.  Like deadlines,
+            retries apply to pooled runs only; any other failure is
+            recorded at once.  Must be at least 0.
         manifest: Checkpoint journal (path or :class:`SweepManifest`)
             for resumable sweeps.
         lease_grace: Seconds of renewal silence after which another
@@ -920,24 +852,22 @@ class SweepEngine:
         progress: Optional[ProgressReporter] = None,
         worker: Callable[[RunSpec, RunOptions], SimStats] = _sweep_worker,
         retries: int = 2,
-        retry_backoff: float = 0.5,
-        max_failures: Optional[int] = None,
         manifest: Union[SweepManifest, str, Path, None] = None,
         lease_grace: float = DEFAULT_LEASE_GRACE,
         options: Optional[RunOptions] = None,
     ) -> None:
+        if jobs < 1:
+            raise ValueError(f"jobs must be >= 1, got {jobs}")
         if timeout is not None and not timeout > 0:
             raise ValueError(f"timeout must be positive, got {timeout}")
-        if max_failures is not None and max_failures < 1:
-            raise ValueError(f"max_failures must be >= 1, got {max_failures}")
+        if retries < 0:
+            raise ValueError(f"retries must be >= 0, got {retries}")
         self.cache = cache
-        self.jobs = max(1, int(jobs))
+        self.jobs = jobs
         self.timeout = timeout
         self.progress = progress or ProgressReporter(enabled=False)
         self.worker = worker
-        self.retries = max(0, int(retries))
-        self.retry_backoff = max(0.0, float(retry_backoff))
-        self.max_failures = max_failures
+        self.retries = retries
         if manifest is not None and not isinstance(manifest, SweepManifest):
             manifest = SweepManifest(manifest)
         self.manifest = manifest
@@ -957,7 +887,6 @@ class SweepEngine:
         self.lease_deferred = 0  # specs parked behind a sibling's lease
         self.lease_deferred_hits = 0  # parked specs resolved from its results
         self.interrupted = False  # the last run() ended in a shutdown
-        self._sweep_failures = 0  # per-run() failure count for max_failures
         # Trace-memo traffic observed by this engine's process during
         # run() (in-process runs; pool workers keep their own memos).
         self.trace_memo_hits = 0
@@ -1006,7 +935,6 @@ class SweepEngine:
                     if self.cache is not None:
                         self.cache.put(key, spec, stats)
 
-            self._sweep_failures = 0
             self.progress.start(len(unique), cached=len(outcomes))
             misses = [(k, s) for k, s in unique.items() if k not in outcomes]
             if misses:
@@ -1105,8 +1033,6 @@ class SweepEngine:
             "total": total,
             "failed": self.progress.failed,
         }
-        if self.progress.aborted:
-            summary["aborted"] = self.progress.aborted
         dropped = self._dropped_writes()
         if dropped:
             summary["dropped_writes"] = dropped
@@ -1136,8 +1062,6 @@ class SweepEngine:
                 f"trace memo {self.trace_memo_hits} hit(s), "
                 f"{self.trace_memo_misses} miss(es)"
             )
-        if self.progress.aborted:
-            parts.append(f"{self.progress.aborted} aborted")
         if self.cache is not None and self.cache.sink.dropped:
             parts.append(f"{self.cache.sink.dropped} cache write(s) dropped")
         if self.cache is not None and self.cache.corrupt_evicted:
@@ -1259,31 +1183,12 @@ class SweepEngine:
         )
         outcomes[key] = failure
         self.failures += 1
-        self._sweep_failures += 1
         if self.manifest is not None:
             self.manifest.record_failure(failure)
         # A failed spec's claim is released so a concurrent sweep can
         # attempt it with its own retry budget.
         self._release_claim(key)
         self.progress.step(failed=True)
-
-    def _record_aborted(
-        self, items: Sequence[Tuple[str, RunSpec]], outcomes: Dict[str, Outcome]
-    ) -> None:
-        for key, spec in items:
-            if key in outcomes:
-                continue
-            outcomes[key] = RunFailure(
-                spec=spec,
-                key=key,
-                kind="aborted",
-                error=(
-                    f"sweep aborted after {self._sweep_failures} failure(s) "
-                    f"(max_failures={self.max_failures}); run not executed"
-                ),
-            )
-            self.failures += 1
-            self.progress.step(aborted=True)
 
     # ------------------------------------------------------------------
 
@@ -1307,7 +1212,7 @@ class SweepEngine:
     def _dispatch(
         self, misses: Sequence, outcomes: Dict[str, Outcome]
     ) -> None:
-        """Run the missing specs: retries, deadlines, drain.
+        """Run the missing specs: dead-worker retries, deadlines, drain.
 
         The one scheduler of every sweep.  It builds a process pool, whose
         initializer installs the worker signal handlers, only when
@@ -1328,10 +1233,12 @@ class SweepEngine:
         With ``options.heartbeat_interval`` set, pool workers write
         liveness heartbeats into a directory this method names.
 
-        Retries and lease deferrals share the ``not_before`` gate: a
-        retried run waits out its backoff, and a spec whose lease a
-        concurrent sweep holds waits one lease poll, behind the queued
-        runs.
+        A pooled run whose worker died (its future raised
+        :class:`~concurrent.futures.BrokenExecutor`, which the death also
+        raises for every run in flight beside it) goes to the back of the
+        queue, up to ``retries`` extra attempts, and is admitted to a
+        fresh pool at once.  A spec whose lease a concurrent sweep holds
+        waits one lease poll behind the ``not_before`` gate.
 
         A graceful-shutdown request flips the loop into *drain* mode: no
         new admissions, in-flight futures are given :data:`DRAIN_TIMEOUT`
@@ -1402,12 +1309,9 @@ class SweepEngine:
             )
             running[future] = run
 
-        def requeue(run: _PendingRun, now: float) -> None:
+        def requeue(run: _PendingRun) -> None:
             run.attempt += 1
             self.retried += 1
-            run.not_before = now + (
-                self.retry_backoff * 2 ** (run.attempt - 1)
-            )
             work.append(run)
 
         draining = False
@@ -1423,20 +1327,6 @@ class SweepEngine:
                     if not running or time.monotonic() >= drain_deadline:
                         return
                 if not draining:
-                    if (
-                        self.max_failures is not None
-                        and self._sweep_failures >= self.max_failures
-                    ):
-                        for future in running:
-                            future.cancel()
-                        self._record_aborted(
-                            [
-                                (r.key, r.spec)
-                                for r in list(running.values()) + list(work)
-                            ],
-                            outcomes,
-                        )
-                        break
                     now = time.monotonic()
                     # Dispatch work whose gate has passed, up to the live
                     # capacity of the current executor.  A spec whose
@@ -1515,10 +1405,10 @@ class SweepEngine:
                             continue
                         if (
                             not draining
-                            and is_transient_failure(exc)
+                            and isinstance(exc, BrokenExecutor)
                             and run.attempt < self.retries
                         ):
-                            requeue(run, now)
+                            requeue(run)
                         else:
                             self._record_failure(
                                 run.key, run.spec, "exception", exc, outcomes,
@@ -1548,7 +1438,7 @@ class SweepEngine:
                         # restarting at cycle 0, so each retry makes
                         # forward progress even against a too-tight
                         # deadline.
-                        requeue(run, now)
+                        requeue(run)
                         continue
                     self._record_failure(
                         run.key, run.spec, "timeout", None, outcomes,

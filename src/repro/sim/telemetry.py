@@ -125,12 +125,11 @@ GAUGES = (
 )
 
 #: Counter -> :class:`~repro.sim.stats.SimStats` field carrying the same
-#: quantity.  The telemetry suite iterates this map to assert exact
-#: per-counter reconciliation between a run's window totals and its
-#: final stats.  Counters absent here (``warps_retired``,
-#: ``prefetches_merged``, ``prefetches_dropped``, ``throttle_drops``)
-#: have no aggregate SimStats field and reconcile against the per-core
-#: machine counters directly.
+#: quantity.  The recorder reads these counters from the simulator's own
+#: stats, so each run total is summed in one place.  Counters absent here
+#: (``warps_retired``, ``prefetches_merged``, ``prefetches_dropped``,
+#: ``throttle_drops``) have no aggregate SimStats field; the recorder
+#: sums them from the per-core machine counters.
 SIMSTATS_EQUIVALENTS = {
     "instructions": "instructions",
     "stall_cycles": "stall_cycles",
@@ -204,54 +203,33 @@ class MetricsRecorder:
 
     @staticmethod
     def _snapshot(sim: object) -> Dict[str, int]:
-        """Read the cumulative machine counters as a plain dict.
+        """Read the cumulative machine counters as a dict in
+        :data:`COUNTERS` order.
 
         Every value is a monotonically non-decreasing run total; window
         deltas are differences of two such snapshots, which is what
         makes the per-window series reconcile exactly with the final
         stats.
         """
-        instructions = 0
-        warps_retired = 0
-        stall_cycles = 0
-        mrq_requests = 0
-        intra_core_merges = 0
-        prefetches_issued = 0
-        prefetches_merged = 0
-        prefetches_dropped = 0
-        prefetches_useful = 0
-        prefetches_late = 0
+        stats = sim._collect_stats(sim.cycle)
+        warps_retired = prefetches_merged = prefetches_dropped = 0
         throttle_drops = 0
         for core in sim.cores:
             mrq = core.mrq
-            instructions += core.instructions
             warps_retired += core.warps_retired
-            stall_cycles += core.stall_cycles
-            mrq_requests += mrq.total_requests
-            intra_core_merges += mrq.total_merges
-            prefetches_issued += core.prefetch_issued
             prefetches_merged += mrq.total_prefetch_merged
             prefetches_dropped += core.prefetch_throttled + mrq.total_prefetch_dropped_full
-            prefetches_useful += core.pcache.total_useful
-            prefetches_late += core.late_prefetches
             throttle_drops += core.throttle.total_dropped
-        dram = sim.dram
-        return {
-            "instructions": instructions,
+        summed = {
             "warps_retired": warps_retired,
-            "stall_cycles": stall_cycles,
-            "mrq_requests": mrq_requests,
-            "intra_core_merges": intra_core_merges,
-            "inter_core_merges": dram.total_inter_core_merges,
-            "dram_lines": dram.total_lines_transferred,
-            "dram_row_hits": dram.total_row_hits,
-            "dram_row_misses": dram.total_row_misses,
-            "prefetches_issued": prefetches_issued,
             "prefetches_merged": prefetches_merged,
             "prefetches_dropped": prefetches_dropped,
-            "prefetches_useful": prefetches_useful,
-            "prefetches_late": prefetches_late,
             "throttle_drops": throttle_drops,
+        }
+        return {
+            name: summed[name] if name in summed
+            else getattr(stats, SIMSTATS_EQUIVALENTS[name])
+            for name in COUNTERS
         }
 
     @staticmethod

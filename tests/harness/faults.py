@@ -5,12 +5,24 @@ real :func:`repro.harness.runner.run_spec` worker inside
 :class:`~repro.harness.sweep.SweepEngine`, injecting the failure modes
 the engine's fault-tolerance machinery must handle:
 
-* transient crashes that succeed on retry (:func:`flaky_worker`),
-* permanent transient-class crashes (:func:`crashing_worker`),
-* deterministic simulation failures that must *not* be retried
+* a pool worker that dies once, then succeeds on retry
+  (:func:`flaky_worker`),
+* pool workers that die on every attempt (:func:`crashing_worker`),
+* errors a run raises, which must *not* be retried: an ``OSError``
+  (:func:`oserror_worker`) or a deterministic simulation failure
   (:func:`invariant_worker`),
 * stalls confined to one benchmark (:func:`selectively_slow_worker`),
 * truncated runs returning partial statistics (:func:`truncating_worker`).
+
+A worker "dies" the way a crashed one does: its process exits at once
+(:func:`die`), so the pool breaks and the engine sees
+:class:`~concurrent.futures.BrokenExecutor`.  Only a pool worker may
+die.  In a process ``multiprocessing`` did not start (the test process
+itself) :func:`die` raises instead: a sweep with one miss runs in
+process even with ``jobs >= 2``, so a test of a dying worker needs a
+second spec beside it.  A death breaks every run in flight in its pool,
+so a healthy spec beside a dying one may be retried too; tests assert
+exact attempt counts only for the dying spec.
 
 Determinism across processes: pool workers cannot share in-memory
 counters with the test process, so per-spec attempt counts live as
@@ -27,10 +39,9 @@ torn binary write) which the cache must treat as a miss, never a crash.
 :func:`repro.sim.checkpoint.load_checkpoint` must reject with a
 structured :class:`~repro.sim.errors.CheckpointError` — never load
 silently and never crash the worker.  :func:`checkpointing_crash_worker`
-combines the two layers: its first attempt dies right after leaving a
-genuine mid-run snapshot behind (what a crashed checkpointing worker
-leaves on disk), and later attempts run the real
-:func:`~repro.harness.runner.run_spec`, which must resume from it.
+combines the two layers: its first ``cell`` attempt dies right after
+leaving a genuine mid-run snapshot behind, and later attempts run the
+real :func:`~repro.harness.runner.run_spec`, which must resume from it.
 :func:`sigkill_after_snapshot` is the hardest variant — it SIGKILLs its
 own process right after the snapshot lands, so it must only ever run in
 a dedicated subprocess.
@@ -38,14 +49,16 @@ a dedicated subprocess.
 The supervised-runtime additions cover the mechanisms of
 ``repro.harness.supervise``: :func:`raise_enospc` is a monkeypatch shim
 standing in for a full disk;
-:func:`selectively_crashing_worker` crashes one spec on every attempt so
+:func:`selectively_crashing_worker` dies on every attempt of one spec so
 it burns its whole retry budget; and :func:`supervised_sweep_main` is a
 subprocess driver for the SIGTERM-mid-sweep acceptance test.
 """
 
 from __future__ import annotations
 
+import errno
 import json
+import multiprocessing
 import os
 import time
 from pathlib import Path
@@ -61,6 +74,11 @@ FAULT_DIR_ENV = "REPRO_FAULT_DIR"
 #: deadline by an order of magnitude, short enough that an orphaned
 #: worker finishing its nap never stalls pytest shutdown noticeably.
 STALL_SECONDS = 2.5
+
+#: Attempts after which a worker that dies on every attempt raises
+#: instead, so an engine that ignores its retry budget fails a test
+#: rather than hanging it.
+MAX_DEATHS = 5
 
 
 def _fault_dir() -> Path:
@@ -107,20 +125,41 @@ def _stats_for(spec) -> SimStats:
     return stats
 
 
+def die(attempt: int = 1) -> None:
+    """End this pool worker's process at once, as a crash would.
+
+    Raises ``RuntimeError`` instead in a process ``multiprocessing`` did
+    not start, where an exit would end the test run, and once ``attempt``
+    passes :data:`MAX_DEATHS`.
+    """
+    if multiprocessing.parent_process() is None:
+        raise RuntimeError("a fault worker dies only in a pool worker process")
+    if attempt > MAX_DEATHS:
+        raise RuntimeError(f"still dying after {MAX_DEATHS} attempts")
+    os._exit(1)
+
+
 def flaky_worker(spec, options) -> SimStats:
-    """Crash with a transient ``OSError`` on the first attempt per spec,
-    succeed on every later attempt — the retry-then-success scenario."""
-    attempt = record_attempt(spec)
-    if attempt == 1:
-        raise OSError(f"injected transient fault (attempt {attempt})")
+    """Die on the first attempt of a ``monte`` run and succeed on every
+    other attempt and spec: the retry-then-success scenario."""
+    if record_attempt(spec) == 1 and spec.benchmark == "monte":
+        die()
     return _stats_for(spec)
 
 
 def crashing_worker(spec, options) -> SimStats:
-    """Crash with a transient ``OSError`` on *every* attempt — exercises
-    retry exhaustion."""
+    """Die on *every* attempt of every spec: retry exhaustion."""
+    die(record_attempt(spec))
+
+
+def oserror_worker(spec, options) -> SimStats:
+    """Raise ``OSError`` on every attempt: an errno-less one for
+    ``monte``, ``ENOSPC`` for any other spec.  The worker survives, so
+    the engine must record the error at once."""
     attempt = record_attempt(spec)
-    raise OSError(f"injected permanent fault (attempt {attempt})")
+    if spec.benchmark == "monte":
+        raise OSError(f"injected errno-less fault (attempt {attempt})")
+    raise OSError(errno.ENOSPC, "No space left on device (injected)")
 
 
 def invariant_worker(spec, options) -> SimStats:
@@ -372,14 +411,14 @@ def sigkill_after_snapshot(spec, directory) -> None:
 
 
 def checkpointing_crash_worker(spec, options) -> SimStats:
-    """Die transiently after leaving a genuine mid-run snapshot, once.
+    """Die once right after leaving a genuine mid-run snapshot.
 
-    Attempt 1 writes a real auto-checkpoint to the spec's canonical
-    location under ``options.checkpoint_dir`` and raises ``OSError`` —
-    the crash-after-first-snapshot scenario.  Every later attempt runs
-    the real :func:`~repro.harness.runner.run_spec`, which must find the
-    snapshot and resume from it (asserted by the caller via the
-    resumed-run profile and bit-identical stats).
+    The first attempt of a ``cell`` run writes a real auto-checkpoint to
+    the spec's canonical location under ``options.checkpoint_dir`` and
+    dies: the crash-after-first-snapshot scenario.  Every other attempt
+    and spec runs the real :func:`~repro.harness.runner.run_spec`, which
+    must find the snapshot and resume from it (asserted by the caller
+    via bit-identical stats).
     """
     from repro.harness.runner import checkpoint_path_for, run_spec
 
@@ -389,11 +428,9 @@ def checkpointing_crash_worker(spec, options) -> SimStats:
         raise RuntimeError(
             "checkpointing_crash_worker needs a checkpoint directory"
         )
-    if attempt == 1:
-        cycle = write_midrun_checkpoint(spec, checkpoint_path_for(spec, directory))
-        raise OSError(
-            f"injected crash right after the cycle-{cycle} snapshot"
-        )
+    if attempt == 1 and spec.benchmark == "cell":
+        write_midrun_checkpoint(spec, checkpoint_path_for(spec, directory))
+        die()
     return run_spec(spec, options).stats
 
 
@@ -409,16 +446,12 @@ PACE_SECONDS = 0.35
 
 
 def selectively_crashing_worker(spec, options) -> SimStats:
-    """Crash every attempt for benchmark ``monte`` (a poison spec),
-    succeed for everything else.
-
-    The crash is an errno-less ``OSError`` — transient by the engine's
-    classifier — so the spec burns its whole retry budget without
-    aborting the healthy cells.
-    """
+    """Die on every attempt of benchmark ``monte`` (a poison spec) and
+    succeed for everything else, so that spec burns its whole retry
+    budget."""
     attempt = record_attempt(spec)
     if spec.benchmark == "monte":
-        raise OSError(f"injected poison-spec fault (attempt {attempt})")
+        die(attempt)
     return _stats_for(spec)
 
 
@@ -429,9 +462,7 @@ def raise_enospc(*args, **kwargs):
     write a sink makes to simulate disk exhaustion at that write site
     without actually filling a disk.
     """
-    import errno as _errno
-
-    raise OSError(_errno.ENOSPC, "No space left on device (injected)")
+    raise OSError(errno.ENOSPC, "No space left on device (injected)")
 
 
 def paced_worker(spec, options) -> SimStats:
@@ -488,7 +519,6 @@ def supervised_sweep_main(argv=None) -> None:
         worker=paced_worker,
         options=RunOptions(heartbeat_interval=0.2),
         retries=1,
-        retry_backoff=0.1,
     )
     try:
         outcomes = engine.run(specs)
@@ -539,7 +569,6 @@ def coordinated_sweep_main(argv=None) -> None:
         worker=paced_worker,
         options=RunOptions(heartbeat_interval=0.2),
         retries=1,
-        retry_backoff=0.1,
         # Generous on purpose: the acceptance test asserts *zero*
         # duplicated simulations, and a tight grace lets a healthy
         # holder's lease lapse under CI load (a legal at-least-once

@@ -11,9 +11,9 @@ Covers the supervised runtime end to end:
   (later writes are counted drops), and the run or sweep still returns
   its result; a pooled run whose heartbeats stop on a full disk still
   succeeds.
-* **Retry budgets** — a transiently crashing spec uses exactly
-  ``retries + 1`` attempts without aborting the healthy cells beside it,
-  and a deterministic failure is attempted once.
+* **Retry budgets** — a spec whose pool worker dies on every attempt
+  uses exactly ``retries + 1`` attempts, and an error a run raises (an
+  ``OSError`` of any errno, a deterministic failure) is attempted once.
 * **Graceful shutdown** — first signal drains (inline and pooled),
   finalizes the manifest, and raises ``SweepInterrupted``; the second
   forces exit.  A SIGTERM that reaches the engine alone is relayed to
@@ -33,6 +33,7 @@ import subprocess
 import sys
 import time
 import warnings
+from concurrent.futures import BrokenExecutor
 from pathlib import Path
 from unittest import mock
 
@@ -55,7 +56,6 @@ from repro.harness.sweep import (
     SweepInterrupted,
     SweepManifest,
     fingerprint,
-    is_transient_failure,
 )
 from repro.sim.artifacts import Sink
 from repro.sim.errors import SimulationError, WorkerInterrupted
@@ -210,7 +210,6 @@ class TestRunSentinel:
         assert clone.kind == "interrupted"
         assert clone.snapshot == {"cycle": 9}
         assert isinstance(clone, SimulationError)
-        assert not is_transient_failure(clone)
 
     def test_worker_signal_handler_raises_the_flag(self):
         previous = {
@@ -228,25 +227,32 @@ class TestRunSentinel:
 
 
 # ----------------------------------------------------------------------
-# errno-aware transient classification
+# No errno is retried
 # ----------------------------------------------------------------------
 
 
 class TestErrnoClassification:
-    def test_environment_errnos_are_permanent(self):
-        for exc in (
+    """Every ``OSError`` a run raises is permanent: its worker lives, and
+    a second attempt would meet the same disk, quota or permission."""
+
+    def test_environment_errnos_are_permanent(self, fault_dir):
+        errors = (
             OSError(errno.ENOSPC, "no space"),
             OSError(errno.EDQUOT, "quota"),
-            PermissionError(errno.EACCES, "denied"),
             OSError(errno.EROFS, "read-only"),
             FileNotFoundError(errno.ENOENT, "missing"),
-        ):
-            assert not is_transient_failure(exc), exc
+        )
+        spec = spec_for("monte")
+        for exc in errors:
+            def failing_worker(spec, options, exc=exc):
+                faults.record_attempt(spec)
+                raise exc
 
-    def test_errnoless_and_connection_oserrors_stay_transient(self):
-        assert is_transient_failure(OSError("pipe"))
-        assert is_transient_failure(ConnectionResetError(104, "reset"))
-        assert is_transient_failure(BrokenPipeError(errno.EPIPE, "pipe"))
+            engine = SweepEngine(jobs=1, worker=failing_worker, retries=5)
+            [outcome] = engine.run([spec])
+            assert outcome.exception is exc
+            assert outcome.attempts == 1
+        assert faults.attempts_made(spec) == len(errors)
 
     def test_permanent_oserror_is_not_retried_by_the_engine(self, fault_dir):
         def denied_worker(spec, options):
@@ -254,8 +260,7 @@ class TestErrnoClassification:
             raise PermissionError(errno.EACCES, "injected EACCES")
 
         spec = spec_for("monte")
-        engine = SweepEngine(jobs=1, worker=denied_worker,
-                             retries=5, retry_backoff=0.0)
+        engine = SweepEngine(jobs=1, worker=denied_worker, retries=5)
         [outcome] = engine.run([spec])
         assert isinstance(outcome, RunFailure)
         assert outcome.attempts == 1
@@ -308,22 +313,23 @@ class TestRetryBudget:
     def test_transient_crash_uses_retries_plus_one_attempts(self, fault_dir):
         crashing, healthy = spec_for("monte"), spec_for("cell")
         engine = SweepEngine(
-            jobs=1, worker=faults.selectively_crashing_worker,
-            retries=1, retry_backoff=0.0,
+            jobs=2, worker=faults.selectively_crashing_worker, retries=1,
         )
         bad, good = engine.run([crashing, healthy])
         assert isinstance(bad, RunFailure)
         assert bad.kind == "exception"
+        assert isinstance(bad.exception, BrokenExecutor)
         assert bad.attempts == 2  # the whole retry budget
         assert faults.attempts_made(crashing) == 2
-        # The healthy cell ran to completion — no abort.
-        assert isinstance(good, SimulationResult)
+        # Each death breaks the pool, and with it the healthy run when
+        # that is still in flight: it finishes or runs out of retries.
+        assert (isinstance(good, SimulationResult)
+                or isinstance(good.exception, BrokenExecutor))
 
     def test_invariant_failure_is_attempted_once(self, fault_dir):
         spec = spec_for("monte")
         engine = SweepEngine(
-            jobs=1, worker=faults.invariant_worker,
-            retries=2, retry_backoff=0.0,
+            jobs=1, worker=faults.invariant_worker, retries=2,
         )
         [outcome] = engine.run([spec])
         assert outcome.kind == "invariant"
@@ -534,7 +540,7 @@ class TestDiskPressure:
 
 
 # ----------------------------------------------------------------------
-# Progress reporting (non-TTY, aborted, summary line)
+# Progress reporting (non-TTY, summary line)
 # ----------------------------------------------------------------------
 
 
@@ -569,31 +575,6 @@ class TestProgressReporting:
         text = stream.getvalue()
         assert "\r" in text
         assert "1/2 done" in text and "2/2 done" in text
-
-    def test_aborted_runs_break_out_in_the_line(self):
-        stream = io.StringIO()
-        reporter = ProgressReporter(enabled=True, stream=stream)
-        reporter.start(total=3)
-        reporter.step(failed=True)
-        reporter.step(aborted=True)
-        reporter.step()
-        reporter.finish(summary="1 aborted")
-        text = stream.getvalue()
-        assert "1 aborted" in text
-        assert "2 failed" in text  # an aborted run counts as failed
-        assert "[sweep] 1 aborted" in text
-
-    def test_engine_summary_reports_aborted_runs(self, fault_dir):
-        stream = io.StringIO()
-        engine = SweepEngine(
-            jobs=1, worker=faults.selectively_crashing_worker,
-            retries=0, max_failures=1,
-            progress=ProgressReporter(enabled=True, stream=stream),
-        )
-        engine.run([spec_for("monte"), spec_for("cell")])
-        text = stream.getvalue()
-        assert "1 aborted" in text
-        assert "[sweep] 1 aborted" in text
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ import time
 import pytest
 
 from repro.harness.runner import (
+    WORKLOAD_MEMO,
     ExperimentRunner,
     make_spec,
     run_spec,
@@ -382,6 +383,20 @@ class TestExperimentRunnerIntegration:
         simulated_before = runner.engine.simulated
         runner.run("monte")  # memory hit, no new simulation
         assert runner.engine.simulated == simulated_before
+
+    def test_runs_sharing_a_trace_generate_it_once(self):
+        """Three cell specs differ only in hardware scheme, so they share
+        one trace: an in-process sweep generates it once and serves the
+        other two runs from the trace memo."""
+        WORKLOAD_MEMO.clear()
+        runner = ExperimentRunner(scale=0.1, jobs=1, use_cache=False)
+        runner.warm([
+            {"benchmark": "cell"},
+            {"benchmark": "cell", "hardware": "stride_pc"},
+            {"benchmark": "cell", "hardware": "mt-hwp"},
+        ])
+        assert runner.engine.trace_memo_misses == 1
+        assert runner.engine.trace_memo_hits == 2
 
     def test_warm_returns_failures_without_raising(self):
         runner = ExperimentRunner(scale=SCALE, use_cache=False)

@@ -3,53 +3,28 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.coalescer import (
-    coalesce,
-    coalesce_warp_access,
-    is_coalesced,
-    line_of,
-    lines_for_footprint,
-    warp_addresses,
-)
+from repro.sim.coalescer import coalesce, warp_addresses
 from repro.trace.tracegen import warp_lines
 
 
 class TestBasics:
-    def test_line_of(self):
-        assert line_of(0) == 0
-        assert line_of(63) == 0
-        assert line_of(64) == 64
-        assert line_of(130) == 128
+    """The line sets :func:`warp_lines` gives every trace access."""
 
     def test_fully_coalesced_float_access(self):
         """32 consecutive 4-byte elements -> 2 transactions."""
-        lines = coalesce_warp_access(base=0, lane_stride=4)
-        assert lines == (0, 64)
+        assert warp_lines(base=0, lane_stride=4) == (0, 64)
 
     def test_unaligned_coalesced_access(self):
-        lines = coalesce_warp_access(base=32, lane_stride=4)
-        assert lines == (0, 64, 128)
+        assert warp_lines(base=32, lane_stride=4) == (0, 64, 128)
 
     def test_fully_uncoalesced_access(self):
         """Per-lane stride of one line -> one transaction per lane."""
-        lines = coalesce_warp_access(base=0, lane_stride=64)
+        lines = warp_lines(base=0, lane_stride=64)
         assert len(lines) == 32
         assert lines == tuple(range(0, 32 * 64, 64))
 
     def test_broadcast_access(self):
-        lines = coalesce_warp_access(base=256, lane_stride=0)
-        assert lines == (256,)
-
-    def test_footprint(self):
-        assert lines_for_footprint(0, 1) == (0,)
-        assert lines_for_footprint(0, 65) == (0, 64)
-        assert lines_for_footprint(60, 8) == (0, 64)
-        assert lines_for_footprint(0, 0) == ()
-
-    def test_is_coalesced(self):
-        assert is_coalesced(warp_addresses(0, 4))
-        assert not is_coalesced(warp_addresses(0, 64))
-        assert is_coalesced([])
+        assert warp_lines(base=256, lane_stride=0) == (256,)
 
 
 class TestProperties:
@@ -81,12 +56,3 @@ class TestProperties:
         assert all(line % 64 == 0 for line in lines)
         assert len(set(lines)) == len(lines)
         assert {a // 64 * 64 for a in addrs} == set(lines)
-
-    @given(base=st.integers(0, 1 << 24), n=st.integers(0, 4096))
-    @settings(max_examples=100)
-    def test_footprint_is_contiguous(self, base, n):
-        lines = lines_for_footprint(base, n)
-        assert all(b - a == 64 for a, b in zip(lines, lines[1:]))
-        if n > 0:
-            assert lines[0] <= base < lines[0] + 64
-            assert lines[-1] <= base + n - 1 < lines[-1] + 64

@@ -185,8 +185,7 @@ def test_integrity_flags(tmp_path, monkeypatch, capsys):
     manifest = tmp_path / "sweep.jsonl"
     assert main([
         "run", "cell", "--scale", "0.1", "--invariants", "--retries", "1",
-        "--timeout", "120", "--max-failures", "3",
-        "--manifest", str(manifest),
+        "--timeout", "120", "--manifest", str(manifest),
     ]) == 0
     assert checked, "--invariants did not reach the run"
     assert "speedup" in capsys.readouterr().out
@@ -280,16 +279,21 @@ def test_non_positive_run_option_is_a_usage_error(flag, value, capsys):
     assert "must be positive" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [
+    ["run", "cell"],
+    ["compare", "cell", "--schemes", "stride_pc"],
+    ["figure", "fig15", "--subset", "monte"],
+], ids=["run", "compare", "figure"])
 @pytest.mark.parametrize("flag, value, message", [
-    ("--max-failures", "0", "max_failures must be >= 1"),
+    ("--jobs", "0", "jobs must be >= 1"),
+    ("--retries", "-1", "retries must be >= 0"),
     ("--timeout", "-1", "timeout must be positive"),
 ])
-def test_bad_failure_budget_or_deadline_is_a_usage_error(
-    flag, value, message, capsys
+def test_bad_jobs_retries_or_deadline_is_a_usage_error(
+    command, flag, value, message, capsys
 ):
     with pytest.raises(SystemExit) as excinfo:
-        main(["figure", "fig15", "--scale", "0.1", "--no-cache",
-              "--subset", "monte", flag, value])
+        main([*command, "--scale", "0.1", "--no-cache", flag, value])
     assert excinfo.value.code == 2
     assert message in capsys.readouterr().err
 
