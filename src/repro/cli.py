@@ -38,13 +38,14 @@ sweep flags:
   reused across invocations, so the shared no-prefetch baseline is
   simulated once per machine, ever.
 * ``--no-cache`` — disable the persistent cache for this invocation.
-* ``--timeout S`` — per-run wall-clock deadline for pooled runs; only
-  the run exceeding its own deadline fails.  S must be positive.
+* ``--timeout S`` — per-run wall-clock deadline for pooled runs; the run
+  exceeding it fails and its pool is killed (the runs beside it run
+  again on a fresh pool).  S must be positive.
 * ``--retries N`` — extra attempts for a pooled run whose worker process
-  died (or, with ``--checkpoint-dir``, that missed its deadline); any
-  other failure is recorded at once.  N must be at least 0.
-* ``--manifest FILE`` — JSONL checkpoint journal; re-invoking with the
-  same manifest resumes an interrupted sweep.
+  died; any other failure, a missed deadline included, is recorded at
+  once.  N must be at least 0.
+* ``--manifest FILE`` — write-only JSONL journal of every outcome; an
+  interrupted sweep resumes from the result cache.
 * Run options, applied to every run actually executed:
   ``--invariants`` (the integrity checker), ``--profile DIR`` (a
   wall-clock profile JSON per run), ``--metrics-dir DIR`` /
@@ -70,12 +71,13 @@ A flag value the sweep engine rejects — ``--jobs`` below 1,
 ``--retries`` below 0, or a non-positive ``--timeout`` or interval — is
 a usage error (exit status 2), as is a ``--subset`` benchmark that a
 paper table (Table III or IV) has no row for; either stops the command
-before anything simulates.
+before anything simulates.  So is a negative ``chaos --budget`` or
+``fsck --grace``, and a count of 0 for any other count flag.
 
 A sweep interrupted by SIGTERM/SIGINT drains in-flight runs, finalizes
 the ``--manifest`` journal, and exits with status 130; re-invoking the
-same command with the same manifest resumes exactly.  A second signal
-forces immediate exit.
+same command with the same cache resumes exactly (a ``--no-cache``
+sweep starts over).  A second signal forces immediate exit.
 
 A grid point the sweep recorded as failed is never simulated again to
 finish an exhibit.  A run that exceeded ``--timeout`` exits with status
@@ -96,7 +98,7 @@ import argparse
 import json
 import os
 import sys
-from typing import List, Optional
+from typing import Callable, List, Optional
 
 # Each command's own machinery (the perf harness, the auditor, the chaos
 # campaign, the differential checker) is imported inside its handler, so
@@ -122,6 +124,19 @@ from repro.trace.benchmarks import COMPUTE_BENCHMARKS, MEMORY_BENCHMARKS
 from repro.trace.swp import SCHEMES as SOFTWARE_SCHEMES
 
 
+def _at_least(least: float, kind: type = int) -> Callable[[str], float]:
+    """An argparse type: ``kind(text)``, a usage error below ``least``."""
+
+    def convert(text: str) -> float:
+        value = kind(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {text}")
+        return value
+
+    convert.__name__ = kind.__name__  # argparse names it in its own errors
+    return convert
+
+
 def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--jobs", type=int, default=1,
@@ -134,7 +149,8 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--no-cache", action="store_true",
-        help="disable the persistent result cache",
+        help="disable the persistent result cache (an interrupted sweep "
+             "then has nothing to resume from)",
     )
     parser.add_argument(
         "--timeout", type=float, default=None, metavar="S",
@@ -142,12 +158,13 @@ def _add_sweep_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--retries", type=int, default=2, metavar="N",
-        help="extra attempts for a pooled run whose worker died "
-             "(default: 2)",
+        help="extra attempts for a pooled run whose worker died; a missed "
+             "deadline is not retried (default: 2)",
     )
     parser.add_argument(
         "--manifest", default=None, metavar="FILE",
-        help="JSONL checkpoint journal for resumable sweeps",
+        help="write-only JSONL journal of every run's outcome; an "
+             "interrupted sweep resumes from the result cache",
     )
     parser.add_argument(
         "--checkpoint-dir", default=None, metavar="DIR",
@@ -259,7 +276,7 @@ def _perf_arguments(perf_p: argparse.ArgumentParser) -> None:
         help="run the sub-second smoke subset (CI perf-smoke job)",
     )
     perf_p.add_argument(
-        "--repeats", type=int, default=1, metavar="N",
+        "--repeats", type=_at_least(1), default=1, metavar="N",
         help="timed repetitions per spec; best-of-N is reported (default: 1)",
     )
     perf_p.add_argument(
@@ -288,7 +305,7 @@ def _perf_arguments(perf_p: argparse.ArgumentParser) -> None:
 
 def _diffcheck_arguments(diff_p: argparse.ArgumentParser) -> None:
     diff_p.add_argument(
-        "--seeds", type=int, default=10, metavar="N",
+        "--seeds", type=_at_least(1), default=10, metavar="N",
         help="number of fuzz seeds to check (default: 10)",
     )
     diff_p.add_argument(
@@ -341,7 +358,7 @@ def _fsck_arguments(fsck_p: argparse.ArgumentParser) -> None:
              "(default: $REPRO_CACHE_DIR or ~/.cache/repro-mtap)",
     )
     fsck_p.add_argument(
-        "--grace", type=float, default=None, metavar="S",
+        "--grace", type=_at_least(0, float), default=None, metavar="S",
         help="seconds of silence before leases/heartbeats count as "
              f"expired (default: {DEFAULT_LEASE_GRACE:.0f})",
     )
@@ -367,7 +384,7 @@ def _chaos_arguments(chaos_p: argparse.ArgumentParser) -> None:
              "(seed, budget) (default: 0)",
     )
     chaos_p.add_argument(
-        "--budget", type=int, default=6, metavar="K",
+        "--budget", type=_at_least(0), default=6, metavar="K",
         help="faults to inject before letting the sweep converge "
              "(default: 6)",
     )
@@ -377,11 +394,11 @@ def _chaos_arguments(chaos_p: argparse.ArgumentParser) -> None:
              "directory, removed on success)",
     )
     chaos_p.add_argument(
-        "--workers", type=int, default=2, metavar="N",
+        "--workers", type=_at_least(1), default=2, metavar="N",
         help="concurrent sweep processes sharing the cache (default: 2)",
     )
     chaos_p.add_argument(
-        "--jobs", type=int, default=2, metavar="N",
+        "--jobs", type=_at_least(1), default=2, metavar="N",
         help="pool size inside each sweep process (default: 2)",
     )
     chaos_p.add_argument(
@@ -389,7 +406,7 @@ def _chaos_arguments(chaos_p: argparse.ArgumentParser) -> None:
         help="benchmark scale factor for the campaign grid (default: 0.05)",
     )
     chaos_p.add_argument(
-        "--rounds", type=int, default=30, metavar="N",
+        "--rounds", type=_at_least(1), default=30, metavar="N",
         help="maximum sweep relaunches before declaring non-convergence "
              "(default: 30)",
     )

@@ -170,9 +170,8 @@ def child_main(config: Dict) -> int:
         cache=ResultCache(config["cache_dir"]),
         jobs=config.get("jobs", 2),
         worker=paced_worker,
-        retries=config.get("retries", 3),
+        retries=3,
         lease_grace=config.get("lease_grace", 2.0),
-        manifest=config.get("manifest"),
         options=RunOptions(
             checkpoint_dir=config.get("checkpoint_dir"),
             checkpoint_interval=config.get("checkpoint_interval", 2000),
@@ -467,15 +466,15 @@ def run_campaign(
 
     Args:
         seed: RNG seed; the fault schedule is deterministic in it.
-        budget: Faults to inject before letting the fleet converge.
+        budget: Faults to inject before the fleet converges, at least 0.
         root: Working directory (created if needed).  ``None`` uses a
             fresh temporary directory, removed again when the campaign
             passes (kept for inspection when it fails).
-        workers: Concurrent sweep children during the disturbance phase.
-        jobs: Pool size inside each child engine; 1 runs each child's
-            specs in the child itself.
+        workers: Concurrent sweep children while disturbing, at least 1.
+        jobs: Pool size inside each child engine, at least 1; 1 runs
+            each child's specs in the child itself.
         scale: Benchmark scale factor for the campaign grid.
-        max_rounds: Recovery relaunches before declaring non-convergence.
+        max_rounds: Recovery relaunches (at least 1) before giving up.
         pace: Seconds each worker idles per run during the disturbance
             phase (gives faults something to land in the middle of).
         lease_grace: Lease-steal grace used by children and the audit.
@@ -487,7 +486,7 @@ def run_campaign(
     if temporary:
         root = tempfile.mkdtemp(prefix="repro-chaos-")
     root = Path(root)
-    report = ChaosReport(seed=seed, budget=max(0, int(budget)), root=str(root))
+    report = ChaosReport(seed=seed, budget=budget, root=str(root))
 
     cache_dir = root / "cache"
     heartbeat_dir = root / "heartbeats"
@@ -504,12 +503,12 @@ def run_campaign(
     env["PYTHONPATH"] = src_root + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    env[PACE_ENV] = str(max(0.0, pace))
+    env[PACE_ENV] = str(pace)
     env.pop("REPRO_CACHE_DIR", None)  # children must use the campaign cache
 
     config = {
         "cache_dir": str(cache_dir),
-        "jobs": max(1, int(jobs)),
+        "jobs": jobs,
         "scale": scale,
         "heartbeat_interval": 0.2,
         "heartbeat_dir": str(heartbeat_dir),
@@ -526,12 +525,12 @@ def run_campaign(
 
     try:
         say(f"disturbance: {workers} worker(s), {report.budget} fault(s)")
-        for _ in range(max(1, int(workers))):
+        for _ in range(workers):
             fleet.spawn()
 
         while len(report.faults) < report.budget:
             time.sleep(rng.uniform(0.1, 0.4))
-            while len(fleet.alive()) < max(1, int(workers)):
+            while len(fleet.alive()) < workers:
                 fleet.spawn()
             kind = rng.choice(FAULT_KINDS)
             detail = _inject(kind, fleet, cache, checkpoint_dir, flag, rng)
@@ -554,7 +553,7 @@ def run_campaign(
             config_calm, {**env, PACE_ENV: "0"}, root / "logs-calm"
         )
         fleets.append(fleet_calm)
-        while report.rounds < max(1, int(max_rounds)):
+        while report.rounds < max_rounds:
             child = fleet_calm.spawn()
             returncode = child.wait(timeout=300)
             report.rounds += 1

@@ -173,7 +173,6 @@ class DiffRunner:
             cfg,
             throttle,
             perfect_memory=False,
-            strict=True,
             invariants=True,
         )
         return result.stats

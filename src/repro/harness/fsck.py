@@ -265,8 +265,8 @@ def _classify_manifest(path: Path) -> Finding:
         )
     detail = f"{valid} record(s)"
     if torn:
-        # Torn trailing lines are the journal's designed crash mode;
-        # loads skip them, so they do not make the file corrupt.
+        # Torn trailing lines are the journal's designed crash mode,
+        # so they do not make the file corrupt.
         detail += f", {torn} torn line(s) tolerated"
     return Finding(path, "manifest", "ok", detail)
 
@@ -406,12 +406,12 @@ def audit(
     Args:
         roots: Directories (or single files) to walk.
         grace: Seconds of silence after which leases and heartbeats are
-            considered expired — match the sweep's lease grace.
+            considered expired (at least 0; match the sweep's lease grace).
         repair: Quarantine corrupt files.
         gc: Collect stale/orphaned files.
     """
     root_paths = [Path(root) for root in roots]
-    report = FsckReport(roots=root_paths, grace=max(0.0, float(grace)))
+    report = FsckReport(roots=root_paths, grace=float(grace))
     files = list(_iter_files(root_paths))
     cache_findings = {
         path: _classify_cache_entry(path)

@@ -102,12 +102,12 @@ def _measure_one(request: Dict[str, object], repeats: int) -> Dict[str, object]:
     kernel = get_benchmark(spec.benchmark, scale=spec.scale)
     builder = HARDWARE_SCHEMES[spec.hardware]
     best: Optional[SimProfiler] = None
-    for _ in range(max(1, repeats)):
+    for _ in range(repeats):
         profiler = SimProfiler()
         profiler.benchmark = spec.benchmark
         _simulate(
             kernel, spec.software, builder, spec.distance, spec.degree,
-            spec.config, spec.throttle, spec.perfect_memory, strict=True,
+            spec.config, spec.throttle, spec.perfect_memory,
             profiler=profiler,
         )
         if best is None or profiler.wall_seconds < best.wall_seconds:
@@ -138,8 +138,8 @@ def run_perf(
     Args:
         quick: Use :data:`QUICK_SPECS` (sub-second; the CI smoke set)
             instead of the full :data:`PERF_SPECS`.
-        repeats: Timed repetitions per spec; the fastest run is kept
-            (standard best-of-N to suppress scheduler noise).
+        repeats: Timed repetitions per spec, at least 1; the fastest
+            run is kept (standard best-of-N to suppress scheduler noise).
         generated: Absolute ISO-8601 timestamp recorded in the document.
             Supplied by the caller so no simulation-adjacent code reads
             the clock.
@@ -154,7 +154,7 @@ def run_perf(
         "generated": generated,
         "machine": machine if machine is not None else machine_info(),
         "quick": bool(quick),
-        "repeats": max(1, repeats),
+        "repeats": repeats,
         "runs": runs,
         "totals": {
             "cycles": total_cycles,

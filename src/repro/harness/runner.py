@@ -278,7 +278,6 @@ def _simulate(
     cfg: GpuConfig,
     throttle: bool,
     perfect_memory: bool,
-    strict: bool = False,
     profiler: Optional[SimProfiler] = None,
     metrics: Optional[MetricsRecorder] = None,
     checkpoint_path: Union[str, Path, None] = None,
@@ -288,6 +287,10 @@ def _simulate(
     sentinel: Optional[supervise.RunSentinel] = None,
 ) -> SimulationResult:
     """The single execution path behind every run (serial, pooled, cached).
+
+    Every run is strict: one that exhausts ``max_cycles`` raises
+    :class:`~repro.sim.errors.CycleLimitExceeded`, so a truncated run is
+    never cached or averaged into a figure as if it completed.
 
     With ``checkpoint_path`` set, the run resumes from a valid snapshot
     at that path when one exists (a corrupt or mismatched snapshot is
@@ -357,7 +360,7 @@ def _simulate(
         )
     if sentinel is not None:
         sentinel.attach(sim, checkpoint)
-    result = sim.run(strict=strict)
+    result = sim.run(strict=True)
     if checkpoint_path is not None:
         try:
             Path(checkpoint_path).unlink(missing_ok=True)
@@ -389,16 +392,13 @@ def metrics_path_for(spec: RunSpec, directory: Union[str, Path]) -> Path:
 
 
 def run_spec(
-    spec: RunSpec, options: Optional[RunOptions] = None, strict: bool = True
+    spec: RunSpec, options: Optional[RunOptions] = None
 ) -> SimulationResult:
     """Execute one fully-normalized :class:`RunSpec`.
 
     This is the sweep-engine worker entry point; no further defaulting
     happens here, so a spec simulates identically no matter which process
-    runs it.  Harness runs are *strict* by default: a run that exhausts
-    ``max_cycles`` raises :class:`~repro.sim.errors.CycleLimitExceeded`
-    instead of returning partial statistics, so a truncated simulation
-    can never be cached or averaged into a figure as if it completed.
+    runs it.  Like every harness run it is strict (:func:`_simulate`).
 
     ``options`` (:class:`~repro.harness.sweep.RunOptions`; default: no
     observers) says how to check and observe the run; the run derives
@@ -437,7 +437,7 @@ def run_spec(
     sentinel = supervise.RunSentinel(heartbeat=heartbeat)
     result = _simulate(
         kernel, spec.software, builder, spec.distance, spec.degree,
-        spec.config, spec.throttle, spec.perfect_memory, strict=strict,
+        spec.config, spec.throttle, spec.perfect_memory,
         profiler=profiler,
         metrics=recorder,
         checkpoint_path=checkpoint_path,
@@ -497,7 +497,7 @@ def run_benchmark(
         swp, hw_distance = _normalize_scheme_args(software, hardware, distance)
         return _simulate(
             benchmark, swp, HARDWARE_SCHEMES[hardware], hw_distance, degree,
-            config or baseline_config(), throttle, perfect_memory, strict=True,
+            config or baseline_config(), throttle, perfect_memory,
         )
     return run_spec(make_spec(
         benchmark, software=software, hardware=hardware, throttle=throttle,
@@ -533,15 +533,15 @@ class ExperimentRunner:
             ``cache_dir`` is unset), ``False`` forces it off, ``None``
             (default) enables it only when a directory was named.
         progress: Emit a progress/ETA line to stderr during sweeps.
-        timeout: **Per-run** deadline in seconds for pooled sweeps; only a
-            run exceeding its own deadline fails.
+        timeout: **Per-run** deadline in seconds for pooled sweeps; a
+            run exceeding its own deadline fails, and the runs in flight
+            beside it run again on a fresh pool.
         retries: Extra attempts for a pooled run whose worker process
-            died (or that missed its deadline with checkpointing on);
-            like deadlines, retries apply to pooled runs only, and any
-            other failure is recorded at once.  At least 0.
-        manifest: Path to a JSONL checkpoint journal; an interrupted
-            sweep re-invoked with the same manifest resumes from partial
-            progress.
+            died; like deadlines, retries apply to pooled runs only, and
+            any other failure, a missed deadline included, is recorded
+            at once.  At least 0.
+        manifest: Path to a write-only JSONL journal of every outcome;
+            an interrupted sweep resumes from the result cache.
         options: The :class:`~repro.harness.sweep.RunOptions` every run
             gets: invariant checking, observer directories and intervals,
             and the interval of the heartbeats pooled runs write.

@@ -25,29 +25,27 @@ exploits both:
 Fault-tolerance model (the integrity layer of the harness):
 
 * **Per-run deadlines.**  ``timeout`` bounds each pooled run's own wall
-  clock, and is the one defence against a stuck run.  Only the run that
-  exceeds its deadline is recorded as a ``timeout`` failure; every other
-  run proceeds.  A hung worker's slot is written off, and when every
-  slot is hung the pool is replaced.
+  clock, and is the one defence against a stuck run.  The run that
+  exceeds its deadline is recorded as a ``timeout`` failure and its
+  pool is killed; the runs in flight beside it run again on a fresh
+  pool, uncharged, so no stuck worker outlives its deadline.
 * **Retry of a dead worker.**  A pooled run whose worker process died
   (the pool reports it as :class:`~concurrent.futures.BrokenExecutor`)
   goes to the back of the queue, up to ``retries`` extra attempts.
-  Nothing else a run raises is retried: the simulator is deterministic
-  and every artifact write is best-effort, so any other error would
-  recur on every attempt.  An in-process run has no worker to lose and
-  is never retried.
-* **Checkpointed manifests.**  With a :class:`SweepManifest` attached,
-  every completed run is journaled (append-only JSONL); an interrupted
-  sweep re-invoked with the same manifest resumes from partial progress
-  even without a result cache.
+  Nothing else a run raises is retried, and neither is a missed
+  deadline: the simulator is deterministic and every artifact write is
+  best-effort, so any other failure would recur on every attempt.  An
+  in-process run has no worker to lose and is never retried.
+* **Resume from the result cache.**  An interrupted sweep re-invoked
+  with the same cache simulates only what is missing.  A
+  :class:`SweepManifest` journals every outcome for a reader and
+  ``repro fsck``; nothing reads it back, so an uncached sweep restarts.
 * **Mid-run crash recovery.**  With a checkpoint directory in the
   sweep's :class:`RunOptions` (see :mod:`repro.sim.checkpoint`), every
   worker snapshots its simulator periodically and
   :func:`repro.harness.runner.run_spec` resumes from the newest valid
-  snapshot, so a crashed or deadline-hit
-  worker's retry continues from the last checkpoint instead of
-  restarting at cycle 0 — and deadline hits become retryable, since
-  each attempt makes forward progress.
+  snapshot, so a crashed worker's retry continues from the last
+  checkpoint instead of restarting at cycle 0.
 * **Heartbeats** (see :mod:`repro.harness.supervise`).  With a
   heartbeat interval in the options, every pooled worker writes periodic
   liveness heartbeats that record its pid, into the options'
@@ -62,10 +60,11 @@ Fault-tolerance model (the integrity layer of the harness):
 * **Graceful shutdown.**  The first SIGTERM/SIGINT during a sweep stops
   admission, drains in-flight runs (which flush checkpoints), journals a
   final manifest record, and raises :class:`SweepInterrupted`; the CLI
-  exits 130 and a re-invocation with the same ``--manifest`` resumes
-  exactly.  A draining engine relays SIGTERM to its pool workers, so a
-  signal sent to the engine alone reaches the runs too.  A second signal
-  forces immediate exit.
+  exits 130 and a re-invocation with the same cache resumes exactly.  A
+  draining engine relays SIGTERM to its pool workers, so a signal sent
+  to the engine alone reaches the runs too, and kills the workers still
+  running after :data:`DRAIN_TIMEOUT`.  A second signal forces
+  immediate exit.
 * **Cooperative multi-process coordination** (see
   :mod:`repro.harness.coordinate`).  With a cache attached, the engine
   claims a work-claim lease under ``<cache-root>/leases/`` before
@@ -168,7 +167,7 @@ SCHEMA_VERSION = 3
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
 #: Maximum seconds a shutdown request waits for in-flight pooled runs to
-#: finish, or checkpoint and bow out.
+#: finish, or checkpoint and bow out, before killing their workers.
 DRAIN_TIMEOUT = 30.0
 
 @dataclass(frozen=True)
@@ -528,12 +527,12 @@ def parse_manifest_line(line: bytes) -> Optional[Dict]:
     """One journal line as a record: the one parser of manifest lines.
 
     A record is a JSON object with a ``schema`` tag.  A ``done`` record
-    is replayed as a finished run, so its ``stats`` must deserialize and
-    not be flagged truncated; they come back as a :class:`SimStats`.
+    carries a finished run's stats, so its ``stats`` must deserialize
+    and not be flagged truncated; they come back as a :class:`SimStats`.
     Anything else — a line torn by an interrupted write (even mid-way
     through a multi-byte UTF-8 character), a foreign line, a ``done``
-    record without usable stats — returns ``None``.
-    :meth:`SweepManifest.load` and ``repro fsck`` both use it.
+    record without usable stats — returns ``None``.  ``repro fsck``
+    judges journal lines with it.
     """
     try:
         record = json.loads(line.decode("utf-8"))
@@ -552,51 +551,21 @@ def parse_manifest_line(line: bytes) -> Optional[Dict]:
 
 
 class SweepManifest:
-    """Append-only JSONL journal of per-spec sweep outcomes.
+    """Append-only, write-only JSONL journal of per-spec sweep outcomes.
 
-    One line per completed attempt: ``{"schema": ..., "key": ...,
-    "status": "done"|"failed", ...}``.  Appending a whole line per event
-    makes the journal crash-safe — a torn final line (the interrupted
-    write) is skipped on load, and everything before it is intact.  On
-    resume, ``done`` entries are replayed as instant results; ``failed``
-    entries, and ``done`` entries whose stats do not deserialize, are
-    re-attempted.
-
-    Records from a different :data:`SCHEMA_VERSION` are ignored: a
-    simulator-semantics change makes old results unusable, exactly as
-    with the result cache.
-
-    Appends go through :attr:`sink`: the first failed one warns (a
-    silent journal gap would surface much later as a mysteriously
-    re-executed run) and stops the journal for the rest of this
-    manifest's life, every dropped append is counted and surfaced in the
-    sweep summary, and the sweep itself continues.
+    One line per recorded outcome: ``{"schema": ..., "key": ...,
+    "status": "done"|"failed", ...}``, and a final ``__sweep__`` record.
+    Appending a whole, fsync'd line per event makes the journal
+    crash-safe: a torn final line costs only itself.  It tells a reader,
+    and ``repro fsck``, what a sweep did; an interrupted sweep resumes
+    from the result cache.  Appends go through :attr:`sink`: the first
+    failed one warns and stops the journal, every dropped append is
+    counted in the sweep summary, and the sweep continues.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self.sink = Sink("sweep manifest")
-
-    def load(self) -> Dict[str, Dict]:
-        """Latest valid record per key; empty when the journal is absent.
-
-        The journal is read as bytes and parsed per line
-        (:func:`parse_manifest_line`), so a torn line costs only itself.
-        A ``done`` record's ``stats`` is a :class:`SimStats`.
-        """
-        entries: Dict[str, Dict] = {}
-        try:
-            raw = self.path.read_bytes()
-        except OSError:
-            return entries
-        for line in raw.splitlines():
-            record = parse_manifest_line(line)
-            if record is None or record["schema"] != SCHEMA_VERSION:
-                continue
-            key = record.get("key")
-            if isinstance(key, str):
-                entries[key] = record
-        return entries
 
     def _append(self, record: Dict) -> None:
         record = {"schema": SCHEMA_VERSION, **record}
@@ -605,7 +574,7 @@ class SweepManifest:
         )
 
     def record_success(self, key: str, spec: RunSpec, stats: SimStats) -> None:
-        """Journal a completed run so a resumed sweep can replay it."""
+        """Journal a completed run and its stats."""
         self._append(
             {
                 "key": key,
@@ -616,7 +585,7 @@ class SweepManifest:
         )
 
     def record_failure(self, failure: RunFailure) -> None:
-        """Journal a failed run (resumed sweeps re-attempt it)."""
+        """Journal a failed run: its kind, error and attempts."""
         self._append(
             {
                 "key": failure.key,
@@ -767,9 +736,10 @@ class SweepInterrupted(RuntimeError):
 
     Raised by :meth:`SweepEngine.run` after the first SIGTERM/SIGINT:
     admission has stopped, in-flight runs have drained (flushing their
-    checkpoints), every completed result is journaled, and the manifest
-    carries a final ``interrupted`` record.  Re-invoking the same sweep
-    with the same manifest resumes exactly where this one stopped.
+    checkpoints) or been killed at :data:`DRAIN_TIMEOUT`, every completed
+    result is cached and journaled, and the manifest carries a final
+    ``interrupted`` record.  Re-invoking the same sweep with the same
+    result cache resumes exactly where this one stopped.
 
     Attributes:
         done: Unique runs with a recorded outcome at shutdown.
@@ -800,8 +770,8 @@ class SweepEngine:
 
     * Duplicate specs are simulated once and share one result object.
     * With a cache attached, previously-completed runs (from any process,
-      ever) are loaded instead of simulated; with a manifest attached,
-      runs journaled by an interrupted sweep are replayed the same way.
+      ever, an interrupted sweep included) are loaded instead of
+      simulated.
     * One dispatch loop schedules every sweep.  With ``jobs <= 1``, or a
       single miss, it calls the worker in this process (no pool
       overhead), one run at a time in input order; otherwise it submits
@@ -821,19 +791,19 @@ class SweepEngine:
             least 1.
         timeout: **Per-run** wall-clock deadline in seconds for pooled
             runs.  A run exceeding it is recorded as a ``timeout``
-            failure; other runs are unaffected.  In-process runs cannot
+            failure and its pool is killed; the runs beside it run
+            again on a fresh pool, uncharged.  In-process runs cannot
             be preempted and ignore it.  Must be positive; ``None``
             means no deadline.
         progress: Progress/ETA reporter.
         worker: Run-execution callable, called as ``worker(spec,
             options)`` (overridable for testing and fault injection).
         retries: Maximum *additional* attempts for a pooled run whose
-            worker process died, or (with a checkpoint directory in
-            ``options``) that missed its deadline.  Like deadlines,
-            retries apply to pooled runs only; any other failure is
-            recorded at once.  Must be at least 0.
-        manifest: Checkpoint journal (path or :class:`SweepManifest`)
-            for resumable sweeps.
+            worker process died.  Like deadlines, retries apply to
+            pooled runs only; any other failure, a missed deadline
+            included, is recorded at once.  Must be at least 0.
+        manifest: Write-only journal of every outcome (path or
+            :class:`SweepManifest`); a resumed sweep reads the cache.
         lease_grace: Seconds of renewal silence after which another
             process may steal one of this sweep's leases; the same
             default as ``repro fsck --grace``.
@@ -881,7 +851,6 @@ class SweepEngine:
         # tests) can verify e.g. that a warm re-run simulated nothing.
         self.simulated = 0
         self.cache_hits = 0
-        self.manifest_hits = 0
         self.failures = 0
         self.retried = 0
         self.lease_deferred = 0  # specs parked behind a sibling's lease
@@ -898,9 +867,9 @@ class SweepEngine:
         """Execute a sweep; one outcome per input spec, in input order.
 
         Raises :class:`SweepInterrupted` when a graceful shutdown arrives
-        mid-sweep: everything completed so far is journaled and the
-        manifest is finalized, so the same call with the same manifest
-        resumes exactly.
+        mid-sweep: everything completed so far is cached and journaled
+        and the manifest is finalized, so the same call with the same
+        cache resumes exactly.
         """
         keys = [fingerprint(spec) for spec in specs]
         unique: Dict[str, RunSpec] = {}
@@ -916,24 +885,11 @@ class SweepEngine:
         memo_base = (WORKLOAD_MEMO.hits, WORKLOAD_MEMO.misses)
         with self._signal_guard():
             if self.cache is not None:
-                for key, spec in unique.items():
+                for key in unique:
                     stats = self.cache.get(key)
                     if stats is not None:
                         outcomes[key] = SimulationResult(stats)
                         self.cache_hits += 1
-            if self.manifest is not None:
-                journal = self.manifest.load()
-                for key, spec in unique.items():
-                    if key in outcomes:
-                        continue
-                    record = journal.get(key)
-                    if record is None or record.get("status") != "done":
-                        continue
-                    stats = record["stats"]
-                    outcomes[key] = SimulationResult(stats)
-                    self.manifest_hits += 1
-                    if self.cache is not None:
-                        self.cache.put(key, spec, stats)
 
             self.progress.start(len(unique), cached=len(outcomes))
             misses = [(k, s) for k, s in unique.items() if k not in outcomes]
@@ -1014,8 +970,8 @@ class SweepEngine:
             )
         )
         where = (
-            f"; resume with the same manifest ({self.manifest.path})"
-            if self.manifest is not None
+            f"; resume with the same result cache ({self.cache.root.parent})"
+            if self.cache is not None
             else ""
         )
         raise SweepInterrupted(
@@ -1193,19 +1149,20 @@ class SweepEngine:
     # ------------------------------------------------------------------
 
     @staticmethod
-    def _relay_shutdown() -> None:
-        """Forward the shutdown request to the pools' worker processes.
+    def _signal_workers(signum: int) -> None:
+        """Send ``signum`` to every pool worker of this process.
 
-        Every live child of this process (``multiprocessing`` lists them,
-        heartbeats or not) gets a SIGTERM.  A busy worker's sentinel then
-        checkpoints and raises ``WorkerInterrupted`` at its next tick; an
-        idle worker only raises its flag, and it is admitted no more work.
+        ``multiprocessing`` lists them.  The engine's process starts no
+        other ``multiprocessing`` child, nor does the CLI, a chaos child
+        or a perfbench sample.  The drain sends SIGTERM (a busy worker's
+        sentinel checkpoints and raises ``WorkerInterrupted`` at its next
+        tick; an idle one only raises its flag); a kill sends SIGKILL.
         """
         import multiprocessing
 
         for child in multiprocessing.active_children():
             try:
-                os.kill(child.pid, signal.SIGTERM)
+                os.kill(child.pid, signum)
             except OSError:
                 pass
 
@@ -1223,36 +1180,28 @@ class SweepEngine:
         future, recorded like a pooled completion (with no deadline: an
         in-process run cannot be preempted).
 
-        A hung pool run only costs its own slot: its future is abandoned
-        at the deadline and the slot written off.  When every slot of the
-        current executor is written off (or the pool breaks), a fresh
-        executor takes over the remaining work.  All executors are shut
-        down without waiting at the end, so orphaned workers die on
-        their own without stalling the sweep.
-
+        A pooled run that misses its deadline is recorded as a
+        ``timeout`` and its pool is killed: a pool that loses one worker
+        terminates the rest anyway.  The runs beside it lost their pool
+        to the engine, so they go back to the head of the queue
+        uncharged, and a fresh pool takes the remaining work.  A pooled
+        run whose worker died (its future raised
+        :class:`~concurrent.futures.BrokenExecutor`, as every run in
+        flight beside a death does) goes to the back of the queue, up to
+        ``retries`` extra attempts.  A spec whose lease a concurrent
+        sweep holds waits one lease poll behind the ``not_before`` gate.
         With ``options.heartbeat_interval`` set, pool workers write
         liveness heartbeats into a directory this method names.
 
-        A pooled run whose worker died (its future raised
-        :class:`~concurrent.futures.BrokenExecutor`, which the death also
-        raises for every run in flight beside it) goes to the back of the
-        queue, up to ``retries`` extra attempts, and is admitted to a
-        fresh pool at once.  A spec whose lease a concurrent sweep holds
-        waits one lease poll behind the ``not_before`` gate.
-
         A graceful-shutdown request flips the loop into *drain* mode: no
-        new admissions, in-flight futures are given :data:`DRAIN_TIMEOUT`
-        seconds to finish (results recorded) or bow out with
-        ``WorkerInterrupted`` (left unrecorded, hence resumed later).
+        new admissions, SIGTERM to the pool workers, and
+        :data:`DRAIN_TIMEOUT` seconds for in-flight runs to finish
+        (recorded) or bow out with ``WorkerInterrupted`` (left pending).
+        No worker outlives the loop: runs still in flight when it ends (a
+        drain that ran out, an exception) have their workers killed.
         """
         max_workers = min(self.jobs, len(misses))
         pooled = max_workers > 1
-        executors: List[ProcessPoolExecutor] = []
-        lost_slots = 0
-        # With a checkpoint directory, every worker checkpoints its run
-        # periodically and run_spec() resumes from the newest valid
-        # snapshot — which makes deadline hits worth retrying.
-        resumable = self.options.checkpoint_dir is not None
 
         heartbeat_dir: Optional[Path] = None
         private_dir: Optional[str] = None
@@ -1266,20 +1215,16 @@ class SweepEngine:
         options = dataclasses.replace(self.options, heartbeat_dir=heartbeat_dir)
 
         def fresh_executor() -> ProcessPoolExecutor:
-            nonlocal lost_slots
             # Only a sweep that builds a pool imports one (and with it
             # multiprocessing).
             from concurrent.futures import ProcessPoolExecutor
 
-            ex = ProcessPoolExecutor(
+            return ProcessPoolExecutor(
                 max_workers=max_workers,
                 initializer=supervise.install_worker_signal_handlers,
             )
-            executors.append(ex)
-            lost_slots = 0
-            return ex
 
-        executor = None
+        executor: Optional[ProcessPoolExecutor] = None
         if pooled:
             # A forked worker inherits its parent's modules; one it had
             # to import itself would be compiled once per worker.
@@ -1289,9 +1234,16 @@ class SweepEngine:
         work: deque = deque(_PendingRun(key, spec) for key, spec in misses)
         running: Dict[Future, _PendingRun] = {}
 
+        def retire_executor(kill: bool) -> None:
+            nonlocal executor
+            if kill:
+                self._signal_workers(signal.SIGKILL)
+            executor.shutdown(wait=False, cancel_futures=True)
+            executor = None
+
         def submit(run: _PendingRun) -> None:
             nonlocal executor
-            if executor is None:
+            if not pooled:
                 future: Future = Future()
                 try:
                     future.set_result(self.worker(run.spec, options))
@@ -1299,20 +1251,18 @@ class SweepEngine:
                     future.set_exception(exc)
                 running[future] = run
                 return
+            if executor is None:
+                executor = fresh_executor()
             try:
                 future = executor.submit(self.worker, run.spec, options)
             except (BrokenExecutor, RuntimeError):
+                retire_executor(kill=False)
                 executor = fresh_executor()
                 future = executor.submit(self.worker, run.spec, options)
             run.deadline = (
                 time.monotonic() + self.timeout if self.timeout else None
             )
             running[future] = run
-
-        def requeue(run: _PendingRun) -> None:
-            run.attempt += 1
-            self.retried += 1
-            work.append(run)
 
         draining = False
         drain_deadline = 0.0
@@ -1323,18 +1273,17 @@ class SweepEngine:
                         draining = True
                         drain_deadline = time.monotonic() + DRAIN_TIMEOUT
                         if pooled:
-                            self._relay_shutdown()
+                            self._signal_workers(signal.SIGTERM)
                     if not running or time.monotonic() >= drain_deadline:
                         return
                 if not draining:
                     now = time.monotonic()
-                    # Dispatch work whose gate has passed, up to the live
-                    # capacity of the current executor.  A spec whose
-                    # work-claim lease a concurrent sweep holds goes back
-                    # behind the gate until its next claim.
-                    capacity = max(0, max_workers - lost_slots)
+                    # Dispatch work whose gate has passed, up to the pool
+                    # size.  A spec whose work-claim lease a concurrent
+                    # sweep holds goes back behind the gate until its
+                    # next claim.
                     gated: List[_PendingRun] = []
-                    while work and len(running) < capacity:
+                    while work and len(running) < max_workers:
                         run = work.popleft()
                         if run.not_before > now:
                             gated.append(run)
@@ -1365,8 +1314,6 @@ class SweepEngine:
                             time.sleep(
                                 min(0.25, max(0.0, min(gates) - now))
                             )
-                        elif work and capacity == 0:
-                            executor = fresh_executor()
                         continue
                 # Wait for a completion, the earliest deadline, or the
                 # earliest gate — whichever comes first, and at most
@@ -1396,19 +1343,21 @@ class SweepEngine:
                             and supervise.shutdown_requested()
                         ):
                             # The worker checkpointed and bowed out; the
-                            # run stays unrecorded (pending), so a resume
-                            # with the same manifest re-executes it.  The
-                            # process-wide flag, not ``draining``: one
-                            # group signal reaches the workers and the
-                            # engine together, so a worker can bow out
-                            # before this loop has seen the flag.
+                            # run stays unrecorded (pending), so a resumed
+                            # sweep executes it.  The process-wide flag,
+                            # not ``draining``: one group signal reaches
+                            # the workers and the engine together, so a
+                            # worker can bow out before this loop has seen
+                            # the flag.
                             continue
                         if (
                             not draining
                             and isinstance(exc, BrokenExecutor)
                             and run.attempt < self.retries
                         ):
-                            requeue(run)
+                            run.attempt += 1
+                            self.retried += 1
+                            work.append(run)
                         else:
                             self._record_failure(
                                 run.key, run.spec, "exception", exc, outcomes,
@@ -1419,52 +1368,31 @@ class SweepEngine:
                             run.key, run.spec, SimulationResult(stats),
                             outcomes, attempts=run.attempt + 1,
                         )
-                # Enforce per-run deadlines: only the overdue run fails.
                 overdue = [
-                    future
-                    for future, run in running.items()
+                    run for run in running.values()
                     if run.deadline is not None and now >= run.deadline
                 ]
-                for future in overdue:
-                    run = running.pop(future)
-                    if not future.cancel():
-                        # Already executing in a worker we cannot reclaim:
-                        # write the slot off.
-                        lost_slots += 1
-                    if not draining and resumable and run.attempt < self.retries:
-                        # With auto-checkpointing on, the abandoned worker
-                        # has been leaving snapshots behind; a fresh
-                        # attempt resumes from the newest one instead of
-                        # restarting at cycle 0, so each retry makes
-                        # forward progress even against a too-tight
-                        # deadline.
-                        requeue(run)
-                        continue
-                    self._record_failure(
-                        run.key, run.spec, "timeout", None, outcomes,
-                        message=(
-                            f"run exceeded its {self.timeout}s deadline; "
-                            "abandoned (worker slot written off)"
-                        ),
-                        attempts=run.attempt + 1,
-                    )
-                if (
-                    not draining
-                    and lost_slots >= max_workers
-                    and (work or running)
-                ):
-                    # Every slot is hung: move still-queued futures back to
-                    # the work list and start over on a fresh pool.
-                    for future, run in list(running.items()):
-                        if future.cancel():
-                            running.pop(future)
-                            work.append(run)
-                    if not running:
-                        executor = fresh_executor()
+                if overdue:
+                    # Kill the pool, after taking its runs out of
+                    # ``running``: their futures resolve with
+                    # BrokenProcessPool, unread.  The runs beside the
+                    # overdue ones keep their leases (a claim is
+                    # re-entrant) and run again first, uncharged.
+                    beside = [r for r in running.values() if r.deadline > now]
+                    running.clear()
+                    retire_executor(kill=True)
+                    work.extendleft(reversed(beside))
+                    for run in overdue:
+                        self._record_failure(
+                            run.key, run.spec, "timeout", None, outcomes,
+                            message=(
+                                f"run exceeded its {self.timeout}s deadline; "
+                                "its pool was killed"
+                            ),
+                            attempts=run.attempt + 1,
+                        )
         finally:
-            for ex in executors:
-                # Never block on hung workers; orphaned runs finish (or
-                # die) on their own without affecting us.
-                ex.shutdown(wait=False, cancel_futures=True)
+            if executor is not None:
+                retire_executor(kill=bool(running))
             if private_dir is not None:
                 shutil.rmtree(private_dir, ignore_errors=True)

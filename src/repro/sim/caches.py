@@ -68,10 +68,6 @@ class SetAssociativeCache:
         cache_set[line_addr] = payload
         return evicted
 
-    def invalidate(self, line_addr: int) -> Optional[object]:
-        """Remove a line without counting it as an eviction."""
-        return self._set_for(line_addr).pop(line_addr, None)
-
     def __len__(self) -> int:
         return sum(len(s) for s in self._sets)
 

@@ -41,9 +41,3 @@ def max_blocks_per_core(resources: KernelResources, core: CoreConfig) -> int:
     if resources.smem_per_block > 0:
         limits.append(core.shared_memory_bytes // resources.smem_per_block)
     return max(0, min(limits))
-
-
-def occupancy_fraction(resources: KernelResources, core: CoreConfig) -> float:
-    """Resident threads as a fraction of the core's thread capacity."""
-    blocks = max_blocks_per_core(resources, core)
-    return blocks * resources.threads_per_block / core.max_threads_per_core

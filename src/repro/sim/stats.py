@@ -64,11 +64,6 @@ class SimStats:
         return self.cycles * self.num_cores / self.instructions
 
     @property
-    def demand_instructions(self) -> int:
-        """Warp instructions excluding software prefetches."""
-        return self.instructions - self.prefetch_instructions
-
-    @property
     def avg_demand_latency(self) -> float:
         """Mean cycles from MRQ entry to data return, demand lines only.
 

@@ -20,7 +20,7 @@ trace-generation options:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
@@ -66,8 +66,3 @@ SCHEMES = {
     "ip": IP_SWP,
     "mt-swp": MT_SWP,
 }
-
-
-def with_distance(config: SoftwarePrefetchConfig, distance: int) -> SoftwarePrefetchConfig:
-    """Copy a scheme with a different prefetch distance."""
-    return replace(config, distance=distance)

@@ -12,6 +12,7 @@ the engine's fault-tolerance machinery must handle:
   (:func:`oserror_worker`) or a deterministic simulation failure
   (:func:`invariant_worker`),
 * stalls confined to one benchmark (:func:`selectively_slow_worker`),
+  and healthy runs of set lengths beside one (:func:`staggered_worker`),
 * truncated runs returning partial statistics (:func:`truncating_worker`).
 
 A worker "dies" the way a crashed one does: its process exits at once
@@ -70,10 +71,11 @@ from repro.sim.stats import SimStats
 #: Directory for cross-process attempt counters (set by the test).
 FAULT_DIR_ENV = "REPRO_FAULT_DIR"
 
-#: How long a "stalled" worker sleeps.  Long enough to blow any test
-#: deadline by an order of magnitude, short enough that an orphaned
-#: worker finishing its nap never stalls pytest shutdown noticeably.
-STALL_SECONDS = 2.5
+#: How long a "stalled" worker sleeps: far past any test deadline, so a
+#: test that had to wait it out would fail its own time bound.  The
+#: engine kills a worker at its run's deadline or at the end of a drain,
+#: so no worker sleeps it out past its test.
+STALL_SECONDS = 30.0
 
 #: Attempts after which a worker that dies on every attempt raises
 #: instead, so an engine that ignores its retry budget fails a test
@@ -177,14 +179,65 @@ def invariant_worker(spec, options) -> SimStats:
     )
 
 
+def record_pid(spec) -> None:
+    """Leave this process's pid in ``pid-<benchmark>`` under the fault
+    directory, so a test can tell whether the worker is still alive."""
+    (_fault_dir() / f"pid-{spec.benchmark}").write_text(str(os.getpid()))
+
+
+def recorded_pid(benchmark: str) -> int:
+    """The pid :func:`record_pid` left for ``benchmark``."""
+    return int((_fault_dir() / f"pid-{benchmark}").read_text())
+
+
+def live_workers(pids, within: float = 2.0) -> set:
+    """The ``pids`` still among this process's ``multiprocessing``
+    children after waiting up to ``within`` seconds for them to end."""
+    deadline = time.monotonic() + within
+    while True:
+        alive = set(pids) & {c.pid for c in multiprocessing.active_children()}
+        if not alive or time.monotonic() >= deadline:
+            return alive
+        time.sleep(0.05)
+
+
 def selectively_slow_worker(spec, options) -> SimStats:
     """Stall (sleep well past any test deadline) for benchmark ``monte``
     only; return instantly for everything else.  Lets tests prove that a
-    per-run deadline condemns exactly the stalled run."""
+    per-run deadline condemns exactly the stalled run.  Every run
+    records its attempt and its worker's pid."""
     record_attempt(spec)
+    record_pid(spec)
     if spec.benchmark == "monte":
         time.sleep(STALL_SECONDS)
     return _stats_for(spec)
+
+
+#: Seconds :func:`staggered_worker` spends on a run, by hardware scheme.
+STAGGER_SECONDS = {"none": 1.5, "stride_pc": 2.0}
+
+
+def staggered_worker(spec, options) -> SimStats:
+    """Stall ``monte`` like :func:`selectively_slow_worker`; any other
+    run sleeps its :data:`STAGGER_SECONDS` and succeeds.  On two workers
+    a healthy ``stride_pc`` run then starts behind a ``none`` run and is
+    still in flight when a 3 s deadline on monte passes."""
+    record_attempt(spec)
+    stalled = spec.benchmark == "monte"
+    time.sleep(STALL_SECONDS if stalled else STAGGER_SECONDS[spec.hardware])
+    return _stats_for(spec)
+
+
+def read_journal(path) -> list:
+    """The records of a manifest journal, in order, parsed with the
+    engine's own line parser; torn and foreign lines are left out."""
+    from repro.harness.sweep import parse_manifest_line
+
+    try:
+        raw = Path(path).read_bytes()
+    except FileNotFoundError:
+        return []
+    return [r for r in map(parse_manifest_line, raw.splitlines()) if r]
 
 
 def truncating_worker(spec, options) -> SimStats:
@@ -484,20 +537,22 @@ def supervised_sweep_main(argv=None) -> None:
     """Subprocess entry point for the SIGTERM-mid-sweep acceptance test.
 
     Runs a small but real 8-cell sweep (two benchmarks, four hardware
-    schemes, tiny scale) through a supervised, journaled
+    schemes, tiny scale) through a supervised, cached and journaled
     :class:`~repro.harness.sweep.SweepEngine` with graceful shutdown
     enabled.  Prints exactly one marker line so the parent can tell the
     two legitimate endings apart:
 
     * ``INTERRUPTED done=<n> pending=<m>`` + exit 130 — a shutdown
-      signal drained the sweep; the manifest is finalized and resumable.
-    * ``COMPLETE <json>`` + exit 0 — the sweep finished; the JSON maps
-      each spec fingerprint to its stats dict (sorted keys, so two
-      COMPLETE lines from independent processes are comparable
+      signal drained the sweep; the manifest is finalized, and the
+      cache holds every finished run.
+    * ``COMPLETE simulated=<n> <json>`` + exit 0 — the sweep finished
+      after simulating ``n`` runs itself; the JSON maps each spec
+      fingerprint to its stats dict (sorted keys, so the JSON of two
+      COMPLETE lines from independent processes is comparable
       byte-for-byte).
 
-    ``argv[0]`` must be the manifest path; the parent reuses it across
-    the interrupted run and the resume run.
+    ``argv`` is ``<cache-dir> <manifest-path>``; the parent reuses both
+    across the interrupted run and the resume run.
     """
     import sys
 
@@ -505,17 +560,19 @@ def supervised_sweep_main(argv=None) -> None:
     from repro.harness.sweep import RunOptions, SweepEngine, SweepInterrupted
 
     args = list(sys.argv[1:] if argv is None else argv)
-    if not args:
-        raise SystemExit("usage: supervised_sweep_main <manifest-path>")
-    manifest = args[0]
+    if len(args) < 2:
+        raise SystemExit(
+            "usage: supervised_sweep_main <cache-dir> <manifest-path>"
+        )
     specs = [
         make_spec(benchmark=bench, hardware=hw, scale=0.05)
         for bench in ("monte", "cell")
         for hw in ("none", "stride_pc", "stride_pc_wid", "stream")
     ]
     engine = SweepEngine(
+        cache=ResultCache(args[0]),
         jobs=2,
-        manifest=manifest,
+        manifest=args[1],
         worker=paced_worker,
         options=RunOptions(heartbeat_interval=0.2),
         retries=1,
@@ -530,7 +587,8 @@ def supervised_sweep_main(argv=None) -> None:
         fingerprint(spec): outcome.stats.to_dict()
         for spec, outcome in zip(specs, outcomes)
     }
-    print("COMPLETE " + json.dumps(table, sort_keys=True), flush=True)
+    print(f"COMPLETE simulated={engine.simulated} "
+          + json.dumps(table, sort_keys=True), flush=True)
     raise SystemExit(0)
 
 

@@ -3,14 +3,16 @@
 Exercises the acceptance scenarios of the simulation integrity layer:
 retry-then-success for a pool worker that died, no retry for anything a
 run raises (an ``OSError`` or a deterministic simulation failure),
-per-run deadlines that condemn only the stalled run, checkpoint-manifest
-resume, and truncated runs surfacing as structured failures instead of
+per-run deadlines that condemn only the stalled run and kill its pool,
+resume through the result cache (the manifest is a write-only journal),
+and truncated runs surfacing as structured failures instead of
 silently polluting results.  All injected faults come from the
 deterministic harness in :mod:`tests.harness.faults`.
 """
 
 import errno
 import json
+import time
 from concurrent.futures import BrokenExecutor
 
 import pytest
@@ -23,7 +25,6 @@ from repro.harness.sweep import (
     RunFailedError,
     RunFailure,
     SweepEngine,
-    SweepManifest,
     fingerprint,
 )
 from repro.sim.config import baseline_config
@@ -130,6 +131,37 @@ class TestPerRunDeadline:
         assert fast_outcome.stats.benchmark == "cell"
         assert engine.failures == 1 and engine.simulated == 1
 
+    def test_overdue_run_leaves_no_live_worker(self, fault_dir):
+        """The stalled worker is killed with its pool, not left to
+        sleep out its stall after the sweep returns."""
+        engine = SweepEngine(jobs=2, timeout=0.5,
+                             worker=faults.selectively_slow_worker,
+                             retries=0)
+        t0 = time.monotonic()
+        slow, fast = engine.run([spec_for("monte"), spec_for("cell")])
+        assert time.monotonic() - t0 < faults.STALL_SECONDS / 2
+        assert slow.kind == "timeout" and isinstance(fast, SimulationResult)
+        assert not faults.live_workers({faults.recorded_pid("monte")})
+
+    def test_runs_beside_an_overdue_run_are_requeued_uncharged(
+        self, fault_dir
+    ):
+        """Under ``retries=0`` a healthy run in flight when its sibling's
+        deadline kills the pool still succeeds: it runs again on a fresh
+        pool without being charged an attempt."""
+        stalled = spec_for("monte")
+        first = spec_for("cell")
+        beside = spec_for("cell", hardware="stride_pc")
+        engine = SweepEngine(jobs=2, timeout=3.0,
+                             worker=faults.staggered_worker, retries=0)
+        slow, done, healthy = engine.run([stalled, first, beside])
+        assert slow.kind == "timeout" and slow.attempts == 1
+        assert isinstance(done, SimulationResult)
+        assert isinstance(healthy, SimulationResult)
+        assert faults.attempts_made(beside) == 2, "never in flight at the kill"
+        assert faults.attempts_made(first) == 1
+        assert engine.retried == 0 and engine.failures == 1
+
 
 class TestTruncationSurfacing:
     def test_truncated_stats_become_failures_and_are_not_cached(
@@ -215,46 +247,60 @@ class TestExhibitFailures:
 
 
 class TestManifestResume:
-    def test_interrupted_sweep_resumes_from_manifest(self, fault_dir, tmp_path):
+    """An interrupted sweep resumes from the result cache; the manifest
+    is a write-only journal of what each sweep did."""
+
+    def test_interrupted_sweep_resumes_from_the_cache(
+        self, fault_dir, tmp_path
+    ):
+        cache = tmp_path / "cache"
         manifest_path = tmp_path / "sweep.jsonl"
         first_half = [spec_for("monte")]
         full_grid = [spec_for("monte"), spec_for("cell")]
 
         # "First invocation" completes only part of the grid, then dies.
-        engine1 = SweepEngine(jobs=1, worker=faults.fast_worker,
+        engine1 = SweepEngine(cache=ResultCache(cache), jobs=1,
+                              worker=faults.fast_worker,
                               manifest=manifest_path)
         [done] = engine1.run(first_half)
         assert isinstance(done, SimulationResult)
 
-        # "Second invocation" resumes: the journaled run is replayed
-        # without re-execution (the worker would crash if invoked for it).
-        engine2 = SweepEngine(jobs=1, worker=faults.fast_worker,
+        # "Second invocation" resumes: the cached run is not re-executed.
+        engine2 = SweepEngine(cache=ResultCache(cache), jobs=1,
+                              worker=faults.fast_worker,
                               manifest=manifest_path)
         resumed, fresh = engine2.run(full_grid)
-        assert engine2.manifest_hits == 1
+        assert (engine2.cache_hits, engine2.simulated) == (1, 1)
         assert faults.attempts_made(first_half[0]) == 1  # not re-run
         assert resumed.stats.to_dict() == done.stats.to_dict()
         assert isinstance(fresh, SimulationResult)
 
     def test_failed_manifest_entries_are_reattempted(self, fault_dir, tmp_path):
         manifest_path = tmp_path / "sweep.jsonl"
+        cache = tmp_path / "cache"
         spec = spec_for("monte")
-        engine1 = SweepEngine(jobs=1, worker=faults.oserror_worker,
+        engine1 = SweepEngine(cache=ResultCache(cache), jobs=1,
+                              worker=faults.oserror_worker,
                               manifest=manifest_path)
         [failure] = engine1.run([spec])
         assert isinstance(failure, RunFailure)
 
-        engine2 = SweepEngine(jobs=1, worker=faults.fast_worker,
+        engine2 = SweepEngine(cache=ResultCache(cache), jobs=1,
+                              worker=faults.fast_worker,
                               manifest=manifest_path)
         [outcome] = engine2.run([spec])
         assert isinstance(outcome, SimulationResult)
-        assert engine2.manifest_hits == 0  # failed record did not replay
-        records = SweepManifest(manifest_path).load()
-        assert records[fingerprint(spec)]["status"] == "done"
+        assert engine2.simulated == 1
+        statuses = [record["status"]
+                    for record in faults.read_journal(manifest_path)
+                    if record["key"] == fingerprint(spec)]
+        assert statuses == ["failed", "done"]
 
-    def test_manifest_tolerates_torn_and_foreign_lines(self, tmp_path):
+    def test_manifest_tolerates_torn_and_foreign_lines(
+        self, fault_dir, tmp_path
+    ):
+        """The journal's parser skips a torn or foreign line."""
         path = tmp_path / "sweep.jsonl"
-        manifest = SweepManifest(path)
         good = {"schema": SCHEMA_VERSION, "key": "k1", "status": "done",
                 "stats": {"cycles": 7}}
         foreign_schema = {"schema": 999, "key": "k2", "status": "done"}
@@ -262,36 +308,30 @@ class TestManifestResume:
             fh.write(json.dumps(good) + "\n")
             fh.write("not json at all\n")
             fh.write(json.dumps(foreign_schema) + "\n")
+        [record] = faults.read_journal(path)
+        assert record["key"] == "k1" and record["stats"].cycles == 7
+        with open(path, "a", encoding="utf-8") as fh:
             fh.write(
                 '{"schema": %d, "key": "k3", "status"' % SCHEMA_VERSION
             )  # torn write
-        records = manifest.load()
-        assert set(records) == {"k1"}
-        assert records["k1"]["stats"].cycles == 7
+        assert [r["key"] for r in faults.read_journal(path)] == ["k1"]
 
-    def test_done_record_with_unusable_stats_is_rerun(
+    def test_journal_without_a_cache_resumes_nothing(
         self, fault_dir, tmp_path
     ):
+        """A ``done`` record is never replayed: without a cache, the same
+        sweep with the same manifest simulates every run again."""
         path = tmp_path / "sweep.jsonl"
         spec = spec_for("monte")
-        path.write_text(json.dumps({
-            "schema": SCHEMA_VERSION, "key": fingerprint(spec),
-            "status": "done", "stats": "x",
-        }) + "\n", encoding="utf-8")
-        engine = SweepEngine(jobs=1, worker=faults.fast_worker,
-                             manifest=path)
-        [outcome] = engine.run([spec])
-        assert isinstance(outcome, SimulationResult)
-        assert engine.manifest_hits == 0
-        assert faults.attempts_made(spec) == 1
-
-    def test_last_record_per_key_wins(self, tmp_path):
-        manifest = SweepManifest(tmp_path / "sweep.jsonl")
-        manifest._append({"key": "k", "status": "failed", "kind": "timeout"})
-        manifest._append({"key": "k", "status": "done",
-                          "stats": {"cycles": 3}})
-        records = manifest.load()
-        assert records["k"]["status"] == "done"
+        for attempt in (1, 2):
+            engine = SweepEngine(jobs=1, worker=faults.fast_worker,
+                                 manifest=path)
+            [outcome] = engine.run([spec])
+            assert isinstance(outcome, SimulationResult)
+            assert engine.simulated == 1
+            assert faults.attempts_made(spec) == attempt
+        done = [r for r in faults.read_journal(path) if r["status"] == "done"]
+        assert len(done) == 2
 
 
 class TestFailureReports:

@@ -17,10 +17,12 @@ Covers the supervised runtime end to end:
 * **Graceful shutdown** — first signal drains (inline and pooled),
   finalizes the manifest, and raises ``SweepInterrupted``; the second
   forces exit.  A SIGTERM that reaches the engine alone is relayed to
-  its pool workers, with heartbeats or without.  The
-  acceptance test SIGTERMs a *real subprocess sweep*
-  mid-flight and verifies the resumed sweep loses zero completed results
-  and reproduces the uninterrupted control sweep bit-for-bit.
+  its pool workers, with heartbeats or without, and a drain that runs
+  out of time kills the workers still running.  The acceptance test
+  SIGTERMs a *real subprocess sweep* mid-flight and verifies the sweep
+  resumed through its result cache loses zero completed results,
+  simulates only the pending runs, and reproduces the uninterrupted
+  control sweep bit-for-bit.
 """
 
 import errno
@@ -39,7 +41,7 @@ from unittest import mock
 
 import pytest
 
-from repro.harness import chaos, supervise
+from repro.harness import chaos, supervise, sweep
 from repro.harness.runner import (
     ExperimentRunner,
     checkpoint_path_for,
@@ -54,7 +56,6 @@ from repro.harness.sweep import (
     RunOptions,
     SweepEngine,
     SweepInterrupted,
-    SweepManifest,
     fingerprint,
 )
 from repro.sim.artifacts import Sink
@@ -653,6 +654,24 @@ def _run_until_shutdown(spec, options):
     return faults._stats_for(spec)
 
 
+def _stuck_after_signalling(spec, options):
+    """Pool worker that never looks at its shutdown flag.
+
+    Each run records its pid and marks its start; once both have, the
+    monte run sends SIGTERM to the engine.  Both then sleep out
+    :data:`faults.STALL_SECONDS`, far past any drain.
+    """
+    directory = faults._fault_dir()
+    faults.record_pid(spec)
+    (directory / f"started-{spec.benchmark}").touch()
+    if spec.benchmark == "monte":
+        while len(list(directory.glob("started-*"))) < 2:
+            time.sleep(0.02)
+        os.kill(ENGINE_PID, signal.SIGTERM)
+    time.sleep(faults.STALL_SECONDS)
+    return faults._stats_for(spec)
+
+
 class TestGracefulShutdown:
     def test_second_signal_forces_immediate_exit(self):
         engine = SweepEngine(jobs=1)
@@ -665,14 +684,15 @@ class TestGracefulShutdown:
         self, fault_dir, tmp_path
     ):
         manifest_path = tmp_path / "sweep.jsonl"
+        cache = tmp_path / "cache"
         specs = [
             spec_for("monte"),
             spec_for("cell"),
             spec_for("monte", hardware="stride_pc"),
         ]
         engine = SweepEngine(
-            jobs=1, worker=_shutdown_after_first_worker,
-            manifest=manifest_path,
+            cache=ResultCache(cache), jobs=1,
+            worker=_shutdown_after_first_worker, manifest=manifest_path,
         )
         with pytest.raises(SweepInterrupted) as excinfo:
             engine.run(specs)
@@ -680,26 +700,26 @@ class TestGracefulShutdown:
         assert engine.interrupted
         assert exc.done == 1 and exc.pending == 2
         assert str(exc.manifest) == str(manifest_path)
-        assert "resume with the same manifest" in str(exc)
-        journal = SweepManifest(manifest_path).load()
-        final = journal["__sweep__"]
-        assert final["status"] == "final"
+        assert f"resume with the same result cache ({cache})" in str(exc)
+        journal = faults.read_journal(manifest_path)
+        final = journal[-1]
+        assert (final["key"], final["status"]) == ("__sweep__", "final")
         assert final["interrupted"] is True
         assert final["pending"] == 2
-        done = [k for k, r in journal.items() if r.get("status") == "done"]
-        assert len(done) == 1
+        assert [r["status"] for r in journal[:-1]] == ["done"]
 
-        # Resume with the same manifest: the completed run replays, the
+        # Resume with the same cache: the completed run is a hit, the
         # two pending runs execute, nothing is re-simulated.
         supervise.reset_shutdown()
         resumed = SweepEngine(
-            jobs=1, worker=faults.fast_worker, manifest=manifest_path,
+            cache=ResultCache(cache), jobs=1, worker=faults.fast_worker,
+            manifest=manifest_path,
         )
         outcomes = resumed.run(specs)
         assert all(isinstance(o, SimulationResult) for o in outcomes)
-        assert resumed.manifest_hits == 1
+        assert (resumed.cache_hits, resumed.simulated) == (1, 2)
         assert faults.attempts_made(specs[0]) == 1  # never re-executed
-        final = SweepManifest(manifest_path).load()["__sweep__"]
+        final = faults.read_journal(manifest_path)[-1]
         assert final["interrupted"] is False
 
     def test_every_worker_runs_under_the_right_handler(
@@ -739,8 +759,7 @@ class TestGracefulShutdown:
             engine.run([spec_for("monte"), spec_for("cell")])
         assert (excinfo.value.done, excinfo.value.pending) == (1, 1)
         assert engine.failures == 0
-        journal = SweepManifest(manifest_path).load()
-        statuses = sorted(record["status"] for record in journal.values())
+        statuses = [r["status"] for r in faults.read_journal(manifest_path)]
         assert statuses == ["done", "final"]
 
     def _assert_drain_relays(self, options):
@@ -761,6 +780,18 @@ class TestGracefulShutdown:
     def test_drain_relays_sigterm_without_heartbeats(self, fault_dir):
         """The relay finds the workers with no heartbeat file to read."""
         self._assert_drain_relays(RunOptions())
+
+    def test_drain_that_runs_out_kills_its_workers(
+        self, fault_dir, monkeypatch
+    ):
+        """Workers still running at ``DRAIN_TIMEOUT`` do not outlive it."""
+        monkeypatch.setattr(sweep, "DRAIN_TIMEOUT", 0.5)
+        engine = SweepEngine(jobs=2, worker=_stuck_after_signalling)
+        with pytest.raises(SweepInterrupted) as excinfo:
+            engine.run([spec_for("monte"), spec_for("cell")])
+        assert (excinfo.value.done, excinfo.value.pending) == (0, 2)
+        pids = {faults.recorded_pid(name) for name in ("monte", "cell")}
+        assert not faults.live_workers(pids)
 
     def test_pre_raised_flag_stops_admission_before_any_run(
         self, fault_dir, tmp_path
@@ -787,6 +818,13 @@ def _sweep_subprocess_env():
     return {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
 
 
+def _complete_line(stdout):
+    """``(simulated, json)`` from a sweep child's ``COMPLETE`` line."""
+    line = next(l for l in stdout.splitlines() if l.startswith("COMPLETE "))
+    simulated, table = line[len("COMPLETE "):].split(" ", 1)
+    return int(simulated[len("simulated="):]), table
+
+
 class TestSigtermMidSweepSubprocess:
     """Acceptance: SIGTERM a real subprocess sweep, resume bit-identically."""
 
@@ -797,21 +835,21 @@ class TestSigtermMidSweepSubprocess:
 
         # Control: the same sweep, uninterrupted.
         control = subprocess.run(
-            [sys.executable, "-c", CHILD_CODE, str(tmp_path / "control.jsonl")],
+            [sys.executable, "-c", CHILD_CODE, str(tmp_path / "control"),
+             str(tmp_path / "control.jsonl")],
             cwd=REPO_ROOT, env=env, capture_output=True, text=True,
             timeout=300,
         )
         assert control.returncode == 0, control.stderr
-        control_line = next(
-            line for line in control.stdout.splitlines()
-            if line.startswith("COMPLETE ")
-        )
+        assert _complete_line(control.stdout)[0] == 8
+        control_table = _complete_line(control.stdout)[1]
 
         # Interrupted run: SIGTERM as soon as the journal shows the
         # first completed run.
+        cache = tmp_path / "cache"
         manifest = tmp_path / "resumable.jsonl"
         child = subprocess.Popen(
-            [sys.executable, "-c", CHILD_CODE, str(manifest)],
+            [sys.executable, "-c", CHILD_CODE, str(cache), str(manifest)],
             cwd=REPO_ROOT, env=env, stdout=subprocess.PIPE,
             stderr=subprocess.PIPE, text=True,
         )
@@ -847,30 +885,23 @@ class TestSigtermMidSweepSubprocess:
         assert done + pending == 8
 
         # The manifest was finalized with zero lost completed results.
-        journal = SweepManifest(manifest).load()
-        final = journal["__sweep__"]
-        assert final["status"] == "final"
+        journal = faults.read_journal(manifest)
+        final = journal[-1]
+        assert (final["key"], final["status"]) == ("__sweep__", "final")
         assert final["interrupted"] is True
         assert final["pending"] == pending
-        completed = [
-            k for k, r in journal.items()
-            if k != "__sweep__" and r.get("status") == "done"
-        ]
-        assert len(completed) == done
+        assert [r["status"] for r in journal[:-1]] == ["done"] * done
 
-        # Resume with the same manifest: completes, and the final stats
-        # table is bit-identical to the uninterrupted control sweep.
+        # Resume with the same cache: it simulates only the pending runs,
+        # and the final stats table is bit-identical to the
+        # uninterrupted control sweep.
         resume = subprocess.run(
-            [sys.executable, "-c", CHILD_CODE, str(manifest)],
+            [sys.executable, "-c", CHILD_CODE, str(cache), str(manifest)],
             cwd=REPO_ROOT, env=env, capture_output=True, text=True,
             timeout=300,
         )
         assert resume.returncode == 0, resume.stderr
-        resume_line = next(
-            line for line in resume.stdout.splitlines()
-            if line.startswith("COMPLETE ")
-        )
-        assert resume_line == control_line
+        assert _complete_line(resume.stdout) == (pending, control_table)
 
 
 # ----------------------------------------------------------------------

@@ -68,13 +68,6 @@ class TestSetAssociativeCache:
         evicted = cache.insert(128, "c")
         assert evicted == "a"
 
-    def test_invalidate(self):
-        cache = make_cache()
-        cache.insert(0, "a")
-        assert cache.invalidate(0) == "a"
-        assert cache.lookup(0) is None
-        assert cache.invalidate(0) is None
-
     def test_len(self):
         cache = make_cache()
         assert len(cache) == 0

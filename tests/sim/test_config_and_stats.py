@@ -252,10 +252,6 @@ class TestSimStats:
         assert stats.row_hit_rate == 0.9
         assert SimStats().row_hit_rate == 0.0
 
-    def test_demand_instructions_excludes_prefetch_insts(self):
-        stats = SimStats(instructions=100, prefetch_instructions=30)
-        assert stats.demand_instructions == 70
-
     def test_truncated_flag_serializes(self):
         stats = SimStats(cycles=10, truncated=True)
         assert stats.as_dict()["truncated"] is True

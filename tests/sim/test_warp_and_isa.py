@@ -4,7 +4,7 @@ import pytest
 
 from repro.sim.config import CoreConfig
 from repro.sim.isa import MemSpace, Op, compute, fdiv, imul, load, prefetch, store
-from repro.sim.occupancy import KernelResources, max_blocks_per_core, occupancy_fraction
+from repro.sim.occupancy import KernelResources, max_blocks_per_core
 from repro.sim.warp import Warp
 
 
@@ -112,10 +112,6 @@ class TestOccupancy:
         inflated = KernelResources(256, 20, 0)
         assert max_blocks_per_core(base, self.core()) == 2
         assert max_blocks_per_core(inflated, self.core()) == 1
-
-    def test_occupancy_fraction(self):
-        res = KernelResources(256, 16, 0)
-        assert occupancy_fraction(res, self.core()) == pytest.approx(512 / 768)
 
     def test_invalid_threads(self):
         with pytest.raises(ValueError):

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -296,6 +297,75 @@ def test_bad_jobs_retries_or_deadline_is_a_usage_error(
         main([*command, "--scale", "0.1", "--no-cache", flag, value])
     assert excinfo.value.code == 2
     assert message in capsys.readouterr().err
+
+
+#: (command, flag, value, least value): a value below what the command
+#: can run with.
+BELOW_LEAST = [
+    ("chaos", "--budget", "-1", "0"),
+    ("chaos", "--jobs", "0", "1"),
+    ("chaos", "--workers", "0", "1"),
+    ("chaos", "--rounds", "0", "1"),
+    ("fsck", "--grace", "-5", "0"),
+    ("perf", "--repeats", "0", "1"),
+    ("diffcheck", "--seeds", "0", "1"),
+]
+
+
+@pytest.mark.parametrize("command, flag, value, least", BELOW_LEAST,
+                         ids=[c + f for c, f, _, _ in BELOW_LEAST])
+def test_count_below_its_least_value_is_a_usage_error(
+    command, flag, value, least, tmp_path, capsys
+):
+    """A count or grace a command cannot run with stops it with exit 2,
+    rather than running a clamped value (a 0-fault chaos campaign, a
+    diffcheck that checks nothing)."""
+    rest = {"chaos": ["--root", str(tmp_path / "chaos")],
+            "fsck": [str(tmp_path)],
+            "perf": ["--quick", "--output", "-"]}.get(command, [])
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, flag, value, *rest])
+    assert excinfo.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"argument {flag}: must be >= {least}, got {value}" in captured.err
+
+
+#: Stands in for a pooled run that never finishes: the subprocess patches
+#: ``run_spec`` before the CLI's pool forks, so its workers inherit it.
+STUCK_RUN_CODE = (
+    "import sys, time\n"
+    "from repro.harness import runner\n"
+    "real = runner.run_spec\n"
+    "def run_spec(spec, options=None):\n"
+    "    if spec.hardware == 'stride_pc':\n"
+    "        time.sleep(60)\n"
+    "    return real(spec, options)\n"
+    "runner.run_spec = run_spec\n"
+    "from repro import cli\n"
+    "sys.exit(cli.main(sys.argv[1:]))\n"
+)
+
+
+def test_stuck_pooled_run_ends_the_command_at_its_deadline(tmp_path):
+    """A stuck pooled run fails at ``--timeout`` and the command exits
+    1 soon after, naming it once: its worker does not keep the process
+    alive for the rest of its run."""
+    timeout = 2.0
+    started = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-c", STUCK_RUN_CODE, "compare", "cell",
+         "--schemes", "stride_pc", "mt-hwp", "--scale", "0.05",
+         "--jobs", "2", "--timeout", str(timeout), "--retries", "0",
+         "--no-cache"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+    )
+    elapsed = time.monotonic() - started
+    assert done.returncode == 1, done.stderr
+    assert elapsed < timeout + 10, f"exited {elapsed:.1f}s after starting"
+    [line] = [l for l in done.stderr.splitlines() if "failed [timeout]" in l]
+    assert line.startswith("repro: run cell (") and "stride_pc" in line
 
 
 def test_run_options_do_not_leak_between_invocations(tmp_path, capsys):

@@ -10,7 +10,6 @@ from repro.trace.swp import (
     SCHEMES,
     STRIDE_SWP,
     SoftwarePrefetchConfig,
-    with_distance,
 )
 
 
@@ -31,13 +30,6 @@ def test_describe():
     assert NO_SWP.describe() == "none"
     assert MT_SWP.describe() == "stride+ip"
     assert SoftwarePrefetchConfig(register=True, ip=True).describe() == "register+ip"
-
-
-def test_with_distance_copies():
-    far = with_distance(STRIDE_SWP, 5)
-    assert far.distance == 5
-    assert far.stride
-    assert STRIDE_SWP.distance == 1  # original untouched
 
 
 def test_configs_are_hashable_and_frozen():
